@@ -2,7 +2,6 @@
 
 from .convex import (
     BoxSet,
-    InnerProxResult,
     PiecewiseQuadraticUtility,
     ProxFriendlyFunction,
     QuadraticFunction,
@@ -11,19 +10,14 @@ from .convex import (
     conjugate_value,
     prox_conjugate_via_moreau,
     prox_l1,
-    prox_via_inner_descent,
     project_box,
 )
 from .engine import (
     DelaySchedule,
-    DualState,
-    GradientMessage,
     IterationTrace,
     RateBoundReport,
     StepSizes,
-    asyn_dpg_step,
     delayed_bound_constant,
-    dpg_step,
     dual_objective,
     grad_P_block,
     local_maximizer,
@@ -39,8 +33,6 @@ from .model import (
     ProblemInstance,
     Topology,
     apply_C,
-    apply_E,
-    apply_F,
     instance_from_json,
     instance_to_json,
     lipschitz_constant,

@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``dualprox run``: build or load an instance, execute the solver, write
-  ``trace.csv`` + ``trace_meta.json`` and print the converged summary.
+  ``trace.csv`` + ``trace_meta.json`` and print a summary that says whether
+  the run reached its tolerance.
 * ``dualprox verify``: recompute the rate-bound slacks for a saved trace and
   write a JSON report; exits nonzero when any slack is negative beyond 1e-9.
 * ``dualprox repro``: run the desk-scale reproduction suite and print a
@@ -31,7 +32,7 @@ from .engine import (
 )
 from .errors import DualproxError
 from .model import lipschitz_constant, load_instance, validate_instance
-from .repro import REFERENCE_PSI, ReproContext, run_all
+from .repro import ReproContext, run_all
 from .scenarios import SCENARIOS, build_scenario
 
 SLACK_TOL = 1e-9
@@ -42,19 +43,23 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
+def _read_instance(path):
+    path = Path(path)
+    if not path.exists():
+        _fail(f"instance file not found: {path}")
+    try:
+        return load_instance(path)
+    except (DualproxError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        _fail(f"cannot load instance: {exc}")
+
+
 def _load_problem(scenario, instance, overrides):
     if (scenario is None) == (instance is None):
         _fail("pass exactly one of --scenario or --instance")
     if instance is not None:
-        path = Path(instance)
-        if not path.exists():
-            _fail(f"instance file not found: {path}")
-        try:
-            return load_instance(path), None
-        except (DualproxError, ValueError, json.JSONDecodeError) as exc:
-            _fail(f"cannot load instance: {exc}")
+        return _read_instance(instance)
     try:
-        return build_scenario(scenario, overrides), scenario
+        return build_scenario(scenario, overrides)
     except (DualproxError, ValueError) as exc:
         _fail(f"cannot build scenario: {exc}")
 
@@ -95,20 +100,19 @@ def main():
 @click.option("--margin", type=float, default=1.0,
               help="Async step margin in (0, 1]: c_i = margin / (h (D+1)^2).")
 @click.option("--psi-star", type=float, default=None,
-              help="Reference optimal dual value for the epsilon column.")
+              help="Reference optimal dual value for the epsilon column "
+                   "(default: the best observed Psi).")
 @click.option("--out", type=str, default="out", help="Output directory.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
 def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
             margin, psi_star, out, as_json):
     """Run the solver and write trace.csv + trace_meta.json."""
     over = json.loads(overrides) if overrides else None
-    inst, name = _load_problem(scenario, instance, over)
+    inst = _load_problem(scenario, instance, over)
     report = validate_instance(inst)
     if not report.ok:
         _fail("instance failed validation:\n" + str(report))
 
-    if psi_star is None and name == "market":
-        psi_star = REFERENCE_PSI  # published reference value for this scenario
     try:
         h, _ = lipschitz_constant(inst)
         if mode == "sync":
@@ -139,6 +143,7 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
     x_flat = [float(v) for xi in rec.x_hat for v in xi]
     summary = {
         "rounds": trace.n_transitions,
+        "stop_reason": trace.meta["stop_reason"],
         "psi": trace.psi[-1],
         "epsilon": trace.epsilon[-1],
         "x_hat": x_flat,
@@ -149,8 +154,13 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
     if as_json:
         click.echo(json.dumps(summary, indent=2))
     else:
-        click.echo(f"converged in {trace.n_transitions} rounds "
-                   f"(final step norm {trace.step_norm_inf[-1]:.3e})")
+        final = trace.step_norm_inf[-1] if trace.step_norm_inf else 0.0
+        if trace.meta["stop_reason"] == "tol":
+            click.echo(f"converged in {trace.n_transitions} rounds "
+                       f"(final step norm {final:.3e})")
+        else:
+            click.echo(f"stopped after {trace.n_transitions} rounds: --iters reached "
+                       f"before tol {tol:g} (final step norm {final:.3e})")
         click.echo(f"Psi = {trace.psi[-1]:.6f}   epsilon = {trace.epsilon[-1]:.6e}")
         click.echo("x_hat = [" + ", ".join(f"{v:.4f}" for v in x_flat) + "]")
         click.echo(f"recovery mismatch = {rec.mismatch:.3e}")
@@ -187,11 +197,7 @@ def cmd_verify(trace_path, meta_path, instance, out, as_json):
     meta = trace.meta
     h = meta.get("h")
     if instance is not None:
-        inst_path = Path(instance)
-        if not inst_path.exists():
-            _fail(f"instance file not found: {inst_path}")
-        inst = load_instance(inst_path)
-        h, _ = lipschitz_constant(inst)
+        h, _ = lipschitz_constant(_read_instance(instance))
     if h is None:
         _fail("no smoothness constant available: pass --instance or keep the metadata file")
     if "step_sizes" not in meta:

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MaxIterExceededError,
-    NonStronglyConvexError,
-    UnboundedConjugateError,
-)
+from .errors import NonStronglyConvexError, UnboundedConjugateError
 
 INF = float("inf")
 
@@ -441,45 +437,8 @@ def conjugate_value(f: SmoothConjugable, u) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generic inner-loop prox for conjugates of strongly convex functions
+# the conjugate prox via the Moreau decomposition
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class InnerProxResult:
-    point: np.ndarray
-    iterations: int
-    grad_norm: float
-
-
-def prox_via_inner_descent(
-    g: SmoothConjugable,
-    v,
-    c: float,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> InnerProxResult:
-    """Prox of ``q = g*`` (conjugate of a strongly convex ``g``) by descent.
-
-    Minimizes ``q(w) + ||w - v||^2 / (2c)`` using the argmax oracle for the
-    gradient of ``q`` (conjugate gradient, ``1/sigma``-Lipschitz).  Stops
-    when the objective gradient norm drops to ``tol``.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if g.strong_convexity <= 0:
-        raise NonStronglyConvexError("inner descent needs strongly convex g")
-    v = _vec(v)
-    lips = 1.0 / g.strong_convexity + 1.0 / c
-    step = 1.0 / lips
-    w = v.copy()
-    for it in range(max_iter):
-        grad = conjugate_argmax(g, w) + (w - v) / c
-        gn = float(np.linalg.norm(grad))
-        if gn <= tol:
-            return InnerProxResult(w, it, gn)
-        w = w - step * grad
-    raise MaxIterExceededError(f"inner prox did not reach tol={tol} in {max_iter} iterations")
 
 
 def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c: float) -> np.ndarray:

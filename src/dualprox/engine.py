@@ -1,12 +1,13 @@
 """Dual proximal gradient iterations, delay scheduling, traces, bound checks.
 
-The engine is a deterministic round-based state machine over the stacked
-dual vector ``lam = [theta_1..theta_N, mu_1..mu_N]``.  Each round every
-agent reads a (possibly delayed) snapshot of ``lam``, exports its local
-maximizer to its neighbours, assembles its gradient block, takes a gradient
-step in ``theta`` and a proximal step in ``mu`` through the Moreau shortcut.
-Neighbour contributions are always summed in ascending sender id so traces
-are bitwise reproducible.
+The engine iterates deterministically on the stacked dual vector
+``lam = [theta_1..theta_N, mu_1..mu_N]``.  A round reads the local
+maximizers ``x_hat`` of one snapshot ``lam(tau(k))``, which is the current
+iterate in sync mode and at most ``D`` rounds old in async mode.  From it
+every agent takes a gradient step in ``theta`` and a proximal step in ``mu``
+(through the Moreau shortcut), both anchored at its latest values.  One
+round function serves both modes.  Each agent sums its coupling blocks in
+ascending agent id, so traces are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import INF, conjugate_argmax, conjugate_value
+from .convex import conjugate_argmax, prox_conjugate_via_moreau
 from .errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
     MalformedTraceError,
-    MissingNeighborError,
     NonFiniteInitialError,
-    StaleMixError,
     StepSizeViolationError,
 )
 from .model import ProblemInstance, apply_C, instance_hash, lipschitz_constant
@@ -36,20 +35,6 @@ PRNG_NAME = "numpy-PCG64"
 # ---------------------------------------------------------------------------
 # small value types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Stacked dual vector ``[theta; mu]`` at iteration ``k``."""
-
-    lam: np.ndarray
-    k: int
-
-    def theta(self, instance: ProblemInstance, i: int) -> np.ndarray:
-        return self.lam[instance.theta_slice(i)]
-
-    def mu(self, instance: ProblemInstance, i: int) -> np.ndarray:
-        return self.lam[instance.mu_slice(i)]
 
 
 @dataclass(frozen=True)
@@ -149,22 +134,8 @@ class DelaySchedule:
         return self._cache[k]
 
 
-@dataclass(frozen=True)
-class GradientMessage:
-    """One neighbour's exported local maximizer, tagged with its snapshot.
-
-    The receiver forms the gradient block ``-A_l^(i) x_hat_l`` locally, so a
-    single M-vector per edge is enough.
-    """
-
-    sender: int
-    receiver: int
-    x_hat: np.ndarray
-    snapshot_k: int
-
-
 # ---------------------------------------------------------------------------
-# per-agent computations
+# the round
 # ---------------------------------------------------------------------------
 
 
@@ -173,97 +144,37 @@ def local_maximizer(instance: ProblemInstance, i: int, lam: np.ndarray) -> np.nd
     return conjugate_argmax(instance.agents[i].f, apply_C(instance, i, lam))
 
 
-def grad_P_block(instance: ProblemInstance, i: int, messages, own_x_hat,
-                 snapshot_k: int):
+def _coupling_blocks(instance: ProblemInstance, i: int) -> list:
+    """Agent ``i``'s nonzero blocks ``(l, A_l^(i))`` over ``l in V_i + {i}``, ascending."""
+    edges = instance.topology.edges
+    return [(l, block) for l, block in sorted(instance.agents[i].constraint.blocks.items())
+            if (l == i or (min(i, l), max(i, l)) in edges) and np.any(block != 0)]
+
+
+def grad_P_block(instance: ProblemInstance, i: int, x_hats, blocks):
     """Assemble ``(grad_theta_i, grad_mu_i)`` of the dual smooth part.
 
-    ``grad_theta_i = b^(i) - sum_l A_l^(i) x_hat_l`` over ``l`` in the
-    closed neighbourhood, summed in ascending sender id;
+    ``grad_theta_i = b^(i) - sum_l A_l^(i) x_hat_l`` over agent ``i``'s
+    nonzero ``blocks`` (as from ``_coupling_blocks``), summed in their order;
     ``grad_mu_i = -x_hat_i``.
     """
-    blocks = instance.agents[i].constraint.blocks
-    by_sender = {}
-    for msg in messages:
-        if msg.snapshot_k != snapshot_k:
-            raise StaleMixError(
-                f"message from {msg.sender} at snapshot {msg.snapshot_k}, expected {snapshot_k}")
-        by_sender[msg.sender] = msg.x_hat
-    by_sender[i] = np.atleast_1d(np.asarray(own_x_hat, dtype=float))
-
     grad_theta = instance.agents[i].constraint.rhs.copy()
-    for l in sorted(set(instance.topology.neighbors(i)) | {i}):
-        block = blocks.get(l)
-        if block is None or not np.any(block != 0):
-            continue
-        if l not in by_sender:
-            raise MissingNeighborError(f"agent {i} lacks a message from neighbour {l}")
-        grad_theta = grad_theta - block @ by_sender[l]
-    grad_mu = -by_sender[i]
-    return grad_theta, grad_mu
+    for l, block in blocks:
+        grad_theta = grad_theta - block @ x_hats[l]
+    return grad_theta, -x_hats[i]
 
 
-def _round_messages(instance: ProblemInstance, x_hats, snapshot_k: int):
-    """All neighbour messages for one round, keyed by receiver."""
-    inbox = {i: [] for i in range(instance.n_agents)}
-    count = 0
-    for i in range(instance.n_agents):
-        for l in instance.topology.neighbors(i):
-            block = instance.agents[i].constraint.blocks.get(l)
-            if block is not None and np.any(block != 0):
-                inbox[i].append(GradientMessage(l, i, x_hats[l], snapshot_k))
-                count += 1
-    return inbox, count
-
-
-def _apply_round(instance: ProblemInstance, lam: np.ndarray, x_hats,
-                 snapshot_k: int, steps: StepSizes):
-    """One full round of updates from snapshot maximizers ``x_hats``."""
-    inbox, n_msgs = _round_messages(instance, x_hats, snapshot_k)
+def _round(instance: ProblemInstance, lam: np.ndarray, x_hats, blocks,
+           steps: StepSizes) -> np.ndarray:
+    """One round from the snapshot maximizers ``x_hats``, anchored at ``lam``."""
     lam_next = lam.copy()
-    for i in range(instance.n_agents):
+    for i, agent in enumerate(instance.agents):
         c = float(steps.values[i])
-        g_theta, g_mu = grad_P_block(instance, i, inbox[i], x_hats[i], snapshot_k)
-        lam_next[instance.theta_slice(i)] = lam[instance.theta_slice(i)] - c * g_theta
-        rho = lam[instance.mu_slice(i)] - c * g_mu
-        eff_g = instance.agents[i].effective_g
-        lam_next[instance.mu_slice(i)] = rho - c * eff_g.prox(rho / c, 1.0 / c)
-    return lam_next, n_msgs
-
-
-def _snapshot_maximizers(instance: ProblemInstance, lam: np.ndarray):
-    return [local_maximizer(instance, i, lam) for i in range(instance.n_agents)]
-
-
-def dpg_step(instance: ProblemInstance, state: DualState, c: float) -> DualState:
-    """One synchronous step with uniform step size ``c`` (fresh snapshot)."""
-    x_hats = _snapshot_maximizers(instance, state.lam)
-    steps = StepSizes.uniform(c, instance.n_agents)
-    lam_next, _ = _apply_round(instance, state.lam, x_hats, state.k, steps)
-    return DualState(lam_next, state.k + 1)
-
-
-def asyn_dpg_step(instance: ProblemInstance, history, schedule: DelaySchedule,
-                  steps: StepSizes, h: float | None = None,
-                  allow_step_violation: bool = False) -> DualState:
-    """One asynchronous step reading the snapshot ``lam(tau(k))``.
-
-    ``history`` maps recent iteration indices to states and must retain at
-    least the last ``D + 1`` of them.  The proximal anchor is always the
-    agent's own latest value; only the gradient is delayed.
-    """
-    if h is not None and not allow_step_violation:
-        if not steps.satisfies_async_rule(h, schedule.bound):
-            raise StepSizeViolationError(
-                "step sizes violate 1/c_i >= h (D+1)^2; pass allow_step_violation to override")
-    if isinstance(history, (list, tuple)):
-        history = {s.k: s for s in history}
-    k = max(history)
-    tk = schedule.tau(k)
-    if tk not in history:
-        raise HistoryUnderflowError(f"snapshot {tk} not retained (have {sorted(history)})")
-    x_hats = _snapshot_maximizers(instance, history[tk].lam)
-    lam_next, _ = _apply_round(instance, history[k].lam, x_hats, tk, steps)
-    return DualState(lam_next, k + 1)
+        g_theta, g_mu = grad_P_block(instance, i, x_hats, blocks[i])
+        th, mu = instance.theta_slice(i), instance.mu_slice(i)
+        lam_next[th] = lam[th] - c * g_theta
+        lam_next[mu] = prox_conjugate_via_moreau(agent.effective_g, lam[mu] - c * g_mu, c)
+    return lam_next
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +187,25 @@ class DualObjective:
     psi: float
     p_part: float
     q_part: float
+    x_hat: list
 
 
 def dual_objective(instance: ProblemInstance, lam: np.ndarray) -> DualObjective:
-    """Evaluate ``Psi = P + Q`` as an extended real (``inf`` saturates)."""
-    p_part = 0.0
-    q_part = 0.0
+    """Evaluate ``Psi = P + Q`` and the local maximizers ``x_hat`` at ``lam``.
+
+    ``Q`` is an extended real: ``inf`` when some ``mu_i`` leaves the domain
+    of its nonsmooth conjugate.  An unbounded smooth conjugate raises
+    :class:`~dualprox.errors.UnboundedConjugateError` from the argmax.
+    """
+    x_hat, p_part, q_part = [], 0.0, 0.0
     for i, agent in enumerate(instance.agents):
         u = apply_C(instance, i, lam)
-        p_part += conjugate_value(agent.f, u)
+        xi = conjugate_argmax(agent.f, u)
+        x_hat.append(xi)
+        p_part += float(u @ xi - agent.f.value(xi))
         p_part += float(agent.constraint.rhs @ lam[instance.theta_slice(i)])
         q_part += agent.effective_g.conjugate(lam[instance.mu_slice(i)])
-    return DualObjective(p_part + q_part, p_part, q_part)
+    return DualObjective(p_part + q_part, p_part, q_part, x_hat)
 
 
 @dataclass(frozen=True)
@@ -327,9 +245,12 @@ class IterationTrace:
     """Per-round record of the dual trajectory and its diagnostics.
 
     ``lam[k]`` is the state entering round ``k`` (so ``len(lam) == K + 1``
-    after ``K`` rounds).  Transition arrays (``tau``, ``step_norm_inf``,
-    ``per_agent_step_norms``, ``message_counts``) have length ``K`` and
-    entry ``k`` describes the move from ``lam[k]`` to ``lam[k+1]``.
+    after ``K`` rounds), and ``psi``/``epsilon`` are aligned with it.
+    Transition arrays (``tau``, ``step_norm_inf``, ``message_counts``) have
+    length ``K``: entry ``k`` describes the move from ``lam[k]`` to
+    ``lam[k+1]``, read from the snapshot ``lam[tau[k]]`` with
+    ``message_counts[k]`` neighbour maximizers.  ``meta`` holds the run's
+    configuration and its ``stop_reason`` (``"tol"`` or ``"k_max"``).
     """
 
     n_agents: int
@@ -342,7 +263,6 @@ class IterationTrace:
     epsilon: list = field(default_factory=list)
     tau: list = field(default_factory=list)
     step_norm_inf: list = field(default_factory=list)
-    per_agent_step_norms: list = field(default_factory=list)
     message_counts: list = field(default_factory=list)
 
     @property
@@ -352,14 +272,6 @@ class IterationTrace:
     @property
     def n_transitions(self) -> int:
         return len(self.step_norm_inf)
-
-    def lam_agent(self, i: int, k: int) -> np.ndarray:
-        """Agent ``i``'s dual block ``(theta_i, mu_i)`` at record ``k``."""
-        v = self.lam[k]
-        th = v[i * self.B:(i + 1) * self.B]
-        off = self.n_agents * self.B
-        mu = v[off + i * self.M:off + (i + 1) * self.M]
-        return np.concatenate([th, mu])
 
     # -- serialization --
 
@@ -435,9 +347,6 @@ class IterationTrace:
         for k in range(1, trace.n_records):
             diff = trace.lam[k] - trace.lam[k - 1]
             trace.step_norm_inf.append(float(np.max(np.abs(diff))) if diff.size else 0.0)
-            trace.per_agent_step_norms.append(np.array([
-                float(np.linalg.norm(trace.lam_agent(i, k) - trace.lam_agent(i, k - 1)))
-                for i in range(n_agents)]))
         trace.tau = list(meta.get("tau", []))
         trace.message_counts = list(meta.get("message_counts", []))
         return trace
@@ -455,16 +364,16 @@ def run(instance: ProblemInstance, mode: str = "sync",
     """Execute the solver in ``sync`` or ``async`` mode and record a full trace.
 
     Runs until the step norm ``||lam(k+1) - lam(k)||_inf`` drops to ``tol``
-    or ``k_max`` rounds elapse.  ``epsilon`` records ``Psi(lam(k)) - psi_star``;
+    or ``k_max`` rounds elapse (``meta["stop_reason"]`` says which).  ``epsilon`` records ``Psi(lam(k)) - psi_star``;
     when no reference is supplied the best observed value is used.  The run
     is deterministic given (instance, mode, schedule, steps, lam0).
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
-    h, per_agent_h = lipschitz_constant(instance)
+    h, _ = lipschitz_constant(instance)
     if mode == "sync":
-        if schedule is not None and schedule.kind not in ("zero", "worst_case"):
-            raise ValueError("sync mode does not take a delay schedule")
+        if schedule is not None and (schedule.bound > 0 or schedule.kind == "seeded_random"):
+            raise ValueError("sync mode takes no delay schedule; use mode='async'")
         schedule = DelaySchedule.zero()
         if steps is None:
             steps = StepSizes.uniform(step_size_sync(h), instance.n_agents)
@@ -478,23 +387,13 @@ def run(instance: ProblemInstance, mode: str = "sync",
                 "step sizes violate 1/c_i >= h (D+1)^2; pass allow_step_violation to override")
 
     lam = np.zeros(instance.dual_dim) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    obj = dual_objective(instance, lam)
+    if not np.isfinite(obj.psi):
+        raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
 
-    def eval_state(vec):
-        x_hats = []
-        p_part = 0.0
-        q_part = 0.0
-        for i, agent in enumerate(instance.agents):
-            u = apply_C(instance, i, vec)
-            xi = conjugate_argmax(agent.f, u)
-            x_hats.append(xi)
-            p_part += float(u @ xi - agent.f.value(xi))
-            p_part += float(agent.constraint.rhs @ vec[instance.theta_slice(i)])
-            q_part += agent.effective_g.conjugate(vec[instance.mu_slice(i)])
-        return x_hats, p_part + q_part
-
-    x_hats0, psi0 = eval_state(lam)
-    if not np.isfinite(psi0):
-        raise NonFiniteInitialError(f"Psi(lam(0)) = {psi0}")
+    blocks = [_coupling_blocks(instance, i) for i in range(instance.n_agents)]
+    # neighbour maximizers read per round over all agents; the blocks fix it
+    n_msgs = sum(l != i for i, agent_blocks in enumerate(blocks) for l, _ in agent_blocks)
 
     trace = IterationTrace(instance.n_agents, instance.B, instance.M,
                            psi_star if psi_star is not None else float("nan"))
@@ -511,40 +410,34 @@ def run(instance: ProblemInstance, mode: str = "sync",
         "h": h,
         "stopping": "step_norm_inf",
     }
-    trace.lam.append(lam.copy())
-    trace.psi.append(psi0)
+    trace.lam.append(lam)
+    trace.psi.append(obj.psi)
 
-    keep = schedule.bound + 1
-    history = {0: lam}
-    xhat_cache = {0: x_hats0}
+    # maximizers of the last D + 1 iterates, the snapshots a round may read
+    xhat_cache = {0: obj.x_hat}
+    stop_reason = "k_max"
 
     for k in range(k_max):
         tk = schedule.tau(k)
-        if tk not in history:
+        if tk not in xhat_cache:
             raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
-        lam_next, n_msgs = _apply_round(instance, history[k], xhat_cache[tk], tk, steps)
-
-        x_hats_next, psi_next = eval_state(lam_next)
-        diff = lam_next - history[k]
-        trace.lam.append(lam_next.copy())
-        trace.psi.append(psi_next)
+        lam = trace.lam[k]
+        lam_next = _round(instance, lam, xhat_cache[tk], blocks, steps)
+        obj = dual_objective(instance, lam_next)
+        trace.lam.append(lam_next)
+        trace.psi.append(obj.psi)
         trace.tau.append(tk)
-        trace.step_norm_inf.append(float(np.max(np.abs(diff))))
-        trace.per_agent_step_norms.append(np.array([
-            math.sqrt(float(np.sum(diff[instance.theta_slice(i)] ** 2))
-                      + float(np.sum(diff[instance.mu_slice(i)] ** 2)))
-            for i in range(instance.n_agents)]))
+        trace.step_norm_inf.append(float(np.max(np.abs(lam_next - lam))))
         trace.message_counts.append(n_msgs)
 
-        history[k + 1] = lam_next
-        xhat_cache[k + 1] = x_hats_next
-        stale = k + 1 - keep
-        history.pop(stale, None)
-        xhat_cache.pop(stale, None)
+        xhat_cache[k + 1] = obj.x_hat
+        xhat_cache.pop(k - schedule.bound, None)
 
         if trace.step_norm_inf[-1] <= tol:
+            stop_reason = "tol"
             break
 
+    trace.meta["stop_reason"] = stop_reason
     if psi_star is None:
         trace.psi_star = float(np.nanmin(trace.psi))
     trace.epsilon = [p - trace.psi_star for p in trace.psi]
@@ -601,20 +494,22 @@ def delayed_bound_constant(trace: IterationTrace, lam_star: np.ndarray,
     if trace.n_transitions < half + 1:
         raise InsufficientTraceError(
             f"need {half + 1} transitions for the trajectory constant, have {trace.n_transitions}")
+    n, B, M = trace.n_agents, trace.B, trace.M
+
+    def agent_sq_dist(a, b, i):
+        """``||(theta_i, mu_i)(a) - (theta_i, mu_i)(b)||^2``."""
+        th = slice(i * B, (i + 1) * B)
+        mu = slice(n * B + i * M, n * B + (i + 1) * M)
+        return float(np.sum((a[th] - b[th]) ** 2) + np.sum((a[mu] - b[mu]) ** 2))
+
     total = 0.0
     for k in range(half + 1):
-        norms = trace.per_agent_step_norms[k]
-        for i in range(trace.n_agents):
+        for i in range(n):
             coeff = h * (2 * k + D) * (D + 1) ** 2 / 4.0 - k / steps.values[i]
-            total += coeff * norms[i] ** 2
+            total += coeff * agent_sq_dist(trace.lam[k + 1], trace.lam[k], i)
     star = np.asarray(lam_star, dtype=float)
-    v0 = trace.lam[0]
-    for i in range(trace.n_agents):
-        th = slice(i * trace.B, (i + 1) * trace.B)
-        off = trace.n_agents * trace.B
-        mu = slice(off + i * trace.M, off + (i + 1) * trace.M)
-        d2 = float(np.sum((v0[th] - star[th]) ** 2) + np.sum((v0[mu] - star[mu]) ** 2))
-        total += d2 / (2.0 * steps.values[i])
+    for i in range(n):
+        total += agent_sq_dist(trace.lam[0], star, i) / (2.0 * steps.values[i])
     return float(total)
 
 

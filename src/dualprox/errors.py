@@ -13,20 +13,8 @@ class NonStronglyConvexError(DualproxError):
     """An operation requiring strong convexity got a function without it."""
 
 
-class MaxIterExceededError(DualproxError):
-    """An iterative routine hit its iteration cap before reaching tolerance."""
-
-
 class SingularScaleError(DualproxError):
     """A smoothness/curvature constant is zero or negative."""
-
-
-class StaleMixError(DualproxError):
-    """Gradient messages from different snapshot instants were mixed."""
-
-
-class MissingNeighborError(DualproxError):
-    """A required neighbour message is absent."""
 
 
 class HistoryUnderflowError(DualproxError):
@@ -47,6 +35,10 @@ class InsufficientTraceError(DualproxError):
 
 class MalformedTraceError(DualproxError):
     """A trace file cannot be parsed back into a trajectory."""
+
+
+class MalformedInstanceError(DualproxError):
+    """An instance document lacks a required key or holds a value of the wrong type."""
 
 
 class RankDeficientError(DualproxError):

@@ -2,14 +2,14 @@
 
 Each agent ``i`` owns a private interpretation ``A^(i) x = b^(i)`` of the
 global affine coupling constraint, stored sparsely as per-neighbour column
-blocks.  The structured dual operators (the row map ``C_i``, the selector
-``F_i`` and the offset ``E_i``) act on the stacked dual vector
+blocks.  The row map ``C_i`` acts on the stacked dual vector
 ``lam = [theta_1..theta_N, mu_1..mu_N]`` without being materialized, except
 for diagnostics and the Lipschitz-constant computation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ from .convex import (
     QuadraticFunction,
     SmoothConjugable,
 )
-from .errors import SingularScaleError
+from .errors import MalformedInstanceError, SingularScaleError
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class AgentSpec:
     omega: BoxSet | None
     constraint: ConstraintBlock
 
-    @property
+    @functools.cached_property
     def effective_g(self) -> ProxFriendlyFunction:
         """The composite ``g + indicator(omega)`` used by the dual updates."""
         return self.g.with_box(self.omega)
@@ -158,16 +158,6 @@ def apply_C(instance: ProblemInstance, i: int, lam: np.ndarray) -> np.ndarray:
         if block is not None:
             out -= block.T @ lam[instance.theta_slice(l)]
     return out
-
-
-def apply_F(instance: ProblemInstance, i: int, lam: np.ndarray) -> np.ndarray:
-    """Selector ``F_i lam = mu_i``."""
-    return lam[instance.mu_slice(i)].copy()
-
-
-def apply_E(instance: ProblemInstance, i: int, lam: np.ndarray) -> float:
-    """Offset ``E_i lam = b^(i)' theta_i``."""
-    return float(instance.agents[i].constraint.rhs @ lam[instance.theta_slice(i)])
 
 
 def materialize_C(instance: ProblemInstance, i: int) -> np.ndarray:
@@ -392,22 +382,32 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:
-    agents = []
-    for a in obj["agents"]:
-        constraint = ConstraintBlock(
-            owner=int(a["id"]),
-            blocks={int(l): np.asarray(blk) for l, blk in a["constraint"]["blocks"].items()},
-            rhs=np.asarray(a["constraint"]["rhs"]),
-        )
-        agents.append(AgentSpec(
-            id=int(a["id"]),
-            f=_f_from_json(a["f"]),
-            g=_g_from_json(a["g"]),
-            omega=_box_from_json(a.get("omega")),
-            constraint=constraint,
-        ))
-    topo = Topology(len(agents), frozenset(tuple(e) for e in obj["edges"]))
-    return ProblemInstance(topo, tuple(agents), int(obj["M"]), int(obj["B"]))
+    """Rebuild an instance from its canonical JSON form.
+
+    Raises :class:`MalformedInstanceError` when a required key is missing or
+    a value has the wrong type or shape.
+    """
+    try:
+        agents = []
+        for a in obj["agents"]:
+            constraint = ConstraintBlock(
+                owner=int(a["id"]),
+                blocks={int(l): np.asarray(blk) for l, blk in a["constraint"]["blocks"].items()},
+                rhs=np.asarray(a["constraint"]["rhs"]),
+            )
+            agents.append(AgentSpec(
+                id=int(a["id"]),
+                f=_f_from_json(a["f"]),
+                g=_g_from_json(a["g"]),
+                omega=_box_from_json(a.get("omega")),
+                constraint=constraint,
+            ))
+        topo = Topology(len(agents), frozenset(tuple(e) for e in obj["edges"]))
+        return ProblemInstance(topo, tuple(agents), int(obj["M"]), int(obj["B"]))
+    except KeyError as exc:
+        raise MalformedInstanceError(f"instance JSON lacks key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise MalformedInstanceError(f"malformed instance JSON: {exc}") from exc
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

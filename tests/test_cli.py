@@ -117,6 +117,16 @@ def test_verify_missing_and_malformed(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 1
 
+    good = tmp_path / "run"
+    assert runner.invoke(main, ["run", "--scenario", "consensus",
+                                "--out", str(good)]).exit_code == 0
+    bad_inst = tmp_path / "inst.json"
+    bad_inst.write_text('{"M": 1, "B": 1, "edges": []}')
+    res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
+                               "--instance", str(bad_inst), "--out", str(tmp_path)])
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    assert res.output.startswith("error: cannot load instance")
+
 
 def test_repro_table_and_exit_codes(runner, monkeypatch):
     ok = [CriterionResult(1, "alpha", True, "fine"),
@@ -136,3 +146,43 @@ def test_repro_table_and_exit_codes(runner, monkeypatch):
     assert res.exit_code == 1
     parsed = json.loads(res.output)
     assert parsed[2]["passed"] is False
+
+
+def test_run_reports_why_it_stopped(runner, tmp_path):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--iters", "5",
+                               "--out", str(tmp_path / "cap")])
+    assert res.exit_code == 0, res.output
+    assert "converged" not in res.output
+    assert "stopped after 5 rounds: --iters reached before tol" in res.output
+    meta = json.loads((tmp_path / "cap/trace_meta.json").read_text())
+    assert meta["stop_reason"] == "k_max"
+
+    res = runner.invoke(main, ["run", "--scenario", "consensus", "--json",
+                               "--out", str(tmp_path / "tol")])
+    assert json.loads(res.output)["stop_reason"] == "tol"
+    res = runner.invoke(main, ["run", "--scenario", "consensus",
+                               "--out", str(tmp_path / "tol")])
+    assert res.output.startswith("converged in ")
+
+
+def test_run_market_epsilon_is_measured_from_best_psi(runner, tmp_path):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--json", "--tol", "1e-9",
+                               "--out", str(tmp_path / "m")])
+    assert res.exit_code == 0, res.output
+    assert 0.0 <= json.loads(res.output)["epsilon"] < 1e-6
+
+
+@pytest.mark.parametrize("doc", [
+    '{"M": 1, "B": 1, "edges": []}',
+    '[1, 2]',
+    '{"M": 1, "B": 1, "edges": [], "agents": [7]}',
+    '{"M": "one", "B": 1, "edges": [], "agents": []}',
+])
+def test_run_malformed_instance_fails_cleanly(runner, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot load instance")

@@ -12,14 +12,9 @@ from dualprox import (
     conjugate_value,
     prox_conjugate_via_moreau,
     prox_l1,
-    prox_via_inner_descent,
     project_box,
 )
-from dualprox.errors import (
-    MaxIterExceededError,
-    NonStronglyConvexError,
-    UnboundedConjugateError,
-)
+from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import catalog_samples, conjugate_prox_oracle
 
 
@@ -234,33 +229,11 @@ def test_with_box_intersects_existing_box():
     np.testing.assert_array_equal(gg.box.upper, [4.0])
 
 
-def test_inner_descent_prox_examples():
-    g = SmoothConjugable(QuadraticFunction(1.0, [0.0]))
-    r0 = prox_via_inner_descent(g, [0.0], 1.0, tol=1e-10)
-    assert abs(r0.point[0]) < 1e-10
-    r1 = prox_via_inner_descent(g, [3.0], 1.0, tol=1e-10)
-    # q(w) = w^2/2, so prox is v/(1 + c)
-    assert r1.point[0] == pytest.approx(1.5, abs=1e-8)
-    assert r1.iterations > 0 and r1.grad_norm <= 1e-10
-
-
-def test_inner_descent_prox_vs_grid():
-    g = SmoothConjugable(QuadraticFunction(4.0, [0.0]), BoxSet([0.0], [1.0]))
-    res = prox_via_inner_descent(g, [1.0], 0.5, tol=1e-12)
-    ws = np.arange(-2.0, 2.0, 1e-5)
-    xh = np.clip(ws / 4.0, 0.0, 1.0)
-    obj = ws * xh - 2.0 * xh**2 + (ws - 1.0) ** 2 / (2 * 0.5)
-    assert res.point[0] == pytest.approx(ws[obj.argmin()], abs=1e-4)
-
-
-def test_inner_descent_requires_strong_convexity():
-    flat = SmoothConjugable(QuadraticFunction(0.0, [0.0]), strong_convexity=0.0)
+def test_box_domain_argmax_needs_positive_diagonal_curvature():
+    box = BoxSet([0.0, 0.0], [1.0, 1.0])
+    coupled = SmoothConjugable(QuadraticFunction([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0]), box)
     with pytest.raises(NonStronglyConvexError):
-        prox_via_inner_descent(flat, [1.0], 1.0)
-
-
-def test_inner_descent_iteration_cap():
-    # box-clipped conjugate gradient makes the descent geometric, not one-shot
-    g = SmoothConjugable(QuadraticFunction(4.0, [0.0]), BoxSet([0.0], [1.0]))
-    with pytest.raises(MaxIterExceededError):
-        prox_via_inner_descent(g, [5.0], 1.0, tol=1e-14, max_iter=2)
+        conjugate_argmax(coupled, [1.0, 1.0])
+    flat = ProxFriendlyFunction.quadratic(QuadraticFunction([0.0], [0.0]), BoxSet([0.0], [1.0]))
+    with pytest.raises(NonStronglyConvexError):
+        flat.conjugate_argmax([1.0])

@@ -6,18 +6,14 @@ from dualprox import (
     BoxSet,
     ConstraintBlock,
     DelaySchedule,
-    DualState,
-    GradientMessage,
     ProblemInstance,
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
     StepSizes,
     Topology,
-    asyn_dpg_step,
     build_consensus,
     build_market,
-    dpg_step,
     dual_objective,
     grad_P_block,
     lipschitz_constant,
@@ -29,14 +25,12 @@ from dualprox import (
     step_size_sync,
     verify_rate_bounds,
 )
-from dualprox.engine import IterationTrace
+from dualprox.engine import IterationTrace, _coupling_blocks, _round
 from dualprox.errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
     MalformedTraceError,
-    MissingNeighborError,
     NonFiniteInitialError,
-    StaleMixError,
     StepSizeViolationError,
 )
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
@@ -76,19 +70,32 @@ def test_local_maximizer_market_generator_cap(ctx):
     assert x2[0] == pytest.approx(150.0, abs=1e-6)
 
 
+def _blocks(inst):
+    return [_coupling_blocks(inst, i) for i in range(inst.n_agents)]
+
+
 def test_grad_block_zero_case():
     inst = _two_agent()
-    msg = [GradientMessage(1, 0, np.zeros(1), 0)]
-    g_theta, g_mu = grad_P_block(inst, 0, msg, np.zeros(1), 0)
+    g_theta, g_mu = grad_P_block(inst, 0, [np.zeros(1), np.zeros(1)], _blocks(inst)[0])
     np.testing.assert_array_equal(g_theta, [0.0])
     np.testing.assert_array_equal(g_mu, [0.0])
 
 
 def test_grad_block_two_agent_example():
     inst = _two_agent()
-    msg = [GradientMessage(1, 0, np.array([1.0]), 0)]
-    g_theta, _ = grad_P_block(inst, 0, msg, np.array([3.0]), 0)
+    g_theta, _ = grad_P_block(inst, 0, [np.array([3.0]), np.array([1.0])], _blocks(inst)[0])
     np.testing.assert_allclose(g_theta, [-2.0])
+
+
+def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
+    agents = list(_two_agent().agents)
+    agents[0] = AgentSpec(0, agents[0].f, agents[0].g, None,
+                          ConstraintBlock(0, {1: [[-1.0]], 0: [[0.0]]}, [0.0]))
+    inst = ProblemInstance(Topology(2, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
+    assert [l for l, _ in _coupling_blocks(inst, 0)] == [1]
+    assert [l for l, _ in _coupling_blocks(inst, 1)] == [0, 1]
+    apart = ProblemInstance(Topology(2, frozenset()), _two_agent().agents, M=1, B=1)
+    assert [l for l, _ in _coupling_blocks(apart, 0)] == [0]
 
 
 def test_grad_block_matches_finite_differences():
@@ -108,8 +115,7 @@ def test_grad_block_matches_finite_differences():
     x_hats = [local_maximizer(inst, i, lam) for i in range(2)]
     eps = 1e-6
     for i in range(2):
-        msgs = [GradientMessage(1 - i, i, x_hats[1 - i], 0)]
-        g_theta, g_mu = grad_P_block(inst, i, msgs, x_hats[i], 0)
+        g_theta, g_mu = grad_P_block(inst, i, x_hats, _blocks(inst)[i])
         for idx, got in ((i, g_theta[0]), (2 + i, g_mu[0])):
             lp, lm = lam.copy(), lam.copy()
             lp[idx] += eps
@@ -118,34 +124,21 @@ def test_grad_block_matches_finite_differences():
             assert got == pytest.approx(fd, abs=1e-7)
 
 
-def test_grad_block_rejects_mixed_snapshots():
-    inst = _two_agent()
-    msg = [GradientMessage(1, 0, np.zeros(1), snapshot_k=3)]
-    with pytest.raises(StaleMixError):
-        grad_P_block(inst, 0, msg, np.zeros(1), snapshot_k=5)
-
-
-def test_grad_block_rejects_missing_neighbor():
-    inst = _two_agent()
-    with pytest.raises(MissingNeighborError):
-        grad_P_block(inst, 0, [], np.zeros(1), 0)
-
-
 def test_dpg_fixed_point_at_origin():
     inst = _two_agent(b0=0.0)
-    state = DualState(np.zeros(4), 0)
-    nxt = dpg_step(inst, state, 0.1)
-    np.testing.assert_array_equal(nxt.lam, np.zeros(4))
-    assert nxt.k == 1
+    trace = run(inst, steps=StepSizes.uniform(0.1, 2), k_max=3)
+    np.testing.assert_array_equal(trace.lam[1], np.zeros(4))
+    assert trace.n_transitions == 1 and trace.meta["stop_reason"] == "tol"
 
 
 def test_mu_vanishes_when_g_is_zero_on_all_space():
     # the conjugate of the zero function is the indicator of the origin,
     # so the proximal mu update lands exactly at zero every round
     inst = _two_agent(b0=1.0)
-    state = DualState(np.array([0.5, -0.3, 0.7, -0.2]), 0)
-    nxt = dpg_step(inst, state, 0.1)
-    np.testing.assert_array_equal(nxt.lam[2:], [0.0, 0.0])
+    lam = np.array([0.5, -0.3, 0.7, -0.2])
+    x_hats = [local_maximizer(inst, i, lam) for i in range(2)]
+    nxt = _round(inst, lam, x_hats, _blocks(inst), StepSizes.uniform(0.1, 2))
+    np.testing.assert_array_equal(nxt[2:], [0.0, 0.0])
 
 
 def test_dpg_matches_scripted_dense_reference(ctx):
@@ -176,8 +169,9 @@ def test_dpg_matches_scripted_dense_reference(ctx):
 
     theta = np.zeros(5)
     mu = np.zeros(5)
-    state = DualState(np.zeros(10), 0)
-    for _ in range(5):
+    trace = run(inst, mode="sync", tol=0.0, k_max=5)
+    assert trace.n_transitions == 5
+    for k in range(5):
         u = np.array([-(MARKET_T * theta).sum() * MARKET_A[i] - mu[i] for i in range(5)])
         xh = np.array([ref_xhat(i, u[i]) for i in range(5)])
         grad_theta = np.array([-MARKET_T[i] * float(MARKET_A @ xh) for i in range(5)])
@@ -185,57 +179,56 @@ def test_dpg_matches_scripted_dense_reference(ctx):
         rho = mu + c * xh
         caps = [150.0, 150.0, 91.79, 147.29, 91.41]
         mu = rho - c * np.clip(rho / c, 0.0, caps)
-        state = dpg_step(inst, state, c)
-        np.testing.assert_allclose(state.lam[:5], theta, atol=1e-12)
-        np.testing.assert_allclose(state.lam[5:], mu, atol=1e-12)
+        np.testing.assert_allclose(trace.lam[k + 1][:5], theta, atol=1e-12)
+        np.testing.assert_allclose(trace.lam[k + 1][5:], mu, atol=1e-12)
 
 
 def test_async_step_with_zero_delay_equals_sync():
     inst = _two_agent(b0=1.0)
-    state = DualState(np.array([0.2, 0.1, -0.3, 0.4]), 0)
-    c = 0.05
-    sync_next = dpg_step(inst, state, c)
-    async_next = asyn_dpg_step(inst, [state], DelaySchedule.worst_case(0),
-                               StepSizes.uniform(c, 2))
-    np.testing.assert_array_equal(sync_next.lam, async_next.lam)
+    lam0 = np.array([0.2, 0.1, 0.0, 0.0])
+    steps = StepSizes.uniform(0.05, 2)
+    sync = run(inst, steps=steps, lam0=lam0, tol=0.0, k_max=20)
+    async0 = run(inst, mode="async", schedule=DelaySchedule.worst_case(0),
+                 steps=steps, lam0=lam0, tol=0.0, k_max=20)
+    assert async0.tau == list(range(20))
+    np.testing.assert_array_equal(np.array(sync.lam), np.array(async0.lam))
 
 
 def test_async_step_reads_delayed_snapshot():
     assert DelaySchedule.worst_case(5).tau(1) == 0
     inst = _two_agent(b0=1.0)
-    s0 = DualState(np.array([0.2, 0.1, 0.0, 0.0]), 0)
-    s1 = DualState(np.array([0.5, -0.4, 0.0, 0.0]), 1)
-    nxt = asyn_dpg_step(inst, [s0, s1], DelaySchedule.worst_case(5),
-                        StepSizes.uniform(0.05, 2))
+    lam0 = np.array([0.2, 0.1, 0.0, 0.0])
+    steps = step_size_async(lipschitz_constant(inst)[0], 5, n_agents=2)
+    trace = run(inst, mode="async", schedule=DelaySchedule.worst_case(5),
+                steps=steps, lam0=lam0, tol=0.0, k_max=2)
+    assert trace.tau == [0, 0]
     # gradient from the k=0 snapshot applied to the k=1 anchor
-    x_hats = [local_maximizer(inst, i, s0.lam) for i in range(2)]
-    expected = s1.lam.copy()
+    x_hats = [local_maximizer(inst, i, lam0) for i in range(2)]
+    expected = trace.lam[1].copy()
     for i in range(2):
-        msgs = [GradientMessage(1 - i, i, x_hats[1 - i], 0)]
-        g_theta, _ = grad_P_block(inst, i, msgs, x_hats[i], 0)
-        expected[i] -= 0.05 * g_theta[0]
+        g_theta, _ = grad_P_block(inst, i, x_hats, _blocks(inst)[i])
+        expected[i] -= steps.values[i] * g_theta[0]
     expected[2:] = 0.0
-    np.testing.assert_allclose(nxt.lam, expected, atol=1e-15)
-    assert nxt.k == 2
+    np.testing.assert_allclose(trace.lam[2], expected, atol=1e-15)
 
 
 def test_async_step_history_underflow():
-    inst = _two_agent()
-    s5 = DualState(np.zeros(4), 5)
+    # a schedule that reads further back than its bound hits run's guard
+    sched = DelaySchedule.worst_case(1)
+    sched.tau = lambda k: 0
     with pytest.raises(HistoryUnderflowError):
-        asyn_dpg_step(inst, [s5], DelaySchedule.worst_case(3),
-                      StepSizes.uniform(0.01, 2))
+        run(_two_agent(b0=1.0), mode="async", schedule=sched, tol=0.0, k_max=5)
 
 
 def test_async_step_size_rule_enforced():
-    inst = _two_agent()
-    state = DualState(np.zeros(4), 0)
+    inst = _two_agent(b0=1.0)
     big = StepSizes.uniform(10.0, 2)
     with pytest.raises(StepSizeViolationError):
-        asyn_dpg_step(inst, [state], DelaySchedule.worst_case(0), big, h=1.0)
+        run(inst, mode="async", schedule=DelaySchedule.worst_case(0), steps=big, k_max=1)
     # explicit override lets it through
-    asyn_dpg_step(inst, [state], DelaySchedule.worst_case(0), big, h=1.0,
-                  allow_step_violation=True)
+    trace = run(inst, mode="async", schedule=DelaySchedule.worst_case(0), steps=big,
+                k_max=1, allow_step_violation=True)
+    assert trace.n_transitions == 1
 
 
 def test_step_size_rules():
@@ -274,6 +267,7 @@ def test_dual_objective_zero_instance():
     inst = _two_agent(b0=0.0)
     obj = dual_objective(inst, np.zeros(4))
     assert obj.psi == 0.0 and obj.p_part == 0.0 and obj.q_part == 0.0
+    np.testing.assert_array_equal(np.concatenate(obj.x_hat), [0.0, 0.0])
 
 
 def test_dual_objective_l1_conjugate_saturates():
@@ -300,6 +294,7 @@ def test_run_zero_rounds():
     inst = _two_agent(b0=1.0)
     trace = run(inst, k_max=0)
     assert trace.n_records == 1 and trace.n_transitions == 0
+    assert trace.meta["stop_reason"] == "k_max"
 
 
 def test_run_rejects_infinite_initial_objective():
@@ -319,6 +314,22 @@ def test_run_requires_schedule_in_async_mode():
         run(_two_agent(), mode="nope")
 
 
+def test_run_sync_rejects_delayed_schedule():
+    for sched in (DelaySchedule.worst_case(7), DelaySchedule.seeded(2, 5),
+                  DelaySchedule.seeded(0, 5)):
+        with pytest.raises(ValueError):
+            run(_two_agent(), mode="sync", schedule=sched)
+    for sched in (DelaySchedule.zero(), DelaySchedule.worst_case(0)):
+        trace = run(_two_agent(b0=1.0), mode="sync", schedule=sched, k_max=3)
+        assert trace.meta["D"] == 0 and trace.meta["schedule"] == "zero"
+
+
+def test_run_records_stop_reason():
+    inst = _two_agent(b0=1.0)
+    assert run(inst, tol=1e-10, k_max=500).meta["stop_reason"] == "tol"
+    assert run(inst, tol=1e-10, k_max=3).meta["stop_reason"] == "k_max"
+
+
 def test_run_async_rejects_oversized_steps():
     inst = _two_agent(b0=1.0)
     h, _ = lipschitz_constant(inst)
@@ -331,10 +342,14 @@ def test_descent_certificate_on_sync_market(ctx):
     trace = ctx.sync_trace
     h = ctx.h
     c = step_size_sync(h)
+    inst = ctx.market
     for k in range(trace.n_transitions):
-        d2 = float(np.sum((trace.lam[k + 1] - trace.lam[k]) ** 2))
-        per_agent = trace.per_agent_step_norms[k]
-        bound = trace.psi[k] + (h / 2) * d2 - float(np.sum(per_agent**2)) / c
+        diff = trace.lam[k + 1] - trace.lam[k]
+        d2 = float(np.sum(diff**2))
+        per_agent_sq = [float(np.sum(diff[inst.theta_slice(i)] ** 2)
+                              + np.sum(diff[inst.mu_slice(i)] ** 2))
+                        for i in range(inst.n_agents)]
+        bound = trace.psi[k] + (h / 2) * d2 - sum(per_agent_sq) / c
         assert trace.psi[k + 1] <= bound + 1e-9
 
 

@@ -11,8 +11,6 @@ from dualprox import (
     SmoothConjugable,
     Topology,
     apply_C,
-    apply_E,
-    apply_F,
     build_market,
     build_scenario,
     instance_from_json,
@@ -23,7 +21,7 @@ from dualprox import (
     save_instance,
     validate_instance,
 )
-from dualprox.errors import SingularScaleError
+from dualprox.errors import MalformedInstanceError, SingularScaleError
 from dualprox.model import instance_hash
 
 
@@ -51,8 +49,6 @@ def test_apply_C_single_agent():
     inst = _single_agent(a=2.0)
     lam = np.array([3.0, 4.0])  # theta_0 = 3, mu_0 = 4
     np.testing.assert_allclose(apply_C(inst, 0, lam), [-10.0])
-    np.testing.assert_allclose(apply_F(inst, 0, lam), [4.0])
-    assert apply_E(inst, 0, lam) == 0.0
 
 
 def test_apply_C_market_unit_direction():
@@ -184,3 +180,12 @@ def test_json_roundtrip_consensus_with_nonsmooth_parts(tmp_path):
     lam = rng.normal(size=inst.dual_dim)
     for i in range(inst.n_agents):
         np.testing.assert_allclose(apply_C(loaded, i, lam), apply_C(inst, i, lam))
+
+
+def test_instance_from_json_rejects_missing_keys_and_wrong_types():
+    doc = instance_to_json(build_market())
+    with pytest.raises(MalformedInstanceError, match="agents"):
+        instance_from_json({"M": 1, "B": 1, "edges": []})
+    doc["agents"][0]["constraint"]["blocks"] = [[1.0]]
+    with pytest.raises(MalformedInstanceError):
+        instance_from_json(doc)

@@ -1,0 +1,108 @@
+"""Bitwise pins of three reference trajectories.
+
+The digests were recorded from the engine that built every round out of
+per-edge gradient messages (``_apply_round``), before the round was reduced
+to a single kernel.  Any change to the arithmetic of a round, to the order
+of its sums, to the read instants or to the message counts changes them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dualprox import (
+    BoxSet,
+    DelaySchedule,
+    ProxFriendlyFunction,
+    QuadraticFunction,
+    SmoothConjugable,
+    Topology,
+    build_consensus,
+    build_market,
+    run,
+)
+
+FIELDS = ("lam", "psi", "step_norm_inf", "tau", "message_counts")
+
+
+def _digests(trace) -> dict:
+    arrays = {
+        "lam": np.asarray(trace.lam, dtype=np.float64),
+        "psi": np.asarray(trace.psi, dtype=np.float64),
+        "step_norm_inf": np.asarray(trace.step_norm_inf, dtype=np.float64),
+        "tau": np.asarray(trace.tau, dtype=np.int64),
+        "message_counts": np.asarray(trace.message_counts, dtype=np.int64),
+    }
+    return {name: hashlib.sha256(arrays[name].tobytes()).hexdigest()[:32]
+            for name in FIELDS}
+
+
+def _mixed_path(n_agents=8, seed=3):
+    """Path consensus whose agents cycle zero, l1, quadratic+box, l1+box."""
+    rng = np.random.default_rng(seed)
+    wide = BoxSet([-8.0], [8.0])
+    narrow = BoxSet([-6.0], [7.0])
+    locals_f, locals_g, omegas = [], [], []
+    for i in range(n_agents):
+        kind = i % 4
+        curv, target = rng.uniform(0.5, 2.0), rng.uniform(-5.0, 5.0)
+        base = QuadraticFunction(curv, [-curv * target], 0.5 * curv * target * target)
+        locals_f.append(SmoothConjugable(base, wide if kind in (2, 3) else None))
+        omegas.append(narrow if kind == 2 else None)
+        weight = rng.uniform(0.1, 1.0)
+        locals_g.append((
+            ProxFriendlyFunction.zero(),
+            ProxFriendlyFunction.l1(weight),
+            ProxFriendlyFunction.quadratic(QuadraticFunction(weight, [0.0]), wide),
+            ProxFriendlyFunction.l1_plus_box(weight, wide),
+        )[kind])
+    return build_consensus(Topology.path(n_agents), locals_f, locals_g, omegas)
+
+
+def _market_sync():
+    return run(build_market(), mode="sync", tol=1e-10, k_max=100_000)
+
+
+def _market_async_d5():
+    return run(build_market(), mode="async", schedule=DelaySchedule.worst_case(5),
+               k_max=300)
+
+
+def _mixed_seeded():
+    return run(_mixed_path(), mode="async", schedule=DelaySchedule.seeded(4, 11),
+               k_max=200)
+
+
+# recorded from the message-passing engine; see the module docstring
+PINNED = {
+    "market_sync": (_market_sync, 252, {
+        "lam": "993c06ded9275a61ec8590159439fd60",
+        "psi": "eaa9b766db2d543f4123afab6175b1d5",
+        "step_norm_inf": "f98244496f11fff2ced14c1b2ad2e0c3",
+        "tau": "29cc3b6fd2ff29f94173012d4483c7d4",
+        "message_counts": "c449159644ab89abae7e385cdfe47705",
+    }),
+    "market_async_d5": (_market_async_d5, 300, {
+        "lam": "ab6ab64d1198c6cc8272707530ce14b1",
+        "psi": "19ef580d27f9e0158c3bd3438f870487",
+        "step_norm_inf": "cc54ff460c56fdb9ecc2c1338299b992",
+        "tau": "ce90b9d13e07cce240f1b3732a65a5f1",
+        "message_counts": "215331023b189b4dba3262cba8c556fb",
+    }),
+    "mixed_seeded_d4": (_mixed_seeded, 200, {
+        "lam": "47f275445add038baf183ecc7ddbd09c",
+        "psi": "4ec612fc4a47ccf2dab6c6a67d0254d0",
+        "step_norm_inf": "20df789172af5308a5d806e79db34546",
+        "tau": "e0811a59538c8dff4d4d606fd0c182c9",
+        "message_counts": "a6d5a80e5a0b5f220859ade3a1a02ad7",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trace_matches_pinned_digests(name):
+    build, rounds, expected = PINNED[name]
+    trace = build()
+    assert trace.n_transitions == rounds
+    assert _digests(trace) == expected

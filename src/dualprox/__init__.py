@@ -20,7 +20,7 @@ from .engine import (
     delayed_bound_constant,
     dual_objective,
     grad_P_block,
-    local_maximizer,
+    local_maximizers,
     recover_primal,
     run,
     step_size_async,
@@ -37,7 +37,6 @@ from .model import (
     instance_to_json,
     lipschitz_constant,
     load_instance,
-    materialize_C,
     save_instance,
     validate_instance,
 )

@@ -138,6 +138,9 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
     csv_path = out_dir / "trace.csv"
     meta_path = out_dir / "trace_meta.json"
     trace.save(csv_path, meta_path)
+    if trace.meta["stop_reason"] == "nonfinite":
+        _fail(f"run diverged: lambda or Psi turned non-finite at round {trace.n_transitions}; "
+              f"wrote {csv_path}")
 
     rec = recover_primal(inst, trace.lam[-1])
     x_flat = [float(v) for xi in rec.x_hat for v in xi]
@@ -145,6 +148,8 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
         "rounds": trace.n_transitions,
         "stop_reason": trace.meta["stop_reason"],
         "psi": trace.psi[-1],
+        "psi_star": trace.psi_star,
+        "psi_star_source": trace.meta["psi_star_source"],
         "epsilon": trace.epsilon[-1],
         "x_hat": x_flat,
         "mismatch": rec.mismatch,

@@ -8,10 +8,18 @@ l1 penalties, and box indicators.  Each catalog entry exposes
 * an exact conjugate value (extended real, ``inf`` when the sup diverges),
 * and, for strongly convex smooth parts, the conjugate gradient as an
   argmax oracle.
+
+Every entry also works as a *group*: ``stack`` builds one catalog object
+whose parameters hold the parameters of several members of one kind along
+a leading axis.  A group takes and returns the members' vectors stacked
+``(n, M)``, and its values and conjugates hold one entry per member.  The
+members are separable, so a group's prox or argmax is the stack of the
+members' results, bit for bit.  A single member keeps its float API.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +37,26 @@ _TIE_TOL = 1e-12
 
 
 def _vec(u) -> np.ndarray:
+    if type(u) is np.ndarray and u.dtype == np.float64 and u.ndim:
+        return u  # what the conversion below returns, without its cost
     return np.atleast_1d(np.asarray(u, dtype=float))
+
+
+def _col(a) -> np.ndarray:
+    """Per-member scalars as a column that broadcasts against member vectors."""
+    return np.asarray(a, dtype=float)[..., None]
+
+
+def _per_member(values):
+    """A float for a single member, the array of member values for a group."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return values
+    return float(values)
+
+
+def _all_positive(values) -> bool:
+    # a float compares directly; a reduction over a 0-d array costs microseconds
+    return bool((values > 0).all()) if isinstance(values, np.ndarray) else values > 0
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +81,18 @@ class BoxSet:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    @staticmethod
+    def stack(boxes) -> "BoxSet":
+        return BoxSet(np.array([b.lower for b in boxes]), np.array([b.upper for b in boxes]))
+
     @property
     def dim(self) -> int:
-        return self.lower.size
+        return self.lower.shape[-1]
 
-    def contains(self, u) -> bool:
+    def contains(self, u):
         u = _vec(u)
-        return bool(np.all(u >= self.lower) and np.all(u <= self.upper))
+        inside = np.all((u >= self.lower) & (u <= self.upper), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def project(self, u) -> np.ndarray:
         return np.clip(_vec(u), self.lower, self.upper)
@@ -85,29 +117,38 @@ class QuadraticFunction:
             c = c.reshape(1, 1)
         elif c.ndim == 1:
             c = np.diag(c)
-        if c.shape != (q.size, q.size):
+        if c.shape != q.shape + q.shape[-1:]:
             raise ValueError("curvature/linear dimension mismatch")
-        if not np.allclose(c, c.T, atol=1e-10):
+        if not np.allclose(c, c.swapaxes(-1, -2), atol=1e-10):
             raise ValueError("curvature must be symmetric")
         object.__setattr__(self, "curvature", c)
         object.__setattr__(self, "linear", q)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _per_member(self.offset))
+
+    @staticmethod
+    def stack(quads) -> "QuadraticFunction":
+        return QuadraticFunction(np.array([q.curvature for q in quads]),
+                                 np.array([q.linear for q in quads]),
+                                 np.array([q.offset for q in quads]))
 
     @property
     def dim(self) -> int:
-        return self.linear.size
+        return self.linear.shape[-1]
 
-    @property
-    def strong_convexity(self) -> float:
-        return float(np.linalg.eigvalsh(self.curvature)[0])
+    @functools.cached_property
+    def strong_convexity(self):
+        return _per_member(np.linalg.eigvalsh(self.curvature)[..., 0])
 
-    @property
+    @functools.cached_property
     def is_diagonal(self) -> bool:
-        return bool(np.allclose(self.curvature, np.diag(np.diag(self.curvature))))
+        c = self.curvature
+        return bool(np.allclose(c, c * np.eye(c.shape[-1])))
 
-    def value(self, x) -> float:
+    def value(self, x):
         x = _vec(x)
-        return float(0.5 * x @ self.curvature @ x + self.linear @ x + self.offset)
+        half_xC = ((0.5 * x)[..., :, None] * self.curvature).sum(axis=-2)
+        return _per_member((half_xC * x).sum(axis=-1) + (self.linear * x).sum(axis=-1)
+                           + self.offset)
 
     def grad(self, x) -> np.ndarray:
         return self.curvature @ _vec(x) + self.linear
@@ -126,24 +167,38 @@ class PiecewiseQuadraticUtility:
     curvature: float
 
     def __post_init__(self):
-        if self.price <= 0 or self.curvature <= 0:
+        price, curvature = _per_member(self.price), _per_member(self.curvature)
+        if not (_all_positive(price) and _all_positive(curvature)):
             raise ValueError("price and curvature must be positive")
-        object.__setattr__(self, "price", float(self.price))
-        object.__setattr__(self, "curvature", float(self.curvature))
+        object.__setattr__(self, "price", price)
+        object.__setattr__(self, "curvature", curvature)
+
+    @staticmethod
+    def stack(utilities) -> "PiecewiseQuadraticUtility":
+        return PiecewiseQuadraticUtility(np.array([u.price for u in utilities]),
+                                         np.array([u.curvature for u in utilities]))
 
     @property
     def dim(self) -> int:
         return 1
 
-    @property
-    def threshold(self) -> float:
+    @functools.cached_property
+    def threshold(self):
         return self.price / (2.0 * self.curvature)
 
-    def value(self, x) -> float:
-        x = float(_vec(x)[0])
-        if x <= self.threshold:
-            return self.curvature * x * x - self.price * x
-        return -self.price**2 / (4.0 * self.curvature)
+    @functools.cached_property
+    def _flat_value(self):
+        # float_power is C pow, as ``price**2`` on a float; x*x differs in the
+        # last bit now and then
+        return -np.float_power(self.price, 2) / (4.0 * self.curvature)
+
+    def value(self, x):
+        return _per_member(self._branch_value(_vec(x)[..., 0]))
+
+    def _branch_value(self, x):
+        """The value at scalars ``x`` whose trailing axes are the members'."""
+        return np.where(x <= self.threshold, self.curvature * x * x - self.price * x,
+                        self._flat_value)
 
 
 @dataclass(frozen=True)
@@ -162,20 +217,30 @@ class SmoothConjugable:
     strong_convexity: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.strong_convexity is None:
+        sigma = self.strong_convexity
+        if sigma is None:
             if isinstance(self.base, QuadraticFunction):
                 sigma = self.base.strong_convexity
             else:
                 sigma = 2.0 * self.base.curvature
-            object.__setattr__(self, "strong_convexity", float(sigma))
+        object.__setattr__(self, "strong_convexity", _per_member(sigma))
         if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
             raise ValueError("effective domain dimension mismatch")
+
+    @staticmethod
+    def stack(fs) -> "SmoothConjugable":
+        """One group of smooth parts with the same base kind and domain presence."""
+        domain = None
+        if fs[0].effective_domain is not None:
+            domain = BoxSet.stack([f.effective_domain for f in fs])
+        return SmoothConjugable(type(fs[0].base).stack([f.base for f in fs]), domain,
+                                np.array([f.strong_convexity for f in fs]))
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def value(self, x) -> float:
+    def value(self, x):
         return self.base.value(x)
 
 
@@ -184,12 +249,12 @@ class SmoothConjugable:
 # ---------------------------------------------------------------------------
 
 
-def prox_l1(u, alpha: float, weight: float = 1.0) -> np.ndarray:
+def prox_l1(u, alpha, weight=1.0) -> np.ndarray:
     """Soft-thresholding: prox of ``weight * ||.||_1`` with parameter ``alpha``."""
-    if alpha <= 0:
+    if not _all_positive(alpha):
         raise ValueError("alpha must be positive")
     u = _vec(u)
-    return np.sign(u) * np.maximum(np.abs(u) - alpha * weight, 0.0)
+    return np.sign(u) * np.maximum(np.abs(u) - _col(np.multiply(alpha, weight)), 0.0)
 
 
 def project_box(u, box: BoxSet) -> np.ndarray:
@@ -245,6 +310,14 @@ class ProxFriendlyFunction:
             raise ValueError("quadratic + box prox needs diagonal curvature")
         return ProxFriendlyFunction("quadratic", quad=quad, box=box)
 
+    @staticmethod
+    def stack(gs) -> "ProxFriendlyFunction":
+        """One group of entries with the same kind and box presence."""
+        g0 = gs[0]
+        quad = None if g0.quad is None else QuadraticFunction.stack([g.quad for g in gs])
+        box = None if g0.box is None else BoxSet.stack([g.box for g in gs])
+        return ProxFriendlyFunction(g0.kind, np.array([g.weight for g in gs]), quad, box)
+
     # -- derived entries --
 
     def with_box(self, box: BoxSet | None) -> "ProxFriendlyFunction":
@@ -262,19 +335,21 @@ class ProxFriendlyFunction:
 
     # -- evaluation --
 
-    def value(self, x) -> float:
+    def value(self, x):
         x = _vec(x)
-        if self.box is not None and not self.box.contains(x):
-            return INF
         if self.kind == "zero":
-            return 0.0
-        if self.kind == "l1":
-            return self.weight * float(np.sum(np.abs(x)))
-        return self.quad.value(x)
+            val = np.zeros(x.shape[:-1])
+        elif self.kind == "l1":
+            val = self.weight * np.abs(x).sum(axis=-1)
+        else:
+            val = self.quad.value(x)
+        if self.box is not None:
+            val = np.where(self.box.contains(x), val, INF)
+        return _per_member(val)
 
-    def prox(self, u, alpha: float) -> np.ndarray:
+    def prox(self, u, alpha) -> np.ndarray:
         """Exact prox with parameter ``alpha > 0``."""
-        if alpha <= 0:
+        if not _all_positive(alpha):
             raise ValueError("alpha must be positive")
         u = _vec(u)
         if self.kind == "zero":
@@ -282,35 +357,40 @@ class ProxFriendlyFunction:
         elif self.kind == "l1":
             v = prox_l1(u, alpha, self.weight)
         else:  # quadratic: (I + alpha C) v = u - alpha q
-            if self.box is None:
-                mat = np.eye(self.quad.dim) + alpha * self.quad.curvature
-                return np.linalg.solve(mat, u - alpha * self.quad.linear)
-            diag = np.diag(self.quad.curvature)
-            v = (u - alpha * self.quad.linear) / (1.0 + alpha * diag)
+            a = _col(alpha)
+            if not self.quad.is_diagonal:
+                mat = np.eye(self.quad.dim) + a[..., None] * self.quad.curvature
+                return np.linalg.solve(mat, (u - a * self.quad.linear)[..., None])[..., 0]
+            # a diagonal solve divides, as LAPACK's does
+            diag = np.diagonal(self.quad.curvature, axis1=-2, axis2=-1)
+            v = (u - a * self.quad.linear) / (1.0 + a * diag)
         if self.box is not None:
             v = self.box.project(v)
         return v
 
-    def conjugate(self, v) -> float:
+    def conjugate(self, v):
         """Conjugate value ``sup_x (v'x - g(x))`` as an extended real."""
         v = _vec(v)
         if self.kind == "zero":
             if self.box is not None:
-                return float(np.sum(np.maximum(v * self.box.lower, v * self.box.upper)))
-            scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
-            return 0.0 if np.all(np.abs(v) <= _ZERO_ATOL * scale) else INF
-        if self.kind == "l1":
+                val = np.maximum(v * self.box.lower, v * self.box.upper).sum(axis=-1)
+            else:
+                scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
+                val = np.where((np.abs(v) <= _ZERO_ATOL * scale).all(axis=-1), 0.0, INF)
+        elif self.kind == "l1":
+            w = _col(self.weight)
             if self.box is None:
-                return 0.0 if np.all(np.abs(v) <= self.weight + _ZERO_ATOL) else INF
-            w = self.weight
-            lo, hi = self.box.lower, self.box.upper
-            cand = np.maximum(v * lo - w * np.abs(lo), v * hi - w * np.abs(hi))
-            inside = (lo <= 0) & (hi >= 0)
-            cand = np.where(inside, np.maximum(cand, 0.0), cand)
-            return float(np.sum(cand))
-        # quadratic
-        x = self.conjugate_argmax(v)
-        return float(v @ x - self.value(x))
+                val = np.where((np.abs(v) <= w + _ZERO_ATOL).all(axis=-1), 0.0, INF)
+            else:
+                lo, hi = self.box.lower, self.box.upper
+                cand = np.maximum(v * lo - w * np.abs(lo), v * hi - w * np.abs(hi))
+                inside = (lo <= 0) & (hi >= 0)
+                cand = np.where(inside, np.maximum(cand, 0.0), cand)
+                val = cand.sum(axis=-1)
+        else:
+            x = self.conjugate_argmax(v)
+            val = (v * x).sum(axis=-1) - self.value(x)
+        return _per_member(val)
 
     def conjugate_argmax(self, v, ref=None) -> np.ndarray:
         """A maximizer of ``v'x - g(x)``; ``ref`` breaks ties toward a point.
@@ -324,57 +404,55 @@ class ProxFriendlyFunction:
         if self.kind == "quadratic":
             if self.box is None:
                 try:
-                    return np.linalg.solve(self.quad.curvature, v - self.quad.linear)
+                    return np.linalg.solve(self.quad.curvature,
+                                           (v - self.quad.linear)[..., None])[..., 0]
                 except np.linalg.LinAlgError:
                     raise UnboundedConjugateError("singular curvature in conjugate argmax")
-            diag = np.diag(self.quad.curvature)
-            if np.any(diag <= 0):
+            diag = np.diagonal(self.quad.curvature, axis1=-2, axis2=-1)
+            if (diag <= 0).any():
                 raise NonStronglyConvexError("box-constrained quadratic needs positive diagonal")
             return self.box.project((v - self.quad.linear) / diag)
         if self.kind == "zero":
             if self.box is not None:
                 lo, hi = self.box.lower, self.box.upper
                 scale = 1.0 + np.abs(v)
-                out = np.where(v > _ZERO_ATOL * scale, hi, np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
-                return out
-            scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
-            if np.any(np.abs(v) > _ZERO_ATOL * scale):
+                return np.where(v > _ZERO_ATOL * scale, hi,
+                                np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
+            scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
+            if (np.abs(v) > _ZERO_ATOL * scale).any():
                 raise UnboundedConjugateError("support of all-space is unbounded")
             return ref
         # l1 (+ optional box), separable
-        w = self.weight
-        lo = self.box.lower if self.box is not None else np.full_like(v, -INF)
-        hi = self.box.upper if self.box is not None else np.full_like(v, INF)
-        out = np.empty_like(v)
-        for m in range(v.size):
-            out[m] = _l1_support_argmax_1d(v[m], w, lo[m], hi[m], ref[m])
-        return out
+        lo = self.box.lower if self.box is not None else -INF
+        hi = self.box.upper if self.box is not None else INF
+        return _l1_support_argmax(v, _col(self.weight), lo, hi, ref)
 
 
-def _l1_support_argmax_1d(v: float, w: float, lo: float, hi: float, ref: float) -> float:
-    """Maximizer of ``v*x - w|x|`` over ``[lo, hi]`` with tie-break to ``ref``."""
-    tol = _ZERO_ATOL * (1.0 + abs(v) + w)
-    if v > w + tol:
-        if np.isinf(hi):
-            raise UnboundedConjugateError("l1 support unbounded above")
-        return hi
-    if v < -w - tol:
-        if np.isinf(lo):
-            raise UnboundedConjugateError("l1 support unbounded below")
-        return lo
-    if abs(v - w) <= tol and hi > 0:  # tie on the nonnegative ray
-        top = hi if not np.isinf(hi) else max(ref, 0.0)
-        return min(max(ref, max(lo, 0.0)), top)
-    if abs(v + w) <= tol and lo < 0:  # tie on the nonpositive ray
-        bot = lo if not np.isinf(lo) else min(ref, 0.0)
-        return max(min(ref, min(hi, 0.0)), bot)
-    # strict interior of the dead zone: unique maximizer at 0 if feasible
-    if lo <= 0.0 <= hi:
-        return 0.0
-    # 0 outside the box: best endpoint by direct comparison
-    cands = [c for c in (lo, hi) if np.isfinite(c)]
-    best = max(cands, key=lambda x: v * x - w * abs(x))
-    return best
+def _l1_support_argmax(v, w, lo, hi, ref) -> np.ndarray:
+    """Maximizer of ``v*x - w|x|`` over ``[lo, hi]``, elementwise, ties toward ``ref``."""
+    tol = _ZERO_ATOL * (1.0 + np.abs(v) + w)
+    above = v > w + tol
+    below = v < -w - tol
+    if (above & np.isinf(hi)).any():
+        raise UnboundedConjugateError("l1 support unbounded above")
+    if (below & np.isinf(lo)).any():
+        raise UnboundedConjugateError("l1 support unbounded below")
+    top = np.where(np.isinf(hi), np.maximum(ref, 0.0), hi)
+    bot = np.where(np.isinf(lo), np.minimum(ref, 0.0), lo)
+    # 0 outside the box: the better finite endpoint, the lower one on a tie
+    with np.errstate(invalid="ignore"):
+        lower_wins = v * lo - w * np.abs(lo) >= v * hi - w * np.abs(hi)
+    endpoint = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
+    return np.select(
+        [above, below,
+         (np.abs(v - w) <= tol) & (hi > 0),  # tie on the nonnegative ray
+         (np.abs(v + w) <= tol) & (lo < 0),  # tie on the nonpositive ray
+         (lo <= 0.0) & (0.0 <= hi)],  # strict interior of the dead zone
+        [hi, lo,
+         np.minimum(np.maximum(ref, np.maximum(lo, 0.0)), top),
+         np.maximum(np.minimum(ref, np.minimum(hi, 0.0)), bot),
+         0.0],
+        endpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -395,35 +473,42 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     base = f.base
     dom = f.effective_domain
     if isinstance(base, QuadraticFunction):
-        if dom is None:
-            if base.strong_convexity <= 0:
-                raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
-            return np.linalg.solve(base.curvature, u - base.linear)
+        if dom is None and not _all_positive(base.strong_convexity):
+            raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
         if not base.is_diagonal:
-            raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
-        diag = np.diag(base.curvature)
-        if np.any(diag <= 0):
+            if dom is not None:
+                raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
+            return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
+        # a diagonal solve divides, as LAPACK's does
+        diag = np.diagonal(base.curvature, axis1=-2, axis2=-1)
+        if (diag <= 0).any():
             raise NonStronglyConvexError("box-domain argmax needs positive diagonal curvature")
-        return dom.project((u - base.linear) / diag)
+        x = (u - base.linear) / diag
+        return x if dom is None else dom.project(x)
     # piecewise quadratic utility, scalar
-    s = float(u[0])
-    thr = base.threshold
-    if dom is None and s > 0:
+    s = u[..., 0]
+    if dom is None and (s > 0).any():
         raise UnboundedConjugateError("positive slope on the unbounded flat branch")
-    lo = -INF if dom is None else float(dom.lower[0])
-    hi = INF if dom is None else float(dom.upper[0])
+    lo = -INF if dom is None else dom.lower[..., 0]
+    hi = INF if dom is None else dom.upper[..., 0]
     stat = (s + base.price) / (2.0 * base.curvature)  # quadratic-branch stationary point
-    cands = {min(max(stat, lo), min(thr, hi)), min(max(thr, lo), hi)}
-    if np.isfinite(lo):
-        cands.add(lo)
-    if np.isfinite(hi):
-        cands.add(hi)
-    best_x, best_v = None, -INF
-    for x in sorted(cands):
-        val = s * x - base.value(x)
-        if val > best_v + _TIE_TOL:
-            best_x, best_v = x, val
-    return np.array([best_x])
+    # lo <= x_quad <= x_thr <= hi: a domain above the threshold has no
+    # quadratic branch and lo stands in for it; an infinite endpoint is no
+    # candidate and its finite neighbour stands in for it (a repeat never wins)
+    x_thr = np.minimum(np.maximum(base.threshold, lo), hi)
+    x_quad = np.minimum(np.maximum(stat, lo), x_thr)
+    cands = np.empty((4,) + s.shape)
+    cands[0] = np.where(np.isinf(lo), x_quad, lo)
+    cands[1] = x_quad
+    cands[2] = x_thr
+    cands[3] = np.where(np.isinf(hi), x_thr, hi)
+    vals = s * cands - base._branch_value(cands)
+    best_x, best_v = cands[0], vals[0]
+    for x, val in zip(cands[1:], vals[1:]):  # ascending; ties keep the smaller x
+        better = val > best_v + _TIE_TOL
+        best_x = np.where(better, x, best_x)
+        best_v = np.where(better, val, best_v)
+    return best_x[..., None]
 
 
 def conjugate_value(f: SmoothConjugable, u) -> float:
@@ -441,13 +526,15 @@ def conjugate_value(f: SmoothConjugable, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c: float) -> np.ndarray:
+def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c) -> np.ndarray:
     """Prox of the conjugate ``g*`` with parameter ``c``, via the direct prox.
 
     Uses the decomposition ``prox^c_{g*}(v) = v - c * prox^{1/c}_g(v/c)``,
-    so the conjugate's prox is never evaluated directly.
+    so the conjugate's prox is never evaluated directly.  For a group, ``c``
+    holds one parameter per member.
     """
-    if c <= 0:
+    if not _all_positive(c):
         raise ValueError("c must be positive")
-    v = _vec(v)
-    return v - c * g.prox(v / c, 1.0 / c)
+    c = np.asarray(c, dtype=float)
+    v, c_col = _vec(v), c[..., None]
+    return v - c_col * g.prox(v / c_col, 1.0 / c)

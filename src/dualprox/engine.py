@@ -6,8 +6,11 @@ maximizers ``x_hat`` of one snapshot ``lam(tau(k))``, which is the current
 iterate in sync mode and at most ``D`` rounds old in async mode.  From it
 every agent takes a gradient step in ``theta`` and a proximal step in ``mu``
 (through the Moreau shortcut), both anchored at its latest values.  One
-round function serves both modes.  Each agent sums its coupling blocks in
-ascending agent id, so traces are bitwise reproducible.
+round function serves both modes.  A round is a handful of numpy calls on
+the compiled instance: ``u = C lam``, the argmax of each kind group,
+``b - A x_hat``, the ``theta`` step and the prox of each kind group.  Each
+agent sums its coupling terms in ascending agent id, so traces are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     NonFiniteInitialError,
     StepSizeViolationError,
 )
-from .model import ProblemInstance, apply_C, instance_hash, lipschitz_constant
+from .model import ProblemInstance, apply_C, instance_hash, lipschitz_constant, sum_in_order
 
 PRNG_NAME = "numpy-PCG64"
 
@@ -139,42 +142,45 @@ class DelaySchedule:
 # ---------------------------------------------------------------------------
 
 
-def local_maximizer(instance: ProblemInstance, i: int, lam: np.ndarray) -> np.ndarray:
-    """``x_hat_i``: the conjugate argmax of the smooth part at ``C_i lam``."""
-    return conjugate_argmax(instance.agents[i].f, apply_C(instance, i, lam))
+def _maximizers(instance: ProblemInstance, u: np.ndarray) -> np.ndarray:
+    """Every agent's conjugate argmax of its smooth part at ``u_i``, stacked."""
+    x_hat = np.empty_like(u)
+    for idx, f in instance.compiled.f_groups:
+        x_hat[idx] = conjugate_argmax(f, u[idx])
+    return x_hat
 
 
-def _coupling_blocks(instance: ProblemInstance, i: int) -> list:
-    """Agent ``i``'s nonzero blocks ``(l, A_l^(i))`` over ``l in V_i + {i}``, ascending."""
-    edges = instance.topology.edges
-    return [(l, block) for l, block in sorted(instance.agents[i].constraint.blocks.items())
-            if (l == i or (min(i, l), max(i, l)) in edges) and np.any(block != 0)]
+def local_maximizers(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
+    """``x_hat``: every agent's conjugate argmax at ``C_i lam``, stacked ``(N, M)``."""
+    return _maximizers(instance, apply_C(instance, lam))
 
 
-def grad_P_block(instance: ProblemInstance, i: int, x_hats, blocks):
-    """Assemble ``(grad_theta_i, grad_mu_i)`` of the dual smooth part.
+def grad_P_block(instance: ProblemInstance, x_hat: np.ndarray):
+    """The gradient ``(grad_theta, grad_mu)`` of the dual smooth part, stacked.
 
     ``grad_theta_i = b^(i) - sum_l A_l^(i) x_hat_l`` over agent ``i``'s
-    nonzero ``blocks`` (as from ``_coupling_blocks``), summed in their order;
+    nonzero blocks, subtracted in ascending ``l``, shaped ``(N, B)``;
     ``grad_mu_i = -x_hat_i``.
     """
-    grad_theta = instance.agents[i].constraint.rhs.copy()
-    for l, block in blocks:
-        grad_theta = grad_theta - block @ x_hats[l]
-    return grad_theta, -x_hats[i]
+    comp = instance.compiled
+    rows, cols, vals = comp.A
+    grad_theta = comp.b.copy()
+    np.subtract.at(grad_theta, rows, vals * x_hat.ravel()[cols])
+    return grad_theta.reshape(comp.n_agents, comp.B), -x_hat
 
 
-def _round(instance: ProblemInstance, lam: np.ndarray, x_hats, blocks,
+def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
            steps: StepSizes) -> np.ndarray:
-    """One round from the snapshot maximizers ``x_hats``, anchored at ``lam``."""
-    lam_next = lam.copy()
-    for i, agent in enumerate(instance.agents):
-        c = float(steps.values[i])
-        g_theta, g_mu = grad_P_block(instance, i, x_hats, blocks[i])
-        th, mu = instance.theta_slice(i), instance.mu_slice(i)
-        lam_next[th] = lam[th] - c * g_theta
-        lam_next[mu] = prox_conjugate_via_moreau(agent.effective_g, lam[mu] - c * g_mu, c)
-    return lam_next
+    """One round from the snapshot maximizers ``x_hat``, anchored at ``lam``."""
+    comp = instance.compiled
+    theta, mu = comp.split(lam)
+    g_theta, g_mu = grad_P_block(instance, x_hat)
+    c = steps.values[:, None]
+    v = mu - c * g_mu
+    mu_next = np.empty_like(mu)
+    for idx, g in comp.g_groups:
+        mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], steps.values[idx])
+    return np.concatenate([(theta - c * g_theta).ravel(), mu_next.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -187,52 +193,60 @@ class DualObjective:
     psi: float
     p_part: float
     q_part: float
-    x_hat: list
+    x_hat: np.ndarray
 
 
 def dual_objective(instance: ProblemInstance, lam: np.ndarray) -> DualObjective:
     """Evaluate ``Psi = P + Q`` and the local maximizers ``x_hat`` at ``lam``.
 
-    ``Q`` is an extended real: ``inf`` when some ``mu_i`` leaves the domain
-    of its nonsmooth conjugate.  An unbounded smooth conjugate raises
+    ``P`` adds, agent by agent, ``u_i'x_hat_i - f_i(x_hat_i)`` and then
+    ``b^(i)'theta_i``; ``Q`` adds the conjugates ``g_i*(mu_i)``.  ``Q`` is an
+    extended real: ``inf`` when some ``mu_i`` leaves the domain of its
+    nonsmooth conjugate.  An unbounded smooth conjugate raises
     :class:`~dualprox.errors.UnboundedConjugateError` from the argmax.
     """
-    x_hat, p_part, q_part = [], 0.0, 0.0
-    for i, agent in enumerate(instance.agents):
-        u = apply_C(instance, i, lam)
-        xi = conjugate_argmax(agent.f, u)
-        x_hat.append(xi)
-        p_part += float(u @ xi - agent.f.value(xi))
-        p_part += float(agent.constraint.rhs @ lam[instance.theta_slice(i)])
-        q_part += agent.effective_g.conjugate(lam[instance.mu_slice(i)])
+    comp = instance.compiled
+    theta, mu = comp.split(lam)
+    u = apply_C(instance, lam)
+    x_hat = _maximizers(instance, u)
+    f_val = np.empty(comp.n_agents)
+    for idx, f in comp.f_groups:
+        f_val[idx] = f.value(x_hat[idx])
+    q_val = np.empty(comp.n_agents)
+    for idx, g in comp.g_groups:
+        q_val[idx] = g.conjugate(mu[idx])
+    # P's terms in the order they are added: per agent, u_i'x_i - f_i(x_i), b_i'theta_i
+    p_terms = np.empty((comp.n_agents, 2))
+    p_terms[:, 0] = (u * x_hat).sum(axis=1) - f_val
+    p_terms[:, 1] = (comp.b.reshape(theta.shape) * theta).sum(axis=1)
+    p_part = sum_in_order(p_terms)
+    q_part = sum_in_order(q_val)
     return DualObjective(p_part + q_part, p_part, q_part, x_hat)
 
 
 @dataclass(frozen=True)
 class PrimalRecovery:
-    x_hat: list
-    z_hat: list
+    x_hat: np.ndarray
+    z_hat: np.ndarray
     mismatch: float
 
 
 def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery:
-    """Recover ``(x_hat, z_hat)`` from a (near-)optimal dual point.
+    """Recover ``(x_hat, z_hat)``, each ``(N, M)``, from a (near-)optimal dual point.
 
     ``x_hat_i`` maximizes the smooth Lagrangian part; ``z_hat_i`` maximizes
     ``mu_i' z - (g_i + indicator(omega_i))(z)`` with ties broken toward
     ``x_hat_i``.  The mismatch ``||x_hat - z_hat||`` is a convergence
     diagnostic, reported rather than raised.
     """
-    x_hat = []
-    z_hat = []
-    sq = 0.0
-    for i, agent in enumerate(instance.agents):
-        xi = local_maximizer(instance, i, lam)
-        zi = agent.effective_g.conjugate_argmax(lam[instance.mu_slice(i)], ref=xi)
-        x_hat.append(xi)
-        z_hat.append(zi)
-        sq += float(np.sum((xi - zi) ** 2))
-    return PrimalRecovery(x_hat, z_hat, math.sqrt(sq))
+    comp = instance.compiled
+    _, mu = comp.split(lam)
+    x_hat = local_maximizers(instance, lam)
+    z_hat = np.empty_like(x_hat)
+    for idx, g in comp.g_groups:
+        z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
+    mismatch = math.sqrt(sum_in_order(((x_hat - z_hat) ** 2).sum(axis=1)))
+    return PrimalRecovery(x_hat, z_hat, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +264,9 @@ class IterationTrace:
     length ``K``: entry ``k`` describes the move from ``lam[k]`` to
     ``lam[k+1]``, read from the snapshot ``lam[tau[k]]`` with
     ``message_counts[k]`` neighbour maximizers.  ``meta`` holds the run's
-    configuration and its ``stop_reason`` (``"tol"`` or ``"k_max"``).
+    configuration, its ``stop_reason`` (``"tol"``, ``"k_max"`` or
+    ``"nonfinite"``) and ``psi_star_source`` (``"given"`` or
+    ``"best_observed"``).
     """
 
     n_agents: int
@@ -331,6 +347,10 @@ class IterationTrace:
         n_agents = meta.get("n_agents")
         if n_agents is None:
             n_agents = len({c.split("_")[1] for c in header if c.startswith("theta_")})
+        if not n_theta or not n_agents or n_theta % n_agents or n_mu % n_agents:
+            raise MalformedTraceError(
+                f"trace has {n_theta} theta and {n_mu} mu columns, which do not split "
+                f"over {n_agents} agents")
         B = n_theta // n_agents
         M = n_mu // n_agents
         trace = IterationTrace(n_agents, B, M, meta.get("psi_star", float("nan")), meta)
@@ -363,10 +383,13 @@ def run(instance: ProblemInstance, mode: str = "sync",
         psi_star: float | None = None, allow_step_violation: bool = False) -> IterationTrace:
     """Execute the solver in ``sync`` or ``async`` mode and record a full trace.
 
-    Runs until the step norm ``||lam(k+1) - lam(k)||_inf`` drops to ``tol``
-    or ``k_max`` rounds elapse (``meta["stop_reason"]`` says which).  ``epsilon`` records ``Psi(lam(k)) - psi_star``;
-    when no reference is supplied the best observed value is used.  The run
-    is deterministic given (instance, mode, schedule, steps, lam0).
+    Runs until the step norm ``||lam(k+1) - lam(k)||_inf`` drops to ``tol``,
+    ``k_max`` rounds elapse, or ``lam`` or ``Psi`` turns non-finite (the
+    round that did so is recorded, with ``Psi`` nan for a non-finite
+    ``lam``); ``meta["stop_reason"]`` says which.  ``epsilon`` records
+    ``Psi(lam(k)) - psi_star``; when no reference is supplied the best
+    finite observed value is used.  The run is deterministic given
+    (instance, mode, schedule, steps, lam0).
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -391,10 +414,7 @@ def run(instance: ProblemInstance, mode: str = "sync",
     if not np.isfinite(obj.psi):
         raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
 
-    blocks = [_coupling_blocks(instance, i) for i in range(instance.n_agents)]
-    # neighbour maximizers read per round over all agents; the blocks fix it
-    n_msgs = sum(l != i for i, agent_blocks in enumerate(blocks) for l, _ in agent_blocks)
-
+    n_msgs = instance.compiled.n_messages
     trace = IterationTrace(instance.n_agents, instance.B, instance.M,
                            psi_star if psi_star is not None else float("nan"))
     trace.meta = {
@@ -409,6 +429,7 @@ def run(instance: ProblemInstance, mode: str = "sync",
         "k_max": k_max,
         "h": h,
         "stopping": "step_norm_inf",
+        "psi_star_source": "best_observed" if psi_star is None else "given",
     }
     trace.lam.append(lam)
     trace.psi.append(obj.psi)
@@ -416,30 +437,38 @@ def run(instance: ProblemInstance, mode: str = "sync",
     # maximizers of the last D + 1 iterates, the snapshots a round may read
     xhat_cache = {0: obj.x_hat}
     stop_reason = "k_max"
+    # a diverging run overflows on its way to the non-finite round that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            tk = schedule.tau(k)
+            if tk not in xhat_cache:
+                raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
+            lam = trace.lam[k]
+            lam_next = _round(instance, lam, xhat_cache[tk], steps)
+            psi_next = math.nan
+            if np.all(np.isfinite(lam_next)):
+                obj = dual_objective(instance, lam_next)
+                psi_next = obj.psi
+            trace.lam.append(lam_next)
+            trace.psi.append(psi_next)
+            trace.tau.append(tk)
+            trace.step_norm_inf.append(float(np.max(np.abs(lam_next - lam))))
+            trace.message_counts.append(n_msgs)
 
-    for k in range(k_max):
-        tk = schedule.tau(k)
-        if tk not in xhat_cache:
-            raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
-        lam = trace.lam[k]
-        lam_next = _round(instance, lam, xhat_cache[tk], blocks, steps)
-        obj = dual_objective(instance, lam_next)
-        trace.lam.append(lam_next)
-        trace.psi.append(obj.psi)
-        trace.tau.append(tk)
-        trace.step_norm_inf.append(float(np.max(np.abs(lam_next - lam))))
-        trace.message_counts.append(n_msgs)
+            if not math.isfinite(psi_next):
+                stop_reason = "nonfinite"
+                break
+            xhat_cache[k + 1] = obj.x_hat
+            xhat_cache.pop(k - schedule.bound, None)
 
-        xhat_cache[k + 1] = obj.x_hat
-        xhat_cache.pop(k - schedule.bound, None)
-
-        if trace.step_norm_inf[-1] <= tol:
-            stop_reason = "tol"
-            break
+            if trace.step_norm_inf[-1] <= tol:
+                stop_reason = "tol"
+                break
 
     trace.meta["stop_reason"] = stop_reason
     if psi_star is None:
-        trace.psi_star = float(np.nanmin(trace.psi))
+        psi = np.asarray(trace.psi)
+        trace.psi_star = float(np.min(psi[np.isfinite(psi)]))
     trace.epsilon = [p - trace.psi_star for p in trace.psi]
     return trace
 

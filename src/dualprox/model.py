@@ -3,8 +3,10 @@
 Each agent ``i`` owns a private interpretation ``A^(i) x = b^(i)`` of the
 global affine coupling constraint, stored sparsely as per-neighbour column
 blocks.  The row map ``C_i`` acts on the stacked dual vector
-``lam = [theta_1..theta_N, mu_1..mu_N]`` without being materialized, except
-for diagnostics and the Lipschitz-constant computation.
+``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance is compiled once
+(``ProblemInstance.compiled``) into flat entry arrays of ``C`` and ``A``
+and into groups of agents of one catalog kind, so a dual operator costs a
+few numpy calls over the nonzeros instead of a loop over agents.
 """
 
 from __future__ import annotations
@@ -55,9 +57,17 @@ class Topology:
     def star(n: int) -> "Topology":
         return Topology(n, frozenset((0, i) for i in range(1, n)))
 
+    @functools.cached_property
+    def adjacency(self) -> tuple:
+        """Each agent's neighbours, ascending."""
+        adj = [[] for _ in range(self.n_agents)]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(tuple(sorted(a)) for a in adj)
+
     def neighbors(self, i: int) -> list:
-        return sorted(j for j in range(self.n_agents)
-                      if (min(i, j), max(i, j)) in self.edges and j != i)
+        return list(self.adjacency[i])
 
     def is_connected(self) -> bool:
         if self.n_agents == 0:
@@ -144,47 +154,205 @@ class ProblemInstance:
         off = self.n_agents * self.B
         return slice(off + i * self.M, off + (i + 1) * self.M)
 
+    @functools.cached_property
+    def compiled(self) -> "CompiledInstance":
+        """The instance's operators and catalog groups, built on first use."""
+        return CompiledInstance(self)
+
 
 # ---------------------------------------------------------------------------
-# structured dual operators
+# the compiled instance and the structured dual operators
 # ---------------------------------------------------------------------------
 
 
-def apply_C(instance: ProblemInstance, i: int, lam: np.ndarray) -> np.ndarray:
-    """``C_i lam = -sum_l (A_i^(l))' theta_l - mu_i`` over ``l in V_i + {i}``."""
-    out = -lam[instance.mu_slice(i)].copy()
-    for l in sorted(set(instance.topology.neighbors(i)) | {i}):
-        block = instance.agents[l].constraint.blocks.get(i)
-        if block is not None:
-            out -= block.T @ lam[instance.theta_slice(l)]
-    return out
+def sum_in_order(values) -> float:
+    """``0.0 + v_0 + v_1 + ...``, added left to right.
+
+    ``np.sum`` adds pairwise and rounds differently; this total equals the
+    one a plain loop over the values gives.  Only values that are all
+    ``-0.0`` add up to ``-0.0``, where the loop's ``0.0 + ...`` gives
+    ``0.0``; adding ``0.0`` last does the same.
+    """
+    values = np.ravel(values)
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
 
 
-def materialize_C(instance: ProblemInstance, i: int) -> np.ndarray:
-    """Dense ``M x (NB + NM)`` row map, for diagnostics and norms only."""
-    C = np.zeros((instance.M, instance.dual_dim))
-    for l in range(instance.n_agents):
-        block = instance.agents[l].constraint.blocks.get(i)
-        if block is not None:
-            C[:, instance.theta_slice(l)] = -block.T
-    C[:, instance.mu_slice(i)] = -np.eye(instance.M)
-    return C
+def _csr(groups, others, mats):
+    """CSR entries ``(rows, cols, vals)`` of blocks sorted by ``(groups, others)``.
+
+    The ``R x K`` block ``mats[j]`` sits at rows ``groups[j]*R + r`` and
+    columns ``others[j]*K + c``, so each row holds its blocks in ascending
+    ``others``.
+    """
+    _, R, K = mats.shape
+    r, c = np.arange(R)[:, None], np.arange(K)
+    rows = np.broadcast_to(groups[:, None, None] * R + r, mats.shape).ravel()
+    cols = np.broadcast_to(others[:, None, None] * K + c, mats.shape).ravel()
+    if R == 1:  # one row per group: the blocks are in CSR order already
+        return rows, cols, mats.ravel()
+    # entry (r, c) of a group's rank-th block follows the group's earlier
+    # rows and the row's earlier blocks
+    counts = np.bincount(groups)
+    n = counts[groups][:, None, None]
+    start = (np.cumsum(counts) - counts)[groups][:, None, None]
+    rank = np.arange(groups.size)[:, None, None] - start
+    order = np.empty(mats.size, dtype=np.intp)
+    order[((start * R + r * n + rank) * K + c).ravel()] = np.arange(mats.size)
+    return rows[order], cols[order], mats.ravel()[order]
+
+
+def _groups(members, key, stack) -> tuple:
+    """``(agent indices, stacked group)`` for each key, in order of first member."""
+    by_key = {}
+    for i, member in enumerate(members):
+        by_key.setdefault(key(member), []).append(i)
+    return tuple((np.array(idx), stack([members[i] for i in idx])) for idx in by_key.values())
+
+
+class CompiledInstance:
+    """The operators of a :class:`ProblemInstance` as flat arrays, built once.
+
+    ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
+    entries in ascending column, so a row accumulates its agents in
+    ascending id.  ``f_groups`` and ``g_groups`` stack the agents of one
+    catalog kind (see :mod:`dualprox.convex`); ``lipschitz`` is the
+    smoothness constant.  Each part is built on first use.
+    """
+
+    def __init__(self, instance: "ProblemInstance"):
+        N, M, B = instance.n_agents, instance.M, instance.B
+        self.n_agents, self.M, self.B = N, M, B
+        self.n_theta = N * B
+        self._agents = instance.agents
+        # the blocks A_l^(i) with l in agent i's closed neighbourhood, by (i, l)
+        owner, key, blocks = [], [], []
+        for i, (agent, nbrs) in enumerate(zip(instance.agents, instance.topology.adjacency)):
+            agent_blocks = agent.constraint.blocks
+            for l in sorted(nbrs + (i,)):
+                block = agent_blocks.get(l)
+                if block is None:
+                    continue
+                if block.shape != (B, M):
+                    raise ValueError(f"agent {i}: block for {l} has shape {block.shape}, "
+                                     f"expected {(B, M)}")
+                owner.append(i)
+                key.append(l)
+                blocks.append(block)
+        self._owner, self._key = owner, key
+        self._blocks = np.array(blocks, dtype=float).reshape(-1, B, M)
+        self.b = np.concatenate([agent.constraint.rhs for agent in instance.agents])
+        self.sigma = np.array([agent.f.strong_convexity for agent in instance.agents])
+
+    def split(self, lam: np.ndarray):
+        """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``."""
+        return (lam[:self.n_theta].reshape(self.n_agents, self.B),
+                lam[self.n_theta:].reshape(self.n_agents, self.M))
+
+    @functools.cached_property
+    def C(self) -> tuple:
+        """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
+        holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
+        ``theta``."""
+        by_key = sorted(range(len(self._key)), key=self._key.__getitem__)
+        rows, cols, vals = _csr(np.array(self._key, dtype=np.intp)[by_key],
+                                np.array(self._owner, dtype=np.intp)[by_key],
+                                self._blocks[by_key].transpose(0, 2, 1))
+        return rows, cols, -vals
+
+    @functools.cached_property
+    def _nonzero(self) -> np.ndarray:
+        return self._blocks.any(axis=(1, 2))
+
+    @functools.cached_property
+    def A(self) -> tuple:
+        """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
+        ``l*M + m`` of the stacked ``x``."""
+        owner = np.array(self._owner, dtype=np.intp)[self._nonzero]
+        key = np.array(self._key, dtype=np.intp)[self._nonzero]
+        return _csr(owner, key, self._blocks[self._nonzero])
+
+    @functools.cached_property
+    def n_messages(self) -> int:
+        """Neighbour maximizers a round reads, over all agents."""
+        off_diagonal = np.array(self._owner) != np.array(self._key)
+        return int(np.count_nonzero(self._nonzero & off_diagonal))
+
+    @functools.cached_property
+    def f_groups(self) -> tuple:
+        return _groups([agent.f for agent in self._agents],
+                       lambda f: (type(f.base), f.effective_domain is None),
+                       SmoothConjugable.stack)
+
+    @functools.cached_property
+    def g_groups(self) -> tuple:
+        return _groups([agent.effective_g for agent in self._agents],
+                       lambda g: (g.kind, g.box is None), ProxFriendlyFunction.stack)
+
+    def _compact_row_maps(self):
+        """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
+        restricted to its nonzero columns, one stack per shape.
+
+        Column 0 of the full map is kept in front, zero or not: LAPACK's
+        first Householder step treats the leading entry apart, and with it
+        in place the singular values of ``M = 1`` maps equal the full maps'
+        bit for bit.
+        """
+        N, M = self.n_agents, self.M
+        rows, cols, vals = self.C
+        # an agent's M rows share its n columns (its blocks are dense), so its
+        # entries are one (M, n) run of the CSR arrays
+        row_len = np.bincount(rows, minlength=N * M)
+        start = (np.cumsum(row_len) - row_len)[::M]
+        n_cols = row_len[::M]
+        lead = np.ones(N, dtype=np.intp)  # 1 where column 0 is not among them
+        lead[rows[cols == 0] // M] = 0
+        diag = np.arange(M)
+        for ld, n in sorted(set(zip(lead.tolist(), n_cols.tolist()))):
+            agents = np.flatnonzero((lead == ld) & (n_cols == n))
+            S = np.zeros((agents.size, M, ld + n + M))
+            entries = vals[start[agents, None] + np.arange(M * n)]
+            S[:, :, ld:ld + n] = entries.reshape(agents.size, M, n)
+            S[:, diag, ld + n + diag] = -1.0  # -I on mu_i, the last columns
+            yield agents, S
+
+    @functools.cached_property
+    def lipschitz(self):
+        """``(h, per_agent)`` with ``per_agent[i] = ||C_i||^2 / sigma_i`` and
+        ``h`` their sum in agent order."""
+        bad = np.flatnonzero(self.sigma <= 0)
+        if bad.size:
+            i = int(bad[0])
+            raise SingularScaleError(f"agent {i} has nonpositive curvature {self.sigma[i]}")
+        norms = np.empty(self.n_agents)
+        for idx, S in self._compact_row_maps():
+            norms[idx] = np.linalg.svd(S, compute_uv=False)[:, 0]
+        # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in
+        # the last bit now and then
+        per_agent = np.float_power(norms, 2) / self.sigma
+        return sum_in_order(per_agent), per_agent
+
+
+def apply_C(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
+    """Every agent's ``C_i lam = -mu_i - sum_l (A_i^(l))' theta_l``, stacked ``(N, M)``.
+
+    Each row starts at ``-mu_i`` and adds its terms in ascending ``l``.
+    """
+    comp = instance.compiled
+    rows, cols, vals = comp.C
+    u = -lam[comp.n_theta:]
+    np.add.at(u, rows, vals * lam[cols])
+    return u.reshape(comp.n_agents, comp.M)
 
 
 def lipschitz_constant(instance: ProblemInstance):
     """Smoothness constant of the dual smooth part: ``h = sum_i ||C_i||^2 / sigma_i``.
 
     Returns ``(h, per_agent)`` where ``per_agent[i] = ||C_i||^2 / sigma_i``
-    with the spectral norm of the materialized row map.
+    with the spectral norm of the row map.  It is computed once per
+    instance, with one batched SVD per shape of the compact row maps.
     """
-    per_agent = []
-    for i, agent in enumerate(instance.agents):
-        sigma = agent.f.strong_convexity
-        if sigma <= 0:
-            raise SingularScaleError(f"agent {i} has nonpositive curvature {sigma}")
-        norm = np.linalg.norm(materialize_C(instance, i), 2)
-        per_agent.append(norm**2 / sigma)
-    return float(sum(per_agent)), per_agent
+    h, per_agent = instance.compiled.lipschitz
+    return h, per_agent.copy()
 
 
 # ---------------------------------------------------------------------------

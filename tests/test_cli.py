@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dualprox import build_market, save_instance
+from dualprox import StepSizes, build_market, lipschitz_constant, run, save_instance
 from dualprox.cli import main
 from dualprox.repro import CriterionResult
 
@@ -117,6 +117,12 @@ def test_verify_missing_and_malformed(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 1
 
+    bad.write_text("k,psi,epsilon,step_norm_inf\n0,1.0,0.0,0.0\n")  # no agent columns
+    res = runner.invoke(main, ["verify", "--trace", str(bad), "--out", str(tmp_path)])
+    assert res.exit_code == 1 and "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
     good = tmp_path / "run"
     assert runner.invoke(main, ["run", "--scenario", "consensus",
                                 "--out", str(good)]).exit_code == 0
@@ -186,3 +192,35 @@ def test_run_malformed_instance_fails_cleanly(runner, tmp_path, doc):
     assert "Traceback" not in res.output
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot load instance")
+
+
+def test_run_json_records_psi_star_source(runner, tmp_path):
+    for extra, source in (([], "best_observed"), (["--psi-star", "-4.5"], "given")):
+        out = tmp_path / source
+        res = runner.invoke(main, ["run", "--scenario", "consensus", "--json", *extra,
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads(res.output)
+        meta = json.loads((out / "trace_meta.json").read_text())
+        assert summary["psi_star_source"] == meta["psi_star_source"] == source
+        assert summary["psi_star"] == meta["psi_star"]
+    assert summary["psi_star"] == -4.5
+
+
+def test_run_reports_divergence(runner, tmp_path, monkeypatch):
+    def oversized_steps(inst, **kwargs):
+        h, _ = lipschitz_constant(inst)
+        kwargs.update(steps=StepSizes.uniform(40.0 / h, inst.n_agents),
+                      allow_step_violation=True)
+        return run(inst, **kwargs)
+
+    monkeypatch.setattr("dualprox.cli.engine_run", oversized_steps)
+    out = tmp_path / "div"
+    res = runner.invoke(main, ["run", "--scenario", "consensus", "--mode", "async",
+                               "--delay", "3", "--iters", "3000", "--out", str(out),
+                               "--overrides", '{"targets": [0.0, 3.0, 6.0, 9.0]}'])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: run diverged")
+    assert json.loads((out / "trace_meta.json").read_text())["stop_reason"] == "nonfinite"

@@ -14,10 +14,11 @@ from dualprox import (
     Topology,
     build_consensus,
     build_market,
+    build_scenario,
     dual_objective,
     grad_P_block,
     lipschitz_constant,
-    local_maximizer,
+    local_maximizers,
     quadratic_local,
     recover_primal,
     run,
@@ -25,7 +26,7 @@ from dualprox import (
     step_size_sync,
     verify_rate_bounds,
 )
-from dualprox.engine import IterationTrace, _coupling_blocks, _round
+from dualprox.engine import IterationTrace, _round
 from dualprox.errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
@@ -52,7 +53,7 @@ def _two_agent(b0=0.0):
 
 def test_local_maximizer_at_origin():
     inst = _two_agent()
-    np.testing.assert_allclose(local_maximizer(inst, 0, np.zeros(4)), [0.0])
+    np.testing.assert_allclose(local_maximizers(inst, np.zeros(4))[0], [0.0])
 
 
 def test_local_maximizer_single_agent_example():
@@ -61,30 +62,26 @@ def test_local_maximizer_single_agent_example():
                       ConstraintBlock(0, {0: [[1.0]]}, [0.0]))
     inst = ProblemInstance(Topology(1, frozenset()), (agent,), M=1, B=1)
     lam = np.array([-3.0, 0.0])
-    np.testing.assert_allclose(local_maximizer(inst, 0, lam), [1.0])
+    np.testing.assert_allclose(local_maximizers(inst, lam)[0], [1.0])
 
 
 def test_local_maximizer_market_generator_cap(ctx):
     # the cheap generator saturates at its capacity at the optimum
-    x2 = local_maximizer(ctx.market, 1, ctx.lam_star)
+    x2 = local_maximizers(ctx.market, ctx.lam_star)[1]
     assert x2[0] == pytest.approx(150.0, abs=1e-6)
-
-
-def _blocks(inst):
-    return [_coupling_blocks(inst, i) for i in range(inst.n_agents)]
 
 
 def test_grad_block_zero_case():
     inst = _two_agent()
-    g_theta, g_mu = grad_P_block(inst, 0, [np.zeros(1), np.zeros(1)], _blocks(inst)[0])
-    np.testing.assert_array_equal(g_theta, [0.0])
-    np.testing.assert_array_equal(g_mu, [0.0])
+    g_theta, g_mu = grad_P_block(inst, np.zeros((2, 1)))
+    np.testing.assert_array_equal(g_theta, [[0.0], [0.0]])
+    np.testing.assert_array_equal(g_mu, [[0.0], [0.0]])
 
 
 def test_grad_block_two_agent_example():
     inst = _two_agent()
-    g_theta, _ = grad_P_block(inst, 0, [np.array([3.0]), np.array([1.0])], _blocks(inst)[0])
-    np.testing.assert_allclose(g_theta, [-2.0])
+    g_theta, _ = grad_P_block(inst, np.array([[3.0], [1.0]]))
+    np.testing.assert_allclose(g_theta[0], [-2.0])
 
 
 def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
@@ -92,10 +89,14 @@ def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
     agents[0] = AgentSpec(0, agents[0].f, agents[0].g, None,
                           ConstraintBlock(0, {1: [[-1.0]], 0: [[0.0]]}, [0.0]))
     inst = ProblemInstance(Topology(2, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
-    assert [l for l, _ in _coupling_blocks(inst, 0)] == [1]
-    assert [l for l, _ in _coupling_blocks(inst, 1)] == [0, 1]
+    rows, cols, _ = inst.compiled.A
+    assert cols[rows == 0].tolist() == [1]
+    assert cols[rows == 1].tolist() == [0, 1]
+    assert inst.compiled.n_messages == 2
     apart = ProblemInstance(Topology(2, frozenset()), _two_agent().agents, M=1, B=1)
-    assert [l for l, _ in _coupling_blocks(apart, 0)] == [0]
+    rows, cols, _ = apart.compiled.A
+    assert cols[rows == 0].tolist() == [0]
+    assert apart.compiled.n_messages == 0
 
 
 def test_grad_block_matches_finite_differences():
@@ -112,11 +113,10 @@ def test_grad_block_matches_finite_differences():
         val += 0.5 * th0 + 0.5 * th1
         return val
 
-    x_hats = [local_maximizer(inst, i, lam) for i in range(2)]
+    g_theta, g_mu = grad_P_block(inst, local_maximizers(inst, lam))
     eps = 1e-6
     for i in range(2):
-        g_theta, g_mu = grad_P_block(inst, i, x_hats, _blocks(inst)[i])
-        for idx, got in ((i, g_theta[0]), (2 + i, g_mu[0])):
+        for idx, got in ((i, g_theta[i, 0]), (2 + i, g_mu[i, 0])):
             lp, lm = lam.copy(), lam.copy()
             lp[idx] += eps
             lm[idx] -= eps
@@ -136,8 +136,7 @@ def test_mu_vanishes_when_g_is_zero_on_all_space():
     # so the proximal mu update lands exactly at zero every round
     inst = _two_agent(b0=1.0)
     lam = np.array([0.5, -0.3, 0.7, -0.2])
-    x_hats = [local_maximizer(inst, i, lam) for i in range(2)]
-    nxt = _round(inst, lam, x_hats, _blocks(inst), StepSizes.uniform(0.1, 2))
+    nxt = _round(inst, lam, local_maximizers(inst, lam), StepSizes.uniform(0.1, 2))
     np.testing.assert_array_equal(nxt[2:], [0.0, 0.0])
 
 
@@ -203,11 +202,9 @@ def test_async_step_reads_delayed_snapshot():
                 steps=steps, lam0=lam0, tol=0.0, k_max=2)
     assert trace.tau == [0, 0]
     # gradient from the k=0 snapshot applied to the k=1 anchor
-    x_hats = [local_maximizer(inst, i, lam0) for i in range(2)]
+    g_theta, _ = grad_P_block(inst, local_maximizers(inst, lam0))
     expected = trace.lam[1].copy()
-    for i in range(2):
-        g_theta, _ = grad_P_block(inst, i, x_hats, _blocks(inst)[i])
-        expected[i] -= steps.values[i] * g_theta[0]
+    expected[:2] -= steps.values * g_theta[:, 0]
     expected[2:] = 0.0
     np.testing.assert_allclose(trace.lam[2], expected, atol=1e-15)
 
@@ -330,6 +327,33 @@ def test_run_records_stop_reason():
     assert run(inst, tol=1e-10, k_max=3).meta["stop_reason"] == "k_max"
 
 
+def _diverging_path_run():
+    """4-agent path, worst-case D=3, steps 40/h: Psi overflows near round 410."""
+    inst = build_scenario("consensus", {"targets": [0.0, 3.0, 6.0, 9.0]})
+    h, _ = lipschitz_constant(inst)
+    return run(inst, mode="async", schedule=DelaySchedule.worst_case(3),
+               steps=StepSizes.uniform(40.0 / h, 4), allow_step_violation=True, k_max=3000)
+
+
+def test_run_stops_on_nonfinite_values():
+    trace = _diverging_path_run()
+    assert trace.meta["stop_reason"] == "nonfinite"
+    assert trace.n_transitions < 3000
+    assert len(trace.lam) == len(trace.psi) == trace.n_transitions + 1
+    assert not np.isfinite(trace.psi[-1])
+    assert np.all(np.isfinite(trace.psi[:-1]))
+    assert trace.psi_star == min(trace.psi[:-1])
+
+
+def test_run_records_psi_star_source():
+    inst = _two_agent(b0=1.0)
+    observed = run(inst, k_max=5)
+    assert observed.meta["psi_star_source"] == "best_observed"
+    assert observed.psi_star == min(observed.psi)
+    given = run(inst, k_max=5, psi_star=-2.0)
+    assert given.meta["psi_star_source"] == "given" and given.psi_star == -2.0
+
+
 def test_run_async_rejects_oversized_steps():
     inst = _two_agent(b0=1.0)
     h, _ = lipschitz_constant(inst)
@@ -386,6 +410,13 @@ def test_trace_rejects_malformed_csv(tmp_path):
         IterationTrace.from_csv(bad)
     with pytest.raises(MalformedTraceError):
         IterationTrace.from_csv(tmp_path / "missing.csv")
+    # no agent columns, or columns that do not split over the agents
+    bad.write_text("k,psi,epsilon,step_norm_inf\n0,1.0,0.0,0.0\n")
+    with pytest.raises(MalformedTraceError, match="0 theta"):
+        IterationTrace.from_csv(bad)
+    bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,theta_1_0,mu_0_0\n0,1,0,0,0,0,0\n")
+    with pytest.raises(MalformedTraceError, match="2 agents"):
+        IterationTrace.from_csv(bad)
 
 
 def test_verify_rate_bounds_needs_transitions():

@@ -17,12 +17,13 @@ from dualprox import (
     instance_to_json,
     lipschitz_constant,
     load_instance,
-    materialize_C,
     save_instance,
     validate_instance,
 )
 from dualprox.errors import MalformedInstanceError, SingularScaleError
 from dualprox.model import instance_hash
+
+from dense_reference import dense_C
 
 
 def _single_agent(a=2.0, sigma=1.0):
@@ -48,36 +49,35 @@ def test_topology_rejects_self_loops():
 def test_apply_C_single_agent():
     inst = _single_agent(a=2.0)
     lam = np.array([3.0, 4.0])  # theta_0 = 3, mu_0 = 4
-    np.testing.assert_allclose(apply_C(inst, 0, lam), [-10.0])
+    np.testing.assert_allclose(apply_C(inst, lam)[0], [-10.0])
 
 
 def test_apply_C_market_unit_direction():
     inst = build_market()
     lam = np.zeros(inst.dual_dim)
     lam[0] = 1.0  # first generator's theta
-    np.testing.assert_allclose(apply_C(inst, 0, lam), [-1.0])
+    np.testing.assert_allclose(apply_C(inst, lam)[0], [-1.0])
 
 
 def test_apply_C_matches_dense_materialization():
     rng = np.random.default_rng(1)
     for inst in (build_market(), build_scenario("consensus")):
+        dense = dense_C(inst)
         for _ in range(20):
             lam = rng.normal(size=inst.dual_dim)
-            for i in range(inst.n_agents):
-                dense = materialize_C(inst, i)
-                np.testing.assert_allclose(apply_C(inst, i, lam), dense @ lam,
-                                           atol=1e-12)
+            np.testing.assert_allclose(apply_C(inst, lam).ravel(), dense @ lam, atol=1e-12)
 
 
 def test_apply_C_adjoint_consistency():
     inst = build_scenario("consensus")
     rng = np.random.default_rng(2)
+    full = dense_C(inst)
     for i in range(inst.n_agents):
-        dense = materialize_C(inst, i)
+        dense = full[i * inst.M:(i + 1) * inst.M]
         for _ in range(10):
             lam = rng.normal(size=inst.dual_dim)
             x = rng.normal(size=inst.M)
-            lhs = float(x @ apply_C(inst, i, lam))
+            lhs = float(x @ apply_C(inst, lam)[i])
             rhs = float((dense.T @ x) @ lam)
             assert abs(lhs - rhs) < 1e-12
 
@@ -85,10 +85,10 @@ def test_apply_C_adjoint_consistency():
 def test_apply_C_ignores_non_neighbors():
     inst = build_scenario("consensus", {"targets": [0.0, 1.0, 2.0, 3.0]})
     lam = np.ones(inst.dual_dim)
-    before = apply_C(inst, 0, lam)
+    before = apply_C(inst, lam)[0]
     lam2 = lam.copy()
     lam2[inst.theta_slice(3)] += 7.0  # agent 3 is not adjacent to agent 0 on the path
-    np.testing.assert_array_equal(apply_C(inst, 0, lam2), before)
+    np.testing.assert_array_equal(apply_C(inst, lam2)[0], before)
 
 
 def test_lipschitz_single_agent_closed_form():
@@ -178,8 +178,7 @@ def test_json_roundtrip_consensus_with_nonsmooth_parts(tmp_path):
     assert instance_hash(loaded) == instance_hash(inst)
     rng = np.random.default_rng(4)
     lam = rng.normal(size=inst.dual_dim)
-    for i in range(inst.n_agents):
-        np.testing.assert_allclose(apply_C(loaded, i, lam), apply_C(inst, i, lam))
+    np.testing.assert_allclose(apply_C(loaded, lam), apply_C(inst, lam))
 
 
 def test_instance_from_json_rejects_missing_keys_and_wrong_types():

@@ -53,14 +53,29 @@ def _read_instance(path):
         _fail(f"cannot load instance: {exc}")
 
 
+def _parse_overrides(text):
+    if text is None:
+        return None
+    try:
+        over = json.loads(text)
+    except ValueError as exc:
+        _fail(f"--overrides is not valid JSON: {exc}")
+    if not isinstance(over, dict):
+        _fail("--overrides must be a JSON object")
+    return over
+
+
 def _load_problem(scenario, instance, overrides):
     if (scenario is None) == (instance is None):
         _fail("pass exactly one of --scenario or --instance")
     if instance is not None:
         return _read_instance(instance)
+    overrides = _parse_overrides(overrides)
     try:
         return build_scenario(scenario, overrides)
-    except (DualproxError, ValueError) as exc:
+    except KeyError as exc:
+        _fail(f"cannot build scenario: an override lacks key {exc}")
+    except (DualproxError, ValueError, TypeError) as exc:  # a wrongly typed override
         _fail(f"cannot build scenario: {exc}")
 
 
@@ -107,8 +122,7 @@ def main():
 def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
             margin, psi_star, out, as_json):
     """Run the solver and write trace.csv + trace_meta.json."""
-    over = json.loads(overrides) if overrides else None
-    inst = _load_problem(scenario, instance, over)
+    inst = _load_problem(scenario, instance, overrides)
     report = validate_instance(inst)
     if not report.ok:
         _fail("instance failed validation:\n" + str(report))
@@ -202,7 +216,11 @@ def cmd_verify(trace_path, meta_path, instance, out, as_json):
     meta = trace.meta
     h = meta.get("h")
     if instance is not None:
-        h, _ = lipschitz_constant(_read_instance(instance))
+        inst = _read_instance(instance)
+        try:
+            h, _ = lipschitz_constant(inst)
+        except (DualproxError, ValueError) as exc:
+            _fail(f"bad instance: {exc}")
     if h is None:
         _fail("no smoothness constant available: pass --instance or keep the metadata file")
     if "step_sizes" not in meta:
@@ -250,7 +268,7 @@ def cmd_repro(as_json):
     if as_json:
         click.echo(json.dumps([{
             "criterion": r.cid, "name": r.name,
-            "passed": r.passed, "detail": r.detail,
+            "passed": bool(r.passed), "detail": r.detail,
         } for r in results], indent=2))
     else:
         for r in results:

@@ -54,6 +54,19 @@ def _per_member(values):
     return float(values)
 
 
+def _isclose_all(x, y) -> bool:
+    """``np.allclose(x, y, atol=1e-10)``: equal infinities pass, NaN fails.
+
+    Exactly equal arrays, the usual case, cost one comparison.
+    """
+    close = x == y
+    if close.all():
+        return True
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+        close |= (np.abs(x - y) <= 1e-10 + 1e-5 * np.abs(y)) & np.isfinite(y)
+    return bool(close.all())
+
+
 def _all_positive(values) -> bool:
     # a float compares directly; a reduction over a 0-d array costs microseconds
     return bool((values > 0).all()) if isinstance(values, np.ndarray) else values > 0
@@ -76,7 +89,7 @@ class BoxSet:
         hi = _vec(self.upper)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have equal shapes")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -119,7 +132,7 @@ class QuadraticFunction:
             c = np.diag(c)
         if c.shape != q.shape + q.shape[-1:]:
             raise ValueError("curvature/linear dimension mismatch")
-        if not np.allclose(c, c.swapaxes(-1, -2), atol=1e-10):
+        if not _isclose_all(c, c.swapaxes(-1, -2)):
             raise ValueError("curvature must be symmetric")
         object.__setattr__(self, "curvature", c)
         object.__setattr__(self, "linear", q)
@@ -137,12 +150,15 @@ class QuadraticFunction:
 
     @functools.cached_property
     def strong_convexity(self):
-        return _per_member(np.linalg.eigvalsh(self.curvature)[..., 0])
+        c = self.curvature
+        if c.shape[-1] == 1:  # the entry, as eigvalsh returns it bit for bit
+            return _per_member(c[..., 0, 0])
+        return _per_member(np.linalg.eigvalsh(c)[..., 0])
 
     @functools.cached_property
     def is_diagonal(self) -> bool:
         c = self.curvature
-        return bool(np.allclose(c, c * np.eye(c.shape[-1])))
+        return c.shape[-1] == 1 or bool(np.allclose(c, c * np.eye(c.shape[-1])))
 
     def value(self, x):
         x = _vec(x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -238,7 +239,8 @@ class CompiledInstance:
                 owner.append(i)
                 key.append(l)
                 blocks.append(block)
-        self._owner, self._key = owner, key
+        self._owner = np.array(owner, dtype=np.intp)
+        self._key = np.array(key, dtype=np.intp)
         self._blocks = np.array(blocks, dtype=float).reshape(-1, B, M)
         self.b = np.concatenate([agent.constraint.rhs for agent in instance.agents])
         self.sigma = np.array([agent.f.strong_convexity for agent in instance.agents])
@@ -253,9 +255,8 @@ class CompiledInstance:
         """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
         holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
         ``theta``."""
-        by_key = sorted(range(len(self._key)), key=self._key.__getitem__)
-        rows, cols, vals = _csr(np.array(self._key, dtype=np.intp)[by_key],
-                                np.array(self._owner, dtype=np.intp)[by_key],
+        by_key = np.argsort(self._key, kind="stable")
+        rows, cols, vals = _csr(self._key[by_key], self._owner[by_key],
                                 self._blocks[by_key].transpose(0, 2, 1))
         return rows, cols, -vals
 
@@ -267,15 +268,13 @@ class CompiledInstance:
     def A(self) -> tuple:
         """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
         ``l*M + m`` of the stacked ``x``."""
-        owner = np.array(self._owner, dtype=np.intp)[self._nonzero]
-        key = np.array(self._key, dtype=np.intp)[self._nonzero]
-        return _csr(owner, key, self._blocks[self._nonzero])
+        return _csr(self._owner[self._nonzero], self._key[self._nonzero],
+                    self._blocks[self._nonzero])
 
     @functools.cached_property
     def n_messages(self) -> int:
         """Neighbour maximizers a round reads, over all agents."""
-        off_diagonal = np.array(self._owner) != np.array(self._key)
-        return int(np.count_nonzero(self._nonzero & off_diagonal))
+        return int(np.count_nonzero(self._nonzero & (self._owner != self._key)))
 
     @functools.cached_property
     def f_groups(self) -> tuple:
@@ -588,7 +587,83 @@ def load_instance(path) -> ProblemInstance:
         return instance_from_json(json.load(fh))
 
 
+_G_KINDS = ("zero", "l1", "quadratic")
+
+
+def _feed(h, tag: str, values, dtype: str = "<f8") -> None:
+    """Add one field to a digest: its tag and shape, then its little-endian bytes.
+
+    The shape fixes the byte count, so a sequence of fields reads back one
+    way only.
+    """
+    a = np.ascontiguousarray(values, dtype=dtype)
+    h.update(f"{tag}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
 def instance_hash(instance: ProblemInstance) -> str:
-    """Stable content hash of the canonical JSON form."""
-    blob = json.dumps(instance_to_json(instance), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 of a canonical binary encoding of what :func:`instance_to_json` writes.
+
+    Each field is one stacked array behind a kind or presence tag:
+    ``(N, M, B)`` and the sorted edges; per agent its id, nonsmooth kind
+    and whether it has a nonsmooth box and an ``omega``; each smooth-part
+    group of :attr:`CompiledInstance.f_groups` (kind, domain presence,
+    members, parameters, domain bounds and strong convexity); the l1
+    weights, the nonsmooth quadratics' parameters and the boxes present
+    (per agent the nonsmooth box, then ``omega``); the blocks' owners and
+    ``l`` with their values, and the rhs.  A block outside its owner's
+    closed neighbourhood sends all blocks through a slower loop under
+    another tag.  The same instance gives the same digest after a JSON
+    round trip.
+    """
+    comp = instance.compiled
+    h = hashlib.sha256()
+    _feed(h, "NMB", (instance.n_agents, instance.M, instance.B), "<i8")
+    edges = sorted(instance.topology.edges)
+    _feed(h, "edges", np.fromiter(itertools.chain.from_iterable(edges), "<i8", 2 * len(edges)))
+    table, weights, quads, boxes, n_blocks = [], [], [], [], 0
+    for a in instance.agents:
+        g = a.g
+        table += (a.id, _G_KINDS.index(g.kind), g.box is not None, a.omega is not None)
+        if g.kind == "l1":
+            weights.append(g.weight)
+        elif g.kind == "quadratic":
+            quads.append(g.quad)
+        if g.box is not None:
+            boxes.append((g.box.lower, g.box.upper))
+        if a.omega is not None:
+            boxes.append((a.omega.lower, a.omega.upper))
+        n_blocks += len(a.constraint.blocks)
+    _feed(h, "agents", table, "<i8")
+    for idx, f in comp.f_groups:
+        base, domain = f.base, f.effective_domain
+        quadratic = isinstance(base, QuadraticFunction)
+        tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
+        _feed(h, tag, idx, "<i8")
+        params = ((base.curvature, base.linear, base.offset) if quadratic
+                  else (base.price, base.curvature))
+        for p in params:
+            _feed(h, tag, p)
+        if domain is not None:
+            _feed(h, tag, (domain.lower, domain.upper))
+        _feed(h, tag, f.strong_convexity)
+    _feed(h, "g:l1", weights)
+    for name in ("curvature", "linear", "offset"):
+        _feed(h, "g:quadratic", [getattr(q, name) for q in quads])
+    _feed(h, "boxes", boxes)
+    if n_blocks == comp._owner.size:
+        # every block lies in its owner's closed neighbourhood: the compiled
+        # stack holds them all, by owner and then l
+        _feed(h, "blocks", comp._owner, "<i8")
+        _feed(h, "blocks", comp._key, "<i8")
+        _feed(h, "blocks", comp._blocks)
+    else:
+        index, values = [], []
+        for i, a in enumerate(instance.agents):
+            for l, block in sorted(a.constraint.blocks.items()):
+                index.append((i, l) + block.shape)
+                values.append(block.ravel())
+        _feed(h, "blocks:any", index, "<i8")
+        _feed(h, "blocks:any", np.concatenate(values))
+    _feed(h, "rhs", comp.b)
+    return h.hexdigest()

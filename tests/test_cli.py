@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dualprox import StepSizes, build_market, lipschitz_constant, run, save_instance
+from dualprox import (
+    StepSizes,
+    build_market,
+    build_scenario,
+    instance_to_json,
+    lipschitz_constant,
+    run,
+    save_instance,
+)
 from dualprox.cli import main
 from dualprox.repro import CriterionResult
 
@@ -152,6 +161,61 @@ def test_repro_table_and_exit_codes(runner, monkeypatch):
     assert res.exit_code == 1
     parsed = json.loads(res.output)
     assert parsed[2]["passed"] is False
+
+
+def test_repro_json_takes_numpy_bools(runner, monkeypatch):
+    results = [CriterionResult(1, "alpha", np.bool_(False), "off"),
+               CriterionResult(2, "beta", np.float64(0.5) < 1.0, "fine")]
+    monkeypatch.setattr("dualprox.cli.run_all", lambda ctx: results)
+    res = runner.invoke(main, ["repro", "--json"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)  # not a TypeError
+    parsed = json.loads(res.output)
+    assert [row["passed"] for row in parsed] == [False, True]
+
+
+def _one_error_line(res, prefix):
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.output
+
+
+@pytest.mark.parametrize("overrides", [
+    '{"targets": [1.0,',
+    '[1]',
+    '"targets"',
+    '{"targets": [0.0, 1.0], "curvatures": [1.0, "x"]}',
+    '{"targets": "ab"}',
+    '{"edges": 5}',
+])
+def test_run_bad_overrides_fail_cleanly(runner, tmp_path, overrides):
+    res = runner.invoke(main, ["run", "--scenario", "consensus", "--out", str(tmp_path),
+                               "--overrides", overrides])
+    _one_error_line(res, "error: ")
+
+
+def test_run_override_missing_key_fails_cleanly(runner, tmp_path):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
+                               "--overrides", '{"uc": [{"vartheta": 1.0}, {"kappa": 0.1}]}'])
+    _one_error_line(res, "error: cannot build scenario: an override lacks key 'kappa'")
+
+
+def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):
+    good = tmp_path / "run"
+    assert runner.invoke(main, ["run", "--scenario", "consensus",
+                                "--out", str(good)]).exit_code == 0
+    doc = instance_to_json(build_scenario("consensus"))
+    flat = json.loads(json.dumps(doc))
+    flat["agents"][1]["f"]["params"]["curvature"] = [[0.0]]
+    flat["agents"][1]["f"]["strong_convexity"] = 0.0
+    wide = json.loads(json.dumps(doc))
+    wide["agents"][0]["constraint"]["blocks"]["0"] = [[1.0, 2.0]]
+    for name, bad in (("flat", flat), ("wide", wide)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
+                                   "--instance", str(path), "--out", str(tmp_path)])
+        _one_error_line(res, "error: bad instance: ")
 
 
 def test_run_reports_why_it_stopped(runner, tmp_path):

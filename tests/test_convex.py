@@ -118,6 +118,56 @@ def test_quadratic_rejects_asymmetric_curvature():
         QuadraticFunction([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
 
+def _builds(curvature) -> bool:
+    try:
+        QuadraticFunction(curvature, np.zeros(curvature.shape[:-1]))
+    except ValueError:
+        return False
+    return True
+
+
+def test_quadratic_symmetry_check_matches_isclose():
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticFunction([[np.nan]], [0.0])
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticFunction([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0])
+    special = [0.0, -0.0, 1e-11, -1e-11, 1e-10, 3e-10, 1.0, 1.0 + 1e-6, 1.0 + 2e-5,
+               1e6, 1e6 + 5.0, 1e6 + 20.0, 1e308, -1e308, 5e-324, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(3)
+    pairs = [(x, y) for x in special for y in special]
+    base = rng.normal(size=200)
+    pairs += list(zip(base, base + rng.normal(size=200) * 10.0 ** rng.uniform(-14, 0, 200)))
+    seen = set()
+    for x, y in pairs:
+        curvature = np.array([[2.0, x], [y, 2.0]])
+        with np.errstate(all="ignore"):
+            expected = bool(np.allclose(curvature, curvature.T, atol=1e-10))
+        assert _builds(curvature) == expected, (x, y)
+        seen.add(expected)
+    assert seen == {True, False}
+    # a stack is checked member by member
+    assert _builds(np.array([[[1.0, 0.5], [0.5, 1.0]], [[1.0, 1e6], [1e6 + 5.0, 1.0]]]))
+    assert not _builds(np.array([[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [1e-9, 1.0]]]))
+
+
+def test_scalar_strong_convexity_equals_eigvalsh_bitwise():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, np.inf, -np.inf],
+        rng.normal(size=500) * np.exp(rng.uniform(-700.0, 700.0, 500))])
+    for v in values:
+        sigma = QuadraticFunction(v, [0.0]).strong_convexity
+        assert isinstance(sigma, float)
+        assert np.float64(sigma).tobytes() == np.linalg.eigvalsh([[v]])[0].tobytes()
+    stacked = QuadraticFunction.stack([QuadraticFunction(v, [0.0]) for v in values])
+    assert stacked.strong_convexity.tobytes() == \
+        np.linalg.eigvalsh(values[:, None, None])[:, 0].tobytes()
+    assert stacked.is_diagonal and QuadraticFunction(-1.0, [0.0]).is_diagonal
+    full = QuadraticFunction([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0])
+    assert full.strong_convexity == np.linalg.eigvalsh(full.curvature)[0]
+    assert not full.is_diagonal
+
+
 def test_utility_threshold_and_smooth_join():
     f = PiecewiseQuadraticUtility(12.28, 0.0417)
     thr = 12.28 / (2 * 0.0417)

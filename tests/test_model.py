@@ -1,8 +1,12 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from dualprox import (
     AgentSpec,
+    PiecewiseQuadraticUtility,
     BoxSet,
     ConstraintBlock,
     ProblemInstance,
@@ -179,6 +183,146 @@ def test_json_roundtrip_consensus_with_nonsmooth_parts(tmp_path):
     rng = np.random.default_rng(4)
     lam = rng.normal(size=inst.dual_dim)
     np.testing.assert_allclose(apply_C(loaded, lam), apply_C(inst, lam))
+
+
+def _digest_instances():
+    """A scalar path with every smooth and nonsmooth kind, and a 2-D pair."""
+    box, wide = BoxSet([-2.0], [3.0]), BoxSet([-4.0], [5.0])
+    fs = [SmoothConjugable(QuadraticFunction(2.0, [0.5], 0.25), wide, 1.5),
+          SmoothConjugable(PiecewiseQuadraticUtility(12.0, 0.5), BoxSet([0.0], [9.0])),
+          SmoothConjugable(QuadraticFunction(1.25, [-1.0], 0.5)),
+          SmoothConjugable(QuadraticFunction(3.0, [0.0]), box),
+          SmoothConjugable(QuadraticFunction(0.75, [2.0], -1.0))]
+    gs = [ProxFriendlyFunction.zero(), ProxFriendlyFunction.l1(0.5),
+          ProxFriendlyFunction.quadratic(QuadraticFunction(1.5, [0.25], 0.125), wide),
+          ProxFriendlyFunction.l1_plus_box(0.75, box),
+          ProxFriendlyFunction.indicator_box(wide)]
+    omegas = [None, box, None, wide, None]
+    agents = []
+    for i in range(5):
+        nbrs = [l for l in (i - 1, i, i + 1) if 0 <= l < 5]
+        blocks = {l: [[float(len(nbrs) - 1) if l == i else -1.0 - 0.5 * i]] for l in nbrs}
+        agents.append(AgentSpec(i, fs[i], gs[i], omegas[i],
+                                ConstraintBlock(i, blocks, [0.25 * i])))
+    scalar = ProblemInstance(Topology.path(5), tuple(agents), M=1, B=1)
+
+    curvature = [[3.0, 0.5], [0.5, 2.0]]
+    pair = []
+    for i in range(2):
+        f = SmoothConjugable(QuadraticFunction(curvature, [1.0, -1.0 + i], 0.5))
+        g = ProxFriendlyFunction.quadratic(QuadraticFunction(curvature, [0.5, 0.0]))
+        blocks = {0: [[1.0 + i, 0.5]], 1: [[-1.0, 2.0 - i]]}
+        pair.append(AgentSpec(i, f, g, None, ConstraintBlock(i, blocks, [1.0])))
+    two_d = ProblemInstance(Topology.path(2), tuple(pair), M=2, B=1)
+    return scalar, two_d
+
+
+def _numeric_leaves(doc, path=()):
+    """Paths to the numbers of an instance document, but not M, B or edges."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if path or key not in ("M", "B", "edges"):
+                yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _perturb(doc, path):
+    """A copy of ``doc`` with the number at ``path`` raised by 0.25.
+
+    An off-diagonal curvature entry moves with its mirror, so the
+    curvature stays symmetric.
+    """
+    doc = copy.deepcopy(doc)
+    paths = [path]
+    if path[-3] == "curvature" and path[-2] != path[-1]:
+        paths.append(path[:-2] + (path[-1], path[-2]))
+    for p in paths:
+        parent = doc
+        for key in p[:-1]:
+            parent = parent[key]
+        parent[p[-1]] += 1 if isinstance(parent[p[-1]], int) else 0.25
+    return doc
+
+
+def _structural_changes(doc):
+    """Copies of a scalar instance document with one field added, removed or re-kinded."""
+    def changed(edit):
+        new = copy.deepcopy(doc)
+        edit(new)
+        return new
+
+    agents = "agents"
+
+    def with_blocks(layout):
+        """Agent ``i``'s blocks become ``{key: original block (j, l)}`` for each
+        ``key: (j, l)`` in ``layout[i]``."""
+        def edit(d):
+            for i, new in layout.items():
+                d[agents][i]["constraint"]["blocks"] = {
+                    str(key): doc[agents][j]["constraint"]["blocks"][str(l)]
+                    for key, (j, l) in new.items()}
+        return changed(edit)
+
+    def swapped_f(i, j):
+        """Agents ``i`` and ``j`` trade smooth parts: the kind groups keep their
+        order and their stacked parameters, only the members change."""
+        def edit(d):
+            d[agents][i]["f"], d[agents][j]["f"] = d[agents][j]["f"], d[agents][i]["f"]
+        return changed(edit)
+
+    return [
+        changed(lambda d: d["edges"].append([0, 2])),
+        changed(lambda d: d["edges"].pop()),
+        changed(lambda d: d[agents][0]["f"].update(domain=None)),
+        changed(lambda d: d[agents][0]["g"].update(kind="l1_norm", params={"weight": 0.0})),
+        changed(lambda d: d[agents][3]["g"].update(kind="l1_norm", params={"weight": 0.75})),
+        changed(lambda d: d[agents][2]["g"]["params"].update(box=None)),
+        changed(lambda d: d[agents][1].update(omega=None)),
+        changed(lambda d: d[agents][0].update(omega={"lower": [-1.0], "upper": [1.0]})),
+        changed(lambda d: d[agents][4]["constraint"]["blocks"].update({"0": [[0.0]]})),
+        changed(lambda d: d[agents][4]["constraint"]["blocks"].pop("3")),
+        # the same values under other owners or keys
+        changed(lambda d: d[agents][2].update(omega=d[agents][1].pop("omega"))),
+        swapped_f(3, 4),
+        with_blocks({0: {0: (0, 0), 2: (0, 1)}}),
+        with_blocks({0: {0: (0, 0), 3: (0, 1)}}),
+        with_blocks({1: {0: (1, 0), 1: (1, 1)}}),
+        with_blocks({1: {1: (1, 0), 2: (1, 1)}}),
+        with_blocks({0: {0: (0, 0)}, 1: {1: (1, 1), 2: (1, 2)}}),
+        with_blocks({0: {0: (0, 0), 1: (1, 1)}, 1: {2: (1, 2)}}),
+    ]
+
+
+def test_instance_hash_changes_with_every_field():
+    scalar, two_d = _digest_instances()
+    for inst in (scalar, two_d):
+        doc = instance_to_json(inst)
+        variants = [_perturb(doc, path) for path in _numeric_leaves(doc)]
+        if inst is scalar:
+            variants += _structural_changes(doc)
+        # a mirrored curvature pair gives one variant twice
+        variants = {json.dumps(v, sort_keys=True): v for v in variants}.values()
+        assert len(variants) > 20
+        digests = {instance_hash(inst)}
+        for variant in variants:
+            other = instance_from_json(variant)
+            assert instance_to_json(other) != doc
+            digests.add(instance_hash(other))
+        assert len(digests) == len(variants) + 1
+
+
+def test_instance_hash_survives_json_round_trip():
+    scalar, two_d = _digest_instances()
+    with_outside_block = instance_to_json(scalar)
+    with_outside_block["agents"][4]["constraint"]["blocks"]["0"] = [[0.0]]
+    for inst in (scalar, two_d, instance_from_json(with_outside_block),
+                 build_market(), build_scenario("consensus")):
+        again = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
+        assert instance_hash(again) == instance_hash(inst)
 
 
 def test_instance_from_json_rejects_missing_keys_and_wrong_types():

@@ -9,8 +9,6 @@ from .convex import (
     conjugate_argmax,
     conjugate_value,
     prox_conjugate_via_moreau,
-    prox_l1,
-    project_box,
 )
 from .engine import (
     DelaySchedule,
@@ -20,7 +18,6 @@ from .engine import (
     delayed_bound_constant,
     dual_objective,
     grad_P_block,
-    local_maximizers,
     recover_primal,
     run,
     step_size_async,
@@ -42,7 +39,6 @@ from .model import (
 )
 from .scenarios import (
     MarketParams,
-    TransformSpec,
     apply_transform,
     build_consensus,
     build_market,

@@ -14,6 +14,7 @@ Three subcommands:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .engine import (
     recover_primal,
     run as engine_run,
     step_size_async,
-    step_size_sync,
     verify_rate_bounds,
 )
 from .errors import DualproxError
@@ -79,20 +79,21 @@ def _load_problem(scenario, instance, overrides):
         _fail(f"cannot build scenario: {exc}")
 
 
+def _positive(v) -> bool:
+    """A finite positive JSON number."""
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
 def _parse_schedule(text: str, D: int) -> DelaySchedule:
     if text == "worst":
         return DelaySchedule.worst_case(D)
-    if text == "zero":
-        if D != 0:
-            _fail("--schedule zero requires --delay 0")
-        return DelaySchedule.zero()
     if text.startswith("random:"):
         try:
             seed = int(text.split(":", 1)[1])
         except ValueError:
             _fail(f"bad seed in schedule {text!r}")
         return DelaySchedule.seeded(D, seed)
-    _fail(f"unknown schedule {text!r}; expected worst, zero or random:<seed>")
+    _fail(f"unknown schedule {text!r}; expected worst or random:<seed>")
 
 
 @click.group()
@@ -109,7 +110,7 @@ def main():
 @click.option("--mode", type=click.Choice(["sync", "async"]), default="sync")
 @click.option("--delay", "-D", type=int, default=0, help="Staleness bound D.")
 @click.option("--schedule", default="worst",
-              help="Delay schedule: worst, zero or random:<seed>.")
+              help="Delay schedule: worst or random:<seed>.")
 @click.option("--iters", type=int, default=100_000, help="Round cap.")
 @click.option("--tol", type=float, default=1e-8, help="Step-norm stop tolerance.")
 @click.option("--margin", type=float, default=1.0,
@@ -127,24 +128,23 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
     if not report.ok:
         _fail("instance failed validation:\n" + str(report))
 
-    try:
-        h, _ = lipschitz_constant(inst)
-        if mode == "sync":
-            if delay:
-                _fail("sync mode does not take --delay")
-            sched = None
-            steps = StepSizes.uniform(step_size_sync(h), inst.n_agents)
-        else:
-            sched = _parse_schedule(schedule, delay)
+    sched = steps = None  # sync: run's own step 1/h
+    if mode == "sync":
+        if delay:
+            _fail("sync mode does not take --delay")
+    else:
+        sched = _parse_schedule(schedule, delay)
+        try:
+            h, _ = lipschitz_constant(inst)
             steps = step_size_async(h, delay, margins=np.full(inst.n_agents, margin),
                                     n_agents=inst.n_agents)
-    except (DualproxError, ValueError) as exc:
-        _fail(str(exc))
+        except (DualproxError, ValueError) as exc:
+            _fail(str(exc))
 
     try:
         trace = engine_run(inst, mode=mode, schedule=sched, steps=steps,
                            k_max=iters, tol=tol, psi_star=psi_star)
-    except DualproxError as exc:
+    except (DualproxError, ValueError) as exc:  # ValueError: h of a malformed instance
         _fail(str(exc))
 
     out_dir = Path(out)
@@ -221,13 +221,15 @@ def cmd_verify(trace_path, meta_path, instance, out, as_json):
             h, _ = lipschitz_constant(inst)
         except (DualproxError, ValueError) as exc:
             _fail(f"bad instance: {exc}")
-    if h is None:
-        _fail("no smoothness constant available: pass --instance or keep the metadata file")
-    if "step_sizes" not in meta:
-        _fail("trace metadata lacks step sizes; cannot verify bounds")
-    steps = StepSizes(meta.get("step_mode", "per_agent"),
-                      np.asarray(meta["step_sizes"], dtype=float))
-    D = int(meta.get("D", 0))
+    if not _positive(h):
+        _fail(f"smoothness constant h = {h!r} is not a positive number: "
+              "pass --instance or keep h in the metadata file")
+    c, D = meta.get("step_sizes"), meta.get("D", 0)
+    if not (type(c) is list and len(c) == trace.n_agents and all(map(_positive, c))):
+        _fail(f"trace metadata needs one positive step size per agent ({trace.n_agents})")
+    if type(D) is not int or D < 0:
+        _fail(f"trace metadata: D = {D!r} is not a nonnegative integer")
+    steps = StepSizes(meta.get("step_mode", "per_agent"), np.asarray(c, dtype=float))
     lam_star = trace.lam[-1]
     psi_star = float(np.min(trace.psi))
 

@@ -166,9 +166,6 @@ class QuadraticFunction:
         return _per_member((half_xC * x).sum(axis=-1) + (self.linear * x).sum(axis=-1)
                            + self.offset)
 
-    def grad(self, x) -> np.ndarray:
-        return self.curvature @ _vec(x) + self.linear
-
 
 @dataclass(frozen=True)
 class PiecewiseQuadraticUtility:
@@ -258,24 +255,6 @@ class SmoothConjugable:
 
     def value(self, x):
         return self.base.value(x)
-
-
-# ---------------------------------------------------------------------------
-# elementary proximal operators
-# ---------------------------------------------------------------------------
-
-
-def prox_l1(u, alpha, weight=1.0) -> np.ndarray:
-    """Soft-thresholding: prox of ``weight * ||.||_1`` with parameter ``alpha``."""
-    if not _all_positive(alpha):
-        raise ValueError("alpha must be positive")
-    u = _vec(u)
-    return np.sign(u) * np.maximum(np.abs(u) - _col(np.multiply(alpha, weight)), 0.0)
-
-
-def project_box(u, box: BoxSet) -> np.ndarray:
-    """Euclidean projection onto a box (prox of its indicator, any alpha)."""
-    return box.project(u)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,8 @@ class ProxFriendlyFunction:
         u = _vec(u)
         if self.kind == "zero":
             v = u
-        elif self.kind == "l1":
-            v = prox_l1(u, alpha, self.weight)
+        elif self.kind == "l1":  # soft-thresholding
+            v = np.sign(u) * np.maximum(np.abs(u) - _col(np.multiply(alpha, self.weight)), 0.0)
         else:  # quadratic: (I + alpha C) v = u - alpha q
             a = _col(alpha)
             if not self.quad.is_diagonal:

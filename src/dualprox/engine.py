@@ -92,25 +92,23 @@ class DelaySchedule:
     """The read-instant map ``k -> tau(k)`` with staleness bound ``D``.
 
     Delays are uniform across agents at each instant.  ``worst_case`` uses
-    ``tau(k) = max(0, k - D)``; ``seeded_random`` draws each delay from
-    ``{0..D}`` with a named PRNG so schedules are reproducible; ``zero``
-    means no delay.
+    ``tau(k) = max(0, k - D)``, so ``worst_case(0)`` reads the current
+    iterate, as a synchronous run does; ``seeded_random`` draws each delay
+    from ``{0..D}`` with a named PRNG so schedules are reproducible.
     """
 
     bound: int
-    kind: str = "worst_case"  # "worst_case" | "seeded_random" | "zero"
+    kind: str = "worst_case"  # "worst_case" | "seeded_random"
     seed: int | None = None
     _cache: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("delay bound must be nonnegative")
-        if self.kind not in ("worst_case", "seeded_random", "zero"):
+        if self.kind not in ("worst_case", "seeded_random"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "seeded_random" and self.seed is None:
             raise ValueError("seeded_random schedule needs a seed")
-        if self.kind == "zero" and self.bound != 0:
-            raise ValueError("zero schedule requires bound 0")
         self._rng = np.random.Generator(np.random.PCG64(self.seed or 0))
 
     @staticmethod
@@ -118,16 +116,10 @@ class DelaySchedule:
         return DelaySchedule(D, "worst_case")
 
     @staticmethod
-    def zero() -> "DelaySchedule":
-        return DelaySchedule(0, "zero")
-
-    @staticmethod
     def seeded(D: int, seed: int) -> "DelaySchedule":
         return DelaySchedule(D, "seeded_random", seed)
 
     def tau(self, k: int) -> int:
-        if self.kind == "zero":
-            return k
         if self.kind == "worst_case":
             return max(0, k - self.bound)
         while len(self._cache) <= k:
@@ -148,11 +140,6 @@ def _maximizers(instance: ProblemInstance, u: np.ndarray) -> np.ndarray:
     for idx, f in instance.compiled.f_groups:
         x_hat[idx] = conjugate_argmax(f, u[idx])
     return x_hat
-
-
-def local_maximizers(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
-    """``x_hat``: every agent's conjugate argmax at ``C_i lam``, stacked ``(N, M)``."""
-    return _maximizers(instance, apply_C(instance, lam))
 
 
 def grad_P_block(instance: ProblemInstance, x_hat: np.ndarray):
@@ -241,7 +228,7 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
     """
     comp = instance.compiled
     _, mu = comp.split(lam)
-    x_hat = local_maximizers(instance, lam)
+    x_hat = _maximizers(instance, apply_C(instance, lam))
     z_hat = np.empty_like(x_hat)
     for idx, g in comp.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
@@ -331,8 +318,13 @@ class IterationTrace:
     def from_csv(csv_path, meta_path=None) -> "IterationTrace":
         meta = {}
         if meta_path is not None:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
+            try:
+                with open(meta_path) as fh:
+                    meta = json.load(fh)
+            except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise MalformedTraceError(f"cannot read trace metadata {meta_path}: {exc}")
+            if not isinstance(meta, dict):
+                raise MalformedTraceError(f"trace metadata {meta_path} is not a JSON object")
         try:
             with open(csv_path, newline="") as fh:
                 reader = csv.reader(fh)
@@ -347,10 +339,11 @@ class IterationTrace:
         n_agents = meta.get("n_agents")
         if n_agents is None:
             n_agents = len({c.split("_")[1] for c in header if c.startswith("theta_")})
-        if not n_theta or not n_agents or n_theta % n_agents or n_mu % n_agents:
+        if (type(n_agents) is not int or not n_theta or not n_agents
+                or n_theta % n_agents or n_mu % n_agents):
             raise MalformedTraceError(
                 f"trace has {n_theta} theta and {n_mu} mu columns, which do not split "
-                f"over {n_agents} agents")
+                f"over {n_agents!r} agents")
         B = n_theta // n_agents
         M = n_mu // n_agents
         trace = IterationTrace(n_agents, B, M, meta.get("psi_star", float("nan")), meta)
@@ -367,8 +360,12 @@ class IterationTrace:
         for k in range(1, trace.n_records):
             diff = trace.lam[k] - trace.lam[k - 1]
             trace.step_norm_inf.append(float(np.max(np.abs(diff))) if diff.size else 0.0)
-        trace.tau = list(meta.get("tau", []))
-        trace.message_counts = list(meta.get("message_counts", []))
+        tau, counts = meta.get("tau", []), meta.get("message_counts", [])
+        if type(tau) is not list or type(counts) is not list or any(
+                type(t) is not int or not 0 <= t <= k for k, t in enumerate(tau)):
+            raise MalformedTraceError("trace metadata: tau and message_counts must be lists, "
+                                      "with read instants 0 <= tau[k] <= k")
+        trace.tau, trace.message_counts = list(tau), list(counts)
         return trace
 
 
@@ -397,7 +394,7 @@ def run(instance: ProblemInstance, mode: str = "sync",
     if mode == "sync":
         if schedule is not None and (schedule.bound > 0 or schedule.kind == "seeded_random"):
             raise ValueError("sync mode takes no delay schedule; use mode='async'")
-        schedule = DelaySchedule.zero()
+        schedule = DelaySchedule.worst_case(0)
         if steps is None:
             steps = StepSizes.uniform(step_size_sync(h), instance.n_agents)
     else:

@@ -148,13 +148,6 @@ class ProblemInstance:
     def dual_dim(self) -> int:
         return self.n_agents * (self.B + self.M)
 
-    def theta_slice(self, i: int) -> slice:
-        return slice(i * self.B, (i + 1) * self.B)
-
-    def mu_slice(self, i: int) -> slice:
-        off = self.n_agents * self.B
-        return slice(off + i * self.M, off + (i + 1) * self.M)
-
     @functools.cached_property
     def compiled(self) -> "CompiledInstance":
         """The instance's operators and catalog groups, built on first use."""

@@ -60,30 +60,21 @@ class MarketParams:
             raise ValueError("transforms must be nonzero scalars")
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Per-agent full-row-rank matrices generating ``A^(i) = T_i A``."""
-
-    transforms: tuple
-
-    def __post_init__(self):
-        mats = tuple(np.atleast_2d(np.asarray(t, dtype=float)) for t in self.transforms)
-        object.__setattr__(self, "transforms", mats)
-
-
-def apply_transform(spec: TransformSpec, A, b):
+def apply_transform(transforms, A, b):
     """Per-agent ``(A^(i), b^(i)) = (T_i A, T_i b)``, blocks keyed by agent.
 
+    ``transforms[i]`` is ``T_i``, a scalar or a vector read as one row.
     Raises :class:`RankDeficientError` when some ``T_i`` lacks full row rank.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n_agents = len(spec.transforms)
+    n_agents = len(transforms)
     if A.shape[1] % n_agents:
         raise ValueError("A's column count must split evenly across agents")
     M = A.shape[1] // n_agents
     out = []
-    for i, T in enumerate(spec.transforms):
+    for i, T in enumerate(transforms):
+        T = np.atleast_2d(np.asarray(T, dtype=float))
         if np.linalg.matrix_rank(T) < T.shape[0]:
             raise RankDeficientError(f"transform {i} does not have full row rank")
         Ai = T @ A
@@ -112,8 +103,7 @@ def build_market(params: MarketParams | None = None) -> ProblemInstance:
     n = n_uc + n_user
     A = np.concatenate([np.ones(n_uc), -np.ones(n_user)]).reshape(1, n)
     b = np.zeros(1)
-    spec = TransformSpec(tuple(params.transforms))
-    per_agent = apply_transform(spec, A, b)
+    per_agent = apply_transform(params.transforms, A, b)
 
     agents = []
     for i in range(n):
@@ -176,12 +166,19 @@ def quadratic_local(target, curvature: float = 1.0) -> SmoothConjugable:
     return SmoothConjugable(base)
 
 
-SCENARIOS = {"market", "consensus"}
+SCENARIOS = {"market": ("uc", "users", "transforms"),  # name: its override keys
+             "consensus": ("targets", "curvatures", "edges")}
 
 
 def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
-    """Build a named scenario, with optional JSON-style parameter overrides."""
+    """Build a named scenario; JSON-style overrides may set only its own keys."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
     overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(SCENARIOS[name]))
+    if unknown:
+        raise ValueError(f"unknown override keys {', '.join(map(repr, unknown))}; "
+                         f"{name} takes {', '.join(SCENARIOS[name])}")
     if name == "market":
         params = MarketParams(
             uc=overrides.get("uc", [dict(p) for p in DEFAULT_UC_PARAMS]),
@@ -189,13 +186,11 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
             transforms=overrides.get("transforms", list(DEFAULT_TRANSFORMS)),
         )
         return build_market(params)
-    if name == "consensus":
-        targets = overrides.get("targets", [0.0, 3.0, 6.0])
-        curvatures = overrides.get("curvatures", [1.0] * len(targets))
-        edges = overrides.get("edges")
-        n = len(targets)
-        topo = (Topology(n, frozenset(tuple(e) for e in edges))
-                if edges is not None else Topology.path(n))
-        locals_f = [quadratic_local([t], c) for t, c in zip(targets, curvatures)]
-        return build_consensus(topo, locals_f)
-    raise ValueError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
+    targets = overrides.get("targets", [0.0, 3.0, 6.0])
+    curvatures = overrides.get("curvatures", [1.0] * len(targets))
+    edges = overrides.get("edges")
+    n = len(targets)
+    topo = (Topology(n, frozenset(tuple(e) for e in edges))
+            if edges is not None else Topology.path(n))
+    locals_f = [quadratic_local([t], c) for t, c in zip(targets, curvatures)]
+    return build_consensus(topo, locals_f)

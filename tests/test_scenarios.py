@@ -4,7 +4,6 @@ import pytest
 from dualprox import (
     MarketParams,
     Topology,
-    TransformSpec,
     apply_transform,
     build_consensus,
     build_market,
@@ -57,8 +56,8 @@ def test_symmetric_transforms_give_same_primal_optimum(ctx):
 def test_apply_transform_published_three_agent_case():
     A = [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
     b = [1.0, 2.0]
-    spec = TransformSpec(([[-1.0, 0.0], [0.0, 0.5]], [[2.0, 0.0]], [[0.0, -1.0]]))
-    out = apply_transform(spec, A, b)
+    transforms = ([[-1.0, 0.0], [0.0, 0.5]], [[2.0, 0.0]], [[0.0, -1.0]])
+    out = apply_transform(transforms, A, b)
 
     blocks0, b0 = out[0]
     np.testing.assert_allclose(blocks0[0], [[-1.0], [1.0]])
@@ -81,7 +80,7 @@ def test_apply_transform_published_three_agent_case():
 def test_apply_transform_identity():
     A = [[1.0, -1.0]]
     b = [3.0]
-    out = apply_transform(TransformSpec(([[1.0]], [[1.0]])), A, b)
+    out = apply_transform(([[1.0]], [[1.0]]), A, b)
     for blocks, bi in out:
         np.testing.assert_allclose(blocks[0], [[1.0]])
         np.testing.assert_allclose(blocks[1], [[-1.0]])
@@ -90,7 +89,7 @@ def test_apply_transform_identity():
 
 def test_apply_transform_rejects_rank_deficiency():
     with pytest.raises(RankDeficientError):
-        apply_transform(TransformSpec(([[0.0, 0.0]], [[1.0, 0.0]])),
+        apply_transform(([[0.0, 0.0]], [[1.0, 0.0]]),
                         [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
 
 
@@ -100,7 +99,7 @@ def test_transform_preserves_solution_set():
     x_true = rng.normal(size=3)
     b = A @ x_true
     transforms = tuple(rng.normal(size=(2, 2)) for _ in range(3))
-    out = apply_transform(TransformSpec(transforms), A, b)
+    out = apply_transform(transforms, A, b)
     # x_true satisfies every individual interpretation
     for blocks, bi in out:
         Ai = np.hstack([blocks.get(l, np.zeros((2, 1))) for l in range(3)])
@@ -162,3 +161,7 @@ def test_quadratic_local_value():
 def test_build_scenario_unknown_name():
     with pytest.raises(ValueError):
         build_scenario("nope")
+    with pytest.raises(ValueError, match="'target'"):
+        build_scenario("consensus", {"target": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="'targets'"):
+        build_scenario("market", {"targets": [1.0]})  # a consensus key

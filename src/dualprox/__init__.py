@@ -26,7 +26,6 @@ from .engine import (
 )
 from .model import (
     AgentSpec,
-    ConstraintBlock,
     ProblemInstance,
     Topology,
     apply_C,

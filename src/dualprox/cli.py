@@ -109,12 +109,12 @@ def main():
               help="JSON dict of scenario parameter overrides.")
 @click.option("--mode", type=click.Choice(["sync", "async"]), default="sync")
 @click.option("--delay", "-D", type=int, default=0, help="Staleness bound D.")
-@click.option("--schedule", default="worst",
-              help="Delay schedule: worst or random:<seed>.")
+@click.option("--schedule", default=None,
+              help="Async delay schedule: worst (default) or random:<seed>.")
 @click.option("--iters", type=int, default=100_000, help="Round cap.")
 @click.option("--tol", type=float, default=1e-8, help="Step-norm stop tolerance.")
-@click.option("--margin", type=float, default=1.0,
-              help="Async step margin in (0, 1]: c_i = margin / (h (D+1)^2).")
+@click.option("--margin", type=float, default=None,
+              help="Async step margin in (0, 1], default 1: c_i = margin / (h (D+1)^2).")
 @click.option("--psi-star", type=float, default=None,
               help="Reference optimal dual value for the epsilon column "
                    "(default: the best observed Psi).")
@@ -126,18 +126,21 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
     inst = _load_problem(scenario, instance, overrides)
     report = validate_instance(inst)
     if not report.ok:
-        _fail("instance failed validation:\n" + str(report))
+        _fail("instance failed validation: " + "; ".join(
+            f"{c.name}: {c.detail}" for c in report.checks if c.status == "fail"))
 
     sched = steps = None  # sync: run's own step 1/h
     if mode == "sync":
-        if delay:
-            _fail("sync mode does not take --delay")
+        given = [flag for flag, value in (("--delay", delay or None), ("--schedule", schedule),
+                                          ("--margin", margin)) if value is not None]
+        if given:
+            _fail(f"sync mode does not take {', '.join(given)}")
     else:
-        sched = _parse_schedule(schedule, delay)
+        sched = _parse_schedule("worst" if schedule is None else schedule, delay)
         try:
             h, _ = lipschitz_constant(inst)
-            steps = step_size_async(h, delay, margins=np.full(inst.n_agents, margin),
-                                    n_agents=inst.n_agents)
+            margins = np.full(inst.n_agents, 1.0 if margin is None else margin)
+            steps = step_size_async(h, delay, margins=margins, n_agents=inst.n_agents)
         except (DualproxError, ValueError) as exc:
             _fail(str(exc))
 

@@ -1,8 +1,9 @@
 """Problem data model: agents, asymmetric constraint blocks, topology.
 
 Each agent ``i`` owns a private interpretation ``A^(i) x = b^(i)`` of the
-global affine coupling constraint, stored sparsely as per-neighbour column
-blocks.  The row map ``C_i`` acts on the stacked dual vector
+global affine coupling constraint as per-neighbour column blocks; an
+instance keeps all agents' blocks in one table sorted by ``(owner, l)``.
+The row map ``C_i`` acts on the stacked dual vector
 ``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance is compiled once
 (``ProblemInstance.compiled``) into flat entry arrays of ``C`` and ``A``
 and into groups of agents of one catalog kind, so a dual operator costs a
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -70,6 +70,23 @@ class Topology:
     def neighbors(self, i: int) -> list:
         return list(self.adjacency[i])
 
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges ``(i, j)``, ``i < j``, sorted, as an ``(E, 2)`` array."""
+        return np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+
+    @functools.cached_property
+    def _edge_codes(self) -> np.ndarray:
+        """``i*N + j`` of each sorted edge, so ascending, then a -1 that no
+        code equals."""
+        return np.append(self.edge_array @ (self.n_agents, 1), -1)
+
+    def in_closed_neighbourhood(self, i, l) -> np.ndarray:
+        """Elementwise: ``l == i`` or ``(i, l)`` is an edge."""
+        codes = self._edge_codes
+        query = np.minimum(i, l) * self.n_agents + np.maximum(i, l)
+        return (i == l) | (codes[np.searchsorted(codes[:-1], query)] == query)
+
     def is_connected(self) -> bool:
         if self.n_agents == 0:
             return False
@@ -85,42 +102,12 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class ConstraintBlock:
-    """One agent's constraint ``A^(i) x = b^(i)``, stored by column block.
-
-    ``blocks[l]`` is the ``B x M`` sub-matrix multiplying ``x_l``; absent
-    keys mean zero blocks.
-    """
-
-    owner: int
-    blocks: dict
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        blocks = {}
-        for l, a in self.blocks.items():
-            a = np.asarray(a, dtype=float)
-            if a.ndim < 2:
-                a = a.reshape(rhs.size, -1)
-            blocks[int(l)] = a
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "rhs", rhs)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.size
-
-
-@dataclass(frozen=True)
 class AgentSpec:
-    """One agent: smooth part, nonsmooth part, local set, constraint block."""
+    """One agent: smooth part, nonsmooth part and local set."""
 
-    id: int
     f: SmoothConjugable
     g: ProxFriendlyFunction
     omega: BoxSet | None
-    constraint: ConstraintBlock
 
     @functools.cached_property
     def effective_g(self) -> ProxFriendlyFunction:
@@ -130,15 +117,53 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A validated multi-agent problem with coupling constraints."""
+    """A multi-agent problem with coupling constraints.
+
+    Agent ``i`` is ``agents[i]``.  The constraint is one block table:
+    ``blocks[k]`` is the ``B x M`` block ``A_{l[k]}^(owner[k])`` multiplying
+    ``x_l`` in agent ``owner[k]``'s rows, and ``rhs[i]`` is ``b^(i)``;
+    absent pairs are zero blocks.  The table is kept sorted by
+    ``(owner, l)``.
+    """
 
     topology: Topology
     agents: tuple
     M: int
     B: int
+    owner: np.ndarray
+    l: np.ndarray
+    blocks: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
+        N, M, B = self.topology.n_agents, self.M, self.B
+        owner = np.asarray(self.owner, dtype=np.intp)
+        l = np.asarray(self.l, dtype=np.intp)
+        blocks = np.asarray(self.blocks, dtype=float)
+        rhs = np.array(self.rhs, dtype=float)
+        n = owner.size
+        if (len(self.agents) != N or owner.shape != (n,) or l.shape != (n,)
+                or blocks.shape != (n, B, M) or rhs.shape != (N, B)):
+            raise ValueError(
+                f"{len(self.agents)} agents and a block table with owner {owner.shape}, "
+                f"l {l.shape}, blocks {blocks.shape} and rhs {rhs.shape}; expected "
+                f"{N} agents, ({n},), ({n},), {(n, B, M)} and {(N, B)}")
+        order = np.lexsort((l, owner))
+        owner, l, blocks = owner[order], l[order], blocks[order]
+        for bad, why in (((owner < 0) | (owner >= N) | (l < 0) | (l >= N),
+                          f"is out of range for {N} agents"),
+                         ((owner[1:] == owner[:-1]) & (l[1:] == l[:-1]), "appears twice"),
+                         (~np.isfinite(blocks).all(axis=(1, 2)), "is not finite")):
+            if bad.any():
+                k = bad.argmax()
+                raise ValueError(f"agent {owner[k]}: block for l={l[k]} {why}")
+        bad = ~np.isfinite(rhs).all(axis=1)
+        if bad.any():
+            raise ValueError(f"agent {bad.argmax()}: rhs is not finite")
         object.__setattr__(self, "agents", tuple(self.agents))
+        for name, value in (("owner", owner), ("l", l), ("blocks", blocks), ("rhs", rhs)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_agents(self) -> int:
@@ -219,23 +244,10 @@ class CompiledInstance:
         self.n_theta = N * B
         self._agents = instance.agents
         # the blocks A_l^(i) with l in agent i's closed neighbourhood, by (i, l)
-        owner, key, blocks = [], [], []
-        for i, (agent, nbrs) in enumerate(zip(instance.agents, instance.topology.adjacency)):
-            agent_blocks = agent.constraint.blocks
-            for l in sorted(nbrs + (i,)):
-                block = agent_blocks.get(l)
-                if block is None:
-                    continue
-                if block.shape != (B, M):
-                    raise ValueError(f"agent {i}: block for {l} has shape {block.shape}, "
-                                     f"expected {(B, M)}")
-                owner.append(i)
-                key.append(l)
-                blocks.append(block)
-        self._owner = np.array(owner, dtype=np.intp)
-        self._key = np.array(key, dtype=np.intp)
-        self._blocks = np.array(blocks, dtype=float).reshape(-1, B, M)
-        self.b = np.concatenate([agent.constraint.rhs for agent in instance.agents])
+        keep = instance.topology.in_closed_neighbourhood(instance.owner, instance.l)
+        self._owner, self._l = instance.owner[keep], instance.l[keep]
+        self._blocks = instance.blocks[keep]
+        self.b = instance.rhs.ravel()
         self.sigma = np.array([agent.f.strong_convexity for agent in instance.agents])
 
     def split(self, lam: np.ndarray):
@@ -248,8 +260,8 @@ class CompiledInstance:
         """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
         holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
         ``theta``."""
-        by_key = np.argsort(self._key, kind="stable")
-        rows, cols, vals = _csr(self._key[by_key], self._owner[by_key],
+        by_key = np.argsort(self._l, kind="stable")
+        rows, cols, vals = _csr(self._l[by_key], self._owner[by_key],
                                 self._blocks[by_key].transpose(0, 2, 1))
         return rows, cols, -vals
 
@@ -261,13 +273,13 @@ class CompiledInstance:
     def A(self) -> tuple:
         """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
         ``l*M + m`` of the stacked ``x``."""
-        return _csr(self._owner[self._nonzero], self._key[self._nonzero],
+        return _csr(self._owner[self._nonzero], self._l[self._nonzero],
                     self._blocks[self._nonzero])
 
     @functools.cached_property
     def n_messages(self) -> int:
         """Neighbour maximizers a round reads, over all agents."""
-        return int(np.count_nonzero(self._nonzero & (self._owner != self._key)))
+        return int(np.count_nonzero(self._nonzero & (self._owner != self._l)))
 
     @functools.cached_property
     def f_groups(self) -> tuple:
@@ -367,62 +379,49 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def __str__(self) -> str:
-        return "\n".join(f"[{c.status:>11}] {c.name}: {c.detail}" for c in self.checks)
-
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Structural validation; returns a report instead of raising.
 
     Checks: connectivity, block sparsity w.r.t. the topology, positive
-    curvature of every smooth part, and dimension consistency.  Existence of
-    a strictly feasible point is reported as not checked (general feasibility
-    detection is itself an optimization problem).
+    curvature of every smooth part, and the dimensions of the smooth parts
+    and local sets (the block table's shapes are checked when it is
+    built).  Existence of a strictly feasible point is reported as not
+    checked (general feasibility detection is itself an optimization
+    problem).
     """
     checks = []
     topo = instance.topology
-
-    ids_ok = [a.id for a in instance.agents] == list(range(instance.n_agents))
-    checks.append(CheckResult(
-        "agent_ids", "pass" if ids_ok else "fail",
-        "ids are 0..N-1 in order" if ids_ok else "agent ids must be 0..N-1 in list order"))
 
     connected = topo.is_connected()
     checks.append(CheckResult(
         "connectivity", "pass" if connected else "fail",
         f"{topo.n_agents} agents, {len(topo.edges)} edges"))
 
-    sparsity_violations = []
-    for a in instance.agents:
-        allowed = set(topo.neighbors(a.id)) | {a.id}
-        for l, block in a.constraint.blocks.items():
-            if l not in allowed and np.any(block != 0):
-                sparsity_violations.append((a.id, l))
+    owner, l = instance.owner, instance.l
+    outside = (instance.blocks.any(axis=(1, 2))
+               & ~topo.in_closed_neighbourhood(owner, l))
+    sparsity_violations = list(zip(owner[outside].tolist(), l[outside].tolist()))
     checks.append(CheckResult(
         "block_sparsity",
         "pass" if not sparsity_violations else "fail",
         "nonzero blocks only on neighbours" if not sparsity_violations
         else f"nonzero blocks outside neighbourhood: {sparsity_violations}"))
 
-    bad_sigma = [a.id for a in instance.agents if a.f.strong_convexity <= 0]
+    bad_sigma = [i for i, a in enumerate(instance.agents) if a.f.strong_convexity <= 0]
     checks.append(CheckResult(
         "strong_convexity", "pass" if not bad_sigma else "fail",
         "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
 
     dim_issues = []
-    for a in instance.agents:
-        if a.constraint.n_rows != instance.B:
-            dim_issues.append(f"agent {a.id}: rhs has {a.constraint.n_rows} rows, expected B={instance.B}")
-        for l, block in a.constraint.blocks.items():
-            if block.shape != (instance.B, instance.M):
-                dim_issues.append(f"agent {a.id}: block for {l} has shape {block.shape}")
+    for i, a in enumerate(instance.agents):
         if a.f.dim != instance.M:
-            dim_issues.append(f"agent {a.id}: smooth part has dim {a.f.dim}, expected M={instance.M}")
+            dim_issues.append(f"agent {i}: smooth part has dim {a.f.dim}, expected M={instance.M}")
         if a.omega is not None and a.omega.dim != instance.M:
-            dim_issues.append(f"agent {a.id}: omega has dim {a.omega.dim}")
+            dim_issues.append(f"agent {i}: omega has dim {a.omega.dim}")
     checks.append(CheckResult(
         "dimensions", "pass" if not dim_issues else "fail",
-        "B and M consistent across agents" if not dim_issues else "; ".join(dim_issues)))
+        "smooth parts and omega have dim M" if not dim_issues else "; ".join(dim_issues)))
 
     checks.append(CheckResult(
         "strict_feasibility", "not_checked",
@@ -519,24 +518,29 @@ def _g_from_json(obj) -> ProxFriendlyFunction:
 
 
 def instance_to_json(instance: ProblemInstance) -> dict:
-    """Canonical on-disk problem format (matrices row-major)."""
+    """Canonical on-disk problem format (matrices row-major).
+
+    Each agent lists its own blocks, keyed by ``l``, and its rhs.
+    """
+    starts = np.searchsorted(instance.owner, np.arange(instance.n_agents + 1)).tolist()
+    ls, blocks = instance.l.tolist(), instance.blocks.tolist()
     return {
         "M": instance.M,
         "B": instance.B,
-        "edges": sorted([list(e) for e in instance.topology.edges]),
+        "edges": instance.topology.edge_array.tolist(),
         "agents": [
             {
-                "id": a.id,
+                "id": i,
                 "f": _f_to_json(a.f),
                 "g": _g_to_json(a.g),
                 "omega": _box_to_json(a.omega),
                 "constraint": {
-                    "blocks": {str(l): blk.tolist()
-                               for l, blk in sorted(a.constraint.blocks.items())},
-                    "rhs": a.constraint.rhs.tolist(),
+                    "blocks": {str(l): blk for l, blk in zip(ls[lo:hi], blocks[lo:hi])},
+                    "rhs": rhs,
                 },
             }
-            for a in instance.agents
+            for i, (a, lo, hi, rhs) in enumerate(zip(instance.agents, starts, starts[1:],
+                                                     instance.rhs.tolist()))
         ],
     }
 
@@ -544,26 +548,30 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 def instance_from_json(obj: dict) -> ProblemInstance:
     """Rebuild an instance from its canonical JSON form.
 
-    Raises :class:`MalformedInstanceError` when a required key is missing or
-    a value has the wrong type or shape.
+    Raises :class:`MalformedInstanceError` when a required key is missing,
+    an agent's id is not its position, or a value has the wrong type,
+    shape or is not finite.
     """
     try:
-        agents = []
-        for a in obj["agents"]:
-            constraint = ConstraintBlock(
-                owner=int(a["id"]),
-                blocks={int(l): np.asarray(blk) for l, blk in a["constraint"]["blocks"].items()},
-                rhs=np.asarray(a["constraint"]["rhs"]),
-            )
-            agents.append(AgentSpec(
-                id=int(a["id"]),
-                f=_f_from_json(a["f"]),
-                g=_g_from_json(a["g"]),
-                omega=_box_from_json(a.get("omega")),
-                constraint=constraint,
-            ))
+        M, B = int(obj["M"]), int(obj["B"])
+        agents, owner, l, blocks, rhs = [], [], [], [], []
+        for i, a in enumerate(obj["agents"]):
+            if a["id"] != i:
+                raise ValueError(f"agent at position {i} has id {a['id']!r}")
+            agents.append(AgentSpec(_f_from_json(a["f"]), _g_from_json(a["g"]),
+                                    _box_from_json(a.get("omega"))))
+            for key, blk in a["constraint"]["blocks"].items():
+                blk = np.asarray(blk, dtype=float)
+                if blk.shape != (B, M):
+                    raise ValueError(f"agent {i}: block for l={key} has shape {blk.shape}, "
+                                     f"expected {(B, M)}")
+                owner.append(i)
+                l.append(int(key))
+                blocks.append(blk)
+            rhs.append(a["constraint"]["rhs"])
         topo = Topology(len(agents), frozenset(tuple(e) for e in obj["edges"]))
-        return ProblemInstance(topo, tuple(agents), int(obj["M"]), int(obj["B"]))
+        return ProblemInstance(topo, agents, M, B, owner, l,
+                               np.reshape(blocks, (-1, B, M)), rhs)
     except KeyError as exc:
         raise MalformedInstanceError(f"instance JSON lacks key {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
@@ -598,26 +606,23 @@ def instance_hash(instance: ProblemInstance) -> str:
     """SHA-256 of a canonical binary encoding of what :func:`instance_to_json` writes.
 
     Each field is one stacked array behind a kind or presence tag:
-    ``(N, M, B)`` and the sorted edges; per agent its id, nonsmooth kind
-    and whether it has a nonsmooth box and an ``omega``; each smooth-part
-    group of :attr:`CompiledInstance.f_groups` (kind, domain presence,
-    members, parameters, domain bounds and strong convexity); the l1
-    weights, the nonsmooth quadratics' parameters and the boxes present
-    (per agent the nonsmooth box, then ``omega``); the blocks' owners and
-    ``l`` with their values, and the rhs.  A block outside its owner's
-    closed neighbourhood sends all blocks through a slower loop under
-    another tag.  The same instance gives the same digest after a JSON
-    round trip.
+    ``(N, M, B)`` and the sorted edges; per agent its position, nonsmooth
+    kind and whether it has a nonsmooth box and an ``omega``; each
+    smooth-part group of :attr:`CompiledInstance.f_groups` (kind, domain
+    presence, members, parameters, domain bounds and strong convexity);
+    the l1 weights, the nonsmooth quadratics' parameters and the boxes
+    present (per agent the nonsmooth box, then ``omega``); the block
+    table's owners, ``l`` and values, and the rhs.  The same instance gives
+    the same digest after a JSON round trip.
     """
     comp = instance.compiled
     h = hashlib.sha256()
     _feed(h, "NMB", (instance.n_agents, instance.M, instance.B), "<i8")
-    edges = sorted(instance.topology.edges)
-    _feed(h, "edges", np.fromiter(itertools.chain.from_iterable(edges), "<i8", 2 * len(edges)))
-    table, weights, quads, boxes, n_blocks = [], [], [], [], 0
-    for a in instance.agents:
+    _feed(h, "edges", instance.topology.edge_array.ravel())  # as <f8, as recorded digests were
+    table, weights, quads, boxes = [], [], [], []
+    for i, a in enumerate(instance.agents):
         g = a.g
-        table += (a.id, _G_KINDS.index(g.kind), g.box is not None, a.omega is not None)
+        table += (i, _G_KINDS.index(g.kind), g.box is not None, a.omega is not None)
         if g.kind == "l1":
             weights.append(g.weight)
         elif g.kind == "quadratic":
@@ -626,7 +631,6 @@ def instance_hash(instance: ProblemInstance) -> str:
             boxes.append((g.box.lower, g.box.upper))
         if a.omega is not None:
             boxes.append((a.omega.lower, a.omega.upper))
-        n_blocks += len(a.constraint.blocks)
     _feed(h, "agents", table, "<i8")
     for idx, f in comp.f_groups:
         base, domain = f.base, f.effective_domain
@@ -644,19 +648,8 @@ def instance_hash(instance: ProblemInstance) -> str:
     for name in ("curvature", "linear", "offset"):
         _feed(h, "g:quadratic", [getattr(q, name) for q in quads])
     _feed(h, "boxes", boxes)
-    if n_blocks == comp._owner.size:
-        # every block lies in its owner's closed neighbourhood: the compiled
-        # stack holds them all, by owner and then l
-        _feed(h, "blocks", comp._owner, "<i8")
-        _feed(h, "blocks", comp._key, "<i8")
-        _feed(h, "blocks", comp._blocks)
-    else:
-        index, values = [], []
-        for i, a in enumerate(instance.agents):
-            for l, block in sorted(a.constraint.blocks.items()):
-                index.append((i, l) + block.shape)
-                values.append(block.ravel())
-        _feed(h, "blocks:any", index, "<i8")
-        _feed(h, "blocks:any", np.concatenate(values))
-    _feed(h, "rhs", comp.b)
+    _feed(h, "blocks", instance.owner, "<i8")
+    _feed(h, "blocks", instance.l, "<i8")
+    _feed(h, "blocks", instance.blocks)
+    _feed(h, "rhs", instance.rhs.ravel())
     return h.hexdigest()

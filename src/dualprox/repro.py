@@ -33,7 +33,6 @@ from .engine import (
 )
 from .model import (
     AgentSpec,
-    ConstraintBlock,
     ProblemInstance,
     Topology,
     lipschitz_constant,
@@ -375,13 +374,11 @@ def _two_agent_instance() -> ProblemInstance:
     box = BoxSet([-10.0], [10.0])
     f0 = SmoothConjugable(QuadraticFunction(2.0, [1.0]))
     f1 = SmoothConjugable(QuadraticFunction(4.0, [-2.0]))
-    agents = (
-        AgentSpec(0, f0, ProxFriendlyFunction.zero(), box,
-                  ConstraintBlock(0, {0: [[1.0]], 1: [[-1.0]]}, [1.0])),
-        AgentSpec(1, f1, ProxFriendlyFunction.zero(), box,
-                  ConstraintBlock(1, {0: [[-2.0]], 1: [[2.0]]}, [-2.0])),
-    )
-    return ProblemInstance(Topology(2, frozenset({(0, 1)})), agents, M=1, B=1)
+    agents = (AgentSpec(f0, ProxFriendlyFunction.zero(), box),
+              AgentSpec(f1, ProxFriendlyFunction.zero(), box))
+    blocks = [[[1.0]], [[-1.0]], [[-2.0]], [[2.0]]]
+    return ProblemInstance(Topology(2, frozenset({(0, 1)})), agents, 1, 1,
+                           [0, 0, 1, 1], [0, 1, 0, 1], blocks, [[1.0], [-2.0]])
 
 
 def _two_agent_dual_grid_min(levels: int = 9, points: int = 13) -> float:

@@ -23,7 +23,7 @@ from .convex import (
     SmoothConjugable,
 )
 from .errors import RankDeficientError
-from .model import AgentSpec, ConstraintBlock, ProblemInstance, Topology
+from .model import AgentSpec, ProblemInstance, Topology
 
 # Reference market data: two utility companies (quadratic generation costs
 # kappa x^2 + vartheta x + beta on [0, x_max]) and three users (saturating
@@ -61,9 +61,11 @@ class MarketParams:
 
 
 def apply_transform(transforms, A, b):
-    """Per-agent ``(A^(i), b^(i)) = (T_i A, T_i b)``, blocks keyed by agent.
+    """Every agent's ``(A^(i), b^(i)) = (T_i A, T_i b)`` as a block table.
 
-    ``transforms[i]`` is ``T_i``, a scalar or a vector read as one row.
+    ``transforms[i]`` is ``T_i``, a scalar or a vector read as one row; all
+    have the same shape.  Returns ``(owner, l, blocks, rhs)``: the nonzero
+    blocks ``A_l^(i)``, sorted by ``(owner, l)``, and ``rhs[i] = b^(i)``.
     Raises :class:`RankDeficientError` when some ``T_i`` lacks full row rank.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -72,20 +74,18 @@ def apply_transform(transforms, A, b):
     if A.shape[1] % n_agents:
         raise ValueError("A's column count must split evenly across agents")
     M = A.shape[1] // n_agents
-    out = []
-    for i, T in enumerate(transforms):
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        if np.linalg.matrix_rank(T) < T.shape[0]:
-            raise RankDeficientError(f"transform {i} does not have full row rank")
-        Ai = T @ A
-        bi = T @ b
-        blocks = {}
-        for l in range(n_agents):
-            blk = Ai[:, l * M:(l + 1) * M]
-            if np.any(blk != 0):
-                blocks[l] = blk
-        out.append((blocks, bi))
-    return out
+    T = [np.atleast_2d(np.asarray(t, dtype=float)) for t in transforms]
+    if len({t.shape for t in T}) > 1:
+        raise ValueError("every transform needs the same shape")
+    T = np.array(T)
+    rank_deficient = np.flatnonzero(np.linalg.matrix_rank(T) < T.shape[1])
+    if rank_deficient.size:
+        raise RankDeficientError(f"transform {rank_deficient[0]} does not have full row rank")
+    B = T.shape[1]
+    # by_agent[i, l] = A_l^(i), the columns of T_i A that multiply x_l
+    by_agent = (T @ A).reshape(n_agents, B, n_agents, M).transpose(0, 2, 1, 3)
+    owner, l = np.nonzero(by_agent.any(axis=(2, 3)))
+    return owner, l, by_agent[owner, l], T @ b
 
 
 def build_market(params: MarketParams | None = None) -> ProblemInstance:
@@ -103,7 +103,7 @@ def build_market(params: MarketParams | None = None) -> ProblemInstance:
     n = n_uc + n_user
     A = np.concatenate([np.ones(n_uc), -np.ones(n_user)]).reshape(1, n)
     b = np.zeros(1)
-    per_agent = apply_transform(params.transforms, A, b)
+    table = apply_transform(params.transforms, A, b)
 
     agents = []
     for i in range(n):
@@ -117,11 +117,8 @@ def build_market(params: MarketParams | None = None) -> ProblemInstance:
             box = BoxSet([0.0], [p["x_max"]])
             base = PiecewiseQuadraticUtility(p["pi"], p["varsigma"])
             f = SmoothConjugable(base, box, 2.0 * p["varsigma"])
-        blocks, bi = per_agent[i]
-        agents.append(AgentSpec(
-            id=i, f=f, g=ProxFriendlyFunction.indicator_box(box), omega=box,
-            constraint=ConstraintBlock(owner=i, blocks=blocks, rhs=bi)))
-    return ProblemInstance(Topology.fully_connected(n), tuple(agents), M=1, B=1)
+        agents.append(AgentSpec(f, ProxFriendlyFunction.indicator_box(box), box))
+    return ProblemInstance(Topology.fully_connected(n), agents, 1, 1, *table)
 
 
 def build_consensus(topology: Topology, locals_f, locals_g=None,
@@ -144,17 +141,17 @@ def build_consensus(topology: Topology, locals_f, locals_g=None,
     if omegas is None:
         omegas = [None] * n
 
-    agents = []
+    # agent i's blocks: |V_i| I on x_i, then -I on each neighbour
+    edges = topology.edge_array
     eye = np.eye(M)
-    for i in range(n):
-        nbrs = topology.neighbors(i)
-        blocks = {i: len(nbrs) * eye}
-        for l in nbrs:
-            blocks[l] = -eye
-        agents.append(AgentSpec(
-            id=i, f=locals_f[i], g=locals_g[i], omega=omegas[i],
-            constraint=ConstraintBlock(owner=i, blocks=blocks, rhs=np.zeros(M))))
-    return ProblemInstance(topology, tuple(agents), M=M, B=M)
+    degree = np.bincount(edges.ravel(), minlength=n)
+    blocks = np.concatenate([degree[:, None, None] * eye,
+                             np.broadcast_to(-eye, (2 * len(edges), M, M))])
+    agents = tuple(map(AgentSpec, locals_f, locals_g, omegas))
+    return ProblemInstance(topology, agents, M, M,
+                           np.concatenate([np.arange(n), edges[:, 0], edges[:, 1]]),
+                           np.concatenate([np.arange(n), edges[:, 1], edges[:, 0]]),
+                           blocks, np.zeros((n, M)))
 
 
 def quadratic_local(target, curvature: float = 1.0) -> SmoothConjugable:

@@ -22,10 +22,9 @@ def dense_A(inst) -> np.ndarray:
     """``A`` with agent ``i``'s rows ``[A_0^(i) ... A_{N-1}^(i)]``, neighbourhood blocks only."""
     N, M, B = inst.n_agents, inst.M, inst.B
     A = np.zeros((N * B, N * M))
-    for i, agent in enumerate(inst.agents):
-        for l, block in agent.constraint.blocks.items():
-            if _in_neighbourhood(inst, i, l):
-                A[i * B:(i + 1) * B, l * M:(l + 1) * M] = block
+    for i, l, block in zip(inst.owner.tolist(), inst.l.tolist(), inst.blocks):
+        if _in_neighbourhood(inst, i, l):
+            A[i * B:(i + 1) * B, l * M:(l + 1) * M] = block
     return A
 
 
@@ -36,7 +35,7 @@ def dense_C(inst) -> np.ndarray:
 
 
 def dense_b(inst) -> np.ndarray:
-    return np.concatenate([a.constraint.rhs for a in inst.agents])
+    return inst.rhs.ravel()
 
 
 def smooth_argmax(f, u) -> np.ndarray:

@@ -237,12 +237,69 @@ def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):
     flat["agents"][1]["f"]["strong_convexity"] = 0.0
     wide = json.loads(json.dumps(doc))
     wide["agents"][0]["constraint"]["blocks"]["0"] = [[1.0, 2.0]]
-    for name, bad in (("flat", flat), ("wide", wide)):
+    # a block of the wrong shape cannot enter the block table: it fails at load
+    for name, bad, prefix in (("flat", flat, "error: bad instance: "),
+                              ("wide", wide, "error: cannot load instance: ")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
                                    "--instance", str(path), "--out", str(tmp_path)])
-        _one_error_line(res, "error: bad instance: ")
+        _one_error_line(res, prefix)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--schedule", "random:5"],
+    ["--margin", "0.3"],
+    ["--schedule", "random:5", "--margin", "0.3"],
+    ["--schedule", "worst"],
+    ["--margin", "1.0"],
+])
+def test_run_sync_refuses_async_flags(runner, tmp_path, flags):
+    res = runner.invoke(main, ["run", "--scenario", "consensus", "--out", str(tmp_path),
+                               *flags])
+    _one_error_line(res, "error: sync mode does not take ")
+    for flag in flags[::2]:
+        assert flag in res.output
+
+
+def test_run_async_defaults_to_worst_schedule_and_full_margin(runner, tmp_path):
+    common = ["run", "--scenario", "consensus", "--mode", "async", "--delay", "2"]
+    assert runner.invoke(main, [*common, "--out", str(tmp_path / "d")]).exit_code == 0
+    assert runner.invoke(main, [*common, "--schedule", "worst", "--margin", "1.0",
+                                "--out", str(tmp_path / "e")]).exit_code == 0
+    assert ((tmp_path / "d/trace.csv").read_bytes()
+            == (tmp_path / "e/trace.csv").read_bytes())
+    meta = json.loads((tmp_path / "d/trace_meta.json").read_text())
+    assert meta["schedule"] == "worst_case"
+
+
+@pytest.mark.parametrize("where, message", [
+    ("block", "agent 1: block for l=0 is not finite"),
+    ("rhs", "agent 2: rhs is not finite"),
+])
+def test_run_rejects_a_non_finite_instance(runner, tmp_path, where, message):
+    doc = instance_to_json(build_scenario("consensus"))
+    constraint = doc["agents"][1 if where == "block" else 2]["constraint"]
+    if where == "block":
+        constraint["blocks"]["0"] = [[float("nan")]]
+    else:
+        constraint["rhs"] = [float("inf")]
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: cannot load instance: ")
+    assert message in res.output
+
+
+def test_run_validation_failure_is_one_line(runner, tmp_path):
+    doc = instance_to_json(build_scenario("consensus", {"targets": [0.0, 1.0, 2.0, 3.0]}))
+    doc["edges"] = [[0, 1], [2, 3]]  # two components; the blocks on (1, 2) now lie outside
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: instance failed validation: connectivity: 4 agents, 2 edges; "
+                         "block_sparsity: nonzero blocks outside neighbourhood: [(1, 2), (2, 1)]")
+    assert "pass" not in res.output and "not_checked" not in res.output
 
 
 def test_run_reports_why_it_stopped(runner, tmp_path):

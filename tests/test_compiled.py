@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dualprox import (
     AgentSpec,
     BoxSet,
-    ConstraintBlock,
     PiecewiseQuadraticUtility,
     ProblemInstance,
     ProxFriendlyFunction,
@@ -97,22 +96,20 @@ def instances(draw):
     presence = draw(st.lists(st.sampled_from(["dense", "dense", "zero", "absent"]),
                              min_size=n * n, max_size=n * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    agents = []
+    agents, owner, key, blocks, rhs = [], [], [], [], []
     for i in range(n):
-        blocks = {}
-        for l in topo.neighbors(i) + [i]:
-            kind = presence[i * n + l]
-            if kind != "absent":
-                blocks[l] = rng.normal(size=(B, M)) * (kind == "dense")
+        ls = [l for l in topo.neighbors(i) + [i] if presence[i * n + l] != "absent"]
         # a zero block for an agent outside the neighbourhood is allowed
         outside = [l for l in range(n) if l != i and l not in topo.neighbors(i)]
-        if outside:
-            blocks[outside[0]] = np.zeros((B, M))
+        owner += [i] * (len(ls) + bool(outside))
+        key += ls + outside[:1]
+        blocks += [rng.normal(size=(B, M)) * (presence[i * n + l] == "dense") for l in ls]
+        blocks += [np.zeros((B, M))] * bool(outside)
         agents.append(AgentSpec(
-            i, _smooth(rng, f_kinds[i], M), _nonsmooth(rng, g_kinds[i], M),
-            _box(rng, M) if boxed[i] else None,
-            ConstraintBlock(i, blocks, rng.normal(size=B))))
-    inst = ProblemInstance(topo, tuple(agents), M, B)
+            _smooth(rng, f_kinds[i], M), _nonsmooth(rng, g_kinds[i], M),
+            _box(rng, M) if boxed[i] else None))
+        rhs.append(rng.normal(size=B))
+    inst = ProblemInstance(topo, agents, M, B, owner, key, np.reshape(blocks, (-1, B, M)), rhs)
     return inst, rng
 
 
@@ -174,12 +171,10 @@ def test_compiled_operators_match_dense_reference(case):
 
 
 def test_lipschitz_constant_is_computed_once():
-    agents = tuple(
-        AgentSpec(i, SmoothConjugable(QuadraticFunction(1.0, [0.0])),
-                  ProxFriendlyFunction.zero(), None,
-                  ConstraintBlock(i, {i: [[1.0]]}, [0.0]))
-        for i in range(3))
-    inst = ProblemInstance(Topology.path(3), agents, 1, 1)
+    agents = [AgentSpec(SmoothConjugable(QuadraticFunction(1.0, [0.0])),
+                        ProxFriendlyFunction.zero(), None)] * 3
+    inst = ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
+                           np.ones((3, 1, 1)), np.zeros((3, 1)))
     h, per_agent = lipschitz_constant(inst)
     per_agent[:] = 0.0  # the caller's copy, not the cached one
     assert lipschitz_constant(inst)[0] == h == pytest.approx(6.0)

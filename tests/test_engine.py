@@ -4,7 +4,6 @@ import pytest
 from dualprox import (
     AgentSpec,
     BoxSet,
-    ConstraintBlock,
     DelaySchedule,
     ProblemInstance,
     ProxFriendlyFunction,
@@ -41,13 +40,10 @@ MARKET_A = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
 
 def _two_agent(b0=0.0):
     """Two coupled scalar agents with plain quadratic smooth parts."""
-    agents = []
-    for i, (curv, lin) in enumerate(((2.0, 0.0), (2.0, 0.0))):
-        f = SmoothConjugable(QuadraticFunction(curv, [lin]))
-        blocks = {0: [[1.0]], 1: [[-1.0]]}
-        agents.append(AgentSpec(i, f, ProxFriendlyFunction.zero(), None,
-                                ConstraintBlock(i, blocks, [b0])))
-    return ProblemInstance(Topology(2, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
+    agents = [AgentSpec(SmoothConjugable(QuadraticFunction(2.0, [0.0])),
+                        ProxFriendlyFunction.zero(), None)] * 2
+    return ProblemInstance(Topology(2, frozenset({(0, 1)})), agents, 1, 1, [0, 0, 1, 1],
+                           [0, 1, 0, 1], [[[1.0]], [[-1.0]]] * 2, [[b0], [b0]])
 
 
 def test_local_maximizer_at_origin():
@@ -57,9 +53,8 @@ def test_local_maximizer_at_origin():
 
 def test_local_maximizer_single_agent_example():
     f = SmoothConjugable(QuadraticFunction(2.0, [1.0]))
-    agent = AgentSpec(0, f, ProxFriendlyFunction.zero(), None,
-                      ConstraintBlock(0, {0: [[1.0]]}, [0.0]))
-    inst = ProblemInstance(Topology(1, frozenset()), (agent,), M=1, B=1)
+    agent = AgentSpec(f, ProxFriendlyFunction.zero(), None)
+    inst = ProblemInstance(Topology(1, frozenset()), (agent,), 1, 1, [0], [0], [[[1.0]]], [[0.0]])
     lam = np.array([-3.0, 0.0])
     np.testing.assert_allclose(dual_objective(inst, lam).x_hat[0], [1.0])
 
@@ -84,15 +79,15 @@ def test_grad_block_two_agent_example():
 
 
 def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
-    agents = list(_two_agent().agents)
-    agents[0] = AgentSpec(0, agents[0].f, agents[0].g, None,
-                          ConstraintBlock(0, {1: [[-1.0]], 0: [[0.0]]}, [0.0]))
-    inst = ProblemInstance(Topology(2, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
+    pair = _two_agent()
+    inst = ProblemInstance(pair.topology, pair.agents, 1, 1, [0, 0, 1, 1], [1, 0, 0, 1],
+                           [[[-1.0]], [[0.0]], [[1.0]], [[-1.0]]], pair.rhs)
     rows, cols, _ = inst.compiled.A
     assert cols[rows == 0].tolist() == [1]
     assert cols[rows == 1].tolist() == [0, 1]
     assert inst.compiled.n_messages == 2
-    apart = ProblemInstance(Topology(2, frozenset()), _two_agent().agents, M=1, B=1)
+    apart = ProblemInstance(Topology(2, frozenset()), pair.agents, 1, 1,
+                            pair.owner, pair.l, pair.blocks, pair.rhs)
     rows, cols, _ = apart.compiled.A
     assert cols[rows == 0].tolist() == [0]
     assert apart.compiled.n_messages == 0

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from dualprox import (
     AgentSpec,
     PiecewiseQuadraticUtility,
     BoxSet,
-    ConstraintBlock,
     ProblemInstance,
     ProxFriendlyFunction,
     QuadraticFunction,
@@ -28,13 +28,18 @@ from dualprox.errors import MalformedInstanceError, SingularScaleError
 from dualprox.model import instance_hash
 
 from dense_reference import dense_C
+from test_trace_digests import _mixed_path
 
 
 def _single_agent(a=2.0, sigma=1.0):
     f = SmoothConjugable(QuadraticFunction(sigma, [0.0]))
-    block = ConstraintBlock(0, {0: [[a]]}, [0.0])
-    agent = AgentSpec(0, f, ProxFriendlyFunction.zero(), None, block)
-    return ProblemInstance(Topology(1, frozenset()), (agent,), M=1, B=1)
+    agent = AgentSpec(f, ProxFriendlyFunction.zero(), None)
+    return ProblemInstance(Topology(1, frozenset()), (agent,), 1, 1, [0], [0], [[[a]]], [[0.0]])
+
+
+def _scalar_agents(n):
+    return [AgentSpec(SmoothConjugable(QuadraticFunction(1.0, [0.0])),
+                      ProxFriendlyFunction.zero(), None)] * n
 
 
 def test_topology_constructors_and_connectivity():
@@ -103,12 +108,8 @@ def test_lipschitz_single_agent_closed_form():
 
 
 def test_lipschitz_identity_block_only():
-    agents = []
-    for i in range(2):
-        f = SmoothConjugable(QuadraticFunction(1.0, [0.0]))
-        block = ConstraintBlock(i, {}, [0.0])
-        agents.append(AgentSpec(i, f, ProxFriendlyFunction.zero(), None, block))
-    inst = ProblemInstance(Topology(2, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
+    inst = ProblemInstance(Topology(2, frozenset({(0, 1)})), _scalar_agents(2), 1, 1,
+                           [], [], np.zeros((0, 1, 1)), np.zeros((2, 1)))
     h, _ = lipschitz_constant(inst)
     assert h == pytest.approx(2.0)
 
@@ -116,9 +117,9 @@ def test_lipschitz_identity_block_only():
 def test_lipschitz_rejects_zero_curvature():
     inst = _single_agent(sigma=1.0)
     flat = SmoothConjugable(QuadraticFunction(1.0, [0.0]), strong_convexity=0.0)
-    bad = AgentSpec(0, flat, ProxFriendlyFunction.zero(), None,
-                    inst.agents[0].constraint)
-    inst_bad = ProblemInstance(inst.topology, (bad,), M=1, B=1)
+    bad = AgentSpec(flat, ProxFriendlyFunction.zero(), None)
+    inst_bad = ProblemInstance(inst.topology, (bad,), 1, 1,
+                               inst.owner, inst.l, inst.blocks, inst.rhs)
     with pytest.raises(SingularScaleError):
         lipschitz_constant(inst_bad)
 
@@ -128,37 +129,56 @@ def test_validate_market_all_structural_checks_pass(ctx):
     by_name = {c.name: c.status for c in report.checks}
     assert report.ok
     assert by_name["strict_feasibility"] == "not_checked"
-    for name in ("agent_ids", "connectivity", "block_sparsity",
-                 "strong_convexity", "dimensions"):
+    for name in ("connectivity", "block_sparsity", "strong_convexity", "dimensions"):
         assert by_name[name] == "pass"
 
 
 def test_validate_flags_sparsity_violation():
     # path 0-1-2 but agent 0 carries a block for non-neighbor 2
-    agents = []
-    for i in range(3):
-        f = SmoothConjugable(QuadraticFunction(1.0, [0.0]))
-        blocks = {i: [[1.0]]}
-        if i == 0:
-            blocks[2] = [[1.0]]
-        agents.append(AgentSpec(i, f, ProxFriendlyFunction.zero(), None,
-                                ConstraintBlock(i, blocks, [0.0])))
-    inst = ProblemInstance(Topology(3, frozenset({(0, 1), (1, 2)})),
-                           tuple(agents), M=1, B=1)
+    inst = ProblemInstance(Topology.path(3), _scalar_agents(3), 1, 1,
+                           [0, 1, 2, 0], [0, 1, 2, 2], np.ones((4, 1, 1)), np.zeros((3, 1)))
     report = validate_instance(inst)
-    by_name = {c.name: c.status for c in report.checks}
-    assert by_name["block_sparsity"] == "fail"
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["block_sparsity"].status == "fail"
+    assert by_name["block_sparsity"].detail.endswith("[(0, 2)]")
     assert not report.ok
 
 
 def test_validate_flags_disconnected_topology():
-    agents = []
-    for i in range(3):
-        f = SmoothConjugable(QuadraticFunction(1.0, [0.0]))
-        agents.append(AgentSpec(i, f, ProxFriendlyFunction.zero(), None,
-                                ConstraintBlock(i, {i: [[1.0]]}, [0.0])))
-    inst = ProblemInstance(Topology(3, frozenset({(0, 1)})), tuple(agents), M=1, B=1)
+    inst = ProblemInstance(Topology(3, frozenset({(0, 1)})), _scalar_agents(3), 1, 1,
+                           [0, 1, 2], [0, 1, 2], np.ones((3, 1, 1)), np.zeros((3, 1)))
     assert not validate_instance(inst).ok
+
+
+def test_block_table_is_sorted_and_read_only():
+    inst = ProblemInstance(Topology.path(3), _scalar_agents(3), 1, 1,
+                           [2, 0, 1, 0, 1], [1, 1, 1, 0, 0], np.arange(5.0).reshape(5, 1, 1),
+                           np.zeros((3, 1)))
+    assert inst.owner.tolist() == [0, 0, 1, 1, 2]
+    assert inst.l.tolist() == [0, 1, 0, 1, 1]
+    assert inst.blocks.ravel().tolist() == [3.0, 1.0, 4.0, 2.0, 0.0]
+    with pytest.raises(ValueError):
+        inst.blocks[0] = 7.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"blocks": [[[1.0]], [[np.nan]], [[1.0]]]}, "agent 1: block for l=1 is not finite"),
+    ({"blocks": [[[1.0]], [[1.0]], [[-np.inf]]]}, "agent 2: block for l=2 is not finite"),
+    ({"rhs": [[0.0], [np.inf], [0.0]]}, "agent 1: rhs is not finite"),
+    ({"l": [0, 1, 3]}, "agent 2: block for l=3 is out of range for 3 agents"),
+    ({"owner": [0, -1, 2]}, "agent -1: block for l=1 is out of range"),
+    ({"owner": [0, 0, 2], "l": [1, 1, 2]}, "agent 0: block for l=1 appears twice"),
+    ({"blocks": np.ones((3, 1, 2))}, r"blocks \(3, 1, 2\)"),
+    ({"rhs": np.zeros(3)}, r"rhs \(3,\)"),
+    ({"l": [0, 1]}, r"l \(2,\)"),
+    ({"agents": _scalar_agents(2)}, "2 agents"),
+])
+def test_block_table_rejects_bad_entries(change, message):
+    table = {"agents": _scalar_agents(3), "owner": [0, 1, 2], "l": [0, 1, 2],
+             "blocks": np.ones((3, 1, 1)), "rhs": np.zeros((3, 1))}
+    table.update(change)
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(Topology.path(3), M=1, B=1, **table)
 
 
 def test_json_roundtrip_preserves_instance(tmp_path):
@@ -198,30 +218,33 @@ def _digest_instances():
           ProxFriendlyFunction.l1_plus_box(0.75, box),
           ProxFriendlyFunction.indicator_box(wide)]
     omegas = [None, box, None, wide, None]
-    agents = []
+    owner, key, blocks = [], [], []
     for i in range(5):
         nbrs = [l for l in (i - 1, i, i + 1) if 0 <= l < 5]
-        blocks = {l: [[float(len(nbrs) - 1) if l == i else -1.0 - 0.5 * i]] for l in nbrs}
-        agents.append(AgentSpec(i, fs[i], gs[i], omegas[i],
-                                ConstraintBlock(i, blocks, [0.25 * i])))
-    scalar = ProblemInstance(Topology.path(5), tuple(agents), M=1, B=1)
+        owner += [i] * len(nbrs)
+        key += nbrs
+        blocks += [[[float(len(nbrs) - 1) if l == i else -1.0 - 0.5 * i]] for l in nbrs]
+    scalar = ProblemInstance(Topology.path(5), list(map(AgentSpec, fs, gs, omegas)), 1, 1,
+                             owner, key, blocks, 0.25 * np.arange(5.0)[:, None])
 
     curvature = [[3.0, 0.5], [0.5, 2.0]]
     pair = []
     for i in range(2):
         f = SmoothConjugable(QuadraticFunction(curvature, [1.0, -1.0 + i], 0.5))
         g = ProxFriendlyFunction.quadratic(QuadraticFunction(curvature, [0.5, 0.0]))
-        blocks = {0: [[1.0 + i, 0.5]], 1: [[-1.0, 2.0 - i]]}
-        pair.append(AgentSpec(i, f, g, None, ConstraintBlock(i, blocks, [1.0])))
-    two_d = ProblemInstance(Topology.path(2), tuple(pair), M=2, B=1)
+        pair.append(AgentSpec(f, g, None))
+    blocks = [[[1.0, 0.5]], [[-1.0, 2.0]], [[2.0, 0.5]], [[-1.0, 1.0]]]
+    two_d = ProblemInstance(Topology.path(2), pair, 2, 1, [0, 0, 1, 1], [0, 1, 0, 1],
+                            blocks, [[1.0], [1.0]])
     return scalar, two_d
 
 
 def _numeric_leaves(doc, path=()):
-    """Paths to the numbers of an instance document, but not M, B or edges."""
+    """Paths to the numbers of an instance document, but not M, B, edges or
+    the agent ids (an id must equal the agent's position)."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            if path or key not in ("M", "B", "edges"):
+            if (path or key not in ("M", "B", "edges")) and key != "id":
                 yield from _numeric_leaves(value, path + (key,))
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
@@ -320,9 +343,33 @@ def test_instance_hash_survives_json_round_trip():
     with_outside_block = instance_to_json(scalar)
     with_outside_block["agents"][4]["constraint"]["blocks"]["0"] = [[0.0]]
     for inst in (scalar, two_d, instance_from_json(with_outside_block),
-                 build_market(), build_scenario("consensus")):
+                 build_market(), build_scenario("consensus"), _mixed_path()):
         again = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
         assert instance_hash(again) == instance_hash(inst)
+        for name in ("owner", "l", "blocks", "rhs"):
+            assert getattr(again, name).tobytes() == getattr(inst, name).tobytes(), name
+
+
+# recorded before the block table replaced the per-agent constraint objects
+PINNED_HASHES = {
+    "market": "a54a1a8168fc693de6308925a0d4ba38af97be086800bac63f2e7bff334f99ee",
+    "consensus": "03e586d0766e1b07057f02da4a72b252db59df2dbfc02eeb2711f4a35585d364",
+}
+PINNED_JSON_TEXT = {
+    "market": "d7699284e62eaf1aaba82185df595b679beb0c1a22df015892b996ab70981d30",
+    "consensus": "0d827c1333c2c7127ef2c11d035bb7ae3094e6c9bf978911946a444d01632aa8",
+    "mixed_path": "ef7d84ee699e8f164cad181e1951b69c1c8b8814157034a7d78e38d2183a93a6",
+}
+
+
+def test_instance_hash_and_json_text_are_pinned():
+    built = {"market": build_market(), "consensus": build_scenario("consensus"),
+             "mixed_path": _mixed_path()}
+    for name, digest in PINNED_HASHES.items():
+        assert instance_hash(built[name]) == digest, name
+    for name, digest in PINNED_JSON_TEXT.items():
+        text = json.dumps(instance_to_json(built[name]), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_instance_from_json_rejects_missing_keys_and_wrong_types():
@@ -332,3 +379,21 @@ def test_instance_from_json_rejects_missing_keys_and_wrong_types():
     doc["agents"][0]["constraint"]["blocks"] = [[1.0]]
     with pytest.raises(MalformedInstanceError):
         instance_from_json(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["agents"][1].update(id=3), "agent at position 1 has id 3"),
+    (lambda d: d["agents"][2]["constraint"]["blocks"].update({"4": [1.0]}),
+     r"agent 2: block for l=4 has shape \(1,\), expected \(1, 1\)"),
+    (lambda d: d["agents"][0]["constraint"]["blocks"].update({"1": [[1.0, 2.0]]}),
+     r"agent 0: block for l=1 has shape \(1, 2\)"),
+    (lambda d: d["agents"][3]["constraint"]["blocks"].update({"2": [[float("nan")]]}),
+     "agent 3: block for l=2 is not finite"),
+    (lambda d: d["agents"][4]["constraint"]["blocks"].update({"5": [[1.0]]}),
+     "agent 4: block for l=5 is out of range"),
+])
+def test_instance_from_json_checks_ids_and_blocks(edit, message):
+    doc = instance_to_json(build_market())
+    edit(doc)
+    with pytest.raises(MalformedInstanceError, match=message):
+        instance_from_json(json.loads(json.dumps(doc)))

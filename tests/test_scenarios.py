@@ -21,10 +21,10 @@ def test_market_default_structure():
     assert inst.n_agents == 5 and inst.M == 1 and inst.B == 1
     assert inst.topology.edges == Topology.fully_connected(5).edges
     # agent 1 holds transform 2 applied to the balance row [1,1,-1,-1,-1]
-    blocks = inst.agents[1].constraint.blocks
-    np.testing.assert_allclose([blocks[l][0, 0] for l in range(5)],
-                               [2.0, 2.0, -2.0, -2.0, -2.0])
-    np.testing.assert_allclose(inst.agents[1].constraint.rhs, [0.0])
+    mine = inst.owner == 1
+    assert inst.l[mine].tolist() == [0, 1, 2, 3, 4]
+    np.testing.assert_allclose(inst.blocks[mine].ravel(), [2.0, 2.0, -2.0, -2.0, -2.0])
+    np.testing.assert_allclose(inst.rhs[1], [0.0])
     assert isinstance(inst.agents[0].f.base, QuadraticFunction)
     assert isinstance(inst.agents[2].f.base, PiecewiseQuadraticUtility)
     assert inst.agents[0].f.strong_convexity == pytest.approx(2 * 0.0031)
@@ -53,11 +53,21 @@ def test_symmetric_transforms_give_same_primal_optimum(ctx):
     np.testing.assert_allclose(x_sym, x_ref, atol=1e-3)
 
 
+def _blocks_by_agent(table, n_agents):
+    """``({l: block}, rhs)`` of each agent, from ``apply_transform``'s table."""
+    owner, l, blocks, rhs = table
+    return [({int(k): blk for o, k, blk in zip(owner, l, blocks) if o == i}, rhs[i])
+            for i in range(n_agents)]
+
+
 def test_apply_transform_published_three_agent_case():
+    # the published transforms have two rows for agent 0 and one for agents
+    # 1 and 2; one table holds one row count, so each is checked beside
+    # stand-ins of its own shape
     A = [[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]
     b = [1.0, 2.0]
-    transforms = ([[-1.0, 0.0], [0.0, 0.5]], [[2.0, 0.0]], [[0.0, -1.0]])
-    out = apply_transform(transforms, A, b)
+    two_rows = [[-1.0, 0.0], [0.0, 0.5]]
+    out = _blocks_by_agent(apply_transform((two_rows, np.eye(2), np.eye(2)), A, b), 3)
 
     blocks0, b0 = out[0]
     np.testing.assert_allclose(blocks0[0], [[-1.0], [1.0]])
@@ -65,6 +75,7 @@ def test_apply_transform_published_three_agent_case():
     np.testing.assert_allclose(blocks0[2], [[0.0], [0.5]])
     np.testing.assert_allclose(b0, [-1.0, 1.0])
 
+    out = _blocks_by_agent(apply_transform(([[1.0, 0.0]], [[2.0, 0.0]], [[0.0, -1.0]]), A, b), 3)
     blocks1, b1 = out[1]
     np.testing.assert_allclose(blocks1[0], [[2.0]])
     np.testing.assert_allclose(blocks1[1], [[2.0]])
@@ -76,15 +87,17 @@ def test_apply_transform_published_three_agent_case():
     np.testing.assert_allclose(blocks2[2], [[-1.0]])
     np.testing.assert_allclose(b2, [-2.0])
 
+    with pytest.raises(ValueError, match="same shape"):
+        apply_transform((two_rows, [[2.0, 0.0]], [[0.0, -1.0]]), A, b)
+
 
 def test_apply_transform_identity():
     A = [[1.0, -1.0]]
     b = [3.0]
-    out = apply_transform(([[1.0]], [[1.0]]), A, b)
-    for blocks, bi in out:
-        np.testing.assert_allclose(blocks[0], [[1.0]])
-        np.testing.assert_allclose(blocks[1], [[-1.0]])
-        np.testing.assert_allclose(bi, [3.0])
+    owner, l, blocks, rhs = apply_transform(([[1.0]], [[1.0]]), A, b)
+    assert owner.tolist() == [0, 0, 1, 1] and l.tolist() == [0, 1, 0, 1]
+    np.testing.assert_allclose(blocks.ravel(), [1.0, -1.0, 1.0, -1.0])
+    np.testing.assert_allclose(rhs, [[3.0], [3.0]])
 
 
 def test_apply_transform_rejects_rank_deficiency():
@@ -99,7 +112,7 @@ def test_transform_preserves_solution_set():
     x_true = rng.normal(size=3)
     b = A @ x_true
     transforms = tuple(rng.normal(size=(2, 2)) for _ in range(3))
-    out = apply_transform(transforms, A, b)
+    out = _blocks_by_agent(apply_transform(transforms, A, b), 3)
     # x_true satisfies every individual interpretation
     for blocks, bi in out:
         Ai = np.hstack([blocks.get(l, np.zeros((2, 1))) for l in range(3)])
@@ -119,11 +132,11 @@ def test_consensus_blocks_form_laplacian():
         L[i, i] = len(nbrs)
         for l in nbrs:
             L[i, l] = -1.0
-    for i in range(3):
-        row = np.array([inst.agents[i].constraint.blocks.get(l, np.zeros((1, 1)))[0, 0]
-                        for l in range(3)])
-        np.testing.assert_array_equal(row, L[i])
-        np.testing.assert_array_equal(inst.agents[i].constraint.rhs, [0.0])
+    table = np.zeros((3, 3))
+    table[inst.owner, inst.l] = inst.blocks[:, 0, 0]
+    np.testing.assert_array_equal(table, L)
+    assert np.count_nonzero(L) == inst.owner.size
+    np.testing.assert_array_equal(inst.rhs, np.zeros((3, 1)))
 
 
 def test_consensus_requires_connected_topology():

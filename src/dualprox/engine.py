@@ -79,9 +79,9 @@ def step_size_async(h: float, D: int, margins=None, n_agents: int = 1) -> StepSi
         raise ValueError("h must be positive")
     if D < 0:
         raise ValueError("D must be nonnegative")
-    if margins is None:
-        margins = np.ones(n_agents)
-    margins = np.atleast_1d(np.asarray(margins, dtype=float))
+    margins = np.ones(n_agents) if margins is None else np.atleast_1d(margins).astype(float)
+    if margins.size != n_agents:
+        raise ValueError(f"{margins.size} margins for {n_agents} agents")
     if np.any(margins <= 0) or np.any(margins > 1):
         raise ValueError("margins must lie in (0, 1]")
     return StepSizes.per_agent(margins / (h * (D + 1) ** 2))
@@ -390,6 +390,8 @@ def run(instance: ProblemInstance, mode: str = "sync",
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
+    if steps is not None and steps.values.size != instance.n_agents:
+        raise ValueError(f"{steps.values.size} step sizes for {instance.n_agents} agents")
     h, _ = lipschitz_constant(instance)
     if mode == "sync":
         if schedule is not None and (schedule.bound > 0 or schedule.kind == "seeded_random"):
@@ -541,7 +543,7 @@ def delayed_bound_constant(trace: IterationTrace, lam_star: np.ndarray,
 
 def verify_rate_bounds(trace: IterationTrace, lam_star: np.ndarray,
                        psi_star: float, h: float, steps: StepSizes,
-                       D: int, taus=None) -> RateBoundReport:
+                       D: int) -> RateBoundReport:
     """Check the rate guarantees and the delay-counting inequalities.
 
     The no-delay rate is evaluated at every ``K >= 1``; the delayed rate at
@@ -550,10 +552,11 @@ def verify_rate_bounds(trace: IterationTrace, lam_star: np.ndarray,
     weighted) are accumulated from the recorded step norms using the trace's
     own read instants.
     """
+    if steps.values.size != trace.n_agents:
+        raise ValueError(f"{steps.values.size} step sizes for {trace.n_agents} agents")
     if trace.n_transitions < 1:
         raise InsufficientTraceError("trace has no transitions")
-    taus = list(trace.tau) if taus is None else list(taus)
-    if len(taus) < trace.n_transitions:
+    if len(trace.tau) < trace.n_transitions:
         raise InsufficientTraceError("read instants missing from trace")
     lam_star = np.asarray(lam_star, dtype=float)
 
@@ -581,7 +584,7 @@ def verify_rate_bounds(trace: IterationTrace, lam_star: np.ndarray,
     weighted_rows = []
     lhs_c = rhs_c = lhs_w = rhs_w = 0.0
     for k in range(trace.n_transitions):
-        inner = sum(d2[j] for j in range(taus[k], k + 1))
+        inner = sum(d2[j] for j in range(trace.tau[k], k + 1))
         lhs_c += inner
         rhs_c += (D + 1) * d2[k]
         lhs_w += k * inner

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,57 +31,62 @@ from .convex import (
 from .errors import MalformedInstanceError, SingularScaleError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Undirected graph over agents ``0..n_agents-1`` with no self-loops."""
+    """Undirected graph over agents ``0..n_agents-1`` with no self-loops.
+
+    ``edges``, any collection of integer pairs, is kept as one sorted
+    read-only ``(E, 2)`` array of the distinct pairs ``(i, j)``, ``i < j``.
+    """
 
     n_agents: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: np.ndarray = ()
 
     def __post_init__(self):
-        norm = set()
-        for i, j in self.edges:
+        pairs = set()
+        for e in self.edges:
+            try:
+                i, j = sorted(map(operator.index, e))
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of integers") from None
             if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-                raise ValueError("edge endpoint out of range")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
+                raise ValueError(f"edge {(i, j)} is a self-loop")
+            if i < 0 or j >= self.n_agents:
+                raise ValueError(f"edge {(i, j)} has an endpoint outside 0..{self.n_agents - 1}")
+            pairs.add((i, j))
+        edges = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def fully_connected(n: int) -> "Topology":
-        return Topology(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return Topology(n, itertools.combinations(range(n), 2))
 
     @staticmethod
     def path(n: int) -> "Topology":
-        return Topology(n, frozenset((i, i + 1) for i in range(n - 1)))
+        return Topology(n, zip(range(n - 1), range(1, n)))
 
     @staticmethod
     def star(n: int) -> "Topology":
-        return Topology(n, frozenset((0, i) for i in range(1, n)))
+        return Topology(n, ((0, i) for i in range(1, n)))
 
     @functools.cached_property
-    def adjacency(self) -> tuple:
-        """Each agent's neighbours, ascending."""
+    def _adjacency(self) -> tuple:
+        """Each agent's neighbours, ascending, as the edges are sorted."""
         adj = [[] for _ in range(self.n_agents)]
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             adj[i].append(j)
             adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     def neighbors(self, i: int) -> list:
-        return list(self.adjacency[i])
-
-    @functools.cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges ``(i, j)``, ``i < j``, sorted, as an ``(E, 2)`` array."""
-        return np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+        return list(self._adjacency[i])
 
     @functools.cached_property
     def _edge_codes(self) -> np.ndarray:
         """``i*N + j`` of each sorted edge, so ascending, then a -1 that no
         code equals."""
-        return np.append(self.edge_array @ (self.n_agents, 1), -1)
+        return np.append(self.edges @ (self.n_agents, 1), -1)
 
     def in_closed_neighbourhood(self, i, l) -> np.ndarray:
         """Elementwise: ``l == i`` or ``(i, l)`` is an edge."""
@@ -87,14 +94,15 @@ class Topology:
         query = np.minimum(i, l) * self.n_agents + np.maximum(i, l)
         return (i == l) | (codes[np.searchsorted(codes[:-1], query)] == query)
 
+    @functools.cached_property
     def is_connected(self) -> bool:
+        """Whether every agent reaches agent 0 (no agents: ``False``)."""
         if self.n_agents == 0:
             return False
         seen = {0}
         stack = [0]
         while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
+            for w in self.neighbors(stack.pop()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -384,18 +392,17 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Structural validation; returns a report instead of raising.
 
     Checks: connectivity, block sparsity w.r.t. the topology, positive
-    curvature of every smooth part, and the dimensions of the smooth parts
-    and local sets (the block table's shapes are checked when it is
-    built).  Existence of a strictly feasible point is reported as not
-    checked (general feasibility detection is itself an optimization
+    curvature of every smooth part, and the dimensions of the smooth and
+    nonsmooth parts and local sets (the block table's shapes are checked
+    when it is built).  Existence of a strictly feasible point is reported
+    as not checked (general feasibility detection is itself an optimization
     problem).
     """
     checks = []
     topo = instance.topology
 
-    connected = topo.is_connected()
     checks.append(CheckResult(
-        "connectivity", "pass" if connected else "fail",
+        "connectivity", "pass" if topo.is_connected else "fail",
         f"{topo.n_agents} agents, {len(topo.edges)} edges"))
 
     owner, l = instance.owner, instance.l
@@ -413,15 +420,15 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         "strong_convexity", "pass" if not bad_sigma else "fail",
         "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
 
-    dim_issues = []
+    dim_issues = {}  # as an ordered set: a nonsmooth quadratic and its box may both be off
     for i, a in enumerate(instance.agents):
-        if a.f.dim != instance.M:
-            dim_issues.append(f"agent {i}: smooth part has dim {a.f.dim}, expected M={instance.M}")
-        if a.omega is not None and a.omega.dim != instance.M:
-            dim_issues.append(f"agent {i}: omega has dim {a.omega.dim}")
+        for what, part in (("smooth part", a.f), ("nonsmooth part", a.g.quad),
+                           ("nonsmooth part", a.g.box), ("omega", a.omega)):
+            if part is not None and part.dim != instance.M:
+                dim_issues[f"agent {i}: {what} has dim {part.dim}, expected M={instance.M}"] = None
     checks.append(CheckResult(
         "dimensions", "pass" if not dim_issues else "fail",
-        "smooth parts and omega have dim M" if not dim_issues else "; ".join(dim_issues)))
+        "every part has dim M" if not dim_issues else "; ".join(dim_issues)))
 
     checks.append(CheckResult(
         "strict_feasibility", "not_checked",
@@ -527,7 +534,7 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     return {
         "M": instance.M,
         "B": instance.B,
-        "edges": instance.topology.edge_array.tolist(),
+        "edges": instance.topology.edges.tolist(),
         "agents": [
             {
                 "id": i,
@@ -569,7 +576,7 @@ def instance_from_json(obj: dict) -> ProblemInstance:
                 l.append(int(key))
                 blocks.append(blk)
             rhs.append(a["constraint"]["rhs"])
-        topo = Topology(len(agents), frozenset(tuple(e) for e in obj["edges"]))
+        topo = Topology(len(agents), obj["edges"])
         return ProblemInstance(topo, agents, M, B, owner, l,
                                np.reshape(blocks, (-1, B, M)), rhs)
     except KeyError as exc:
@@ -618,7 +625,7 @@ def instance_hash(instance: ProblemInstance) -> str:
     comp = instance.compiled
     h = hashlib.sha256()
     _feed(h, "NMB", (instance.n_agents, instance.M, instance.B), "<i8")
-    _feed(h, "edges", instance.topology.edge_array.ravel())  # as <f8, as recorded digests were
+    _feed(h, "edges", instance.topology.edges.ravel())  # as <f8, as recorded digests were
     table, weights, quads, boxes = [], [], [], []
     for i, a in enumerate(instance.agents):
         g = a.g

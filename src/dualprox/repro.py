@@ -377,7 +377,7 @@ def _two_agent_instance() -> ProblemInstance:
     agents = (AgentSpec(f0, ProxFriendlyFunction.zero(), box),
               AgentSpec(f1, ProxFriendlyFunction.zero(), box))
     blocks = [[[1.0]], [[-1.0]], [[-2.0]], [[2.0]]]
-    return ProblemInstance(Topology(2, frozenset({(0, 1)})), agents, 1, 1,
+    return ProblemInstance(Topology(2, [(0, 1)]), agents, 1, 1,
                            [0, 0, 1, 1], [0, 1, 0, 1], blocks, [[1.0], [-2.0]])
 
 

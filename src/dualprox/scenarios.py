@@ -121,33 +121,28 @@ def build_market(params: MarketParams | None = None) -> ProblemInstance:
     return ProblemInstance(Topology.fully_connected(n), agents, 1, 1, *table)
 
 
-def build_consensus(topology: Topology, locals_f, locals_g=None,
-                    omegas=None, M: int | None = None) -> ProblemInstance:
+def build_consensus(topology: Topology, locals_f, locals_g=None, omegas=None) -> ProblemInstance:
     """Consensus instance: each agent constrains itself to its neighbours.
 
     Agent ``i`` holds ``|V_i| x_i - sum_{l in V_i} x_l = 0``; stacked, these
     rows equal the graph Laplacian acting on ``x``, so any feasible point is
     a consensus point on a connected graph.
     """
-    if not topology.is_connected():
+    if not topology.is_connected:
         raise ValueError("consensus needs a connected topology")
     n = topology.n_agents
     if len(locals_f) != n:
         raise ValueError("need one smooth part per agent")
-    if M is None:
-        M = locals_f[0].dim
-    if locals_g is None:
-        locals_g = [ProxFriendlyFunction.zero()] * n
-    if omegas is None:
-        omegas = [None] * n
+    M = locals_f[0].dim
 
     # agent i's blocks: |V_i| I on x_i, then -I on each neighbour
-    edges = topology.edge_array
+    edges = topology.edges
     eye = np.eye(M)
     degree = np.bincount(edges.ravel(), minlength=n)
     blocks = np.concatenate([degree[:, None, None] * eye,
                              np.broadcast_to(-eye, (2 * len(edges), M, M))])
-    agents = tuple(map(AgentSpec, locals_f, locals_g, omegas))
+    agents = tuple(map(AgentSpec, locals_f, locals_g or [ProxFriendlyFunction.zero()] * n,
+                       omegas or [None] * n))
     return ProblemInstance(topology, agents, M, M,
                            np.concatenate([np.arange(n), edges[:, 0], edges[:, 1]]),
                            np.concatenate([np.arange(n), edges[:, 1], edges[:, 0]]),
@@ -177,17 +172,11 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
         raise ValueError(f"unknown override keys {', '.join(map(repr, unknown))}; "
                          f"{name} takes {', '.join(SCENARIOS[name])}")
     if name == "market":
-        params = MarketParams(
-            uc=overrides.get("uc", [dict(p) for p in DEFAULT_UC_PARAMS]),
-            users=overrides.get("users", [dict(p) for p in DEFAULT_USER_PARAMS]),
-            transforms=overrides.get("transforms", list(DEFAULT_TRANSFORMS)),
-        )
-        return build_market(params)
+        return build_market(MarketParams(**overrides))
     targets = overrides.get("targets", [0.0, 3.0, 6.0])
     curvatures = overrides.get("curvatures", [1.0] * len(targets))
     edges = overrides.get("edges")
     n = len(targets)
-    topo = (Topology(n, frozenset(tuple(e) for e in edges))
-            if edges is not None else Topology.path(n))
+    topo = Topology(n, edges) if edges is not None else Topology.path(n)
     locals_f = [quadratic_local([t], c) for t, c in zip(targets, curvatures)]
     return build_consensus(topo, locals_f)

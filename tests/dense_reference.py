@@ -14,16 +14,14 @@ from dualprox.errors import UnboundedConjugateError
 from dualprox.repro import conjugate_prox_oracle
 
 
-def _in_neighbourhood(inst, i, l):
-    return l == i or (min(i, l), max(i, l)) in inst.topology.edges
-
-
 def dense_A(inst) -> np.ndarray:
     """``A`` with agent ``i``'s rows ``[A_0^(i) ... A_{N-1}^(i)]``, neighbourhood blocks only."""
     N, M, B = inst.n_agents, inst.M, inst.B
+    # a set of pairs: ``(i, l) in array`` would test elementwise, not by row
+    edges = set(map(tuple, inst.topology.edges.tolist()))
     A = np.zeros((N * B, N * M))
     for i, l, block in zip(inst.owner.tolist(), inst.l.tolist(), inst.blocks):
-        if _in_neighbourhood(inst, i, l):
+        if l == i or (min(i, l), max(i, l)) in edges:
             A[i * B:(i + 1) * B, l * M:(l + 1) * M] = block
     return A
 

@@ -5,11 +5,16 @@ import pytest
 from click.testing import CliRunner
 
 from dualprox import (
+    BoxSet,
+    ProxFriendlyFunction,
     StepSizes,
+    Topology,
+    build_consensus,
     build_market,
     build_scenario,
     instance_to_json,
     lipschitz_constant,
+    quadratic_local,
     run,
     save_instance,
 )
@@ -214,6 +219,17 @@ def test_run_bad_overrides_fail_cleanly(runner, tmp_path, overrides):
     _one_error_line(res, "error: ")
 
 
+@pytest.mark.parametrize("overrides", [
+    '{"uc": 5}',
+    '{"users": null}',
+    '{"transforms": [1.0, "x", 1.0, 1.0, 1.0]}',
+])
+def test_run_bad_market_overrides_fail_cleanly(runner, tmp_path, overrides):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
+                               "--overrides", overrides])
+    _one_error_line(res, "error: cannot build scenario: ")
+
+
 def test_run_override_missing_key_fails_cleanly(runner, tmp_path):
     res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
                                "--overrides", '{"uc": [{"vartheta": 1.0}, {"kappa": 0.1}]}'])
@@ -300,6 +316,27 @@ def test_run_validation_failure_is_one_line(runner, tmp_path):
     _one_error_line(res, "error: instance failed validation: connectivity: 4 agents, 2 edges; "
                          "block_sparsity: nonzero blocks outside neighbourhood: [(1, 2), (2, 1)]")
     assert "pass" not in res.output and "not_checked" not in res.output
+
+
+def test_run_refuses_a_nonsmooth_part_of_the_wrong_dimension(runner, tmp_path):
+    box = ProxFriendlyFunction.indicator_box(BoxSet([-1.0], [1.0]))
+    path = tmp_path / "narrow.json"
+    save_instance(build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2,
+                                  [ProxFriendlyFunction.zero(), box]), path)
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: instance failed validation: dimensions: "
+                         "agent 1: nonsmooth part has dim 1, expected M=2")
+
+
+@pytest.mark.parametrize("endpoint", [0.5, 1.0])
+def test_run_rejects_an_edge_with_a_float_endpoint(runner, tmp_path, endpoint):
+    doc = instance_to_json(build_scenario("consensus"))
+    doc["edges"][0] = [0, endpoint]
+    path = tmp_path / "float_edge.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, f"error: cannot load instance: malformed instance JSON: "
+                         f"edge [0, {endpoint}] is not a pair of integers")
 
 
 def test_run_reports_why_it_stopped(runner, tmp_path):

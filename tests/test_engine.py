@@ -235,6 +235,23 @@ def test_step_size_rules():
         step_size_async(1.0, -1)
 
 
+def test_step_sizes_of_the_wrong_length_are_refused():
+    market = build_market()
+    with pytest.raises(ValueError, match="1 step sizes for 5 agents"):
+        run(market, steps=StepSizes.per_agent([1e-3]))
+    with pytest.raises(ValueError, match="7 step sizes for 5 agents"):
+        run(market, mode="async", schedule=DelaySchedule.worst_case(1),
+            steps=StepSizes.per_agent([1e-6] * 7))
+    trace = run(market, k_max=3)
+    h = trace.meta["h"]
+    for n in (1, 7):
+        with pytest.raises(ValueError, match=f"{n} step sizes for 5 agents"):
+            verify_rate_bounds(trace, trace.lam[-1], min(trace.psi), h,
+                               StepSizes.uniform(1.0 / h, n), 0)
+    with pytest.raises(ValueError, match="4 margins for 5 agents"):
+        step_size_async(1.0, 3, margins=[1.0] * 4, n_agents=5)
+
+
 def test_step_sizes_positive_only():
     with pytest.raises(ValueError):
         StepSizes.uniform(0.0, 2)

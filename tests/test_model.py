@@ -1,9 +1,12 @@
+import collections
 import copy
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualprox import (
     AgentSpec,
@@ -15,12 +18,14 @@ from dualprox import (
     SmoothConjugable,
     Topology,
     apply_C,
+    build_consensus,
     build_market,
     build_scenario,
     instance_from_json,
     instance_to_json,
     lipschitz_constant,
     load_instance,
+    quadratic_local,
     save_instance,
     validate_instance,
 )
@@ -43,16 +48,85 @@ def _scalar_agents(n):
 
 
 def test_topology_constructors_and_connectivity():
-    assert Topology.path(3).edges == frozenset({(0, 1), (1, 2)})
-    assert Topology.path(3).is_connected()
+    np.testing.assert_array_equal(Topology.path(3).edges, [[0, 1], [1, 2]])
+    assert Topology.path(3).is_connected
     assert Topology.star(4).neighbors(0) == [1, 2, 3]
     assert Topology.fully_connected(5).neighbors(2) == [0, 1, 3, 4]
-    assert not Topology(3, frozenset({(0, 1)})).is_connected()
+    assert not Topology(3, frozenset({(0, 1)})).is_connected
 
 
 def test_topology_rejects_self_loops():
     with pytest.raises(ValueError):
         Topology(3, frozenset({(1, 1)}))
+
+
+def test_topology_takes_any_collection_of_pairs():
+    pairs = [(2, 1), (0, 1), (1, 2), (1, 0), (3, 0)]  # reversed and repeated pairs
+    for source in (frozenset(pairs), pairs, (p for p in pairs), np.array(pairs),
+                   json.loads(json.dumps(pairs))):
+        edges = Topology(4, source).edges
+        assert edges.dtype == np.intp and edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+        assert not edges.flags.writeable
+    assert Topology(3).edges.shape == (0, 2)
+    with pytest.raises(ValueError, match="not a pair of integers"):
+        Topology(2, np.array([[0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("edge, message", [
+    ([0, 0.5], r"edge \[0, 0.5\] is not a pair of integers"),
+    ([0, 1.0], r"edge \[0, 1.0\] is not a pair of integers"),
+    ([0, "1"], r"edge \[0, '1'\] is not a pair of integers"),
+    ([0, 1, 2], r"edge \[0, 1, 2\] is not a pair of integers"),
+    ([1, 1], r"edge \(1, 1\) is a self-loop"),
+    ([0, 3], r"edge \(0, 3\) has an endpoint outside 0..2"),
+    ([-1, 2], r"edge \(-1, 2\) has an endpoint outside 0..2"),
+])
+def test_topology_rejects_bad_pairs(edge, message):
+    with pytest.raises(ValueError, match=message):
+        Topology(3, [[0, 1], edge])
+
+
+@st.composite
+def _graphs(draw):
+    """``(n, pairs)``: up to 8 agents, some of them isolated, and random pairs."""
+    n = draw(st.integers(0, 8))
+    agent = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(agent, agent), max_size=12)) if n else []
+    return n, [(i, j) for i, j in pairs if i != j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_connectivity_matches_a_reference_bfs(graph):
+    n, pairs = graph
+    adj = {v: set() for v in range(n)}
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen, queue = {0}, collections.deque([0])
+    while n and queue:
+        for w in adj[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    topo = Topology(n, pairs)
+    assert topo.is_connected == (n > 0 and len(seen) == n)
+    assert [topo.neighbors(v) for v in range(n)] == [sorted(adj[v]) for v in range(n)]
+
+
+def test_connectivity_edge_cases():
+    assert not Topology(0).is_connected
+    assert Topology(1).is_connected
+    assert not Topology(4, [(0, 1), (1, 2)]).is_connected  # agent 3 is isolated
+
+
+def test_consensus_setup_decides_connectivity_once(monkeypatch):
+    calls = []
+    neighbors = Topology.neighbors
+    monkeypatch.setattr(Topology, "neighbors", lambda self, i: calls.append(i) or neighbors(self, i))
+    n = 6
+    inst = build_consensus(Topology.path(n), [quadratic_local([0.0])] * n)
+    assert validate_instance(inst).ok
+    assert sorted(calls) == list(range(n))
 
 
 def test_apply_C_single_agent():
@@ -142,6 +216,21 @@ def test_validate_flags_sparsity_violation():
     assert by_name["block_sparsity"].status == "fail"
     assert by_name["block_sparsity"].detail.endswith("[(0, 2)]")
     assert not report.ok
+
+
+@pytest.mark.parametrize("M, g, dim", [
+    (2, ProxFriendlyFunction.indicator_box(BoxSet([-1.0], [1.0])), 1),
+    (1, ProxFriendlyFunction.l1_plus_box(0.5, BoxSet([-1.0, -1.0], [1.0, 1.0])), 2),
+    # the quadratic and its box are both off, reported once
+    (1, ProxFriendlyFunction.quadratic(QuadraticFunction(np.eye(2), [0.0, 0.0]),
+                                       BoxSet([-1.0, -1.0], [1.0, 1.0])), 2),
+])
+def test_validate_checks_the_nonsmooth_dimension(M, g, dim):
+    inst = build_consensus(Topology.path(2), [quadratic_local(np.zeros(M))] * 2,
+                           [ProxFriendlyFunction.zero(), g])
+    check = {c.name: c for c in validate_instance(inst).checks}["dimensions"]
+    assert check.status == "fail"
+    assert check.detail == f"agent 1: nonsmooth part has dim {dim}, expected M={M}"
 
 
 def test_validate_flags_disconnected_topology():

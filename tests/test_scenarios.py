@@ -19,7 +19,7 @@ from dualprox.errors import RankDeficientError
 def test_market_default_structure():
     inst = build_market()
     assert inst.n_agents == 5 and inst.M == 1 and inst.B == 1
-    assert inst.topology.edges == Topology.fully_connected(5).edges
+    np.testing.assert_array_equal(inst.topology.edges, Topology.fully_connected(5).edges)
     # agent 1 holds transform 2 applied to the balance row [1,1,-1,-1,-1]
     mine = inst.owner == 1
     assert inst.l[mine].tolist() == [0, 1, 2, 3, 4]

@@ -108,7 +108,7 @@ class BoxSet:
         return bool(inside) if inside.ndim == 0 else inside
 
     def project(self, u) -> np.ndarray:
-        return np.clip(_vec(u), self.lower, self.upper)
+        return _vec(u).clip(self.lower, self.upper)  # np.clip's own method, without its dispatch
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,25 @@ class QuadraticFunction:
         c = self.curvature
         return c.shape[-1] == 1 or bool(np.allclose(c, c * np.eye(c.shape[-1])))
 
+    @functools.cached_property
+    def _strongly_convex(self) -> bool:
+        return _all_positive(self.strong_convexity)
+
+    @functools.cached_property
+    def _diagonal(self) -> np.ndarray:
+        return np.diagonal(self.curvature, axis1=-2, axis2=-1).copy()
+
+    @functools.cached_property
+    def _positive_diagonal(self) -> bool:
+        return bool((self._diagonal > 0).all())
+
     def value(self, x):
         x = _vec(x)
+        if self.curvature.shape[-1] == 1:
+            # the sums below over one term each add 0.0 to it, which only
+            # turns -0.0 into 0.0; adding 0.0 once to their sum does the same
+            return _per_member((0.5 * x * self._diagonal * x + self.linear * x)[..., 0]
+                               + 0.0 + self.offset)
         half_xC = ((0.5 * x)[..., :, None] * self.curvature).sum(axis=-2)
         return _per_member((half_xC * x).sum(axis=-1) + (self.linear * x).sum(axis=-1)
                            + self.offset)
@@ -255,6 +272,31 @@ class SmoothConjugable:
 
     def value(self, x):
         return self.base.value(x)
+
+    @functools.cached_property
+    def _utility_candidates(self):
+        """What the utility's argmax needs that does not depend on the slope.
+
+        ``(lo, lo_inf, any_lo_inf, x_thr, two_curv, cand_rows)``: the
+        domain's lower ends, where they are infinite and whether any is, the
+        threshold clamped into the domain, ``2 curvature``, and in
+        ``cand_rows`` the four candidates of :func:`conjugate_argmax` (lower
+        end, quadratic branch, threshold, upper end) over their branch
+        values.  Candidate 1, and candidate 0 where ``lo`` is infinite, are
+        placeholders the slope replaces; each placeholder and each infinite
+        end is stood in for by ``x_thr``, so no constant is computed from an
+        infinity.
+        """
+        base, dom = self.base, self.effective_domain
+        shape = np.shape(base.threshold)
+        lo = np.full(shape, -INF) if dom is None else dom.lower[..., 0]
+        hi = np.full(shape, INF) if dom is None else dom.upper[..., 0]
+        x_thr = np.minimum(np.maximum(base.threshold, lo), hi)
+        ends = np.array([lo, x_thr, x_thr, hi])
+        inf = np.isinf(ends)
+        cand_x = np.where(inf, x_thr, ends)
+        return (lo, inf[0], bool(inf[0].any()), x_thr, 2.0 * base.curvature,
+                np.array([cand_x, base._branch_value(cand_x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +399,7 @@ class ProxFriendlyFunction:
                 mat = np.eye(self.quad.dim) + a[..., None] * self.quad.curvature
                 return np.linalg.solve(mat, (u - a * self.quad.linear)[..., None])[..., 0]
             # a diagonal solve divides, as LAPACK's does
-            diag = np.diagonal(self.quad.curvature, axis1=-2, axis2=-1)
-            v = (u - a * self.quad.linear) / (1.0 + a * diag)
+            v = (u - a * self.quad.linear) / (1.0 + a * self.quad._diagonal)
         if self.box is not None:
             v = self.box.project(v)
         return v
@@ -403,10 +444,9 @@ class ProxFriendlyFunction:
                                            (v - self.quad.linear)[..., None])[..., 0]
                 except np.linalg.LinAlgError:
                     raise UnboundedConjugateError("singular curvature in conjugate argmax")
-            diag = np.diagonal(self.quad.curvature, axis1=-2, axis2=-1)
-            if (diag <= 0).any():
+            if not self.quad._positive_diagonal:
                 raise NonStronglyConvexError("box-constrained quadratic needs positive diagonal")
-            return self.box.project((v - self.quad.linear) / diag)
+            return self.box.project((v - self.quad.linear) / self.quad._diagonal)
         if self.kind == "zero":
             if self.box is not None:
                 lo, hi = self.box.lower, self.box.upper
@@ -468,42 +508,43 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     base = f.base
     dom = f.effective_domain
     if isinstance(base, QuadraticFunction):
-        if dom is None and not _all_positive(base.strong_convexity):
+        if dom is None and not base._strongly_convex:
             raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
         if not base.is_diagonal:
             if dom is not None:
                 raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
             return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
-        # a diagonal solve divides, as LAPACK's does
-        diag = np.diagonal(base.curvature, axis1=-2, axis2=-1)
-        if (diag <= 0).any():
+        if not base._positive_diagonal:
             raise NonStronglyConvexError("box-domain argmax needs positive diagonal curvature")
-        x = (u - base.linear) / diag
+        # a diagonal solve divides, as LAPACK's does; times 1/diag rounds differently
+        x = (u - base.linear) / base._diagonal
         return x if dom is None else dom.project(x)
     # piecewise quadratic utility, scalar
     s = u[..., 0]
     if dom is None and (s > 0).any():
         raise UnboundedConjugateError("positive slope on the unbounded flat branch")
-    lo = -INF if dom is None else dom.lower[..., 0]
-    hi = INF if dom is None else dom.upper[..., 0]
-    stat = (s + base.price) / (2.0 * base.curvature)  # quadratic-branch stationary point
+    lo, lo_inf, any_lo_inf, x_thr, two_curv, cand_rows = f._utility_candidates
     # lo <= x_quad <= x_thr <= hi: a domain above the threshold has no
     # quadratic branch and lo stands in for it; an infinite endpoint is no
     # candidate and its finite neighbour stands in for it (a repeat never wins)
-    x_thr = np.minimum(np.maximum(base.threshold, lo), hi)
+    stat = (s + base.price) / two_curv  # quadratic-branch stationary point
     x_quad = np.minimum(np.maximum(stat, lo), x_thr)
-    cands = np.empty((4,) + s.shape)
-    cands[0] = np.where(np.isinf(lo), x_quad, lo)
-    cands[1] = x_quad
-    cands[2] = x_thr
-    cands[3] = np.where(np.isinf(hi), x_thr, hi)
-    vals = s * cands - base._branch_value(cands)
-    best_x, best_v = cands[0], vals[0]
-    for x, val in zip(cands[1:], vals[1:]):  # ascending; ties keep the smaller x
-        better = val > best_v + _TIE_TOL
-        best_x = np.where(better, x, best_x)
-        best_v = np.where(better, val, best_v)
-    return best_x[..., None]
+    # rows x_k, then s x_k - f(x_k), then that plus the tie tolerance; a
+    # batch of slopes for fewer members gets the constants broadcast to it
+    shape = s.shape if s.shape == lo.shape else np.broadcast_shapes(s.shape, lo.shape)
+    rows = np.empty((3, 4) + shape)
+    rows[:2] = cand_rows.reshape((2, 4) + (1,) * (len(shape) - lo.ndim) + lo.shape)
+    rows[0, 1] = x_quad
+    rows[1, 1] = base._branch_value(x_quad)
+    if any_lo_inf:
+        np.copyto(rows[:2, 0], rows[:2, 1], where=lo_inf)
+    np.subtract(s * rows[0], rows[1], out=rows[1])
+    np.add(rows[1], _TIE_TOL, out=rows[2])
+    cands = rows.swapaxes(0, 1)  # cands[k] is candidate k's column of rows
+    best = cands[0]
+    for cand in cands[1:]:  # ascending; ties keep the smaller x
+        best = np.where(cand[1] > best[2], cand, best)
+    return best[0][..., None]
 
 
 def conjugate_value(f: SmoothConjugable, u) -> float:

@@ -8,9 +8,18 @@ every agent takes a gradient step in ``theta`` and a proximal step in ``mu``
 (through the Moreau shortcut), both anchored at its latest values.  One
 round function serves both modes.  A round is a handful of numpy calls on
 the compiled instance: ``u = C lam``, the argmax of each kind group,
-``b - A x_hat``, the ``theta`` step and the prox of each kind group.  Each
-agent sums its coupling terms in ascending agent id, so traces are bitwise
-reproducible.
+``b - A x_hat``, the ``theta`` step and the prox of each kind group, the
+last two written into one new dual vector.  Each agent sums its coupling
+terms in ascending agent id, so traces are bitwise reproducible.
+
+On a few scalar agents a round costs numpy calls, not arithmetic, so the
+kernels keep their calls few.  Each kind group binds what does not depend
+on the round once, on first use (see :mod:`dualprox.convex`): the
+utility's clamped threshold and endpoint candidates with their values, the
+quadratic's diagonal and whether it is positive.  A group of consecutive
+agents is read through a slice.  :func:`run` leaves the ``x_hat`` of its
+last iterate on the instance, and :func:`recover_primal` reuses it when
+called at a bytewise equal ``lam``.
 """
 
 from __future__ import annotations
@@ -49,8 +58,8 @@ class StepSizes:
 
     def __post_init__(self):
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if np.any(vals <= 0):
-            raise ValueError("step sizes must be strictly positive")
+        if not np.all((vals > 0) & (vals < math.inf)):  # NaN fails too
+            raise ValueError("step sizes must be finite and strictly positive")
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -82,7 +91,7 @@ def step_size_async(h: float, D: int, margins=None, n_agents: int = 1) -> StepSi
     margins = np.ones(n_agents) if margins is None else np.atleast_1d(margins).astype(float)
     if margins.size != n_agents:
         raise ValueError(f"{margins.size} margins for {n_agents} agents")
-    if np.any(margins <= 0) or np.any(margins > 1):
+    if not np.all((margins > 0) & (margins <= 1)):  # NaN fails too
         raise ValueError("margins must lie in (0, 1]")
     return StepSizes.per_agent(margins / (h * (D + 1) ** 2))
 
@@ -163,11 +172,13 @@ def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
     theta, mu = comp.split(lam)
     g_theta, g_mu = grad_P_block(instance, x_hat)
     c = steps.values[:, None]
+    lam_next = np.empty_like(lam)
+    theta_next, mu_next = comp.split(lam_next)
+    np.subtract(theta, c * g_theta, out=theta_next)
     v = mu - c * g_mu
-    mu_next = np.empty_like(mu)
     for idx, g in comp.g_groups:
         mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], steps.values[idx])
-    return np.concatenate([(theta - c * g_theta).ravel(), mu_next.ravel()])
+    return lam_next
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +235,18 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
     ``x_hat_i`` maximizes the smooth Lagrangian part; ``z_hat_i`` maximizes
     ``mu_i' z - (g_i + indicator(omega_i))(z)`` with ties broken toward
     ``x_hat_i``.  The mismatch ``||x_hat - z_hat||`` is a convergence
-    diagnostic, reported rather than raised.
+    diagnostic, reported rather than raised.  When ``lam`` is bytewise the
+    last iterate of the last :func:`run` on this instance, as
+    ``trace.lam[-1]`` is, the run's ``x_hat`` there is reused.
     """
     comp = instance.compiled
+    lam = np.asarray(lam, dtype=float)
     _, mu = comp.split(lam)
-    x_hat = _maximizers(instance, apply_C(instance, lam))
+    key, last = comp.last_x_hat
+    if key == lam.tobytes():
+        x_hat = last.copy()
+    else:
+        x_hat = _maximizers(instance, apply_C(instance, lam))
     z_hat = np.empty_like(x_hat)
     for idx, g in comp.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
@@ -408,7 +426,15 @@ def run(instance: ProblemInstance, mode: str = "sync",
             raise StepSizeViolationError(
                 "step sizes violate 1/c_i >= h (D+1)^2; pass allow_step_violation to override")
 
-    lam = np.zeros(instance.dual_dim) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    if lam0 is None:
+        lam = np.zeros(instance.dual_dim)
+    else:
+        lam = np.array(lam0, dtype=float)
+        if lam.shape != (instance.dual_dim,):
+            raise ValueError(f"lam0 has shape {lam.shape}; expected a vector of "
+                             f"length dual_dim = {instance.dual_dim}")
+        if not np.isfinite(lam).all():
+            raise NonFiniteInitialError("lam(0) is not finite")
     obj = dual_objective(instance, lam)
     if not np.isfinite(obj.psi):
         raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
@@ -444,14 +470,16 @@ def run(instance: ProblemInstance, mode: str = "sync",
                 raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
             lam = trace.lam[k]
             lam_next = _round(instance, lam, xhat_cache[tk], steps)
+            step = float(np.abs(lam_next - lam).max())
             psi_next = math.nan
-            if np.all(np.isfinite(lam_next)):
+            # a finite step needs finite iterates; an infinite one may be an overflow
+            if math.isfinite(step) or np.isfinite(lam_next).all():
                 obj = dual_objective(instance, lam_next)
                 psi_next = obj.psi
             trace.lam.append(lam_next)
             trace.psi.append(psi_next)
             trace.tau.append(tk)
-            trace.step_norm_inf.append(float(np.max(np.abs(lam_next - lam))))
+            trace.step_norm_inf.append(step)
             trace.message_counts.append(n_msgs)
 
             if not math.isfinite(psi_next):
@@ -460,11 +488,13 @@ def run(instance: ProblemInstance, mode: str = "sync",
             xhat_cache[k + 1] = obj.x_hat
             xhat_cache.pop(k - schedule.bound, None)
 
-            if trace.step_norm_inf[-1] <= tol:
+            if step <= tol:
                 stop_reason = "tol"
                 break
 
     trace.meta["stop_reason"] = stop_reason
+    if stop_reason != "nonfinite":  # else obj may belong to the iterate before
+        instance.compiled.last_x_hat = (trace.lam[-1].tobytes(), obj.x_hat.copy())
     if psi_star is None:
         psi = np.asarray(trace.psi)
         trace.psi_star = float(np.min(psi[np.isfinite(psi)]))

@@ -200,8 +200,8 @@ def sum_in_order(values) -> float:
     ``-0.0`` add up to ``-0.0``, where the loop's ``0.0 + ...`` gives
     ``0.0``; adding ``0.0`` last does the same.
     """
-    values = np.ravel(values)
-    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+    values = np.asarray(values).ravel()
+    return float(values.cumsum()[-1]) + 0.0 if values.size else 0.0
 
 
 def _csr(groups, others, mats):
@@ -229,11 +229,18 @@ def _csr(groups, others, mats):
 
 
 def _groups(members, key, stack) -> tuple:
-    """``(agent indices, stacked group)`` for each key, in order of first member."""
+    """``(agents, stacked group)`` for each key, in order of first member.
+
+    ``agents`` indexes the group's rows of a per-agent array: a ``slice``
+    when the group's agents are consecutive (a view, where an index array
+    gathers a copy), else their ascending index array.
+    """
     by_key = {}
     for i, member in enumerate(members):
         by_key.setdefault(key(member), []).append(i)
-    return tuple((np.array(idx), stack([members[i] for i in idx])) for idx in by_key.values())
+    return tuple((slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
+                  else np.array(idx), stack([members[i] for i in idx]))
+                 for idx in by_key.values())
 
 
 class CompiledInstance:
@@ -257,6 +264,9 @@ class CompiledInstance:
         self._blocks = instance.blocks[keep]
         self.b = instance.rhs.ravel()
         self.sigma = np.array([agent.f.strong_convexity for agent in instance.agents])
+        # (bytes of lam, x_hat) at the last iterate of the last run, which
+        # primal recovery at the same lam reuses; x_hat is a private copy
+        self.last_x_hat = (None, None)
 
     def split(self, lam: np.ndarray):
         """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``."""
@@ -598,15 +608,14 @@ def load_instance(path) -> ProblemInstance:
 _G_KINDS = ("zero", "l1", "quadratic")
 
 
-def _feed(h, tag: str, values, dtype: str = "<f8") -> None:
-    """Add one field to a digest: its tag and shape, then its little-endian bytes.
+def _field(tag: str, values, dtype: str = "<f8") -> bytes:
+    """One field of a digest: its tag and shape, then its little-endian bytes.
 
     The shape fixes the byte count, so a sequence of fields reads back one
     way only.
     """
     a = np.ascontiguousarray(values, dtype=dtype)
-    h.update(f"{tag}{a.shape}".encode())
-    h.update(a.tobytes())
+    return f"{tag}{a.shape}".encode() + a.tobytes()
 
 
 def instance_hash(instance: ProblemInstance) -> str:
@@ -619,13 +628,13 @@ def instance_hash(instance: ProblemInstance) -> str:
     presence, members, parameters, domain bounds and strong convexity);
     the l1 weights, the nonsmooth quadratics' parameters and the boxes
     present (per agent the nonsmooth box, then ``omega``); the block
-    table's owners, ``l`` and values, and the rhs.  The same instance gives
-    the same digest after a JSON round trip.
+    table's owners, ``l`` and values, and the rhs.  The fields are joined
+    into one buffer and hashed at once.  The same instance gives the same
+    digest after a JSON round trip.
     """
     comp = instance.compiled
-    h = hashlib.sha256()
-    _feed(h, "NMB", (instance.n_agents, instance.M, instance.B), "<i8")
-    _feed(h, "edges", instance.topology.edges.ravel())  # as <f8, as recorded digests were
+    fields = [_field("NMB", (instance.n_agents, instance.M, instance.B), "<i8"),
+              _field("edges", instance.topology.edges.ravel())]  # <f8, as recorded digests were
     table, weights, quads, boxes = [], [], [], []
     for i, a in enumerate(instance.agents):
         g = a.g
@@ -638,25 +647,25 @@ def instance_hash(instance: ProblemInstance) -> str:
             boxes.append((g.box.lower, g.box.upper))
         if a.omega is not None:
             boxes.append((a.omega.lower, a.omega.upper))
-    _feed(h, "agents", table, "<i8")
+    fields.append(_field("agents", table, "<i8"))
+    members = np.arange(instance.n_agents)
     for idx, f in comp.f_groups:
         base, domain = f.base, f.effective_domain
         quadratic = isinstance(base, QuadraticFunction)
         tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
-        _feed(h, tag, idx, "<i8")
+        fields.append(_field(tag, members[idx], "<i8"))
         params = ((base.curvature, base.linear, base.offset) if quadratic
                   else (base.price, base.curvature))
-        for p in params:
-            _feed(h, tag, p)
+        fields += [_field(tag, p) for p in params]
         if domain is not None:
-            _feed(h, tag, (domain.lower, domain.upper))
-        _feed(h, tag, f.strong_convexity)
-    _feed(h, "g:l1", weights)
-    for name in ("curvature", "linear", "offset"):
-        _feed(h, "g:quadratic", [getattr(q, name) for q in quads])
-    _feed(h, "boxes", boxes)
-    _feed(h, "blocks", instance.owner, "<i8")
-    _feed(h, "blocks", instance.l, "<i8")
-    _feed(h, "blocks", instance.blocks)
-    _feed(h, "rhs", instance.rhs.ravel())
-    return h.hexdigest()
+            fields.append(_field(tag, (domain.lower, domain.upper)))
+        fields.append(_field(tag, f.strong_convexity))
+    fields.append(_field("g:l1", weights))
+    fields += [_field("g:quadratic", [getattr(q, name) for q in quads])
+               for name in ("curvature", "linear", "offset")]
+    fields += [_field("boxes", boxes),
+               _field("blocks", instance.owner, "<i8"),
+               _field("blocks", instance.l, "<i8"),
+               _field("blocks", instance.blocks),
+               _field("rhs", instance.rhs.ravel())]
+    return hashlib.sha256(b"".join(fields)).hexdigest()

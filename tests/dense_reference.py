@@ -5,12 +5,16 @@ coupling matrix is assembled block by block into a dense ``A`` with
 ``C = [-A', -I]``, every smooth argmax and conjugate comes from its own
 closed form, and the conjugate prox comes from the hand-derived oracle of
 the reproduction suite.
+
+The ``reference_*`` kernels at the end are different: they keep the
+catalog's own formulas as they were before per-group constants were bound
+once, so the bound kernels can be checked against them bit for bit.
 """
 
 import numpy as np
 
 from dualprox import PiecewiseQuadraticUtility
-from dualprox.errors import UnboundedConjugateError
+from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import conjugate_prox_oracle
 
 
@@ -132,3 +136,59 @@ def dense_lipschitz(inst):
     per_agent = [np.linalg.norm(C[i * M:(i + 1) * M], 2) ** 2 / a.f.strong_convexity
                  for i, a in enumerate(inst.agents)]
     return float(sum(per_agent)), per_agent
+
+
+# ---------------------------------------------------------------------------
+# the catalog kernels as they stood before their constants were bound once
+# ---------------------------------------------------------------------------
+
+_TIE_TOL = 1e-12
+
+
+def reference_quadratic_value(q, x):
+    """``QuadraticFunction.value`` written with the full sums, for any ``M``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    half_xC = ((0.5 * x)[..., :, None] * q.curvature).sum(axis=-2)
+    val = (half_xC * x).sum(axis=-1) + (q.linear * x).sum(axis=-1) + q.offset
+    return val if isinstance(val, np.ndarray) and val.ndim else float(val)
+
+
+def reference_conjugate_argmax(f, u) -> np.ndarray:
+    """``conjugate_argmax`` computing every candidate and check on each call."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    base, dom = f.base, f.effective_domain
+    if not isinstance(base, PiecewiseQuadraticUtility):
+        if dom is None and not bool(np.all(np.asarray(base.strong_convexity) > 0)):
+            raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
+        if not base.is_diagonal:
+            if dom is not None:
+                raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
+            return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
+        diag = np.diagonal(base.curvature, axis1=-2, axis2=-1)
+        if (diag <= 0).any():
+            raise NonStronglyConvexError("box-domain argmax needs positive diagonal curvature")
+        x = (u - base.linear) / diag
+        return x if dom is None else np.clip(x, dom.lower, dom.upper)
+    s = u[..., 0]
+    if dom is None and (s > 0).any():
+        raise UnboundedConjugateError("positive slope on the unbounded flat branch")
+    lo = -np.inf if dom is None else dom.lower[..., 0]
+    hi = np.inf if dom is None else dom.upper[..., 0]
+    stat = (s + base.price) / (2.0 * base.curvature)
+    x_thr = np.minimum(np.maximum(base.price / (2.0 * base.curvature), lo), hi)
+    x_quad = np.minimum(np.maximum(stat, lo), x_thr)
+    cands = np.empty((4,) + s.shape)
+    cands[0] = np.where(np.isinf(lo), x_quad, lo)
+    cands[1] = x_quad
+    cands[2] = x_thr
+    cands[3] = np.where(np.isinf(hi), x_thr, hi)
+    flat = -np.float_power(base.price, 2) / (4.0 * base.curvature)
+    vals = s * cands - np.where(cands <= base.price / (2.0 * base.curvature),
+                                base.curvature * cands * cands - base.price * cands, flat)
+    best_x, best_v = cands[0], vals[0]
+    for x, val in zip(cands[1:], vals[1:]):  # ascending; ties keep the smaller x
+        better = val > best_v + _TIE_TOL
+        best_x = np.where(better, x, best_x)
+        best_v = np.where(better, val, best_v)
+    return best_x[..., None]
+

@@ -77,6 +77,14 @@ def test_run_flag_validation(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "0"])
+def test_run_refuses_a_margin_outside_the_unit_interval(runner, tmp_path, margin):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--mode", "async",
+                               "--margin", margin, "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    _one_error_line(res, "error: margins must lie in (0, 1]")
+
+
 def test_run_determinism_bitwise(runner, tmp_path):
     args = ["run", "--scenario", "consensus", "--mode", "async", "--delay", "2",
             "--schedule", "random:11", "--tol", "1e-9"]

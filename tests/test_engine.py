@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+
+import dualprox.engine
 
 from dualprox import (
     AgentSpec,
@@ -257,6 +261,16 @@ def test_step_sizes_positive_only():
         StepSizes.uniform(0.0, 2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_step_sizes_and_margins_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        StepSizes.uniform(bad, 2)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        StepSizes.per_agent([1e-3, bad])
+    with pytest.raises(ValueError, match=r"margins must lie in \(0, 1\]"):
+        step_size_async(1.0, 2, margins=[1.0, bad], n_agents=2)
+
+
 def test_delay_schedule_invariants():
     sched = DelaySchedule.seeded(4, seed=123)
     for k in range(200):
@@ -300,6 +314,54 @@ def test_recover_primal_trivial_and_perturbed(ctx):
     assert perturbed.mismatch > 0.0  # reported, not raised
 
 
+def _same_recovery(a, b):
+    return (a.x_hat.tobytes() == b.x_hat.tobytes() and a.z_hat.tobytes() == b.z_hat.tobytes()
+            and a.mismatch == b.mismatch)
+
+
+def _counting_apply_C(monkeypatch):
+    """Count the calls the engine makes to ``apply_C``."""
+    calls = []
+    original = dualprox.engine.apply_C
+
+    def counted(instance, lam):
+        calls.append(1)
+        return original(instance, lam)
+
+    monkeypatch.setattr(dualprox.engine, "apply_C", counted)
+    return calls
+
+
+def test_recover_primal_reuses_the_maximizers_of_the_last_iterate(monkeypatch):
+    inst = build_market()
+    trace = run(inst, mode="async", schedule=DelaySchedule.worst_case(5), k_max=40)
+    lam = trace.lam[-1]
+    fresh = recover_primal(build_market(), lam)
+    calls = _counting_apply_C(monkeypatch)
+    assert _same_recovery(recover_primal(inst, lam), fresh)
+    assert _same_recovery(recover_primal(inst, lam.copy()), fresh)
+    assert calls == []  # byte-equal to the point run evaluated last
+    # one ulp away is another point: x_hat is computed for it
+    near = lam.copy()
+    near[0] = np.nextafter(near[0], np.inf)
+    assert _same_recovery(recover_primal(inst, near), recover_primal(build_market(), near))
+    assert len(calls) == 2
+
+
+def test_recover_primal_never_returns_a_stale_maximizer():
+    inst = build_market()
+    lam = run(inst, mode="sync", k_max=30).lam[-1]
+    lam[5:] += 1.0  # the caller moves the last iterate after the run
+    assert _same_recovery(recover_primal(inst, lam), recover_primal(build_market(), lam))
+    lam = run(inst, mode="sync", k_max=30).lam[-1]
+    expected = recover_primal(build_market(), lam)
+    dual_objective(inst, lam + 1.0)  # evaluating another point keeps the run's
+    rec = recover_primal(inst, lam)
+    assert _same_recovery(rec, expected)
+    rec.x_hat[:] = 0.0  # nor may writing into a returned maximizer leak into the kept one
+    assert _same_recovery(recover_primal(inst, lam), expected)
+
+
 def test_run_zero_rounds():
     inst = _two_agent(b0=1.0)
     trace = run(inst, k_max=0)
@@ -315,6 +377,23 @@ def test_run_rejects_infinite_initial_objective():
     inst.compiled.split(lam0)[1][1] = 5.0
     with pytest.raises(NonFiniteInitialError):
         run(inst, lam0=lam0, k_max=10)
+
+
+def test_run_checks_the_shape_of_lam0():
+    market = build_market()
+    for lam0 in (np.zeros(3), np.zeros((2, 5)), np.zeros((10, 1))):
+        with pytest.raises(ValueError, match="length dual_dim = 10"):
+            run(market, lam0=lam0, k_max=1)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_run_refuses_a_non_finite_lam0_before_evaluating_it(bad):
+    lam0 = np.zeros(10)
+    lam0[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from evaluating it
+        with pytest.raises(NonFiniteInitialError, match="lam"):
+            run(build_market(), lam0=lam0, k_max=1)
 
 
 def test_run_requires_schedule_in_async_mode():

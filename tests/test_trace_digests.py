@@ -1,9 +1,11 @@
-"""Bitwise pins of three reference trajectories.
+"""Bitwise pins of four reference trajectories.
 
-The digests were recorded from the engine that built every round out of
-per-edge gradient messages (``_apply_round``), before the round was reduced
-to a single kernel.  Any change to the arithmetic of a round, to the order
-of its sums, to the read instants or to the message counts changes them.
+The market and mixed digests were recorded from the engine that built every
+round out of per-edge gradient messages (``_apply_round``), before the round
+was reduced to a single kernel; the path consensus digest was recorded
+before the catalog groups bound their constants once.  Any change to the
+arithmetic of a round, to the order of its sums, to the read instants or to
+the message counts changes them.
 """
 
 import hashlib
@@ -60,6 +62,16 @@ def _mixed_path(n_agents=8, seed=3):
     return build_consensus(Topology.path(n_agents), locals_f, locals_g, omegas)
 
 
+def _path_sync(n_agents=48, seed=5):
+    """Sync consensus on a path: quadratic smooth parts on all of space, zero g."""
+    rng = np.random.default_rng(seed)
+    targets, curvs = rng.uniform(-10.0, 10.0, n_agents), rng.uniform(0.5, 2.0, n_agents)
+    locals_f = [SmoothConjugable(QuadraticFunction(c, [-c * t], 0.5 * c * t * t))
+                for t, c in zip(targets, curvs)]
+    return run(build_consensus(Topology.path(n_agents), locals_f), mode="sync", tol=0.0,
+               k_max=300)
+
+
 def _market_sync():
     return run(build_market(), mode="sync", tol=1e-10, k_max=100_000)
 
@@ -74,7 +86,7 @@ def _mixed_seeded():
                k_max=200)
 
 
-# recorded from the message-passing engine; see the module docstring
+# see the module docstring for the engine each was recorded from
 PINNED = {
     "market_sync": (_market_sync, 252, {
         "lam": "993c06ded9275a61ec8590159439fd60",
@@ -96,6 +108,13 @@ PINNED = {
         "step_norm_inf": "20df789172af5308a5d806e79db34546",
         "tau": "e0811a59538c8dff4d4d606fd0c182c9",
         "message_counts": "a6d5a80e5a0b5f220859ade3a1a02ad7",
+    }),
+    "path_sync_n48": (_path_sync, 300, {
+        "lam": "6e208df095ac7d72edffc2af00ab9073",
+        "psi": "87e49d960d2a414a8e0d7283fa5d2dc5",
+        "step_norm_inf": "508fc9a0a72f5ab4bb3b59b0b364b809",
+        "tau": "98e038d3a30a991777ce2f66d2e9b9f3",
+        "message_counts": "6ec7cbd9d3ea93c9e3a6a48059fd11d9",
     }),
 }
 

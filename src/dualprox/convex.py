@@ -277,9 +277,10 @@ class SmoothConjugable:
     def _utility_candidates(self):
         """What the utility's argmax needs that does not depend on the slope.
 
-        ``(lo, lo_inf, any_lo_inf, x_thr, two_curv, cand_rows)``: the
-        domain's lower ends, where they are infinite and whether any is, the
-        threshold clamped into the domain, ``2 curvature``, and in
+        ``(lo, lo_inf, any_lo_inf, hi_inf, any_hi_inf, x_thr, two_curv,
+        cand_rows)``: the domain's lower ends, where they are infinite and
+        whether any is, the same two for the upper ends, the threshold
+        clamped into the domain, ``2 curvature``, and in
         ``cand_rows`` the four candidates of :func:`conjugate_argmax` (lower
         end, quadratic branch, threshold, upper end) over their branch
         values.  Candidate 1, and candidate 0 where ``lo`` is infinite, are
@@ -295,8 +296,8 @@ class SmoothConjugable:
         ends = np.array([lo, x_thr, x_thr, hi])
         inf = np.isinf(ends)
         cand_x = np.where(inf, x_thr, ends)
-        return (lo, inf[0], bool(inf[0].any()), x_thr, 2.0 * base.curvature,
-                np.array([cand_x, base._branch_value(cand_x)]))
+        return (lo, inf[0], bool(inf[0].any()), inf[3], bool(inf[3].any()), x_thr,
+                2.0 * base.curvature, np.array([cand_x, base._branch_value(cand_x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,13 @@ class ProxFriendlyFunction:
             val = np.where(self.box.contains(x), val, INF)
         return _per_member(val)
 
-    def prox(self, u, alpha) -> np.ndarray:
-        """Exact prox with parameter ``alpha > 0``."""
-        if not _all_positive(alpha):
+    def prox(self, u, alpha, *, alpha_checked: bool = False) -> np.ndarray:
+        """Exact prox with parameter ``alpha > 0``.
+
+        ``alpha_checked`` skips the check on ``alpha`` for a caller that has
+        made it.
+        """
+        if not (alpha_checked or _all_positive(alpha)):
             raise ValueError("alpha must be positive")
         u = _vec(u)
         if self.kind == "zero":
@@ -521,9 +526,11 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
         return x if dom is None else dom.project(x)
     # piecewise quadratic utility, scalar
     s = u[..., 0]
-    if dom is None and (s > 0).any():
+    lo, lo_inf, any_lo_inf, hi_inf, any_hi_inf, x_thr, two_curv, cand_rows = \
+        f._utility_candidates
+    # the flat branch runs on to an infinite upper end: u x - f(x) grows without bound
+    if any_hi_inf and ((s > 0) & hi_inf).any():
         raise UnboundedConjugateError("positive slope on the unbounded flat branch")
-    lo, lo_inf, any_lo_inf, x_thr, two_curv, cand_rows = f._utility_candidates
     # lo <= x_quad <= x_thr <= hi: a domain above the threshold has no
     # quadratic branch and lo stands in for it; an infinite endpoint is no
     # candidate and its finite neighbour stands in for it (a repeat never wins)
@@ -569,8 +576,9 @@ def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c) -> np.ndarray:
     so the conjugate's prox is never evaluated directly.  For a group, ``c``
     holds one parameter per member.
     """
-    if not _all_positive(c):
-        raise ValueError("c must be positive")
     c = np.asarray(c, dtype=float)
+    # NaN fails too; 0 < c < inf is 1/c > 0, the check the prox would repeat
+    if not (0.0 < c.min() and c.max() < INF):
+        raise ValueError("c must be positive and finite")
     v, c_col = _vec(v), c[..., None]
-    return v - c_col * g.prox(v / c_col, 1.0 / c)
+    return v - c_col * g.prox(v / c_col, 1.0 / c, alpha_checked=True)

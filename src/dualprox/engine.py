@@ -20,6 +20,12 @@ quadratic's diagonal and whether it is positive.  A group of consecutive
 agents is read through a slice.  :func:`run` leaves the ``x_hat`` of its
 last iterate on the instance, and :func:`recover_primal` reuses it when
 called at a bytewise equal ``lam``.
+
+The rate-bound verifier works an array at a time: it stacks the trace's
+``lam`` once, and computes each bound, measured value and running total for
+all rows together.  That is ``O(K W)`` array work for ``K`` transitions and
+the trace's widest read window ``W``, and every report field is bitwise
+what a loop over rounds and agents gives, sums added in the loop's order.
 """
 
 from __future__ import annotations
@@ -116,9 +122,10 @@ class DelaySchedule:
             raise ValueError("delay bound must be nonnegative")
         if self.kind not in ("worst_case", "seeded_random"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "seeded_random" and self.seed is None:
-            raise ValueError("seeded_random schedule needs a seed")
-        self._rng = np.random.Generator(np.random.PCG64(self.seed or 0))
+        if self.kind == "seeded_random":  # a worst-case schedule draws nothing
+            if self.seed is None:
+                raise ValueError("seeded_random schedule needs a seed")
+            self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     @staticmethod
     def worst_case(D: int) -> "DelaySchedule":
@@ -364,25 +371,33 @@ class IterationTrace:
                 f"over {n_agents!r} agents")
         B = n_theta // n_agents
         M = n_mu // n_agents
+        if not rows:
+            raise MalformedTraceError(f"trace {csv_path} has a header but no rows")
         trace = IterationTrace(n_agents, B, M, meta.get("psi_star", float("nan")), meta)
         expected = 4 + n_theta + n_mu
+        lam = []
         for row in rows:
             if len(row) != expected:
                 raise MalformedTraceError(f"row of length {len(row)}, expected {expected}")
             try:
                 trace.psi.append(float(row[1]))
                 trace.epsilon.append(float(row[2]))
-                trace.lam.append(np.array([float(x) for x in row[4:]]))
+                lam.append([float(x) for x in row[4:]])
             except ValueError as exc:
                 raise MalformedTraceError(f"unparseable value in trace: {exc}")
-        for k in range(1, trace.n_records):
-            diff = trace.lam[k] - trace.lam[k - 1]
-            trace.step_norm_inf.append(float(np.max(np.abs(diff))) if diff.size else 0.0)
+        lam = np.array(lam)
+        trace.lam = list(lam)
+        trace.step_norm_inf = np.abs(np.diff(lam, axis=0)).max(axis=1).tolist()
         tau, counts = meta.get("tau", []), meta.get("message_counts", [])
         if type(tau) is not list or type(counts) is not list or any(
                 type(t) is not int or not 0 <= t <= k for k, t in enumerate(tau)):
             raise MalformedTraceError("trace metadata: tau and message_counts must be lists, "
                                       "with read instants 0 <= tau[k] <= k")
+        for name in ("tau", "message_counts"):
+            if name in meta and len(meta[name]) != trace.n_transitions:
+                raise MalformedTraceError(
+                    f"trace metadata lists {len(meta[name])} {name} entries for the "
+                    f"{trace.n_transitions} transitions of {csv_path}")
         trace.tau, trace.message_counts = list(tau), list(counts)
         return trace
 
@@ -546,29 +561,26 @@ def delayed_bound_constant(trace: IterationTrace, lam_star: np.ndarray,
     """Trajectory constant of the delayed-rate bound.
 
     ``sum_{k<=floor(D/2)} sum_i (h(2k+D)(D+1)^2/4 - k/c_i) ||dlam_i(k)||^2
-    + sum_i ||lam_i(0) - lam_i*||^2 / (2 c_i)``.
+    + sum_i ||lam_i(0) - lam_i*||^2 / (2 c_i)``, added k-major, then by
+    agent, then the ``lam*`` terms, as a loop over ``(k, i)`` adds them.
     """
     half = D // 2
     if trace.n_transitions < half + 1:
         raise InsufficientTraceError(
             f"need {half + 1} transitions for the trajectory constant, have {trace.n_transitions}")
     n, B, M = trace.n_agents, trace.B, trace.M
+    lam = np.asarray(trace.lam[:half + 2], dtype=float)
+    # rows dlam(0..half), then lam(0) - lam*; per agent, its theta squares plus its mu squares
+    sq = np.concatenate((lam[1:] - lam[:-1], [lam[0] - np.asarray(lam_star, dtype=float)])) ** 2
+    dist = sq[:, :n * B].reshape(-1, n, B).sum(axis=2) + sq[:, n * B:].reshape(-1, n, M).sum(axis=2)
+    k, c = np.arange(half + 1)[:, None], steps.values
+    coeff = h * (2 * k + D) * (D + 1) ** 2 / 4.0 - k / c
+    return sum_in_order(np.concatenate(((coeff * dist[:-1]).ravel(), dist[-1] / (2.0 * c))))
 
-    def agent_sq_dist(a, b, i):
-        """``||(theta_i, mu_i)(a) - (theta_i, mu_i)(b)||^2``."""
-        th = slice(i * B, (i + 1) * B)
-        mu = slice(n * B + i * M, n * B + (i + 1) * M)
-        return float(np.sum((a[th] - b[th]) ** 2) + np.sum((a[mu] - b[mu]) ** 2))
 
-    total = 0.0
-    for k in range(half + 1):
-        for i in range(n):
-            coeff = h * (2 * k + D) * (D + 1) ** 2 / 4.0 - k / steps.values[i]
-            total += coeff * agent_sq_dist(trace.lam[k + 1], trace.lam[k], i)
-    star = np.asarray(lam_star, dtype=float)
-    for i in range(n):
-        total += agent_sq_dist(trace.lam[0], star, i) / (2.0 * steps.values[i])
-    return float(total)
+def _rows(*columns) -> list:
+    """Row tuples of equal-length columns, each entry a Python int or float."""
+    return list(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
 def verify_rate_bounds(trace: IterationTrace, lam_star: np.ndarray,
@@ -580,46 +592,44 @@ def verify_rate_bounds(trace: IterationTrace, lam_star: np.ndarray,
     every ``K >= ceil(D/2)`` with the trajectory constant from the early
     steps; the two delay-counting inequalities (plain and iteration
     weighted) are accumulated from the recorded step norms using the trace's
-    own read instants.
+    own read instants.  Each is computed for all rows at once, bitwise as a
+    loop over the rows does: ``O(K W)`` array work for ``K`` transitions and
+    the trace's widest read window ``W = max_k (k - tau(k)) + 1``.
     """
     if steps.values.size != trace.n_agents:
         raise ValueError(f"{steps.values.size} step sizes for {trace.n_agents} agents")
-    if trace.n_transitions < 1:
+    n = trace.n_transitions
+    if n < 1:
         raise InsufficientTraceError("trace has no transitions")
-    if len(trace.tau) < trace.n_transitions:
+    if len(trace.tau) < n:
         raise InsufficientTraceError("read instants missing from trace")
-    lam_star = np.asarray(lam_star, dtype=float)
+    lam, psi = np.asarray(trace.lam, dtype=float), np.asarray(trace.psi, dtype=float)
+    dist0_sq = float(np.sum((lam[0] - np.asarray(lam_star, dtype=float)) ** 2))
+    d2 = ((lam[1:n + 1] - lam[:n]) ** 2).sum(axis=1)
 
-    dist0_sq = float(np.sum((trace.lam[0] - lam_star) ** 2))
-    d2 = [float(np.sum((trace.lam[k + 1] - trace.lam[k]) ** 2))
-          for k in range(trace.n_transitions)]
-
-    no_delay = []
-    for K in range(1, trace.n_records):
-        bound = h * dist0_sq / (2.0 * K)
-        measured = trace.psi[K] - psi_star
-        no_delay.append((K, bound, measured, bound - measured))
-
-    delayed = []
-    traj_const = None
-    half_up = math.ceil(D / 2)
-    if trace.n_transitions >= D // 2 + 1:
+    K = np.arange(1, trace.n_records)
+    bound, measured = h * dist0_sq / (2.0 * K), psi[K] - psi_star
+    no_delay = _rows(K, bound, measured, bound - measured)
+    delayed, traj_const = [], None
+    if n >= D // 2 + 1:
         traj_const = delayed_bound_constant(trace, lam_star, steps, h, D)
-        for K in range(max(half_up, 1), trace.n_records - 1):
-            bound = traj_const / (K + 1)
-            measured = trace.psi[K + 1] - psi_star
-            delayed.append((K, bound, measured, bound - measured))
+        K = np.arange(max(math.ceil(D / 2), 1), trace.n_records - 1)
+        bound, measured = traj_const / (K + 1), psi[K + 1] - psi_star
+        delayed = _rows(K, bound, measured, bound - measured)
 
-    count_rows = []
-    weighted_rows = []
-    lhs_c = rhs_c = lhs_w = rhs_w = 0.0
-    for k in range(trace.n_transitions):
-        inner = sum(d2[j] for j in range(trace.tau[k], k + 1))
-        lhs_c += inner
-        rhs_c += (D + 1) * d2[k]
-        lhs_w += k * inner
-        rhs_w += (2 * k + D) * (D + 1) / 2.0 * d2[k]
-        count_rows.append((k, lhs_c, rhs_c, rhs_c - lhs_c))
-        weighted_rows.append((k, lhs_w, rhs_w, rhs_w - lhs_w))
-
-    return RateBoundReport(traj_const, no_delay, delayed, count_rows, weighted_rows)
+    # inner[k] = 0 + d2[tau_k] + ... + d2[k], added one offset into the windows at
+    # a time; the widest window is the trace's own, whatever D claims, and the
+    # padding keeps tau + offset in range where the mask skips the term
+    k, tau = np.arange(n), np.asarray(trace.tau[:n], dtype=np.intp)
+    lag = k - tau
+    width = int(lag.max()) + 1
+    d2_pad, inner = np.concatenate((d2, np.zeros(max(width - 1, 0)))), np.zeros(n)
+    for offset in range(width):
+        np.add(inner, d2_pad[tau + offset], out=inner, where=offset <= lag)
+    # no term is -0.0, so a cumsum's totals are the loop's 0.0 + ... totals; below
+    # 2**53 the factors of (2k + D)(D + 1) are exact floats, so the product rounds
+    # once, as the loop's int product does, and a huge D cannot overflow it
+    lhs_c, rhs_c = inner.cumsum(), ((D + 1) * d2).cumsum()
+    lhs_w, rhs_w = (k * inner).cumsum(), ((2.0 * k + D) * (D + 1.0) / 2.0 * d2).cumsum()
+    return RateBoundReport(traj_const, no_delay, delayed, _rows(k, lhs_c, rhs_c, rhs_c - lhs_c),
+                           _rows(k, lhs_w, rhs_w, rhs_w - lhs_w))

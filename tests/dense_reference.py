@@ -8,13 +8,17 @@ the reproduction suite.
 
 The ``reference_*`` kernels at the end are different: they keep the
 catalog's own formulas as they were before per-group constants were bound
-once, so the bound kernels can be checked against them bit for bit.
+once, and the rate-bound verifier as the per-agent loop it was before it
+went array-at-a-time, so the new code can be checked against them bit for
+bit.
 """
+
+import math
 
 import numpy as np
 
-from dualprox import PiecewiseQuadraticUtility
-from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
+from dualprox import PiecewiseQuadraticUtility, RateBoundReport
+from dualprox.errors import InsufficientTraceError, NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import conjugate_prox_oracle
 
 
@@ -170,10 +174,10 @@ def reference_conjugate_argmax(f, u) -> np.ndarray:
         x = (u - base.linear) / diag
         return x if dom is None else np.clip(x, dom.lower, dom.upper)
     s = u[..., 0]
-    if dom is None and (s > 0).any():
-        raise UnboundedConjugateError("positive slope on the unbounded flat branch")
     lo = -np.inf if dom is None else dom.lower[..., 0]
     hi = np.inf if dom is None else dom.upper[..., 0]
+    if ((s > 0) & np.isinf(hi)).any():
+        raise UnboundedConjugateError("positive slope on the unbounded flat branch")
     stat = (s + base.price) / (2.0 * base.curvature)
     x_thr = np.minimum(np.maximum(base.price / (2.0 * base.curvature), lo), hi)
     x_quad = np.minimum(np.maximum(stat, lo), x_thr)
@@ -192,3 +196,82 @@ def reference_conjugate_argmax(f, u) -> np.ndarray:
         best_v = np.where(better, val, best_v)
     return best_x[..., None]
 
+
+# ---------------------------------------------------------------------------
+# the rate-bound verifier as the loop it was before it went array-at-a-time
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_rate_bounds(trace, lam_star, psi_star, h, steps, D) -> RateBoundReport:
+    """``verify_rate_bounds`` as one Python loop per quantity, row by row.
+
+    The window sums of the delay count are spelled out as ``+=`` from ``0``:
+    before Python 3.12 ``sum`` added floats that way, and since then it
+    compensates, which would round differently.
+    """
+    if steps.values.size != trace.n_agents:
+        raise ValueError(f"{steps.values.size} step sizes for {trace.n_agents} agents")
+    if trace.n_transitions < 1:
+        raise InsufficientTraceError("trace has no transitions")
+    if len(trace.tau) < trace.n_transitions:
+        raise InsufficientTraceError("read instants missing from trace")
+    lam_star = np.asarray(lam_star, dtype=float)
+
+    dist0_sq = float(np.sum((trace.lam[0] - lam_star) ** 2))
+    d2 = [float(np.sum((trace.lam[k + 1] - trace.lam[k]) ** 2))
+          for k in range(trace.n_transitions)]
+
+    no_delay = []
+    for K in range(1, trace.n_records):
+        bound = h * dist0_sq / (2.0 * K)
+        measured = trace.psi[K] - psi_star
+        no_delay.append((K, bound, measured, bound - measured))
+
+    delayed = []
+    traj_const = None
+    if trace.n_transitions >= D // 2 + 1:
+        traj_const = reference_delayed_bound_constant(trace, lam_star, steps, h, D)
+        for K in range(max(math.ceil(D / 2), 1), trace.n_records - 1):
+            bound = traj_const / (K + 1)
+            measured = trace.psi[K + 1] - psi_star
+            delayed.append((K, bound, measured, bound - measured))
+
+    count_rows = []
+    weighted_rows = []
+    lhs_c = rhs_c = lhs_w = rhs_w = 0.0
+    for k in range(trace.n_transitions):
+        inner = 0
+        for j in range(trace.tau[k], k + 1):
+            inner += d2[j]
+        lhs_c += inner
+        rhs_c += (D + 1) * d2[k]
+        lhs_w += k * inner
+        rhs_w += (2 * k + D) * (D + 1) / 2.0 * d2[k]
+        count_rows.append((k, lhs_c, rhs_c, rhs_c - lhs_c))
+        weighted_rows.append((k, lhs_w, rhs_w, rhs_w - lhs_w))
+
+    return RateBoundReport(traj_const, no_delay, delayed, count_rows, weighted_rows)
+
+
+def reference_delayed_bound_constant(trace, lam_star, steps, h, D) -> float:
+    """``delayed_bound_constant`` as a loop over ``(k, agent)``, then over agents."""
+    half = D // 2
+    if trace.n_transitions < half + 1:
+        raise InsufficientTraceError(
+            f"need {half + 1} transitions for the trajectory constant, have {trace.n_transitions}")
+    n, B, M = trace.n_agents, trace.B, trace.M
+
+    def agent_sq_dist(a, b, i):
+        th = slice(i * B, (i + 1) * B)
+        mu = slice(n * B + i * M, n * B + (i + 1) * M)
+        return float(np.sum((a[th] - b[th]) ** 2) + np.sum((a[mu] - b[mu]) ** 2))
+
+    total = 0.0
+    for k in range(half + 1):
+        for i in range(n):
+            coeff = h * (2 * k + D) * (D + 1) ** 2 / 4.0 - k / steps.values[i]
+            total += coeff * agent_sq_dist(trace.lam[k + 1], trace.lam[k], i)
+    star = np.asarray(lam_star, dtype=float)
+    for i in range(n):
+        total += agent_sq_dist(trace.lam[0], star, i) / (2.0 * steps.values[i])
+    return float(total)

@@ -417,3 +417,29 @@ def test_run_reports_divergence(runner, tmp_path, monkeypatch):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: run diverged")
     assert json.loads((out / "trace_meta.json").read_text())["stop_reason"] == "nonfinite"
+
+
+def test_verify_refuses_a_truncated_trace(runner, tmp_path):
+    good = tmp_path / "run"
+    assert runner.invoke(main, ["run", "--scenario", "market", "--iters", "30",
+                                "--out", str(good)]).exit_code == 0
+    lines = (good / "trace.csv").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "trace_meta.json").write_text((good / "trace_meta.json").read_text())
+    # the header alone, then the rows cut short of the metadata's read instants
+    for name, kept, message in (("header only", lines[:1], "has a header but no rows"),
+                                ("short", lines[:-5], "30 tau entries for the 25 transitions")):
+        (cut / "trace.csv").write_text("".join(kept))
+        res = runner.invoke(main, ["verify", "--trace", str(cut / "trace.csv"),
+                                   "--out", str(cut)])
+        _one_error_line(res, "error: ")
+        assert message in res.output, name
+    # message counts that disagree with the rows are refused as well
+    meta = json.loads((good / "trace_meta.json").read_text())
+    meta["message_counts"] = meta["message_counts"][:-1]
+    (cut / "trace_meta.json").write_text(json.dumps(meta))
+    (cut / "trace.csv").write_text("".join(lines))
+    res = runner.invoke(main, ["verify", "--trace", str(cut / "trace.csv"), "--out", str(cut)])
+    _one_error_line(res, "error: ")
+    assert "29 message_counts entries for the 30 transitions" in res.output

@@ -53,6 +53,26 @@ def test_prox_l1_rejects_nonpositive_alpha():
         ProxFriendlyFunction.l1().prox([1.0], 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0, float("nan")])
+def test_prox_rejects_a_nonpositive_or_nan_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ProxFriendlyFunction.l1().prox([1.0], alpha)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ProxFriendlyFunction.stack([ProxFriendlyFunction.zero()] * 2).prox(
+            np.ones((2, 1)), np.broadcast_to(alpha, 2))
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, -2.0, float("nan"), float("inf"), [1.0, 0.0],
+                               [float("nan"), 1.0], [1.0, -float("inf")]])
+def test_prox_conjugate_via_moreau_rejects_a_bad_c(c):
+    g = ProxFriendlyFunction.stack([ProxFriendlyFunction.l1(1.0)] * 2)
+    with pytest.raises(ValueError, match="c must be positive"):
+        prox_conjugate_via_moreau(g, np.ones((2, 1)), np.broadcast_to(c, 2))
+    if np.ndim(c) == 0:
+        with pytest.raises(ValueError, match="c must be positive"):
+            prox_conjugate_via_moreau(ProxFriendlyFunction.l1(1.0), [1.0], c)
+
+
 def test_prox_conjugate_via_moreau_examples():
     np.testing.assert_allclose(
         prox_conjugate_via_moreau(ProxFriendlyFunction.l1(1.0), [2.0], 1.0), [1.0])
@@ -222,6 +242,22 @@ def test_conjugate_argmax_unbounded_flat_branch():
     with pytest.raises(UnboundedConjugateError):
         conjugate_argmax(f, [0.5])
     assert conjugate_value(f, [0.5]) == float("inf")
+
+
+def test_conjugate_argmax_flat_branch_unbounded_above_a_finite_lower_end():
+    f = SmoothConjugable(PiecewiseQuadraticUtility(1.0, 1.0), BoxSet([0.0], [float("inf")]))
+    with pytest.raises(UnboundedConjugateError):
+        conjugate_argmax(f, [0.5])
+    assert conjugate_value(f, [0.5]) == float("inf")
+    # no positive slope, a finite sup: the threshold, or the quadratic branch
+    np.testing.assert_array_equal(conjugate_argmax(f, [0.0]), [0.5])
+    np.testing.assert_array_equal(conjugate_argmax(f, [-0.5]), [0.25])
+    # in a group only a member with an infinite upper end and a positive slope is unbounded
+    bounded = SmoothConjugable(PiecewiseQuadraticUtility(1.0, 1.0), BoxSet([0.0], [2.0]))
+    group = SmoothConjugable.stack([f, bounded])
+    np.testing.assert_array_equal(conjugate_argmax(group, [[-0.5], [0.5]]), [[0.25], [2.0]])
+    with pytest.raises(UnboundedConjugateError):
+        conjugate_argmax(group, [[0.5], [-0.5]])
 
 
 def test_conjugate_value_examples():

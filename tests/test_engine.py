@@ -287,6 +287,19 @@ def test_delay_schedule_invariants():
         DelaySchedule(-1, "worst_case")
 
 
+def test_seeded_schedule_draws_the_pinned_read_instants():
+    # the first 50 read instants of one seed, recorded before the generator
+    # was built for seeded schedules only
+    sched = DelaySchedule.seeded(4, 123)
+    assert [sched.tau(k) for k in range(50)] == [
+        0, 0, 0, 3, 0, 4, 5, 7, 7, 9, 9, 7, 10, 9, 12, 14, 13, 13, 14, 15, 20, 19, 21, 22, 23,
+        21, 23, 26, 26, 26, 30, 28, 30, 29, 31, 34, 32, 34, 37, 37, 37, 40, 41, 43, 44, 43, 46,
+        45, 46, 49]
+    worst = DelaySchedule.worst_case(5)
+    assert "_rng" not in vars(worst)  # it draws nothing, so it builds no generator
+    assert [worst.tau(k) for k in (0, 4, 5, 6, 40)] == [0, 0, 0, 1, 35]
+
+
 def test_dual_objective_zero_instance():
     inst = _two_agent(b0=0.0)
     obj = dual_objective(inst, np.zeros(4))

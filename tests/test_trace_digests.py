@@ -1,4 +1,4 @@
-"""Bitwise pins of four reference trajectories.
+"""Bitwise pins of four reference trajectories and of their rate-bound reports.
 
 The market and mixed digests were recorded from the engine that built every
 round out of per-edge gradient messages (``_apply_round``), before the round
@@ -6,9 +6,16 @@ was reduced to a single kernel; the path consensus digest was recorded
 before the catalog groups bound their constants once.  Any change to the
 arithmetic of a round, to the order of its sums, to the read instants or to
 the message counts changes them.
+
+The ``report`` digest hashes the JSON of each trajectory's
+``verify_rate_bounds`` report, checked as ``dualprox verify`` checks a trace
+(the last iterate and the best ``Psi`` as the reference).  It was recorded
+from the verifier that looped over rounds and agents, before it went
+array-at-a-time.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,13 +26,22 @@ from dualprox import (
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
+    StepSizes,
     Topology,
     build_consensus,
     build_market,
     run,
+    verify_rate_bounds,
 )
 
 FIELDS = ("lam", "psi", "step_norm_inf", "tau", "message_counts")
+
+
+def _report(trace):
+    meta = trace.meta
+    steps = StepSizes(meta["step_mode"], np.asarray(meta["step_sizes"], dtype=float))
+    return verify_rate_bounds(trace, trace.lam[-1], float(np.min(trace.psi)), meta["h"],
+                              steps, meta["D"])
 
 
 def _digests(trace) -> dict:
@@ -36,8 +52,11 @@ def _digests(trace) -> dict:
         "tau": np.asarray(trace.tau, dtype=np.int64),
         "message_counts": np.asarray(trace.message_counts, dtype=np.int64),
     }
-    return {name: hashlib.sha256(arrays[name].tobytes()).hexdigest()[:32]
-            for name in FIELDS}
+    digests = {name: hashlib.sha256(arrays[name].tobytes()).hexdigest()[:32]
+               for name in FIELDS}
+    report = json.dumps(_report(trace).to_json()).encode()
+    digests["report"] = hashlib.sha256(report).hexdigest()[:32]
+    return digests
 
 
 def _mixed_path(n_agents=8, seed=3):
@@ -94,6 +113,7 @@ PINNED = {
         "step_norm_inf": "f98244496f11fff2ced14c1b2ad2e0c3",
         "tau": "29cc3b6fd2ff29f94173012d4483c7d4",
         "message_counts": "c449159644ab89abae7e385cdfe47705",
+        "report": "d7957da28b1ee6836863de9add396aa7",
     }),
     "market_async_d5": (_market_async_d5, 300, {
         "lam": "ab6ab64d1198c6cc8272707530ce14b1",
@@ -101,6 +121,7 @@ PINNED = {
         "step_norm_inf": "cc54ff460c56fdb9ecc2c1338299b992",
         "tau": "ce90b9d13e07cce240f1b3732a65a5f1",
         "message_counts": "215331023b189b4dba3262cba8c556fb",
+        "report": "7d2ba4b729a4b99951c84d03e8f83c9a",
     }),
     "mixed_seeded_d4": (_mixed_seeded, 200, {
         "lam": "47f275445add038baf183ecc7ddbd09c",
@@ -108,6 +129,7 @@ PINNED = {
         "step_norm_inf": "20df789172af5308a5d806e79db34546",
         "tau": "e0811a59538c8dff4d4d606fd0c182c9",
         "message_counts": "a6d5a80e5a0b5f220859ade3a1a02ad7",
+        "report": "45762e2c2d0dbbb7d3602b9949b6e193",
     }),
     "path_sync_n48": (_path_sync, 300, {
         "lam": "6e208df095ac7d72edffc2af00ab9073",
@@ -115,6 +137,7 @@ PINNED = {
         "step_norm_inf": "508fc9a0a72f5ab4bb3b59b0b364b809",
         "tau": "98e038d3a30a991777ce2f66d2e9b9f3",
         "message_counts": "6ec7cbd9d3ea93c9e3a6a48059fd11d9",
+        "report": "f11a27dd7b344b99cb9711c08955e401",
     }),
 }
 

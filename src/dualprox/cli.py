@@ -208,9 +208,7 @@ def cmd_verify(trace_path, meta_path, instance, out, as_json):
     trace_path = Path(trace_path)
     if not trace_path.exists():
         _fail(f"trace file not found: {trace_path}")
-    if meta_path is None:
-        candidate = trace_path.with_name("trace_meta.json")
-        meta_path = candidate if candidate.exists() else None
+    meta_path = meta_path or trace_path.with_name("trace_meta.json")
     try:
         trace = IterationTrace.from_csv(trace_path, meta_path)
     except DualproxError as exc:

@@ -69,7 +69,7 @@ def _isclose_all(x, y) -> bool:
 
 def _all_positive(values) -> bool:
     # a float compares directly; a reduction over a 0-d array costs microseconds
-    return bool((values > 0).all()) if isinstance(values, np.ndarray) else values > 0
+    return values > 0 if isinstance(values, (int, float)) else bool((np.asarray(values) > 0).all())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ what a loop over rounds and agents gives, sums added in the loop's order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -266,19 +267,28 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _columns(n_agents: int, B: int, M: int) -> tuple:
+    """The trace header for a shape: ``k, psi, epsilon, step_norm_inf``, theta, mu."""
+    return ("k", "psi", "epsilon", "step_norm_inf",
+            *(f"theta_{i}_{b}" for i in range(n_agents) for b in range(B)),
+            *(f"mu_{i}_{m}" for i in range(n_agents) for m in range(M)))
+
+
 @dataclass
 class IterationTrace:
     """Per-round record of the dual trajectory and its diagnostics.
 
     ``lam[k]`` is the state entering round ``k`` (so ``len(lam) == K + 1``
-    after ``K`` rounds), and ``psi``/``epsilon`` are aligned with it.
-    Transition arrays (``tau``, ``step_norm_inf``, ``message_counts``) have
-    length ``K``: entry ``k`` describes the move from ``lam[k]`` to
-    ``lam[k+1]``, read from the snapshot ``lam[tau[k]]`` with
-    ``message_counts[k]`` neighbour maximizers.  ``meta`` holds the run's
-    configuration, its ``stop_reason`` (``"tol"``, ``"k_max"`` or
-    ``"nonfinite"``) and ``psi_star_source`` (``"given"`` or
-    ``"best_observed"``).
+    after ``K`` rounds), and ``psi`` is aligned with it; ``epsilon`` is
+    ``psi - psi_star``, derived on access.  Transition arrays (``tau``,
+    ``step_norm_inf``, ``message_counts``) have length ``K``: entry ``k``
+    describes the move from ``lam[k]`` to ``lam[k+1]``, read from the
+    snapshot ``lam[tau[k]]`` with ``message_counts[k]`` neighbour maximizers.
+    ``meta`` holds the run's configuration, its ``stop_reason`` (``"tol"``,
+    ``"k_max"`` or ``"nonfinite"``) and ``psi_star_source`` (``"given"`` or
+    ``"best_observed"``).  :meth:`save` writes the trace as two files, a
+    row per record and the rest as JSON; :meth:`from_csv` reads them back.
     """
 
     n_agents: int
@@ -288,7 +298,6 @@ class IterationTrace:
     meta: dict = field(default_factory=dict)
     lam: list = field(default_factory=list)
     psi: list = field(default_factory=list)
-    epsilon: list = field(default_factory=list)
     tau: list = field(default_factory=list)
     step_norm_inf: list = field(default_factory=list)
     message_counts: list = field(default_factory=list)
@@ -301,29 +310,25 @@ class IterationTrace:
     def n_transitions(self) -> int:
         return len(self.step_norm_inf)
 
+    @property
+    def epsilon(self) -> list:
+        """``Psi(lam(k)) - psi_star`` for every record."""
+        return [p - self.psi_star for p in self.psi]
+
     # -- serialization --
 
-    def column_names(self):
-        cols = ["k", "psi", "epsilon", "step_norm_inf"]
-        for i in range(self.n_agents):
-            cols += [f"theta_{i}_{b}" for b in range(self.B)]
-        for i in range(self.n_agents):
-            cols += [f"mu_{i}_{m}" for m in range(self.M)]
-        return cols
-
     def to_csv(self, path) -> None:
+        # csv writes str(x), a Python float's shortest round-trip repr
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self.column_names())
-            for k in range(self.n_records):
-                step = self.step_norm_inf[k - 1] if k > 0 else 0.0
-                row = [k, repr(self.psi[k]), repr(self.epsilon[k]), repr(step)]
-                row += [repr(float(x)) for x in self.lam[k]]
-                writer.writerow(row)
+            writer.writerow(_columns(self.n_agents, self.B, self.M))
+            writer.writerows([k, psi, eps, step, *lam.tolist()] for k, psi, eps, step, lam in zip(
+                range(self.n_records), self.psi, self.epsilon, [0.0, *self.step_norm_inf],
+                self.lam))
 
     def metadata(self) -> dict:
-        meta = dict(self.meta)
-        meta.update({
+        return {
+            **self.meta,
             "n_agents": self.n_agents,
             "B": self.B,
             "M": self.M,
@@ -331,8 +336,7 @@ class IterationTrace:
             "tau": self.tau,
             "message_counts": self.message_counts,
             "prng": PRNG_NAME,
-        })
-        return meta
+        }
 
     def save(self, csv_path, meta_path) -> None:
         self.to_csv(csv_path)
@@ -340,66 +344,59 @@ class IterationTrace:
             json.dump(self.metadata(), fh, indent=2)
 
     @staticmethod
-    def from_csv(csv_path, meta_path=None) -> "IterationTrace":
-        meta = {}
-        if meta_path is not None:
-            try:
-                with open(meta_path) as fh:
-                    meta = json.load(fh)
-            except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-                raise MalformedTraceError(f"cannot read trace metadata {meta_path}: {exc}")
-            if not isinstance(meta, dict):
-                raise MalformedTraceError(f"trace metadata {meta_path} is not a JSON object")
+    def from_csv(csv_path, meta_path) -> "IterationTrace":
+        """Read back the two files :meth:`save` wrote, or raise a one-line
+        :class:`~dualprox.errors.MalformedTraceError`.
+
+        The metadata fixes the shape, ``psi_star`` and the transition lists.
+        The CSV must carry the header written for that shape and rows
+        numbered ``0..K``; ``lam`` is their theta and mu columns, one array.
+        """
         try:
+            with open(meta_path) as fh:
+                meta = json.load(fh)
             with open(csv_path, newline="") as fh:
                 reader = csv.reader(fh)
-                header = next(reader)
-                rows = [row for row in reader if row]
-        except (OSError, StopIteration) as exc:
-            raise MalformedTraceError(f"cannot read trace {csv_path}: {exc}")
-        if header[:4] != ["k", "psi", "epsilon", "step_norm_inf"]:
-            raise MalformedTraceError("unexpected trace header")
-        n_theta = sum(1 for c in header if c.startswith("theta_"))
-        n_mu = sum(1 for c in header if c.startswith("mu_"))
-        n_agents = meta.get("n_agents")
-        if n_agents is None:
-            n_agents = len({c.split("_")[1] for c in header if c.startswith("theta_")})
-        if (type(n_agents) is not int or not n_theta or not n_agents
-                or n_theta % n_agents or n_mu % n_agents):
-            raise MalformedTraceError(
-                f"trace has {n_theta} theta and {n_mu} mu columns, which do not split "
-                f"over {n_agents!r} agents")
-        B = n_theta // n_agents
-        M = n_mu // n_agents
-        if not rows:
-            raise MalformedTraceError(f"trace {csv_path} has a header but no rows")
-        trace = IterationTrace(n_agents, B, M, meta.get("psi_star", float("nan")), meta)
-        expected = 4 + n_theta + n_mu
-        lam = []
-        for row in rows:
-            if len(row) != expected:
-                raise MalformedTraceError(f"row of length {len(row)}, expected {expected}")
-            try:
-                trace.psi.append(float(row[1]))
-                trace.epsilon.append(float(row[2]))
-                lam.append([float(x) for x in row[4:]])
-            except ValueError as exc:
-                raise MalformedTraceError(f"unparseable value in trace: {exc}")
-        lam = np.array(lam)
-        trace.lam = list(lam)
-        trace.step_norm_inf = np.abs(np.diff(lam, axis=0)).max(axis=1).tolist()
-        tau, counts = meta.get("tau", []), meta.get("message_counts", [])
+                header, rows = next(reader), [row for row in reader if row]
+        except (OSError, ValueError, StopIteration, csv.Error) as exc:  # JSONDecodeError too
+            raise MalformedTraceError(f"cannot read trace {csv_path} with metadata {meta_path}: "
+                                      f"{exc}")
+        if not isinstance(meta, dict):
+            raise MalformedTraceError(f"trace metadata {meta_path} is not a JSON object")
+        shape = tuple(meta.get(key) for key in ("n_agents", "B", "M"))
+        psi_star, tau, counts = meta.get("psi_star"), meta.get("tau"), meta.get("message_counts")
+        if not all(type(v) is int and v > 0 for v in shape):
+            raise MalformedTraceError(f"trace metadata: n_agents, B and M = {shape} are not "
+                                      "positive integers")
+        if type(psi_star) not in (int, float):
+            raise MalformedTraceError(f"trace metadata: psi_star = {psi_star!r} is not a number")
         if type(tau) is not list or type(counts) is not list or any(
                 type(t) is not int or not 0 <= t <= k for k, t in enumerate(tau)):
             raise MalformedTraceError("trace metadata: tau and message_counts must be lists, "
                                       "with read instants 0 <= tau[k] <= k")
-        for name in ("tau", "message_counts"):
-            if name in meta and len(meta[name]) != trace.n_transitions:
+        n, B, M = shape  # the width first: a huge shape must not build its header
+        if len(header) != 4 + n * (B + M) or tuple(header) != _columns(n, B, M):
+            raise MalformedTraceError(f"trace {csv_path} does not have the header written for "
+                                      f"n_agents, B and M = {shape}")
+        if not rows:
+            raise MalformedTraceError(f"trace {csv_path} has a header but no rows")
+        try:
+            body = np.array(rows, dtype=float)
+        except ValueError as exc:  # a ragged row, or a cell that is no number
+            raise MalformedTraceError(f"trace {csv_path} rows are not {len(header)} numbers "
+                                      f"each: {exc}")
+        if body.shape[1] != len(header) or not np.array_equal(body[:, 0], np.arange(len(body))):
+            raise MalformedTraceError(f"trace {csv_path} rows are not {len(header)} numbers "
+                                      "each, numbered 0..K in order")
+        for name, entries in (("tau", tau), ("message_counts", counts)):
+            if len(entries) != len(body) - 1:
                 raise MalformedTraceError(
-                    f"trace metadata lists {len(meta[name])} {name} entries for the "
-                    f"{trace.n_transitions} transitions of {csv_path}")
-        trace.tau, trace.message_counts = list(tau), list(counts)
-        return trace
+                    f"trace metadata lists {len(entries)} {name} entries for the "
+                    f"{len(body) - 1} transitions of {csv_path}")
+        lam = body[:, 4:]
+        step_norm_inf = np.abs(np.diff(lam, axis=0)).max(axis=1).tolist()
+        return IterationTrace(*shape, float(psi_star), meta, lam, body[:, 1].tolist(), tau,
+                              step_norm_inf, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +420,10 @@ def run(instance: ProblemInstance, mode: str = "sync",
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max = {k_max} is negative")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol = {tol} is not a nonnegative number")
     if steps is not None and steps.values.size != instance.n_agents:
         raise ValueError(f"{steps.values.size} step sizes for {instance.n_agents} agents")
     h, _ = lipschitz_constant(instance)
@@ -513,7 +514,6 @@ def run(instance: ProblemInstance, mode: str = "sync",
     if psi_star is None:
         psi = np.asarray(trace.psi)
         trace.psi_star = float(np.min(psi[np.isfinite(psi)]))
-    trace.epsilon = [p - trace.psi_star for p in trace.psi]
     return trace
 
 

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from dualprox import (
     BoxSet,
+    IterationTrace,
     ProxFriendlyFunction,
     StepSizes,
     Topology,
@@ -19,6 +20,7 @@ from dualprox import (
     save_instance,
 )
 from dualprox.cli import main
+from dualprox.errors import MalformedTraceError
 from dualprox.repro import CriterionResult
 
 
@@ -140,7 +142,7 @@ def test_verify_missing_and_malformed(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 1
 
-    bad.write_text("k,psi,epsilon,step_norm_inf\n0,1.0,0.0,0.0\n")  # no agent columns
+    bad.write_text("k,psi,epsilon,step_norm_inf\n0,1.0,0.0,0.0\n")  # and no metadata beside it
     res = runner.invoke(main, ["verify", "--trace", str(bad), "--out", str(tmp_path)])
     assert res.exit_code == 1 and "Traceback" not in res.output
     lines = res.output.strip().splitlines()
@@ -443,3 +445,44 @@ def test_verify_refuses_a_truncated_trace(runner, tmp_path):
     res = runner.invoke(main, ["verify", "--trace", str(cut / "trace.csv"), "--out", str(cut)])
     _one_error_line(res, "error: ")
     assert "29 message_counts entries for the 30 transitions" in res.output
+
+
+@pytest.mark.parametrize("name", ["theta names swapped", "theta and mu swapped",
+                                  "rows out of order", "k repeated", "psi_star abc",
+                                  "no metadata"])
+def test_verify_refuses_a_trace_its_metadata_does_not_describe(runner, tmp_path, name):
+    good = tmp_path / "run"
+    assert runner.invoke(main, ["run", "--scenario", "market", "--iters", "30",
+                                "--out", str(good)]).exit_code == 0
+    lines = (good / "trace.csv").read_text().splitlines()
+    names = lines[0].split(",")
+    assert names[4:6] == ["theta_0_0", "theta_1_0"] and names[9] == "mu_0_0"  # 5 agents
+    meta = json.loads((good / "trace_meta.json").read_text())
+    if name == "theta names swapped":
+        names[4], names[5] = names[5], names[4]
+    elif name == "theta and mu swapped":
+        names = names[:4] + names[9:] + names[4:9]
+    elif name == "rows out of order":
+        lines[2], lines[3] = lines[3], lines[2]
+    elif name == "k repeated":
+        lines[3] = lines[2]
+    elif name == "psi_star abc":
+        meta["psi_star"] = "abc"
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "trace.csv").write_text("\n".join([",".join(names), *lines[1:]]) + "\n")
+    if name != "no metadata":
+        (bad / "trace_meta.json").write_text(json.dumps(meta))
+    with pytest.raises(MalformedTraceError) as exc:
+        IterationTrace.from_csv(bad / "trace.csv", bad / "trace_meta.json")
+    assert "\n" not in str(exc.value)
+    res = runner.invoke(main, ["verify", "--trace", str(bad / "trace.csv"), "--out", str(bad)])
+    _one_error_line(res, "error: ")
+
+
+@pytest.mark.parametrize("flags", [["--iters", "-3"], ["--iters", "-1"], ["--tol", "nan"],
+                                   ["--tol", "-1e-8"]])
+def test_run_refuses_a_negative_round_cap_or_tolerance(runner, tmp_path, flags):
+    res = runner.invoke(main, ["run", "--scenario", "market", *flags,
+                               "--out", str(tmp_path / "o")])
+    _one_error_line(res, "error: ")

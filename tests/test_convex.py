@@ -62,6 +62,18 @@ def test_prox_rejects_a_nonpositive_or_nan_alpha(alpha):
             np.ones((2, 1)), np.broadcast_to(alpha, 2))
 
 
+@pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.0], [float("nan")], (1.0, -1.0)])
+def test_prox_rejects_a_list_alpha_with_a_nonpositive_entry(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        ProxFriendlyFunction.l1().prox([1.0], alpha)
+
+
+def test_prox_takes_a_positive_list_alpha_as_the_array():
+    g = ProxFriendlyFunction.l1(1.0)
+    np.testing.assert_array_equal(g.prox([2.0], [0.5]), g.prox([2.0], np.array([0.5])))
+    np.testing.assert_array_equal(g.prox([2.0], [0.5]), [[1.5]])
+
+
 @pytest.mark.parametrize("c", [0.0, -0.0, -2.0, float("nan"), float("inf"), [1.0, 0.0],
                                [float("nan"), 1.0], [1.0, -float("inf")]])
 def test_prox_conjugate_via_moreau_rejects_a_bad_c(c):

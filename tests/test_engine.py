@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -375,11 +376,19 @@ def test_recover_primal_never_returns_a_stale_maximizer():
     assert _same_recovery(recover_primal(inst, lam), expected)
 
 
+@pytest.mark.parametrize("kwargs", [{"k_max": -3}, {"k_max": -1}, {"tol": float("nan")},
+                                    {"tol": -1e-8}, {"tol": -float("inf")}])
+def test_run_rejects_a_negative_round_cap_or_tolerance(kwargs):
+    with pytest.raises(ValueError, match="k_max|tol"):
+        run(_two_agent(b0=1.0), **kwargs)
+
+
 def test_run_zero_rounds():
     inst = _two_agent(b0=1.0)
     trace = run(inst, k_max=0)
     assert trace.n_records == 1 and trace.n_transitions == 0
     assert trace.meta["stop_reason"] == "k_max"
+    assert run(inst, tol=0.0, k_max=3).n_transitions == 3
 
 
 def test_run_rejects_infinite_initial_objective():
@@ -503,25 +512,50 @@ def test_trace_csv_roundtrip_bitwise(tmp_path):
 
 
 def test_trace_rejects_malformed_csv(tmp_path):
-    bad = tmp_path / "bad.csv"
+    bad, meta_path = tmp_path / "bad.csv", tmp_path / "bad.json"
+    meta = {"n_agents": 1, "B": 1, "M": 1, "psi_star": 1.0, "tau": [], "message_counts": []}
+    meta_path.write_text(json.dumps(meta))
     bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,1.0,0.0,0.0,0.0\n")
-    with pytest.raises(MalformedTraceError):
-        IterationTrace.from_csv(bad)
+    with pytest.raises(MalformedTraceError, match="6 numbers each, numbered"):
+        IterationTrace.from_csv(bad, meta_path)
+    meta_path.write_text(json.dumps({**meta, "tau": [0], "message_counts": [1]}))
+    bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,1,0,0,0,0\n1,1,0,0,0\n")
+    with pytest.raises(MalformedTraceError, match="6 numbers each: "):
+        IterationTrace.from_csv(bad, meta_path)
+    meta_path.write_text(json.dumps(meta))
     bad.write_text("wrong,header\n")
-    with pytest.raises(MalformedTraceError):
-        IterationTrace.from_csv(bad)
+    with pytest.raises(MalformedTraceError, match="header"):
+        IterationTrace.from_csv(bad, meta_path)
     bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,oops,0.0,0.0,0.0,0.0\n")
+    with pytest.raises(MalformedTraceError, match="oops"):
+        IterationTrace.from_csv(bad, meta_path)
     with pytest.raises(MalformedTraceError):
-        IterationTrace.from_csv(bad)
-    with pytest.raises(MalformedTraceError):
-        IterationTrace.from_csv(tmp_path / "missing.csv")
-    # no agent columns, or columns that do not split over the agents
-    bad.write_text("k,psi,epsilon,step_norm_inf\n0,1.0,0.0,0.0\n")
-    with pytest.raises(MalformedTraceError, match="0 theta"):
-        IterationTrace.from_csv(bad)
-    bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,theta_1_0,mu_0_0\n0,1,0,0,0,0,0\n")
-    with pytest.raises(MalformedTraceError, match="2 agents"):
-        IterationTrace.from_csv(bad)
+        IterationTrace.from_csv(tmp_path / "missing.csv", meta_path)
+    bad.write_text("k," + "9" * 200_000 + "\n")  # a cell past the csv module's field limit
+    with pytest.raises(MalformedTraceError, match="field larger"):
+        IterationTrace.from_csv(bad, meta_path)
+    # the metadata, not the header, fixes the shape
+    bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,1.0,0.0,0.0,0.0,0.0\n")
+    assert IterationTrace.from_csv(bad, meta_path).lam.tolist() == [[0.0, 0.0]]
+    for shape in ({"n_agents": "1"}, {"B": 0}, {"M": 1.0}, {"n_agents": True},
+                  {"n_agents": None}, {"B": None}, {"M": None}):
+        doc = {k: v for k, v in {**meta, **shape}.items() if v is not None}
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedTraceError, match="positive integers"):
+            IterationTrace.from_csv(bad, meta_path)
+    # a shape far wider than the header is refused before its header is built
+    built = dualprox.engine._columns.cache_info().currsize
+    meta_path.write_text(json.dumps({**meta, "n_agents": 10**5}))
+    with pytest.raises(MalformedTraceError, match="header"):
+        IterationTrace.from_csv(bad, meta_path)
+    assert dualprox.engine._columns.cache_info().currsize == built
+
+
+def test_trace_epsilon_is_psi_minus_psi_star():
+    trace = run(_two_agent(b0=1.0), tol=1e-10, k_max=50)
+    assert trace.epsilon == [p - trace.psi_star for p in trace.psi]
+    trace.psi_star = 0.5
+    assert trace.epsilon == [p - 0.5 for p in trace.psi]
 
 
 def test_verify_rate_bounds_needs_transitions():

@@ -12,10 +12,17 @@ The ``report`` digest hashes the JSON of each trajectory's
 (the last iterate and the best ``Psi`` as the reference).  It was recorded
 from the verifier that looped over rounds and agents, before it went
 array-at-a-time.
+
+``FILES`` pins the SHA-256 of the ``trace.csv`` and ``trace_meta.json`` that
+``save`` writes for the same trajectories, and for one that turns
+non-finite in its first round.  They were recorded from the writer that
+formatted every cell with ``repr`` and read traces back with a per-row
+parse.  A trace read back with ``from_csv`` must save to the same bytes.
 """
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +37,7 @@ from dualprox import (
     Topology,
     build_consensus,
     build_market,
+    IterationTrace,
     run,
     verify_rate_bounds,
 )
@@ -105,6 +113,12 @@ def _mixed_seeded():
                k_max=200)
 
 
+def _market_nonfinite():
+    """Steps of 1e306 overflow theta to +-inf in round one, and Psi turns nan."""
+    return run(build_market(), mode="async", schedule=DelaySchedule.worst_case(5),
+               steps=StepSizes.uniform(1e306, 5), allow_step_violation=True)
+
+
 # see the module docstring for the engine each was recorded from
 PINNED = {
     "market_sync": (_market_sync, 252, {
@@ -148,3 +162,41 @@ def test_trace_matches_pinned_digests(name):
     trace = build()
     assert trace.n_transitions == rounds
     assert _digests(trace) == expected
+
+
+FILES = {
+    "market_sync": (_market_sync,
+                    "b7d15ff521eae36a002d156270db4f7f2eadc09cc4032ac8d8deac62bc9b326f",
+                    "d0479177e247d804e7b8f19999c4e8a1cd51bcdc6e9804c7b484ea89759abff8"),
+    "market_async_d5": (_market_async_d5,
+                        "93aa4ba53575bdc7a483c923a00b6d7835a24c9641f99e7a025c1f2120a7407f",
+                        "6192ffc810d4cc924be5201912f2087fa81878a5d8b3bf5920c9f316a487d2c5"),
+    "mixed_seeded_d4": (_mixed_seeded,
+                        "bb008fab6b14d08b3ee76c969f851f8fc9dcfe7b135b7b12f784c506e147f844",
+                        "dec1e1ab3239e32b9e9d41e264f7523f370a2929f389a462f8e4f488285858c6"),
+    "path_sync_n48": (_path_sync,
+                      "7c1ebdff58240e89dcdbd042463a62239143fe4861cb6cff7253daefd20784ed",
+                      "b850f31c744849e72944a9c04761130407499d55be0a1fca9a458ea9267a60b8"),
+    "market_nonfinite": (_market_nonfinite,
+                         "a4339adbb9f223b5d854bc2ed75e9b59f1d629b07bdd24a300c863db16dec9aa",
+                         "bcb93ee3b017d8e64dd20ce7ec7dd200ced8b00cae5aa1e382037af6fb98ffca"),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_saved_trace_files_match_pinned_digests(name, tmp_path):
+    build, csv_digest, meta_digest = FILES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = build()
+        trace.save(tmp_path / "a.csv", tmp_path / "a.json")
+        assert (_sha256(tmp_path / "a.csv"), _sha256(tmp_path / "a.json")) == (
+            csv_digest, meta_digest)
+        IterationTrace.from_csv(tmp_path / "a.csv", tmp_path / "a.json").save(
+            tmp_path / "b.csv", tmp_path / "b.json")
+    for suffix in ("csv", "json"):
+        assert (tmp_path / f"b.{suffix}").read_bytes() == (tmp_path / f"a.{suffix}").read_bytes()

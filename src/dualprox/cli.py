@@ -85,14 +85,13 @@ def _positive(v) -> bool:
 
 
 def _parse_schedule(text: str, D: int) -> DelaySchedule:
-    if text == "worst":
-        return DelaySchedule.worst_case(D)
-    if text.startswith("random:"):
-        try:
-            seed = int(text.split(":", 1)[1])
-        except ValueError:
-            _fail(f"bad seed in schedule {text!r}")
-        return DelaySchedule.seeded(D, seed)
+    try:
+        if text == "worst":
+            return DelaySchedule.worst_case(D)
+        if text.startswith("random:"):
+            return DelaySchedule.seeded(D, int(text.split(":", 1)[1]))
+    except ValueError as exc:  # a seed that is no integer or that the PRNG refuses, or D < 0
+        _fail(f"bad delay schedule (--delay {D}, --schedule {text}): {exc}")
     _fail(f"unknown schedule {text!r}; expected worst or random:<seed>")
 
 

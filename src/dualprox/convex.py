@@ -536,9 +536,11 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     # candidate and its finite neighbour stands in for it (a repeat never wins)
     stat = (s + base.price) / two_curv  # quadratic-branch stationary point
     x_quad = np.minimum(np.maximum(stat, lo), x_thr)
-    # rows x_k, then s x_k - f(x_k), then that plus the tie tolerance; a
-    # batch of slopes for fewer members gets the constants broadcast to it
-    shape = s.shape if s.shape == lo.shape else np.broadcast_shapes(s.shape, lo.shape)
+    # rows x_k, then s x_k - f(x_k), then that plus the tie tolerance; slopes
+    # for fewer members than the group's get the constants broadcast to them
+    shape = s.shape
+    if s.shape[s.ndim - lo.ndim:] != lo.shape:
+        shape = np.broadcast_shapes(s.shape, lo.shape)
     rows = np.empty((3, 4) + shape)
     rows[:2] = cand_rows.reshape((2, 4) + (1,) * (len(shape) - lo.ndim) + lo.shape)
     rows[0, 1] = x_quad

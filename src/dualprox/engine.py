@@ -21,6 +21,11 @@ agents is read through a slice.  :func:`run` leaves the ``x_hat`` of its
 last iterate on the instance, and :func:`recover_primal` reuses it when
 called at a bytewise equal ``lam``.
 
+A round reads an iterate up to ``D`` rounds old, so :func:`run` evaluates
+``Psi`` and ``x_hat`` of an iterate when a round first reads it, with every
+newer one, in one :func:`dual_objective` call over their stack; its rows
+run the one-vector kernels, so traces stay bitwise (see ``_settle``).
+
 The rate-bound verifier works an array at a time: it stacks the trace's
 ``lam`` once, and computes each bound, measured value and running total for
 all rows together.  That is ``O(K W)`` array work for ``K`` transitions and
@@ -45,6 +50,7 @@ from .errors import (
     MalformedTraceError,
     NonFiniteInitialError,
     StepSizeViolationError,
+    UnboundedConjugateError,
 )
 from .model import ProblemInstance, apply_C, instance_hash, lipschitz_constant, sum_in_order
 
@@ -155,6 +161,7 @@ def _maximizers(instance: ProblemInstance, u: np.ndarray) -> np.ndarray:
     """Every agent's conjugate argmax of its smooth part at ``u_i``, stacked."""
     x_hat = np.empty_like(u)
     for idx, f in instance.compiled.f_groups:
+        idx = idx if u.ndim == 2 else (slice(None), idx)  # a stack's group
         x_hat[idx] = conjugate_argmax(f, u[idx])
     return x_hat
 
@@ -196,9 +203,9 @@ def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
 
 @dataclass(frozen=True)
 class DualObjective:
-    psi: float
-    p_part: float
-    q_part: float
+    psi: float | np.ndarray
+    p_part: float | np.ndarray
+    q_part: float | np.ndarray
     x_hat: np.ndarray
 
 
@@ -210,21 +217,24 @@ def dual_objective(instance: ProblemInstance, lam: np.ndarray) -> DualObjective:
     extended real: ``inf`` when some ``mu_i`` leaves the domain of its
     nonsmooth conjugate.  An unbounded smooth conjugate raises
     :class:`~dualprox.errors.UnboundedConjugateError` from the argmax.
+    A stack ``(K, dual_dim)`` gives per-row fields, bitwise each row's own.
     """
     comp = instance.compiled
     theta, mu = comp.split(lam)
     u = apply_C(instance, lam)
     x_hat = _maximizers(instance, u)
-    f_val = np.empty(comp.n_agents)
+    f_val = np.empty(u.shape[:-1])
     for idx, f in comp.f_groups:
+        idx = idx if u.ndim == 2 else (slice(None), idx)
         f_val[idx] = f.value(x_hat[idx])
-    q_val = np.empty(comp.n_agents)
+    q_val = np.empty(u.shape[:-1])
     for idx, g in comp.g_groups:
+        idx = idx if u.ndim == 2 else (slice(None), idx)
         q_val[idx] = g.conjugate(mu[idx])
     # P's terms in the order they are added: per agent, u_i'x_i - f_i(x_i), b_i'theta_i
-    p_terms = np.empty((comp.n_agents, 2))
-    p_terms[:, 0] = (u * x_hat).sum(axis=1) - f_val
-    p_terms[:, 1] = (comp.b.reshape(theta.shape) * theta).sum(axis=1)
+    p_terms = np.empty(lam.shape[:-1] + (2 * comp.n_agents,))
+    p_terms[..., 0::2] = (u * x_hat).sum(axis=-1) - f_val
+    p_terms[..., 1::2] = (comp.b.reshape(theta.shape[-2:]) * theta).sum(axis=-1)
     p_part = sum_in_order(p_terms)
     q_part = sum_in_order(q_val)
     return DualObjective(p_part + q_part, p_part, q_part, x_hat)
@@ -404,6 +414,33 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 
 
+def _settle(instance: ProblemInstance, trace: IterationTrace, xhat_cache: dict,
+            end: int | None = None) -> bool:
+    """Evaluate the iterates ``trace.lam[len(trace.psi):end]``, stacked, or one
+    at a time if that raises, so that only an error the per-round loop meets
+    is raised.  Cache each ``x_hat``; a non-finite Psi cuts the trace: False.
+    """
+    start, lams = len(trace.psi), trace.lam[len(trace.psi):end]
+    if len(lams) > 1:
+        try:
+            obj = dual_objective(instance, np.array(lams))
+            objs = zip(obj.psi.tolist(), obj.x_hat)
+        except UnboundedConjugateError:  # lazily, stopping after a non-finite Psi
+            objs = ((o.psi, o.x_hat) for o in (dual_objective(instance, lam) for lam in lams))
+    elif lams:  # one, as a vector
+        obj = dual_objective(instance, lams[0])
+        objs = ((obj.psi, obj.x_hat),)
+    else:
+        return True
+    for j, (psi, x_hat) in enumerate(objs, start):
+        trace.psi.append(psi)
+        xhat_cache[j] = x_hat
+        if not math.isfinite(psi):
+            del trace.lam[j + 1:], trace.tau[j:], trace.step_norm_inf[j:], trace.message_counts[j:]
+            return False
+    return True
+
+
 def run(instance: ProblemInstance, mode: str = "sync",
         schedule: DelaySchedule | None = None, steps: StepSizes | None = None,
         k_max: int = 100_000, tol: float = 1e-8, lam0: np.ndarray | None = None,
@@ -475,42 +512,42 @@ def run(instance: ProblemInstance, mode: str = "sync",
     trace.lam.append(lam)
     trace.psi.append(obj.psi)
 
-    # maximizers of the last D + 1 iterates, the snapshots a round may read
+    # maximizers of the last D + 1 evaluated iterates, the snapshots a round may read
     xhat_cache = {0: obj.x_hat}
-    stop_reason = "k_max"
+    D, stop_reason = schedule.bound, "k_max"
     # a diverging run overflows on its way to the non-finite round that stops it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_max):
             tk = schedule.tau(k)
-            if tk not in xhat_cache:
+            if tk not in xhat_cache and not _settle(instance, trace, xhat_cache):
+                stop_reason = "nonfinite"  # an iterate up to lam(k) has a non-finite Psi
+                break
+            if tk not in xhat_cache:  # evicted, not pending
                 raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
             lam = trace.lam[k]
             lam_next = _round(instance, lam, xhat_cache[tk], steps)
             step = float(np.abs(lam_next - lam).max())
-            psi_next = math.nan
-            # a finite step needs finite iterates; an infinite one may be an overflow
-            if math.isfinite(step) or np.isfinite(lam_next).all():
-                obj = dual_objective(instance, lam_next)
-                psi_next = obj.psi
             trace.lam.append(lam_next)
-            trace.psi.append(psi_next)
             trace.tau.append(tk)
             trace.step_norm_inf.append(step)
             trace.message_counts.append(n_msgs)
-
-            if not math.isfinite(psi_next):
+            xhat_cache.pop(k - D, None)
+            # a finite step needs finite iterates; an infinite one may be an overflow
+            if not (math.isfinite(step) or np.isfinite(lam_next).all()):
                 stop_reason = "nonfinite"
+                if _settle(instance, trace, xhat_cache, end=k + 1):
+                    trace.psi.append(math.nan)  # at a non-finite lam, unevaluated
                 break
-            xhat_cache[k + 1] = obj.x_hat
-            xhat_cache.pop(k - schedule.bound, None)
-
             if step <= tol:
                 stop_reason = "tol"
                 break
+        if stop_reason != "nonfinite" and not _settle(instance, trace, xhat_cache):
+            stop_reason = "nonfinite"
 
     trace.meta["stop_reason"] = stop_reason
-    if stop_reason != "nonfinite":  # else obj may belong to the iterate before
-        instance.compiled.last_x_hat = (trace.lam[-1].tobytes(), obj.x_hat.copy())
+    if stop_reason != "nonfinite":
+        instance.compiled.last_x_hat = (trace.lam[-1].tobytes(),
+                                        xhat_cache[trace.n_records - 1].copy())
     if psi_star is None:
         psi = np.asarray(trace.psi)
         trace.psi_star = float(np.min(psi[np.isfinite(psi)]))

@@ -192,15 +192,18 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
-def sum_in_order(values) -> float:
-    """``0.0 + v_0 + v_1 + ...``, added left to right.
+def sum_in_order(values):
+    """``0.0 + v_0 + v_1 + ...``, added left to right; for ``(K, n)``, per row.
 
     ``np.sum`` adds pairwise and rounds differently; this total equals the
     one a plain loop over the values gives.  Only values that are all
     ``-0.0`` add up to ``-0.0``, where the loop's ``0.0 + ...`` gives
     ``0.0``; adding ``0.0`` last does the same.
     """
-    values = np.asarray(values).ravel()
+    values = np.asarray(values)
+    if values.ndim == 2:
+        return values.cumsum(axis=-1)[:, -1] + 0.0
+    values = values.ravel()
     return float(values.cumsum()[-1]) + 0.0 if values.size else 0.0
 
 
@@ -267,11 +270,15 @@ class CompiledInstance:
         # (bytes of lam, x_hat) at the last iterate of the last run, which
         # primal recovery at the same lam reuses; x_hat is a private copy
         self.last_x_hat = (None, None)
+        self._stacked_C_rows = {}  # K -> the rows of C's entries in a flat stack of K
 
     def split(self, lam: np.ndarray):
-        """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``."""
-        return (lam[:self.n_theta].reshape(self.n_agents, self.B),
-                lam[self.n_theta:].reshape(self.n_agents, self.M))
+        """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``;
+        a stack of ``K`` gives ``(K, N, B)`` and ``(K, N, M)``."""
+        n, N = self.n_theta, self.n_agents
+        if lam.ndim == 1:
+            return lam[:n].reshape(N, self.B), lam[n:].reshape(N, self.M)
+        return lam[:, :n].reshape(-1, N, self.B), lam[:, n:].reshape(-1, N, self.M)
 
     @functools.cached_property
     def C(self) -> tuple:
@@ -355,15 +362,23 @@ class CompiledInstance:
 
 
 def apply_C(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
-    """Every agent's ``C_i lam = -mu_i - sum_l (A_i^(l))' theta_l``, stacked ``(N, M)``.
+    """Every agent's ``C_i lam = -mu_i - sum_l (A_i^(l))' theta_l``, stacked ``(N, M)``,
+    or ``(K, N, M)`` for a stack of ``K`` dual vectors.
 
-    Each row starts at ``-mu_i`` and adds its terms in ascending ``l``.
+    Each row starts at ``-mu_i`` and adds its terms in ascending ``l``; a
+    stack's rows are added in one pass over the flattened stack.
     """
     comp = instance.compiled
     rows, cols, vals = comp.C
-    u = -lam[comp.n_theta:]
-    np.add.at(u, rows, vals * lam[cols])
-    return u.reshape(comp.n_agents, comp.M)
+    if lam.ndim == 1:
+        u = -lam[comp.n_theta:]
+        np.add.at(u, rows, vals * lam[cols])
+        return u.reshape(comp.n_agents, comp.M)
+    u, K = np.negative(lam[:, comp.n_theta:], order="C"), len(lam)  # u.reshape(-1): a view
+    if K not in comp._stacked_C_rows:
+        comp._stacked_C_rows[K] = (rows + u.shape[1] * np.arange(K)[:, None]).ravel()
+    np.add.at(u.reshape(-1), comp._stacked_C_rows[K], (vals * lam[:, cols]).ravel())
+    return u.reshape(K, comp.n_agents, comp.M)
 
 
 def lipschitz_constant(instance: ProblemInstance):

@@ -8,17 +8,24 @@ the reproduction suite.
 
 The ``reference_*`` kernels at the end are different: they keep the
 catalog's own formulas as they were before per-group constants were bound
-once, and the rate-bound verifier as the per-agent loop it was before it
-went array-at-a-time, so the new code can be checked against them bit for
-bit.
+once, the rate-bound verifier as the per-agent loop it was before it went
+array-at-a-time, and the solver loop as it was before it evaluated the
+objective a delay window at a time, so the new code can be checked against
+them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+import dualprox.engine
 from dualprox import PiecewiseQuadraticUtility, RateBoundReport
-from dualprox.errors import InsufficientTraceError, NonStronglyConvexError, UnboundedConjugateError
+from dualprox.errors import (
+    HistoryUnderflowError,
+    InsufficientTraceError,
+    NonStronglyConvexError,
+    UnboundedConjugateError,
+)
 from dualprox.repro import conjugate_prox_oracle
 
 
@@ -275,3 +282,48 @@ def reference_delayed_bound_constant(trace, lam_star, steps, h, D) -> float:
     for i in range(n):
         total += agent_sq_dist(trace.lam[0], star, i) / (2.0 * steps.values[i])
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# the solver loop as it was before it evaluated Psi a delay window at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_run(inst, schedule, steps, k_max, tol, lam0=None):
+    """``run``'s loop with one ``dual_objective`` per round, right after it.
+
+    Takes the resolved schedule and step sizes, and returns ``(lam, psi,
+    tau, step_norm_inf, stop_reason)``.  The objective is looked up on
+    ``dualprox.engine`` at each call, as ``run`` looks it up, so a test that
+    patches it there patches both.
+    """
+    lam = np.zeros(inst.dual_dim) if lam0 is None else np.array(lam0, dtype=float)
+    obj = dualprox.engine.dual_objective(inst, lam)
+    lams, psis, taus, step_norms = [lam], [obj.psi], [], []
+    xhat_cache = {0: obj.x_hat}
+    stop_reason = "k_max"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            tk = schedule.tau(k)
+            if tk not in xhat_cache:
+                raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
+            lam = lams[k]
+            lam_next = dualprox.engine._round(inst, lam, xhat_cache[tk], steps)
+            step = float(np.abs(lam_next - lam).max())
+            psi_next = math.nan
+            if math.isfinite(step) or np.isfinite(lam_next).all():
+                obj = dualprox.engine.dual_objective(inst, lam_next)
+                psi_next = obj.psi
+            lams.append(lam_next)
+            psis.append(psi_next)
+            taus.append(tk)
+            step_norms.append(step)
+            if not math.isfinite(psi_next):
+                stop_reason = "nonfinite"
+                break
+            xhat_cache[k + 1] = obj.x_hat
+            xhat_cache.pop(k - schedule.bound, None)
+            if step <= tol:
+                stop_reason = "tol"
+                break
+    return lams, psis, taus, step_norms, stop_reason

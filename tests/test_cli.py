@@ -486,3 +486,14 @@ def test_run_refuses_a_negative_round_cap_or_tolerance(runner, tmp_path, flags):
     res = runner.invoke(main, ["run", "--scenario", "market", *flags,
                                "--out", str(tmp_path / "o")])
     _one_error_line(res, "error: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delay", "-1"], "delay bound must be nonnegative"),
+    (["--delay", "2", "--schedule", "random:-1"], "non-negative integer"),
+])
+def test_run_refuses_a_negative_delay_or_seed(runner, tmp_path, flags, message):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--mode", "async", *flags,
+                               "--out", str(tmp_path / "o")])
+    _one_error_line(res, "error: bad delay schedule")
+    assert message in res.output

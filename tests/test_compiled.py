@@ -1,7 +1,9 @@
 """The compiled operators against dense references written from the math.
 
 Random connected topologies (stars among them), ``M, B`` in ``{1, 2}`` and
-every smooth and nonsmooth catalog kind, with an optional local box.
+every smooth and nonsmooth catalog kind, with an optional local box.  A
+stack of dual points is evaluated against each point alone, bit for bit,
+with ``M`` up to 9.
 """
 
 import numpy as np
@@ -84,10 +86,10 @@ def _nonsmooth(rng, kind, M):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, Ms=(1, 2)):
     topo = draw(topologies())
     n = topo.n_agents
-    M, B = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    M, B = draw(st.sampled_from(Ms)), draw(st.sampled_from([1, 2]))
     f_kinds = draw(st.lists(st.sampled_from(F_KINDS if M == 1 else F_KINDS[:2]),
                             min_size=n, max_size=n))
     g_kinds = draw(st.lists(st.sampled_from(G_KINDS), min_size=n, max_size=n))
@@ -179,3 +181,32 @@ def test_lipschitz_constant_is_computed_once():
     per_agent[:] = 0.0  # the caller's copy, not the cached one
     assert lipschitz_constant(inst)[0] == h == pytest.approx(6.0)
     assert inst.compiled.lipschitz is inst.compiled.lipschitz
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float or an array: ``-0.0`` and each NaN are told apart."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(Ms=(1, 2, 3, 8, 9)), st.integers(1, 7))
+def test_a_stack_of_dual_points_evaluates_each_row_bitwise(case, K):
+    # M = 9 sums 9 terms, where numpy's pairwise sum unrolls 8 ways; random
+    # kinds per agent give groups of non-consecutive agents (index arrays)
+    inst, rng = case
+    N, M, B = inst.n_agents, inst.M, inst.B
+    lams = np.array([_dual_point(inst, rng) for _ in range(K)])
+    outside = rng.random(K) < 0.3  # mu outside the domain of some g*: Psi may be inf
+    lams[outside, N * B:] *= 10.0
+    try:
+        rows = [dual_objective(inst, lam) for lam in lams]
+    except UnboundedConjugateError:
+        with pytest.raises(UnboundedConjugateError):
+            dual_objective(inst, lams)
+        return
+    obj = dual_objective(inst, lams)
+    assert obj.x_hat.shape == (K, N, M) and np.shape(obj.psi) == (K,)
+    for r, row in enumerate(rows):
+        for name in ("psi", "p_part", "q_part", "x_hat"):
+            assert _bits(getattr(obj, name)[r]) == _bits(getattr(row, name)), (r, name)
+    np.testing.assert_array_equal(apply_C(inst, lams), [apply_C(inst, lam) for lam in lams])

@@ -9,9 +9,9 @@ l1 penalties, and box indicators.  Each catalog entry exposes
 * and, for strongly convex smooth parts, the conjugate gradient as an
   argmax oracle.
 
-Every entry also works as a *group*: ``stack`` builds one catalog object
-whose parameters hold the parameters of several members of one kind along
-a leading axis.  A group takes and returns the members' vectors stacked
+Every entry also works as a *group*: :func:`group` builds one catalog
+object whose fields hold the fields of several members of one kind along a
+leading axis.  A group takes and returns the members' vectors stacked
 ``(n, M)``, and its values and conjugates hold one entry per member.  The
 members are separable, so a group's prox or argmax is the stack of the
 members' results, bit for bit.  A single member keeps its float API.
@@ -94,18 +94,9 @@ class BoxSet:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @staticmethod
-    def stack(boxes) -> "BoxSet":
-        return BoxSet(np.array([b.lower for b in boxes]), np.array([b.upper for b in boxes]))
-
     @property
     def dim(self) -> int:
         return self.lower.shape[-1]
-
-    def contains(self, u):
-        u = _vec(u)
-        inside = np.all((u >= self.lower) & (u <= self.upper), axis=-1)
-        return bool(inside) if inside.ndim == 0 else inside
 
     def project(self, u) -> np.ndarray:
         return _vec(u).clip(self.lower, self.upper)  # np.clip's own method, without its dispatch
@@ -137,12 +128,6 @@ class QuadraticFunction:
         object.__setattr__(self, "curvature", c)
         object.__setattr__(self, "linear", q)
         object.__setattr__(self, "offset", _per_member(self.offset))
-
-    @staticmethod
-    def stack(quads) -> "QuadraticFunction":
-        return QuadraticFunction(np.array([q.curvature for q in quads]),
-                                 np.array([q.linear for q in quads]),
-                                 np.array([q.offset for q in quads]))
 
     @property
     def dim(self) -> int:
@@ -203,11 +188,6 @@ class PiecewiseQuadraticUtility:
         object.__setattr__(self, "price", price)
         object.__setattr__(self, "curvature", curvature)
 
-    @staticmethod
-    def stack(utilities) -> "PiecewiseQuadraticUtility":
-        return PiecewiseQuadraticUtility(np.array([u.price for u in utilities]),
-                                         np.array([u.curvature for u in utilities]))
-
     @property
     def dim(self) -> int:
         return 1
@@ -257,15 +237,6 @@ class SmoothConjugable:
         if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
             raise ValueError("effective domain dimension mismatch")
 
-    @staticmethod
-    def stack(fs) -> "SmoothConjugable":
-        """One group of smooth parts with the same base kind and domain presence."""
-        domain = None
-        if fs[0].effective_domain is not None:
-            domain = BoxSet.stack([f.effective_domain for f in fs])
-        return SmoothConjugable(type(fs[0].base).stack([f.base for f in fs]), domain,
-                                np.array([f.strong_convexity for f in fs]))
-
     @property
     def dim(self) -> int:
         return self.base.dim
@@ -300,6 +271,21 @@ class SmoothConjugable:
                 2.0 * base.curvature, np.array([cand_x, base._branch_value(cand_x)]))
 
 
+def group(members):
+    """One catalog object whose fields stack the fields of ``members`` along a
+    new leading axis; nested parts group alike, and a ``kind`` string or an
+    absent part is the first member's, as the grouping key fixes them."""
+    first = members[0]
+    fields = []
+    for name in first.__dataclass_fields__:
+        value = getattr(first, name)
+        if value is not None and type(value) is not str:
+            column = [getattr(m, name) for m in members]
+            value = group(column) if hasattr(value, "__dataclass_fields__") else np.array(column)
+        fields.append(value)
+    return type(first)(*fields)
+
+
 # ---------------------------------------------------------------------------
 # prox-friendly nonsmooth catalog
 # ---------------------------------------------------------------------------
@@ -328,16 +314,14 @@ class ProxFriendlyFunction:
 
     @staticmethod
     def l1(weight: float = 1.0) -> "ProxFriendlyFunction":
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
-        return ProxFriendlyFunction("l1", weight=float(weight))
+        return ProxFriendlyFunction.l1_plus_box(weight, None)
 
     @staticmethod
     def indicator_box(box: BoxSet) -> "ProxFriendlyFunction":
         return ProxFriendlyFunction("zero", box=box)
 
     @staticmethod
-    def l1_plus_box(weight: float, box: BoxSet) -> "ProxFriendlyFunction":
+    def l1_plus_box(weight: float, box: BoxSet | None) -> "ProxFriendlyFunction":
         if weight < 0:
             raise ValueError("l1 weight must be nonnegative")
         return ProxFriendlyFunction("l1", weight=float(weight), box=box)
@@ -347,14 +331,6 @@ class ProxFriendlyFunction:
         if box is not None and not quad.is_diagonal:
             raise ValueError("quadratic + box prox needs diagonal curvature")
         return ProxFriendlyFunction("quadratic", quad=quad, box=box)
-
-    @staticmethod
-    def stack(gs) -> "ProxFriendlyFunction":
-        """One group of entries with the same kind and box presence."""
-        g0 = gs[0]
-        quad = None if g0.quad is None else QuadraticFunction.stack([g.quad for g in gs])
-        box = None if g0.box is None else BoxSet.stack([g.box for g in gs])
-        return ProxFriendlyFunction(g0.kind, np.array([g.weight for g in gs]), quad, box)
 
     # -- derived entries --
 
@@ -373,17 +349,10 @@ class ProxFriendlyFunction:
 
     # -- evaluation --
 
-    def value(self, x):
-        x = _vec(x)
-        if self.kind == "zero":
-            val = np.zeros(x.shape[:-1])
-        elif self.kind == "l1":
-            val = self.weight * np.abs(x).sum(axis=-1)
-        else:
-            val = self.quad.value(x)
-        if self.box is not None:
-            val = np.where(self.box.contains(x), val, INF)
-        return _per_member(val)
+    @functools.cached_property
+    def _smooth(self) -> SmoothConjugable:
+        """The quadratic kind as a smooth part on its box, for its argmax."""
+        return SmoothConjugable(self.quad, self.box)
 
     def prox(self, u, alpha, *, alpha_checked: bool = False) -> np.ndarray:
         """Exact prox with parameter ``alpha > 0``.
@@ -429,8 +398,8 @@ class ProxFriendlyFunction:
                 cand = np.where(inside, np.maximum(cand, 0.0), cand)
                 val = cand.sum(axis=-1)
         else:
-            x = self.conjugate_argmax(v)
-            val = (v * x).sum(axis=-1) - self.value(x)
+            x = conjugate_argmax(self._smooth, v)
+            val = (v * x).sum(axis=-1) - self.quad.value(x)
         return _per_member(val)
 
     def conjugate_argmax(self, v, ref=None) -> np.ndarray:
@@ -441,17 +410,9 @@ class ProxFriendlyFunction:
         the returned point is the projection of ``ref`` onto that set.
         """
         v = _vec(v)
-        ref = np.zeros_like(v) if ref is None else _vec(ref)
         if self.kind == "quadratic":
-            if self.box is None:
-                try:
-                    return np.linalg.solve(self.quad.curvature,
-                                           (v - self.quad.linear)[..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    raise UnboundedConjugateError("singular curvature in conjugate argmax")
-            if not self.quad._positive_diagonal:
-                raise NonStronglyConvexError("box-constrained quadratic needs positive diagonal")
-            return self.box.project((v - self.quad.linear) / self.quad._diagonal)
+            return conjugate_argmax(self._smooth, v)
+        ref = np.zeros_like(v) if ref is None else _vec(ref)
         if self.kind == "zero":
             if self.box is not None:
                 lo, hi = self.box.lower, self.box.upper
@@ -518,7 +479,10 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
         if not base.is_diagonal:
             if dom is not None:
                 raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
-            return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
+            try:  # eigvalsh may put a singular curvature's least eigenvalue just above 0
+                return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                raise UnboundedConjugateError("singular curvature in conjugate argmax") from None
         if not base._positive_diagonal:
             raise NonStronglyConvexError("box-domain argmax needs positive diagonal curvature")
         # a diagonal solve divides, as LAPACK's does; times 1/diag rounds differently
@@ -536,13 +500,9 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     # candidate and its finite neighbour stands in for it (a repeat never wins)
     stat = (s + base.price) / two_curv  # quadratic-branch stationary point
     x_quad = np.minimum(np.maximum(stat, lo), x_thr)
-    # rows x_k, then s x_k - f(x_k), then that plus the tie tolerance; slopes
-    # for fewer members than the group's get the constants broadcast to them
-    shape = s.shape
-    if s.shape[s.ndim - lo.ndim:] != lo.shape:
-        shape = np.broadcast_shapes(s.shape, lo.shape)
-    rows = np.empty((3, 4) + shape)
-    rows[:2] = cand_rows.reshape((2, 4) + (1,) * (len(shape) - lo.ndim) + lo.shape)
+    # rows x_k, then s x_k - f(x_k), then that plus the tie tolerance
+    rows = np.empty((3, 4) + s.shape)
+    rows[:2] = cand_rows.reshape((2, 4) + (1,) * (s.ndim - lo.ndim) + lo.shape)
     rows[0, 1] = x_quad
     rows[1, 1] = base._branch_value(x_quad)
     if any_lo_inf:

@@ -27,6 +27,7 @@ from .convex import (
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
+    group,
 )
 from .errors import MalformedInstanceError, SingularScaleError
 
@@ -231,8 +232,8 @@ def _csr(groups, others, mats):
     return rows[order], cols[order], mats.ravel()[order]
 
 
-def _groups(members, key, stack) -> tuple:
-    """``(agents, stacked group)`` for each key, in order of first member.
+def _groups(members, key) -> tuple:
+    """``(agents, convex.group of them)`` for each key, in order of first member.
 
     ``agents`` indexes the group's rows of a per-agent array: a ``slice``
     when the group's agents are consecutive (a view, where an index array
@@ -242,7 +243,7 @@ def _groups(members, key, stack) -> tuple:
     for i, member in enumerate(members):
         by_key.setdefault(key(member), []).append(i)
     return tuple((slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                  else np.array(idx), stack([members[i] for i in idx]))
+                  else np.array(idx), group([members[i] for i in idx]))
                  for idx in by_key.values())
 
 
@@ -309,13 +310,12 @@ class CompiledInstance:
     @functools.cached_property
     def f_groups(self) -> tuple:
         return _groups([agent.f for agent in self._agents],
-                       lambda f: (type(f.base), f.effective_domain is None),
-                       SmoothConjugable.stack)
+                       lambda f: (type(f.base), f.effective_domain is None))
 
     @functools.cached_property
     def g_groups(self) -> tuple:
         return _groups([agent.effective_g for agent in self._agents],
-                       lambda g: (g.kind, g.box is None), ProxFriendlyFunction.stack)
+                       lambda g: (g.kind, g.box is None))
 
     def _compact_row_maps(self):
         """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
@@ -473,10 +473,20 @@ def _box_to_json(box: BoxSet | None):
     return {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
 
 
-def _box_from_json(obj) -> BoxSet | None:
+def _number(obj, key: str, where: str, default=None, bound: bool = False) -> np.ndarray:
+    """``obj[key]``, or ``default`` when it is absent, as floats; refuses NaN,
+    and an infinity unless the value is a bound, naming ``where`` and ``key``."""
+    value = np.asarray(obj[key] if default is None else obj.get(key, default), dtype=float)
+    if np.isnan(value).any() or not (bound or np.isfinite(value).all()):
+        raise ValueError(f"{where}.{key} is {'NaN' if bound else 'not finite'}")
+    return value
+
+
+def _box_from_json(obj, where: str) -> BoxSet | None:
     if obj is None:
         return None
-    return BoxSet(np.asarray(obj["lower"]), np.asarray(obj["upper"]))
+    return BoxSet(_number(obj, "lower", where, bound=True),
+                  _number(obj, "upper", where, bound=True))
 
 
 def _f_to_json(f: SmoothConjugable):
@@ -499,20 +509,18 @@ def _f_to_json(f: SmoothConjugable):
     return base
 
 
-def _f_from_json(obj) -> SmoothConjugable:
-    params = obj["params"]
+def _f_from_json(obj, where: str) -> SmoothConjugable:
+    p, at = obj["params"], f"{where}.params"
     if obj["kind"] == "quadratic":
-        base = QuadraticFunction(
-            np.asarray(params["curvature"]),
-            np.asarray(params["linear"]),
-            params.get("offset", 0.0),
-        )
+        base = QuadraticFunction(_number(p, "curvature", at), _number(p, "linear", at),
+                                 _number(p, "offset", at, 0.0))
     elif obj["kind"] == "piecewise_quadratic_utility":
-        base = PiecewiseQuadraticUtility(params["price"], params["curvature"])
+        base = PiecewiseQuadraticUtility(_number(p, "price", at), _number(p, "curvature", at))
     else:
         raise ValueError(f"unknown smooth kind {obj['kind']!r}")
-    return SmoothConjugable(base, _box_from_json(obj.get("domain")),
-                            obj.get("strong_convexity"))
+    sigma = obj.get("strong_convexity")
+    return SmoothConjugable(base, _box_from_json(obj.get("domain"), f"{where}.domain"),
+                            None if sigma is None else _number(obj, "strong_convexity", where))
 
 
 def _g_to_json(g: ProxFriendlyFunction):
@@ -532,20 +540,21 @@ def _g_to_json(g: ProxFriendlyFunction):
                        "box": _box_to_json(g.box)}}
 
 
-def _g_from_json(obj) -> ProxFriendlyFunction:
-    kind, p = obj["kind"], obj["params"]
+def _g_from_json(obj, where: str) -> ProxFriendlyFunction:
+    kind, p, at = obj["kind"], obj["params"], f"{where}.params"
     if kind == "zero":
         return ProxFriendlyFunction.zero()
     if kind == "l1_norm":
-        return ProxFriendlyFunction.l1(p["weight"])
+        return ProxFriendlyFunction.l1(_number(p, "weight", at))
     if kind == "indicator_box":
-        return ProxFriendlyFunction.indicator_box(_box_from_json(p["box"]))
+        return ProxFriendlyFunction.indicator_box(_box_from_json(p["box"], f"{at}.box"))
     if kind == "l1_plus_box":
-        return ProxFriendlyFunction.l1_plus_box(p["weight"], _box_from_json(p["box"]))
+        return ProxFriendlyFunction.l1_plus_box(_number(p, "weight", at),
+                                                _box_from_json(p["box"], f"{at}.box"))
     if kind == "quadratic":
-        quad = QuadraticFunction(np.asarray(p["curvature"]), np.asarray(p["linear"]),
-                                 p.get("offset", 0.0))
-        return ProxFriendlyFunction.quadratic(quad, _box_from_json(p.get("box")))
+        quad = QuadraticFunction(_number(p, "curvature", at), _number(p, "linear", at),
+                                 _number(p, "offset", at, 0.0))
+        return ProxFriendlyFunction.quadratic(quad, _box_from_json(p.get("box"), f"{at}.box"))
     raise ValueError(f"unknown nonsmooth kind {kind!r}")
 
 
@@ -582,7 +591,8 @@ def instance_from_json(obj: dict) -> ProblemInstance:
 
     Raises :class:`MalformedInstanceError` when a required key is missing,
     an agent's id is not its position, or a value has the wrong type,
-    shape or is not finite.
+    shape or is not finite (box and domain bounds may be infinite, never
+    NaN); the message names the agent and the field.
     """
     try:
         M, B = int(obj["M"]), int(obj["B"])
@@ -590,8 +600,9 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         for i, a in enumerate(obj["agents"]):
             if a["id"] != i:
                 raise ValueError(f"agent at position {i} has id {a['id']!r}")
-            agents.append(AgentSpec(_f_from_json(a["f"]), _g_from_json(a["g"]),
-                                    _box_from_json(a.get("omega"))))
+            agents.append(AgentSpec(_f_from_json(a["f"], f"agent {i}: f"),
+                                    _g_from_json(a["g"], f"agent {i}: g"),
+                                    _box_from_json(a.get("omega"), f"agent {i}: omega")))
             for key, blk in a["constraint"]["blocks"].items():
                 blk = np.asarray(blk, dtype=float)
                 if blk.shape != (B, M):
@@ -606,7 +617,7 @@ def instance_from_json(obj: dict) -> ProblemInstance:
                                np.reshape(blocks, (-1, B, M)), rhs)
     except KeyError as exc:
         raise MalformedInstanceError(f"instance JSON lacks key {exc}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:  # an int past 1e308
         raise MalformedInstanceError(f"malformed instance JSON: {exc}") from exc
 
 

@@ -71,6 +71,8 @@ def apply_transform(transforms, A, b):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n_agents = len(transforms)
+    if not n_agents:
+        raise ValueError("need at least one transform")
     if A.shape[1] % n_agents:
         raise ValueError("A's column count must split evenly across agents")
     M = A.shape[1] // n_agents
@@ -175,6 +177,9 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
         return build_market(MarketParams(**overrides))
     targets = overrides.get("targets", [0.0, 3.0, 6.0])
     curvatures = overrides.get("curvatures", [1.0] * len(targets))
+    if len(curvatures) != len(targets):
+        raise ValueError(f"targets has {len(targets)} entries but curvatures has "
+                         f"{len(curvatures)}; need one curvature per target")
     edges = overrides.get("edges")
     n = len(targets)
     topo = Topology(n, edges) if edges is not None else Topology.path(n)

@@ -8,10 +8,11 @@ the reproduction suite.
 
 The ``reference_*`` kernels at the end are different: they keep the
 catalog's own formulas as they were before per-group constants were bound
-once, the rate-bound verifier as the per-agent loop it was before it went
-array-at-a-time, and the solver loop as it was before it evaluated the
-objective a delay window at a time, so the new code can be checked against
-them bit for bit.
+once, the per-class ``stack`` constructors that formed the groups before
+``convex.group`` and the nonsmooth quadratic's own argmax, the rate-bound
+verifier as the per-agent loop it was before it went array-at-a-time, and
+the solver loop as it was before it evaluated the objective a delay window
+at a time, so the new code can be checked against them bit for bit.
 """
 
 import math
@@ -19,7 +20,14 @@ import math
 import numpy as np
 
 import dualprox.engine
-from dualprox import PiecewiseQuadraticUtility, RateBoundReport
+from dualprox import (
+    BoxSet,
+    PiecewiseQuadraticUtility,
+    ProxFriendlyFunction,
+    QuadraticFunction,
+    RateBoundReport,
+    SmoothConjugable,
+)
 from dualprox.errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
@@ -202,6 +210,57 @@ def reference_conjugate_argmax(f, u) -> np.ndarray:
         best_x = np.where(better, x, best_x)
         best_v = np.where(better, val, best_v)
     return best_x[..., None]
+
+
+def reference_group(members):
+    """The group of ``members`` as the per-class ``stack`` constructors built it."""
+    first = members[0]
+    if isinstance(first, BoxSet):
+        return BoxSet(np.array([b.lower for b in members]),
+                      np.array([b.upper for b in members]))
+    if isinstance(first, QuadraticFunction):
+        return QuadraticFunction(np.array([q.curvature for q in members]),
+                                 np.array([q.linear for q in members]),
+                                 np.array([q.offset for q in members]))
+    if isinstance(first, PiecewiseQuadraticUtility):
+        return PiecewiseQuadraticUtility(np.array([u.price for u in members]),
+                                         np.array([u.curvature for u in members]))
+    if isinstance(first, SmoothConjugable):
+        domain = None
+        if first.effective_domain is not None:
+            domain = reference_group([f.effective_domain for f in members])
+        return SmoothConjugable(reference_group([f.base for f in members]), domain,
+                                np.array([f.strong_convexity for f in members]))
+    quad = None if first.quad is None else reference_group([g.quad for g in members])
+    box = None if first.box is None else reference_group([g.box for g in members])
+    return ProxFriendlyFunction(first.kind, np.array([g.weight for g in members]), quad, box)
+
+
+def reference_g_quadratic_argmax(g, v) -> np.ndarray:
+    """The nonsmooth quadratic's argmax as it was before it went through
+    ``conjugate_argmax``: a solve without a box, a clamped division with one."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if g.box is None:
+        try:
+            return np.linalg.solve(g.quad.curvature, (v - g.quad.linear)[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise UnboundedConjugateError("singular curvature in conjugate argmax")
+    diag = np.diagonal(g.quad.curvature, axis1=-2, axis2=-1)
+    if not (diag > 0).all():
+        raise NonStronglyConvexError("box-constrained quadratic needs positive diagonal")
+    return ((v - g.quad.linear) / diag).clip(g.box.lower, g.box.upper)
+
+
+def reference_g_quadratic_conjugate(g, v):
+    """Its conjugate as it was: ``v'x - g(x)`` at that argmax, ``g`` +inf off the box."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    x = reference_g_quadratic_argmax(g, v)
+    val = g.quad.value(x)
+    if g.box is not None:
+        inside = np.all((x >= g.box.lower) & (x <= g.box.upper), axis=-1)
+        val = np.where(inside, val, np.inf)
+    val = (v * x).sum(axis=-1) - val
+    return val if isinstance(val, np.ndarray) and val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ Each group binds what does not depend on its argument once (the utility's
 clamped threshold, endpoints and their values, the quadratic's diagonal and
 its positivity).  The references in ``dense_reference`` recompute everything
 on each call, as the kernels did before; results must agree in every bit,
-signed zeros included, and both must raise the same error.
+signed zeros included, and both must raise the same error.  The same holds
+for ``convex.group`` against the per-class ``stack`` constructors it
+replaced, and for the nonsmooth quadratic, whose argmax now goes through
+``conjugate_argmax``, against its own former argmax, but for the sign of a
+zero where that argmax solved a diagonal system of two or more unknowns.
 """
 
 import itertools
@@ -17,15 +21,20 @@ from hypothesis import strategies as st
 from dualprox import (
     BoxSet,
     PiecewiseQuadraticUtility,
+    ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
     conjugate_argmax,
 )
-from dualprox.errors import DualproxError
+from dualprox.convex import group
+from dualprox.errors import DualproxError, UnboundedConjugateError
 from dualprox.model import sum_in_order
 
 from dense_reference import (
     reference_conjugate_argmax,
+    reference_g_quadratic_argmax,
+    reference_g_quadratic_conjugate,
+    reference_group,
     reference_quadratic_value,
 )
 
@@ -93,7 +102,7 @@ def _near_ties(f, draw):
 def test_utility_argmax_matches_the_former_formulas(bounded, data):
     # a group's members share domain presence, as the compiled groups do
     members = data.draw(st.lists(utilities(bounded), min_size=1, max_size=4))
-    group = SmoothConjugable.stack(members)
+    stacked = group(members)
     n = len(members)
     slopes = data.draw(st.lists(st.one_of(finite, signed_zero), min_size=n, max_size=n))
     tie = data.draw(st.integers(0, n - 1))
@@ -101,7 +110,7 @@ def test_utility_argmax_matches_the_former_formulas(bounded, data):
         if s is not None:
             slopes[tie] = s
         u = np.array(slopes)[:, None]
-        _agree(group, u)
+        _agree(stacked, u)
         for f, ui in zip(members, u):
             _agree(f, ui)
 
@@ -129,15 +138,15 @@ def quadratics(draw, M, diagonal, boxed):
 def test_quadratic_argmax_and_value_match_the_former_formulas(M, diagonal, boxed, data):
     diagonal = diagonal or M == 1
     members = data.draw(st.lists(quadratics(M, diagonal, boxed), min_size=1, max_size=4))
-    group = SmoothConjugable.stack(members)
+    stacked = group(members)
     n = len(members)
     vector = st.lists(st.one_of(finite, signed_zero), min_size=n * M, max_size=n * M)
     u = np.reshape(data.draw(vector), (n, M))
     x = np.reshape(data.draw(vector), (n, M))
-    _agree(group, u)
-    _agree(group, u)  # a bound positivity verdict raises again
-    assert (np.asarray(group.value(x)).tobytes()
-            == np.asarray(reference_quadratic_value(group.base, x)).tobytes())
+    _agree(stacked, u)
+    _agree(stacked, u)  # a bound positivity verdict raises again
+    assert (np.asarray(stacked.value(x)).tobytes()
+            == np.asarray(reference_quadratic_value(stacked.base, x)).tobytes())
     for f, ui, xi in zip(members, u, x):
         _agree(f, ui)
         got, want = f.value(xi), reference_quadratic_value(f.base, xi)
@@ -162,7 +171,7 @@ def test_utility_argmax_broadcasts_a_batch_of_slopes(bounded, data):
     # one member, or a group, at several slopes at once: the bound constants
     # broadcast to the batch as the per-call formulas did
     members = data.draw(st.lists(utilities(bounded), min_size=1, max_size=3))
-    f = members[0] if len(members) == 1 else SmoothConjugable.stack(members)
+    f = members[0] if len(members) == 1 else group(members)
     n = len(members)
     k = data.draw(st.integers(1, 4))
     slopes = data.draw(st.lists(st.one_of(finite, signed_zero), min_size=k * n, max_size=k * n))
@@ -171,6 +180,121 @@ def test_utility_argmax_broadcasts_a_batch_of_slopes(bounded, data):
     assert got == _outcome(reference_conjugate_argmax, f, u)
     if not isinstance(got, type):
         assert conjugate_argmax(f, u).shape == u.shape
+
+
+@st.composite
+def boxes(draw, M):
+    """A box whose ends may be infinite, or one point wide."""
+    lower = draw(st.lists(st.one_of(signed_zero, st.floats(-10.0, 10.0), st.just(-INF)),
+                          min_size=M, max_size=M))
+    return BoxSet(lower, [max(lo, draw(st.one_of(signed_zero, st.floats(-10.0, 10.0),
+                                                 st.just(INF)))) for lo in lower])
+
+
+@st.composite
+def nonsmooth_parts(draw, kind, M, boxed, diagonal):
+    box = draw(boxes(M)) if boxed else None
+    if kind == "quadratic":  # a box needs a diagonal curvature
+        return ProxFriendlyFunction.quadratic(
+            draw(quadratics(M, diagonal or boxed, False)).base, box)
+    weight = draw(st.one_of(signed_zero, st.floats(0.0, 5.0)))
+    return ProxFriendlyFunction(kind, weight if kind == "l1" else 0.0, box=box)
+
+
+def _same(a, b):
+    """The same class, and every field of the same type, dtype, shape and bits."""
+    assert type(a) is type(b)
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if hasattr(x, "__dataclass_fields__"):
+            _same(x, y)
+        else:
+            assert type(x) is type(y)
+            if x is None or isinstance(x, str):
+                assert x == y
+            else:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["f:quadratic", "f:utility", "g:zero", "g:l1", "g:quadratic"]),
+       st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+def test_group_matches_the_stack_constructors(part, M, n, boxed, diagonal, data):
+    # a group's members share a kind and which parts they have, as the
+    # compiled groups' keys make them
+    if part == "f:quadratic":
+        member = quadratics(M, diagonal or M == 1, boxed)
+    elif part == "f:utility":
+        member = utilities(boxed)
+    else:
+        member = nonsmooth_parts(part[2:], M, boxed, diagonal or M == 1)
+    members = [data.draw(member) for _ in range(n)]
+    _same(group(members), reference_group(members))
+
+
+def _unsigned_zeros(outcome):
+    """An outcome of :func:`_outcome` with every -0 made +0."""
+    return outcome if isinstance(outcome, type) else (np.frombuffer(outcome) + 0.0).tobytes()
+
+
+@st.composite
+def nonsmooth_quadratics(draw, M, curvature, boxed):
+    """A nonsmooth quadratic whose curvature is positive definite and dense,
+    diagonal with zero or negative entries now and then, or positive
+    semidefinite with a zero row and column."""
+    q = draw(quadratics(M, curvature != "dense", False)).base
+    c = q.curvature
+    if curvature == "singular":
+        k = draw(st.integers(0, M - 1))
+        c = c.copy()
+        c[k, :] = c[:, k] = 0.0
+    return ProxFriendlyFunction.quadratic(QuadraticFunction(c, q.linear, q.offset),
+                                          draw(boxes(M)) if boxed else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(["dense", "diagonal", "singular"]), st.booleans(),
+       st.integers(0, 3), st.data())
+def test_nonsmooth_quadratic_matches_its_former_argmax(M, curvature, boxed, n, data):
+    # n = 0 draws a single member; a box needs a diagonal curvature
+    boxed = boxed and curvature == "diagonal"
+    members = [data.draw(nonsmooth_quadratics(M, curvature, boxed)) for _ in range(max(n, 1))]
+    g = members[0] if n == 0 else group(members)
+    v = np.reshape(data.draw(st.lists(st.one_of(finite, signed_zero), min_size=max(n, 1) * M,
+                                      max_size=max(n, 1) * M)), g.quad.linear.shape)
+    if not boxed and (np.diagonal(g.quad.curvature, axis1=-2, axis2=-1) < 0).any():
+        # an indefinite curvature on all of space: the conjugate is +inf
+        assert _outcome(g.conjugate_argmax, v) is UnboundedConjugateError
+        assert _outcome(g.conjugate, v) is UnboundedConjugateError
+        return
+    got_x, want_x = _outcome(g.conjugate_argmax, v), _outcome(reference_g_quadratic_argmax, g, v)
+    got, want = _outcome(g.conjugate, v), _outcome(reference_g_quadratic_conjugate, g, v)
+    if curvature == "diagonal" and not boxed and M > 1:
+        # the former LAPACK solve added 0 * y to each entry, which turns a
+        # -0 into +0, where the division keeps the -0
+        got_x, want_x, got, want = map(_unsigned_zeros, (got_x, want_x, got, want))
+    assert got_x == want_x and got == want
+    if n == 0 and not isinstance(got, type):
+        assert type(g.conjugate(v)) is float
+
+
+def test_an_indefinite_nonsmooth_quadratic_has_an_unbounded_conjugate():
+    g = ProxFriendlyFunction.quadratic(QuadraticFunction([[1.0, 0.0], [0.0, -1.0]], [0.1, 0.2]))
+    # the former argmax solved for the saddle point and gave a finite value
+    assert reference_g_quadratic_conjugate(g, [1.0, 2.0]) == pytest.approx(-1.215)
+    with pytest.raises(UnboundedConjugateError):
+        g.conjugate([1.0, 2.0])
+
+
+def test_a_singular_quadratic_has_an_unbounded_conjugate():
+    # two equal rows: eigvalsh may put the least eigenvalue just above 0
+    # (3e-15 with OpenBLAS), and then the solve finds the curvature singular
+    q = QuadraticFunction([[8.0, 8.0, 6.0], [8.0, 8.0, 6.0], [6.0, 6.0, 5.0]], [0.0, 0.0, 0.0])
+    g, v = ProxFriendlyFunction.quadratic(q), [1.0, 2.0, 3.0]
+    assert _outcome(reference_g_quadratic_argmax, g, v) is UnboundedConjugateError
+    assert _outcome(g.conjugate_argmax, v) is UnboundedConjugateError
+    assert _outcome(g.conjugate, v) is UnboundedConjugateError
+    assert _outcome(conjugate_argmax, SmoothConjugable(q), v) is UnboundedConjugateError
 
 
 @settings(max_examples=200, deadline=None)

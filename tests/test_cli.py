@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from dualprox import (
 from dualprox.cli import main
 from dualprox.errors import MalformedTraceError
 from dualprox.repro import CriterionResult
+
+from test_trace_digests import _mixed_path
 
 
 @pytest.fixture
@@ -222,17 +225,22 @@ def _one_error_line(res, prefix):
     '{"targets": [0.0, 1.0], "curvatures": [1.0, "x"]}',
     '{"targets": "ab"}',
     '{"edges": 5}',
+    '{"targets": [1, 2], "curvatures": [1, 2, 3]}',
+    '{"targets": [1, 2], "curvatures": [1]}',
 ])
 def test_run_bad_overrides_fail_cleanly(runner, tmp_path, overrides):
     res = runner.invoke(main, ["run", "--scenario", "consensus", "--out", str(tmp_path),
                                "--overrides", overrides])
     _one_error_line(res, "error: ")
+    if overrides.startswith('{"targets": [1, 2]'):
+        assert "targets has 2 entries but curvatures has" in res.output
 
 
 @pytest.mark.parametrize("overrides", [
     '{"uc": 5}',
     '{"users": null}',
     '{"transforms": [1.0, "x", 1.0, 1.0, 1.0]}',
+    '{"uc": [], "users": [], "transforms": []}',
 ])
 def test_run_bad_market_overrides_fail_cleanly(runner, tmp_path, overrides):
     res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
@@ -313,6 +321,24 @@ def test_run_rejects_a_non_finite_instance(runner, tmp_path, where, message):
     path = tmp_path / "nonfinite.json"
     path.write_text(json.dumps(doc))
     res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: cannot load instance: ")
+    assert message in res.output
+
+
+@pytest.mark.parametrize("name, agent, part, key, value, message", [
+    ("market", 3, "f", "price", float("inf"), "agent 3: f.params.price is not finite"),
+    ("mixed_path", 1, "g", "weight", float("nan"), "agent 1: g.params.weight is not finite"),
+    ("mixed_path", 2, "g", "linear", [float("nan")], "agent 2: g.params.linear is not finite"),
+])
+def test_run_names_a_non_finite_catalog_number(runner, tmp_path, name, agent, part, key,
+                                               value, message):
+    doc = instance_to_json(build_market() if name == "market" else _mixed_path())
+    doc["agents"][agent][part]["params"][key] = value
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
     _one_error_line(res, "error: cannot load instance: ")
     assert message in res.output
 

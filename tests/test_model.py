@@ -2,6 +2,7 @@ import collections
 import copy
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,57 @@ def test_instance_from_json_rejects_missing_keys_and_wrong_types():
     doc["agents"][0]["constraint"]["blocks"] = [[1.0]]
     with pytest.raises(MalformedInstanceError):
         instance_from_json(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, agent, path, value, message", [
+    ("market", 3, ("f", "params", "price"), INF, "agent 3: f.params.price is not finite"),
+    ("market", 2, ("f", "params", "curvature"), NAN, "agent 2: f.params.curvature is not"),
+    ("market", 0, ("f", "params", "curvature"), [[INF]], "agent 0: f.params.curvature is not"),
+    ("market", 1, ("f", "params", "linear"), [NAN], "agent 1: f.params.linear is not finite"),
+    ("market", 0, ("f", "params", "offset"), -INF, "agent 0: f.params.offset is not finite"),
+    ("market", 4, ("f", "strong_convexity"), INF, "agent 4: f.strong_convexity is not finite"),
+    ("market", 2, ("f", "domain", "lower"), [NAN], "agent 2: f.domain.lower is NaN"),
+    ("market", 1, ("g", "params", "box", "upper"), [NAN], "agent 1: g.params.box.upper is NaN"),
+    ("market", 4, ("omega", "upper"), [NAN], "agent 4: omega.upper is NaN"),
+    ("mixed_path", 1, ("g", "params", "weight"), NAN, "agent 1: g.params.weight is not finite"),
+    ("mixed_path", 3, ("g", "params", "weight"), INF, "agent 3: g.params.weight is not finite"),
+    ("mixed_path", 2, ("g", "params", "linear"), [NAN], "agent 2: g.params.linear is not"),
+    ("mixed_path", 2, ("g", "params", "curvature"), [[INF]], "agent 2: g.params.curvature is"),
+    ("mixed_path", 2, ("g", "params", "offset"), NAN, "agent 2: g.params.offset is not finite"),
+])
+def test_instance_from_json_refuses_non_finite_catalog_numbers(name, agent, path, value,
+                                                               message):
+    doc = instance_to_json(build_market() if name == "market" else _mixed_path())
+    obj = doc["agents"][agent]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    with pytest.raises(MalformedInstanceError, match=re.escape(message)):
+        instance_from_json(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("where", ["price", "rhs"])
+def test_instance_from_json_refuses_an_integer_too_large_for_a_float(where):
+    doc = instance_to_json(build_market())
+    if where == "price":
+        doc["agents"][3]["f"]["params"]["price"] = 10 ** 400
+    else:
+        doc["agents"][0]["constraint"]["rhs"] = [10 ** 400]
+    with pytest.raises(MalformedInstanceError, match="too large"):
+        instance_from_json(doc)
+
+
+def test_instance_from_json_takes_infinite_bounds():
+    doc = instance_to_json(build_market())
+    doc["agents"][0]["f"]["domain"]["upper"] = [INF]
+    doc["agents"][0]["g"]["params"]["box"]["lower"] = [-INF]
+    doc["agents"][0]["omega"]["upper"] = [INF]
+    agent = instance_from_json(json.loads(json.dumps(doc))).agents[0]
+    assert agent.f.effective_domain.upper[0] == INF and agent.omega.upper[0] == INF
+    assert agent.g.box.lower[0] == -INF
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -106,6 +106,20 @@ def test_apply_transform_rejects_rank_deficiency():
                         [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
 
 
+def test_apply_transform_refuses_no_transforms():
+    with pytest.raises(ValueError, match="at least one transform"):
+        apply_transform([], np.zeros((1, 0)), [0.0])
+    with pytest.raises(ValueError, match="at least one transform"):
+        build_market(MarketParams(uc=[], users=[], transforms=[]))
+
+
+@pytest.mark.parametrize("curvatures", [[1.0, 2.0, 3.0], [1.0]])
+def test_build_scenario_refuses_unequal_targets_and_curvatures(curvatures):
+    with pytest.raises(ValueError, match=f"targets has 2 entries but curvatures has "
+                                         f"{len(curvatures)}"):
+        build_scenario("consensus", {"targets": [1.0, 2.0], "curvatures": curvatures})
+
+
 def test_transform_preserves_solution_set():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(2, 3))

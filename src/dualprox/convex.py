@@ -20,7 +20,7 @@ members' results, bit for bit.  A single member keeps its float API.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,9 @@ class QuadraticFunction:
         c = self.curvature
         if c.shape[-1] == 1:  # the entry, as eigvalsh returns it bit for bit
             return _per_member(c[..., 0, 0])
-        return _per_member(np.linalg.eigvalsh(c)[..., 0])
+        eig = np.linalg.eigvalsh(c)  # within matrix_rank's tolerance of 0: singular, so 0
+        tol = c.shape[-1] * np.finfo(float).eps * np.abs(eig).max(axis=-1)
+        return _per_member(np.where(eig[..., 0] > tol, eig[..., 0], 0.0))
 
     @functools.cached_property
     def is_diagonal(self) -> bool:
@@ -217,29 +219,27 @@ class SmoothConjugable:
 
     The domain restriction keeps the conjugate argmax unique even when the
     base is only strongly convex on part of its range (the saturating
-    utility has a flat branch).  ``strong_convexity`` defaults to the base's
-    quadratic curvature; for the piecewise utility it is the quadratic-branch
-    value ``2*varsigma``, an estimate valid where the maximizer lives.
+    utility has a flat branch).
     """
 
     base: QuadraticFunction | PiecewiseQuadraticUtility
     effective_domain: BoxSet | None = None
-    strong_convexity: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        sigma = self.strong_convexity
-        if sigma is None:
-            if isinstance(self.base, QuadraticFunction):
-                sigma = self.base.strong_convexity
-            else:
-                sigma = 2.0 * self.base.curvature
-        object.__setattr__(self, "strong_convexity", _per_member(sigma))
         if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
             raise ValueError("effective domain dimension mismatch")
 
     @property
     def dim(self) -> int:
         return self.base.dim
+
+    @functools.cached_property
+    def strong_convexity(self):
+        """The quadratic's, or the utility's on its quadratic branch, where
+        the maximizer lives: ``2*varsigma``."""
+        base = self.base
+        return _per_member(base.strong_convexity if isinstance(base, QuadraticFunction)
+                           else 2.0 * base.curvature)
 
     def value(self, x):
         return self.base.value(x)

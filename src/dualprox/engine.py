@@ -461,6 +461,8 @@ def run(instance: ProblemInstance, mode: str = "sync",
         raise ValueError(f"k_max = {k_max} is negative")
     if not tol >= 0:  # NaN fails too
         raise ValueError(f"tol = {tol} is not a nonnegative number")
+    if not (psi_star is None or math.isfinite(psi_star)):
+        raise ValueError(f"psi_star = {psi_star} is not finite")
     if steps is not None and steps.values.size != instance.n_agents:
         raise ValueError(f"{steps.values.size} step sizes for {instance.n_agents} agents")
     h, _ = lipschitz_constant(instance)

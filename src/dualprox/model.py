@@ -271,6 +271,7 @@ class CompiledInstance:
         # (bytes of lam, x_hat) at the last iterate of the last run, which
         # primal recovery at the same lam reuses; x_hat is a private copy
         self.last_x_hat = (None, None)
+        self.digest = None  # instance_hash, once computed
         self._stacked_C_rows = {}  # K -> the rows of C's entries in a flat stack of K
 
     def split(self, lam: np.ndarray):
@@ -518,9 +519,7 @@ def _f_from_json(obj, where: str) -> SmoothConjugable:
         base = PiecewiseQuadraticUtility(_number(p, "price", at), _number(p, "curvature", at))
     else:
         raise ValueError(f"unknown smooth kind {obj['kind']!r}")
-    sigma = obj.get("strong_convexity")
-    return SmoothConjugable(base, _box_from_json(obj.get("domain"), f"{where}.domain"),
-                            None if sigma is None else _number(obj, "strong_convexity", where))
+    return SmoothConjugable(base, _box_from_json(obj.get("domain"), f"{where}.domain"))
 
 
 def _g_to_json(g: ProxFriendlyFunction):
@@ -655,10 +654,12 @@ def instance_hash(instance: ProblemInstance) -> str:
     the l1 weights, the nonsmooth quadratics' parameters and the boxes
     present (per agent the nonsmooth box, then ``omega``); the block
     table's owners, ``l`` and values, and the rhs.  The fields are joined
-    into one buffer and hashed at once.  The same instance gives the same
-    digest after a JSON round trip.
+    into one buffer and hashed once per instance, on first use.  The same
+    instance gives the same digest after a JSON round trip.
     """
     comp = instance.compiled
+    if comp.digest is not None:
+        return comp.digest
     fields = [_field("NMB", (instance.n_agents, instance.M, instance.B), "<i8"),
               _field("edges", instance.topology.edges.ravel())]  # <f8, as recorded digests were
     table, weights, quads, boxes = [], [], [], []
@@ -694,4 +695,5 @@ def instance_hash(instance: ProblemInstance) -> str:
                _field("blocks", instance.l, "<i8"),
                _field("blocks", instance.blocks),
                _field("rhs", instance.rhs.ravel())]
-    return hashlib.sha256(b"".join(fields)).hexdigest()
+    comp.digest = hashlib.sha256(b"".join(fields)).hexdigest()
+    return comp.digest

@@ -1,13 +1,14 @@
 """Desk-scale reproduction suite: one callable check per acceptance criterion.
 
-Shared expensive artifacts (the reference market traces) are computed once
-per :class:`ReproContext` and reused across criteria.  Each criterion
-returns a :class:`CriterionResult`; the CLI and the test suite both drive
-these functions.
+Shared expensive artifacts (the reference market traces and their
+rate-bound reports) are computed once per :class:`ReproContext` and reused
+across criteria.  Each criterion returns a :class:`CriterionResult`; the
+CLI and the test suite both drive these functions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,8 +28,6 @@ from .engine import (
     StepSizes,
     recover_primal,
     run,
-    step_size_async,
-    step_size_sync,
     verify_rate_bounds,
 )
 from .model import (
@@ -60,31 +59,23 @@ class CriterionResult:
 
 
 class ReproContext:
-    """Lazily computed shared artifacts for the reproduction suite."""
+    """Shared artifacts for the reproduction suite, each computed on first use."""
 
     def __init__(self):
-        self._market = None
-        self._h = None
-        self._sync = None
-        self._async = {}
+        self._async = {}  # D -> the worst-case async trace
+        self._reports = {}  # None (the sync trace) or D -> its RateBoundReport
 
-    @property
+    @functools.cached_property
     def market(self) -> ProblemInstance:
-        if self._market is None:
-            self._market = build_market()
-        return self._market
+        return build_market()
 
-    @property
+    @functools.cached_property
     def h(self) -> float:
-        if self._h is None:
-            self._h, _ = lipschitz_constant(self.market)
-        return self._h
+        return lipschitz_constant(self.market)[0]
 
-    @property
+    @functools.cached_property
     def sync_trace(self):
-        if self._sync is None:
-            self._sync = run(self.market, mode="sync", tol=1e-10, k_max=100_000)
-        return self._sync
+        return run(self.market, mode="sync", tol=1e-10, k_max=100_000)
 
     @property
     def psi_star(self) -> float:
@@ -95,13 +86,21 @@ class ReproContext:
         return self.sync_trace.lam[-1]
 
     def async_trace(self, D: int):
+        """The run with delay bound ``D`` and its default steps ``1/(h (D+1)^2)``."""
         if D not in self._async:
-            steps = step_size_async(self.h, D, n_agents=self.market.n_agents)
-            self._async[D] = (run(
-                self.market, mode="async", schedule=DelaySchedule.worst_case(D),
-                steps=steps, tol=1e-9, k_max=200_000, psi_star=self.psi_star,
-            ), steps)
+            self._async[D] = run(self.market, mode="async", schedule=DelaySchedule.worst_case(D),
+                                 tol=1e-9, k_max=200_000, psi_star=self.psi_star)
         return self._async[D]
+
+    def rate_report(self, D: int | None = None):
+        """The rate-bound report of the sync trace (``D=None``) or of the
+        async trace with delay bound ``D``, at the steps the run recorded."""
+        if D not in self._reports:
+            trace = self.sync_trace if D is None else self.async_trace(D)
+            steps = StepSizes(trace.meta["step_mode"], trace.meta["step_sizes"])
+            self._reports[D] = verify_rate_bounds(trace, self.lam_star, self.psi_star,
+                                                  self.h, steps, trace.meta["D"])
+        return self._reports[D]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +226,9 @@ def criterion_1_market_sync(ctx: ReproContext) -> CriterionResult:
 
 def criterion_2_market_async(ctx: ReproContext) -> CriterionResult:
     kc = ctx.sync_trace.n_transitions
-    eps_at_kc = []
-    eps_final = []
-    for D in DELAY_SET:
-        trace, _ = ctx.async_trace(D)
-        eps_at_kc.append(trace.epsilon[min(kc, trace.n_records - 1)])
-        eps_final.append(trace.epsilon[-1])
+    traces = [ctx.async_trace(D) for D in DELAY_SET]
+    eps_at_kc = [trace.epsilon[min(kc, trace.n_records - 1)] for trace in traces]
+    eps_final = [trace.epsilon[-1] for trace in traces]
     converge_ok = all(e <= 1e-4 for e in eps_final)
     order_ok = all(b >= a - 1e-9 * (1 + abs(a))
                    for a, b in zip(eps_at_kc, eps_at_kc[1:]))
@@ -244,22 +240,15 @@ def criterion_2_market_async(ctx: ReproContext) -> CriterionResult:
 
 
 def criterion_3_no_delay_rate(ctx: ReproContext) -> CriterionResult:
-    steps = StepSizes.uniform(step_size_sync(ctx.h), ctx.market.n_agents)
-    report = verify_rate_bounds(ctx.sync_trace, ctx.lam_star, ctx.psi_star,
-                                ctx.h, steps, D=0)
-    worst = min(r[3] for r in report.no_delay_rate)
+    rows = ctx.rate_report().no_delay_rate
+    worst = min(r[3] for r in rows)
     return CriterionResult(
         3, "no-delay rate bound", worst >= -SLACK_TOL,
-        f"min slack over K = {worst:.3e} across {len(report.no_delay_rate)} checkpoints")
+        f"min slack over K = {worst:.3e} across {len(rows)} checkpoints")
 
 
 def criterion_4_delayed_rate(ctx: ReproContext) -> CriterionResult:
-    worsts = {}
-    for D in DELAY_SET:
-        trace, steps = ctx.async_trace(D)
-        report = verify_rate_bounds(trace, ctx.lam_star, ctx.psi_star,
-                                    ctx.h, steps, D)
-        worsts[D] = min(r[3] for r in report.delayed_rate)
+    worsts = {D: min(r[3] for r in ctx.rate_report(D).delayed_rate) for D in DELAY_SET}
     passed = all(w >= -SLACK_TOL for w in worsts.values())
     return CriterionResult(
         4, "delayed rate bound", passed,
@@ -267,17 +256,10 @@ def criterion_4_delayed_rate(ctx: ReproContext) -> CriterionResult:
 
 
 def criterion_5_delay_counts(ctx: ReproContext) -> CriterionResult:
-    worst = math.inf
-    eq_gap = 0.0
-    traces = [(0, ctx.sync_trace, StepSizes.uniform(step_size_sync(ctx.h), 5))]
-    traces += [(D, *ctx.async_trace(D)) for D in DELAY_SET]
-    for D, trace, steps in traces:
-        report = verify_rate_bounds(trace, ctx.lam_star, ctx.psi_star,
-                                    ctx.h, steps, D)
-        for rows in (report.delay_count, report.weighted_delay_count):
-            worst = min(worst, min(r[3] for r in rows))
-        if D == 0:
-            eq_gap = max(eq_gap, max(abs(r[2] - r[1]) for r in report.delay_count))
+    reports = {D: ctx.rate_report(D) for D in (None, *DELAY_SET)}  # None: the sync trace
+    worst = min(r[3] for report in reports.values()
+                for r in report.delay_count + report.weighted_delay_count)
+    eq_gap = max(abs(r[2] - r[1]) for D in (None, 0) for r in reports[D].delay_count)
     passed = worst >= -SLACK_TOL and eq_gap <= 1e-12
     return CriterionResult(
         5, "delay-counting inequalities", passed,
@@ -285,9 +267,9 @@ def criterion_5_delay_counts(ctx: ReproContext) -> CriterionResult:
 
 
 def criterion_6_reduction(ctx: ReproContext) -> CriterionResult:
-    steps = StepSizes.uniform(step_size_sync(ctx.h), ctx.market.n_agents)
+    # the default async step at D = 0, 1/h, is the sync step bit for bit
     async0 = run(ctx.market, mode="async", schedule=DelaySchedule.worst_case(0),
-                 steps=steps, tol=1e-10, k_max=100_000, psi_star=ctx.psi_star)
+                 tol=1e-10, k_max=100_000, psi_star=ctx.psi_star)
     sync = ctx.sync_trace
     if async0.n_records != sync.n_records:
         return CriterionResult(6, "async D=0 reduces to sync", False,

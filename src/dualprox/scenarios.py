@@ -23,7 +23,7 @@ from .convex import (
     SmoothConjugable,
 )
 from .errors import RankDeficientError
-from .model import AgentSpec, ProblemInstance, Topology
+from .model import AgentSpec, ProblemInstance, Topology, _number
 
 # Reference market data: two utility companies (quadratic generation costs
 # kappa x^2 + vartheta x + beta on [0, x_max]) and three users (saturating
@@ -111,15 +111,13 @@ def build_market(params: MarketParams | None = None) -> ProblemInstance:
     for i in range(n):
         if i < n_uc:
             p = params.uc[i]
-            box = BoxSet([0.0], [p["x_max"]])
             base = QuadraticFunction(2.0 * p["kappa"], [p["vartheta"]], p["beta"])
-            f = SmoothConjugable(base, box, 2.0 * p["kappa"])
         else:
             p = params.users[i - n_uc]
-            box = BoxSet([0.0], [p["x_max"]])
             base = PiecewiseQuadraticUtility(p["pi"], p["varsigma"])
-            f = SmoothConjugable(base, box, 2.0 * p["varsigma"])
-        agents.append(AgentSpec(f, ProxFriendlyFunction.indicator_box(box), box))
+        box = BoxSet([0.0], [p["x_max"]])
+        agents.append(AgentSpec(SmoothConjugable(base, box),
+                                ProxFriendlyFunction.indicator_box(box), box))
     return ProblemInstance(Topology.fully_connected(n), agents, 1, 1, *table)
 
 
@@ -173,8 +171,16 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
     if unknown:
         raise ValueError(f"unknown override keys {', '.join(map(repr, unknown))}; "
                          f"{name} takes {', '.join(SCENARIOS[name])}")
+    # numbers must be finite (x_max may be +inf): checked here, off the benchmark's path
     if name == "market":
-        return build_market(MarketParams(**overrides))
+        params = MarketParams(**overrides)
+        for key in ("uc", "users"):
+            for i, p in enumerate(getattr(params, key)):
+                for number in p:
+                    _number(p, number, f"{key}.{i}", bound=number == "x_max")
+        for i in range(len(params.transforms)):
+            _number(params.transforms, i, "transforms")
+        return build_market(params)
     targets = overrides.get("targets", [0.0, 3.0, 6.0])
     curvatures = overrides.get("curvatures", [1.0] * len(targets))
     if len(curvatures) != len(targets):
@@ -183,5 +189,12 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
     edges = overrides.get("edges")
     n = len(targets)
     topo = Topology(n, edges) if edges is not None else Topology.path(n)
-    locals_f = [quadratic_local([t], c) for t, c in zip(targets, curvatures)]
+    locals_f = []
+    for i in range(n):
+        t, c = _number(targets, i, "targets"), _number(curvatures, i, "curvatures")
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            locals_f.append(quadratic_local([t], c))
+        if not np.isfinite([*locals_f[-1].base.linear, locals_f[-1].base.offset]).all():
+            raise ValueError(f"targets.{i} = {targets[i]!r} with curvatures.{i} = "
+                             f"{curvatures[i]!r} overflows the local cost 0.5 c (x - t)^2")
     return build_consensus(topo, locals_f)

@@ -229,8 +229,7 @@ def reference_group(members):
         domain = None
         if first.effective_domain is not None:
             domain = reference_group([f.effective_domain for f in members])
-        return SmoothConjugable(reference_group([f.base for f in members]), domain,
-                                np.array([f.strong_convexity for f in members]))
+        return SmoothConjugable(reference_group([f.base for f in members]), domain)
     quad = None if first.quad is None else reference_group([g.quad for g in members])
     box = None if first.box is None else reference_group([g.box for g in members])
     return ProxFriendlyFunction(first.kind, np.array([g.weight for g in members]), quad, box)

@@ -50,3 +50,15 @@ def test_criterion_9_brute_force_equivalence(ctx):
 
 def test_criterion_10_consensus(ctx):
     _check(repro.criterion_10_consensus(ctx))
+
+
+def test_criteria_3_to_5_verify_each_trajectory_once(monkeypatch):
+    calls = []
+    verify = repro.verify_rate_bounds
+    monkeypatch.setattr(repro, "verify_rate_bounds",
+                        lambda *args: calls.append(args[-1]) or verify(*args))
+    ctx = repro.ReproContext()
+    for criterion in (repro.criterion_3_no_delay_rate, repro.criterion_4_delayed_rate,
+                      repro.criterion_5_delay_counts):
+        criterion(ctx)
+    assert calls == [0, *repro.DELAY_SET]  # the sync trace, then each async one

@@ -229,7 +229,11 @@ def test_group_matches_the_stack_constructors(part, M, n, boxed, diagonal, data)
     else:
         member = nonsmooth_parts(part[2:], M, boxed, diagonal or M == 1)
     members = [data.draw(member) for _ in range(n)]
-    _same(group(members), reference_group(members))
+    grouped = group(members)
+    _same(grouped, reference_group(members))
+    if part.startswith("f:"):  # the derived sigma: a batched eigvalsh is the per-member one
+        sigma = grouped.strong_convexity
+        assert sigma.tobytes() == np.array([m.strong_convexity for m in members]).tobytes()
 
 
 def _unsigned_zeros(outcome):

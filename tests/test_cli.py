@@ -23,7 +23,9 @@ from dualprox import (
 from dualprox.cli import main
 from dualprox.errors import MalformedTraceError
 from dualprox.repro import CriterionResult
+from dualprox.scenarios import DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
+from test_model import _singular_pair
 from test_trace_digests import _mixed_path
 
 
@@ -259,6 +261,48 @@ def test_run_override_unknown_keys_fail_cleanly(runner, tmp_path):
                                "--overrides", '{"curvature": [5, 5, 5], "target": [1, 2, 3]}'])
     _one_error_line(res, "error: cannot build scenario: unknown override keys")
     assert "'curvature'" in res.output and "'target'" in res.output
+
+
+def _market_override(key, i, number, value):
+    entries = [dict(p) for p in (DEFAULT_UC_PARAMS if key == "uc" else DEFAULT_USER_PARAMS)]
+    entries[i][number] = value
+    return json.dumps({key: entries})
+
+
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("consensus", '{"targets": [NaN, 0, 1]}', "targets.0 is not finite"),
+    ("consensus", '{"targets": [1e308, 0, 1]}',
+     "targets.0 = 1e+308 with curvatures.0 = 1.0 overflows the local cost"),
+    ("consensus", '{"curvatures": [Infinity, 1, 1]}', "curvatures.0 is not finite"),
+    ("market", '{"transforms": [1, 2, -1, 1, NaN]}', "transforms.4 is not finite"),
+    ("market", _market_override("uc", 0, "kappa", float("nan")), "uc.0.kappa is not finite"),
+    ("market", _market_override("users", 1, "x_max", float("nan")), "users.1.x_max is NaN"),
+    ("market", _market_override("uc", 1, "vartheta", float("inf")),
+     "uc.1.vartheta is not finite"),
+])
+def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scenario,
+                                                         overrides, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--scenario", scenario, "--out", str(tmp_path),
+                                   "--overrides", overrides])
+    _one_error_line(res, "error: cannot build scenario: " + message)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_refuses_a_non_finite_psi_star(runner, tmp_path, value):
+    res = runner.invoke(main, ["run", "--scenario", "market", "--psi-star", value, "--json",
+                               "--out", str(tmp_path)])
+    _one_error_line(res, "error: psi_star = ")
+    assert "is not finite" in res.output
+
+
+def test_run_refuses_a_numerically_singular_curvature(runner, tmp_path):
+    path = tmp_path / "singular.json"
+    save_instance(_singular_pair(), path)
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: instance failed validation: strong_convexity: "
+                         "agents with sigma <= 0: [0]")
 
 
 def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dualprox.engine
+import dualprox.model
 
 from dualprox import (
     AgentSpec,
@@ -381,6 +382,25 @@ def test_recover_primal_never_returns_a_stale_maximizer():
 def test_run_rejects_a_negative_round_cap_or_tolerance(kwargs):
     with pytest.raises(ValueError, match="k_max|tol"):
         run(_two_agent(b0=1.0), **kwargs)
+
+
+@pytest.mark.parametrize("psi_star", [float("nan"), float("inf"), -float("inf")])
+def test_run_refuses_a_non_finite_psi_star(psi_star):
+    with pytest.raises(ValueError, match="psi_star"):
+        run(_two_agent(b0=1.0), psi_star=psi_star)
+
+
+def test_a_second_run_does_not_encode_the_instance_again(monkeypatch):
+    inst = build_market()
+    calls = []
+    field = dualprox.model._field
+    monkeypatch.setattr(dualprox.model, "_field", lambda *a: calls.append(a) or field(*a))
+    first = run(inst, k_max=3)
+    assert calls
+    n_calls = len(calls)
+    second = run(inst, k_max=3)
+    assert len(calls) == n_calls
+    assert second.meta["instance_hash"] == first.meta["instance_hash"]
 
 
 def test_run_zero_rounds():

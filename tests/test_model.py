@@ -20,6 +20,7 @@ from dualprox import (
     Topology,
     apply_C,
     build_consensus,
+    conjugate_argmax,
     build_market,
     build_scenario,
     instance_from_json,
@@ -30,7 +31,7 @@ from dualprox import (
     save_instance,
     validate_instance,
 )
-from dualprox.errors import MalformedInstanceError, SingularScaleError
+from dualprox.errors import MalformedInstanceError, SingularScaleError, UnboundedConjugateError
 from dualprox.model import instance_hash
 
 from dense_reference import dense_C
@@ -191,12 +192,44 @@ def test_lipschitz_identity_block_only():
 
 def test_lipschitz_rejects_zero_curvature():
     inst = _single_agent(sigma=1.0)
-    flat = SmoothConjugable(QuadraticFunction(1.0, [0.0]), strong_convexity=0.0)
+    flat = SmoothConjugable(QuadraticFunction(0.0, [0.0]))
     bad = AgentSpec(flat, ProxFriendlyFunction.zero(), None)
     inst_bad = ProblemInstance(inst.topology, (bad,), 1, 1,
                                inst.owner, inst.l, inst.blocks, inst.rhs)
     with pytest.raises(SingularScaleError):
         lipschitz_constant(inst_bad)
+
+
+def _singular_pair():
+    """A two-agent path consensus whose agent 0 has a singular curvature that
+    ``eigvalsh`` puts just above 0 (≈3e-15)."""
+    singular = [[8.0, 8.0, 6.0], [8.0, 8.0, 6.0], [6.0, 6.0, 5.0]]
+    f0 = SmoothConjugable(QuadraticFunction(singular, np.zeros(3)))
+    return build_consensus(Topology.path(2), [f0, quadratic_local(np.zeros(3))])
+
+
+def test_a_numerically_singular_curvature_has_no_strong_convexity():
+    inst = _singular_pair()
+    f0 = inst.agents[0].f
+    assert f0.strong_convexity == 0.0
+    failed = [(c.name, c.detail) for c in validate_instance(inst).checks if c.status == "fail"]
+    assert failed == [("strong_convexity", "agents with sigma <= 0: [0]")]
+    with pytest.raises(SingularScaleError, match="agent 0"):
+        lipschitz_constant(inst)
+    with pytest.raises(UnboundedConjugateError):
+        conjugate_argmax(f0, np.ones(3))
+
+
+def test_a_saved_strong_convexity_is_not_read_back(tmp_path):
+    doc = instance_to_json(build_market())
+    for agent in doc["agents"]:
+        agent["f"]["strong_convexity"] = 1e-9
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    edited = load_instance(path)
+    assert edited.agents[0].f.strong_convexity == 2 * 0.0031
+    assert instance_hash(edited) == instance_hash(build_market())
+    assert lipschitz_constant(edited)[0] == lipschitz_constant(build_market())[0]
 
 
 def test_validate_market_all_structural_checks_pass(ctx):
@@ -298,7 +331,7 @@ def test_json_roundtrip_consensus_with_nonsmooth_parts(tmp_path):
 def _digest_instances():
     """A scalar path with every smooth and nonsmooth kind, and a 2-D pair."""
     box, wide = BoxSet([-2.0], [3.0]), BoxSet([-4.0], [5.0])
-    fs = [SmoothConjugable(QuadraticFunction(2.0, [0.5], 0.25), wide, 1.5),
+    fs = [SmoothConjugable(QuadraticFunction(2.0, [0.5], 0.25), wide),
           SmoothConjugable(PiecewiseQuadraticUtility(12.0, 0.5), BoxSet([0.0], [9.0])),
           SmoothConjugable(QuadraticFunction(1.25, [-1.0], 0.5)),
           SmoothConjugable(QuadraticFunction(3.0, [0.0]), box),
@@ -330,11 +363,12 @@ def _digest_instances():
 
 
 def _numeric_leaves(doc, path=()):
-    """Paths to the numbers of an instance document, but not M, B, edges or
-    the agent ids (an id must equal the agent's position)."""
+    """Paths to the numbers of an instance document, but not M, B, edges,
+    the agent ids (an id must equal the agent's position) or the strong
+    convexity (written for reference, not read back)."""
     if isinstance(doc, dict):
         for key, value in doc.items():
-            if (path or key not in ("M", "B", "edges")) and key != "id":
+            if (path or key not in ("M", "B", "edges")) and key not in ("id", "strong_convexity"):
                 yield from _numeric_leaves(value, path + (key,))
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
@@ -480,7 +514,7 @@ NAN, INF = float("nan"), float("inf")
     ("market", 0, ("f", "params", "curvature"), [[INF]], "agent 0: f.params.curvature is not"),
     ("market", 1, ("f", "params", "linear"), [NAN], "agent 1: f.params.linear is not finite"),
     ("market", 0, ("f", "params", "offset"), -INF, "agent 0: f.params.offset is not finite"),
-    ("market", 4, ("f", "strong_convexity"), INF, "agent 4: f.strong_convexity is not finite"),
+    ("market", 4, ("f", "params", "curvature"), INF, "agent 4: f.params.curvature is not"),
     ("market", 2, ("f", "domain", "lower"), [NAN], "agent 2: f.domain.lower is NaN"),
     ("market", 1, ("g", "params", "box", "upper"), [NAN], "agent 1: g.params.box.upper is NaN"),
     ("market", 4, ("omega", "upper"), [NAN], "agent 4: omega.upper is NaN"),

@@ -19,7 +19,6 @@ members' results, bit for bit.  A single member keeps its float API.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,19 @@ _ZERO_ATOL = 1e-12
 
 # objective ties closer than this pick the smaller candidate point
 _TIE_TOL = 1e-12
+
+
+class cached_property:
+    """``functools.cached_property`` without its lock (taken on each first access before 3.12)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _vec(u) -> np.ndarray:
@@ -98,6 +110,10 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.shape[-1]
 
+    @cached_property
+    def is_finite(self) -> bool:
+        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
+
     def project(self, u) -> np.ndarray:
         return _vec(u).clip(self.lower, self.upper)  # np.clip's own method, without its dispatch
 
@@ -133,7 +149,7 @@ class QuadraticFunction:
     def dim(self) -> int:
         return self.linear.shape[-1]
 
-    @functools.cached_property
+    @cached_property
     def strong_convexity(self):
         c = self.curvature
         if c.shape[-1] == 1:  # the entry, as eigvalsh returns it bit for bit
@@ -142,20 +158,20 @@ class QuadraticFunction:
         tol = c.shape[-1] * np.finfo(float).eps * np.abs(eig).max(axis=-1)
         return _per_member(np.where(eig[..., 0] > tol, eig[..., 0], 0.0))
 
-    @functools.cached_property
+    @cached_property
     def is_diagonal(self) -> bool:
         c = self.curvature
         return c.shape[-1] == 1 or bool(np.allclose(c, c * np.eye(c.shape[-1])))
 
-    @functools.cached_property
+    @cached_property
     def _strongly_convex(self) -> bool:
         return _all_positive(self.strong_convexity)
 
-    @functools.cached_property
+    @cached_property
     def _diagonal(self) -> np.ndarray:
         return np.diagonal(self.curvature, axis1=-2, axis2=-1).copy()
 
-    @functools.cached_property
+    @cached_property
     def _positive_diagonal(self) -> bool:
         return bool((self._diagonal > 0).all())
 
@@ -194,11 +210,11 @@ class PiecewiseQuadraticUtility:
     def dim(self) -> int:
         return 1
 
-    @functools.cached_property
+    @cached_property
     def threshold(self):
         return self.price / (2.0 * self.curvature)
 
-    @functools.cached_property
+    @cached_property
     def _flat_value(self):
         # float_power is C pow, as ``price**2`` on a float; x*x differs in the
         # last bit now and then
@@ -233,7 +249,7 @@ class SmoothConjugable:
     def dim(self) -> int:
         return self.base.dim
 
-    @functools.cached_property
+    @cached_property
     def strong_convexity(self):
         """The quadratic's, or the utility's on its quadratic branch, where
         the maximizer lives: ``2*varsigma``."""
@@ -244,7 +260,7 @@ class SmoothConjugable:
     def value(self, x):
         return self.base.value(x)
 
-    @functools.cached_property
+    @cached_property
     def _utility_candidates(self):
         """What the utility's argmax needs that does not depend on the slope.
 
@@ -335,8 +351,8 @@ class ProxFriendlyFunction:
     # -- derived entries --
 
     def with_box(self, box: BoxSet | None) -> "ProxFriendlyFunction":
-        """Return this function plus the indicator of ``box``."""
-        if box is None:
+        """This function plus the indicator of ``box``; itself for its own box object."""
+        if box is None or box is self.box:
             return self
         if self.box is not None:
             box = BoxSet(
@@ -349,7 +365,7 @@ class ProxFriendlyFunction:
 
     # -- evaluation --
 
-    @functools.cached_property
+    @cached_property
     def _smooth(self) -> SmoothConjugable:
         """The quadratic kind as a smooth part on its box, for its argmax."""
         return SmoothConjugable(self.quad, self.box)
@@ -383,7 +399,7 @@ class ProxFriendlyFunction:
         v = _vec(v)
         if self.kind == "zero":
             if self.box is not None:
-                val = np.maximum(v * self.box.lower, v * self.box.upper).sum(axis=-1)
+                val = np.maximum(*_end_terms(v, self.box)).sum(axis=-1)
             else:
                 scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
                 val = np.where((np.abs(v) <= _ZERO_ATOL * scale).all(axis=-1), 0.0, INF)
@@ -393,7 +409,7 @@ class ProxFriendlyFunction:
                 val = np.where((np.abs(v) <= w + _ZERO_ATOL).all(axis=-1), 0.0, INF)
             else:
                 lo, hi = self.box.lower, self.box.upper
-                cand = np.maximum(v * lo - w * np.abs(lo), v * hi - w * np.abs(hi))
+                cand = np.maximum(*_end_terms(v, self.box, w))
                 inside = (lo <= 0) & (hi >= 0)
                 cand = np.where(inside, np.maximum(cand, 0.0), cand)
                 val = cand.sum(axis=-1)
@@ -427,6 +443,16 @@ class ProxFriendlyFunction:
         lo = self.box.lower if self.box is not None else -INF
         hi = self.box.upper if self.box is not None else INF
         return _l1_support_argmax(v, _col(self.weight), lo, hi, ref)
+
+
+def _end_terms(v, box: BoxSet, w=None) -> list:
+    """``v e - w |e|`` (``v e`` without ``w``) at each end ``e`` of ``box``.  A box with an
+    infinite end takes ``(v - w sign(e)) e``, 0 where that coefficient is: no ``0 * inf``."""
+    ends = (box.lower, box.upper)
+    if box.is_finite:
+        return [v * e if w is None else v * e - w * np.abs(e) for e in ends]
+    coefs = [v if w is None else v - w * np.sign(e) for e in ends]
+    return [np.multiply(c, e, out=np.zeros(c.shape), where=c != 0) for c, e in zip(coefs, ends)]
 
 
 def _l1_support_argmax(v, w, lo, hi, ref) -> np.ndarray:

@@ -328,13 +328,13 @@ class IterationTrace:
     # -- serialization --
 
     def to_csv(self, path) -> None:
-        # csv writes str(x), a Python float's shortest round-trip repr
+        # csv's default dialect, a line at a time: str(x) of each number, "\r\n" per row
+        steps = self.step_norm_inf  # steps[k - 1] moved lam[k - 1] to lam[k]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_columns(self.n_agents, self.B, self.M))
-            writer.writerows([k, psi, eps, step, *lam.tolist()] for k, psi, eps, step, lam in zip(
-                range(self.n_records), self.psi, self.epsilon, [0.0, *self.step_norm_inf],
-                self.lam))
+            fh.write(",".join(_columns(self.n_agents, self.B, self.M)) + "\r\n")
+            fh.writelines(f"{k},{psi},{psi - self.psi_star},{steps[k - 1] if k else 0.0},"
+                          f"{','.join(map(str, lam.tolist()))}\r\n"
+                          for k, (psi, lam) in enumerate(zip(self.psi, self.lam)))
 
     def metadata(self) -> dict:
         return {
@@ -350,8 +350,8 @@ class IterationTrace:
 
     def save(self, csv_path, meta_path) -> None:
         self.to_csv(csv_path)
-        with open(meta_path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2)
+        with open(meta_path, "w") as fh:  # one write, where json.dump makes one per token
+            fh.write(json.dumps(self.metadata(), indent=2))
 
     @staticmethod
     def from_csv(csv_path, meta_path) -> "IterationTrace":

@@ -14,7 +14,7 @@ class NonStronglyConvexError(DualproxError):
 
 
 class SingularScaleError(DualproxError):
-    """A smoothness/curvature constant is zero or negative."""
+    """A curvature is zero or negative, or so small that the smoothness constant overflows."""
 
 
 class HistoryUnderflowError(DualproxError):

@@ -12,7 +12,6 @@ few numpy calls over the nonzeros instead of a loop over agents.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -27,6 +26,7 @@ from .convex import (
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
+    cached_property,
     group,
 )
 from .errors import MalformedInstanceError, SingularScaleError
@@ -71,7 +71,7 @@ class Topology:
     def star(n: int) -> "Topology":
         return Topology(n, ((0, i) for i in range(1, n)))
 
-    @functools.cached_property
+    @cached_property
     def _adjacency(self) -> tuple:
         """Each agent's neighbours, ascending, as the edges are sorted."""
         adj = [[] for _ in range(self.n_agents)]
@@ -83,7 +83,7 @@ class Topology:
     def neighbors(self, i: int) -> list:
         return list(self._adjacency[i])
 
-    @functools.cached_property
+    @cached_property
     def _edge_codes(self) -> np.ndarray:
         """``i*N + j`` of each sorted edge, so ascending, then a -1 that no
         code equals."""
@@ -95,7 +95,7 @@ class Topology:
         query = np.minimum(i, l) * self.n_agents + np.maximum(i, l)
         return (i == l) | (codes[np.searchsorted(codes[:-1], query)] == query)
 
-    @functools.cached_property
+    @cached_property
     def is_connected(self) -> bool:
         """Whether every agent reaches agent 0 (no agents: ``False``)."""
         if self.n_agents == 0:
@@ -117,11 +117,6 @@ class AgentSpec:
     f: SmoothConjugable
     g: ProxFriendlyFunction
     omega: BoxSet | None
-
-    @functools.cached_property
-    def effective_g(self) -> ProxFriendlyFunction:
-        """The composite ``g + indicator(omega)`` used by the dual updates."""
-        return self.g.with_box(self.omega)
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ class ProblemInstance:
     def dual_dim(self) -> int:
         return self.n_agents * (self.B + self.M)
 
-    @functools.cached_property
+    @cached_property
     def compiled(self) -> "CompiledInstance":
         """The instance's operators and catalog groups, built on first use."""
         return CompiledInstance(self)
@@ -217,8 +212,8 @@ def _csr(groups, others, mats):
     """
     _, R, K = mats.shape
     r, c = np.arange(R)[:, None], np.arange(K)
-    rows = np.broadcast_to(groups[:, None, None] * R + r, mats.shape).ravel()
-    cols = np.broadcast_to(others[:, None, None] * K + c, mats.shape).ravel()
+    rows = (groups[:, None, None] * R + r + 0 * c).ravel()  # each the full (n, R, K)
+    cols = (others[:, None, None] * K + c + 0 * r).ravel()
     if R == 1:  # one row per group: the blocks are in CSR order already
         return rows, cols, mats.ravel()
     # entry (r, c) of a group's rank-th block follows the group's earlier
@@ -252,9 +247,9 @@ class CompiledInstance:
 
     ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
     entries in ascending column, so a row accumulates its agents in
-    ascending id.  ``f_groups`` and ``g_groups`` stack the agents of one
-    catalog kind (see :mod:`dualprox.convex`); ``lipschitz`` is the
-    smoothness constant.  Each part is built on first use.
+    ascending id.  ``f_groups`` and ``g_groups`` (each g with its omega's box)
+    stack the agents of one catalog kind (see :mod:`dualprox.convex`);
+    ``lipschitz`` is the smoothness constant, and each part is built on first use.
     """
 
     def __init__(self, instance: "ProblemInstance"):
@@ -282,7 +277,7 @@ class CompiledInstance:
             return lam[:n].reshape(N, self.B), lam[n:].reshape(N, self.M)
         return lam[:, :n].reshape(-1, N, self.B), lam[:, n:].reshape(-1, N, self.M)
 
-    @functools.cached_property
+    @cached_property
     def C(self) -> tuple:
         """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
         holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
@@ -292,30 +287,30 @@ class CompiledInstance:
                                 self._blocks[by_key].transpose(0, 2, 1))
         return rows, cols, -vals
 
-    @functools.cached_property
+    @cached_property
     def _nonzero(self) -> np.ndarray:
         return self._blocks.any(axis=(1, 2))
 
-    @functools.cached_property
+    @cached_property
     def A(self) -> tuple:
         """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
         ``l*M + m`` of the stacked ``x``."""
         return _csr(self._owner[self._nonzero], self._l[self._nonzero],
                     self._blocks[self._nonzero])
 
-    @functools.cached_property
+    @cached_property
     def n_messages(self) -> int:
         """Neighbour maximizers a round reads, over all agents."""
         return int(np.count_nonzero(self._nonzero & (self._owner != self._l)))
 
-    @functools.cached_property
+    @cached_property
     def f_groups(self) -> tuple:
         return _groups([agent.f for agent in self._agents],
                        lambda f: (type(f.base), f.effective_domain is None))
 
-    @functools.cached_property
+    @cached_property
     def g_groups(self) -> tuple:
-        return _groups([agent.effective_g for agent in self._agents],
+        return _groups([agent.g.with_box(agent.omega) for agent in self._agents],
                        lambda g: (g.kind, g.box is None))
 
     def _compact_row_maps(self):
@@ -345,20 +340,22 @@ class CompiledInstance:
             S[:, diag, ld + n + diag] = -1.0  # -I on mu_i, the last columns
             yield agents, S
 
-    @functools.cached_property
+    @cached_property
     def lipschitz(self):
         """``(h, per_agent)`` with ``per_agent[i] = ||C_i||^2 / sigma_i`` and
         ``h`` their sum in agent order."""
-        bad = np.flatnonzero(self.sigma <= 0)
-        if bad.size:
-            i = int(bad[0])
-            raise SingularScaleError(f"agent {i} has nonpositive curvature {self.sigma[i]}")
         norms = np.empty(self.n_agents)
         for idx, S in self._compact_row_maps():
             norms[idx] = np.linalg.svd(S, compute_uv=False)[:, 0]
         # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in
         # the last bit now and then
-        per_agent = np.float_power(norms, 2) / self.sigma
+        with np.errstate(all="ignore"):  # sigma_i <= 0, or so small the ratio overflows
+            per_agent = np.float_power(norms, 2) / self.sigma
+        bad = np.flatnonzero((self.sigma <= 0) | ~np.isfinite(per_agent))
+        if bad.size:
+            i = int(bad[0])
+            raise SingularScaleError(f"agent {i}: curvature {self.sigma[i]} gives "
+                                     f"||C_i||^2 / sigma_i = {per_agent[i]}")
         return sum_in_order(per_agent), per_agent
 
 

@@ -8,7 +8,6 @@ CLI and the test suite both drive these functions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ from .convex import (
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
+    cached_property,
     conjugate_argmax,
     conjugate_value,
 )
@@ -65,15 +65,15 @@ class ReproContext:
         self._async = {}  # D -> the worst-case async trace
         self._reports = {}  # None (the sync trace) or D -> its RateBoundReport
 
-    @functools.cached_property
+    @cached_property
     def market(self) -> ProblemInstance:
         return build_market()
 
-    @functools.cached_property
+    @cached_property
     def h(self) -> float:
         return lipschitz_constant(self.market)[0]
 
-    @functools.cached_property
+    @cached_property
     def sync_trace(self):
         return run(self.market, mode="sync", tol=1e-10, k_max=100_000)
 

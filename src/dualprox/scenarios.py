@@ -174,10 +174,12 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
     # numbers must be finite (x_max may be +inf): checked here, off the benchmark's path
     if name == "market":
         params = MarketParams(**overrides)
-        for key in ("uc", "users"):
+        for key, curv in (("uc", "kappa"), ("users", "varsigma")):
             for i, p in enumerate(getattr(params, key)):
                 for number in p:
                     _number(p, number, f"{key}.{i}", bound=number == "x_max")
+                if not np.isfinite(2.0 * p[curv]):  # build_market's curvature
+                    raise ValueError(f"{key}.{i}.{curv} = {p[curv]!r} overflows 2 {curv}")
         for i in range(len(params.transforms)):
             _number(params.transforms, i, "transforms")
         return build_market(params)

@@ -12,9 +12,14 @@ once, the per-class ``stack`` constructors that formed the groups before
 ``convex.group`` and the nonsmooth quadratic's own argmax, the rate-bound
 verifier as the per-agent loop it was before it went array-at-a-time, and
 the solver loop as it was before it evaluated the objective a delay window
-at a time, so the new code can be checked against them bit for bit.
+at a time, ``with_box`` as it was before it kept its own box, the CSR
+entries as ``np.broadcast_to`` formed them, and the trace writer as it was
+before it formatted its own lines, so the new code can be checked against
+them bit for bit.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -133,7 +138,7 @@ def dense_objective(inst, lam):
     psi = 0.0
     for i, a in enumerate(inst.agents):
         psi += u[i] @ x_hat[i] - smooth_value(a.f, x_hat[i]) + b[i] @ theta[i]
-        psi += nonsmooth_conjugate(a.effective_g, mu[i])
+        psi += nonsmooth_conjugate(a.g.with_box(a.omega), mu[i])
     return psi, x_hat
 
 
@@ -143,7 +148,7 @@ def dense_round(inst, lam, x_snap, c) -> np.ndarray:
     x = x_snap.ravel()
     theta = lam[:N * B] - np.repeat(c, B) * (dense_b(inst) - dense_A(inst) @ x)
     mu = lam[N * B:].reshape(N, M)
-    mu_next = [conjugate_prox_oracle(a.effective_g, mu[i] + c[i] * x_snap[i], c[i])
+    mu_next = [conjugate_prox_oracle(a.g.with_box(a.omega), mu[i] + c[i] * x_snap[i], c[i])
                for i, a in enumerate(inst.agents)]
     return np.concatenate([theta, np.ravel(mu_next)])
 
@@ -233,6 +238,17 @@ def reference_group(members):
     quad = None if first.quad is None else reference_group([g.quad for g in members])
     box = None if first.box is None else reference_group([g.box for g in members])
     return ProxFriendlyFunction(first.kind, np.array([g.weight for g in members]), quad, box)
+
+
+def reference_with_box(g, box):
+    """``g.with_box(box)`` intersecting every box, its own included."""
+    if box is None:
+        return g
+    if g.box is not None:
+        box = BoxSet(np.maximum(g.box.lower, box.lower), np.minimum(g.box.upper, box.upper))
+    if g.kind == "quadratic":
+        return ProxFriendlyFunction.quadratic(g.quad, box)
+    return ProxFriendlyFunction(g.kind, weight=g.weight, box=box)
 
 
 def reference_g_quadratic_argmax(g, v) -> np.ndarray:
@@ -385,3 +401,42 @@ def reference_run(inst, schedule, steps, k_max, tol, lam0=None):
                 stop_reason = "tol"
                 break
     return lams, psis, taus, step_norms, stop_reason
+
+
+# ---------------------------------------------------------------------------
+# the CSR entries and the trace writer as they were
+# ---------------------------------------------------------------------------
+
+
+def reference_csr(groups, others, mats):
+    """``model._csr`` with ``rows`` and ``cols`` from ``np.broadcast_to``."""
+    _, R, K = mats.shape
+    r, c = np.arange(R)[:, None], np.arange(K)
+    rows = np.broadcast_to(groups[:, None, None] * R + r, mats.shape).ravel()
+    cols = np.broadcast_to(others[:, None, None] * K + c, mats.shape).ravel()
+    if R == 1:
+        return rows, cols, mats.ravel()
+    counts = np.bincount(groups)
+    n = counts[groups][:, None, None]
+    start = (np.cumsum(counts) - counts)[groups][:, None, None]
+    rank = np.arange(groups.size)[:, None, None] - start
+    order = np.empty(mats.size, dtype=np.intp)
+    order[((start * R + r * n + rank) * K + c).ravel()] = np.arange(mats.size)
+    return rows[order], cols[order], mats.ravel()[order]
+
+
+def reference_to_csv(trace, path) -> None:
+    """``IterationTrace.to_csv`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dualprox.engine._columns(trace.n_agents, trace.B, trace.M))
+        writer.writerows([k, psi, eps, step, *lam.tolist()] for k, psi, eps, step, lam in zip(
+            range(trace.n_records), trace.psi, trace.epsilon, [0.0, *trace.step_norm_inf],
+            trace.lam))
+
+
+def reference_save(trace, csv_path, meta_path) -> None:
+    """``IterationTrace.save`` with ``json.dump`` writing the metadata."""
+    reference_to_csv(trace, csv_path)
+    with open(meta_path, "w") as fh:
+        json.dump(trace.metadata(), fh, indent=2)

@@ -279,6 +279,10 @@ def _market_override(key, i, number, value):
     ("market", _market_override("users", 1, "x_max", float("nan")), "users.1.x_max is NaN"),
     ("market", _market_override("uc", 1, "vartheta", float("inf")),
      "uc.1.vartheta is not finite"),
+    ("market", _market_override("uc", 0, "kappa", 1e308),
+     "uc.0.kappa = 1e+308 overflows 2 kappa"),
+    ("market", _market_override("users", 2, "varsigma", 1e308),
+     "users.2.varsigma = 1e+308 overflows 2 varsigma"),
 ])
 def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scenario,
                                                          overrides, message):
@@ -287,6 +291,28 @@ def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scena
         res = runner.invoke(main, ["run", "--scenario", scenario, "--out", str(tmp_path),
                                    "--overrides", overrides])
     _one_error_line(res, "error: cannot build scenario: " + message)
+
+
+def test_run_refuses_a_curvature_whose_lipschitz_term_overflows(runner, tmp_path):
+    # 2 varsigma = 2e-310 is finite, but ||C_2||^2 / 2e-310 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--scenario", "market", "--out", str(tmp_path),
+                                   "--overrides", _market_override("users", 0, "varsigma", 1e-310)])
+    _one_error_line(res, "error: agent 2: curvature 2e-310 gives ||C_i||^2 / sigma_i = inf")
+
+
+def test_run_and_verify_a_market_user_without_an_upper_bound(runner, tmp_path):
+    # the support function of [0, inf) at mu = 0 is 0, not 0 * inf = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--scenario", "market", "--json", "--out", str(tmp_path),
+                                   "--overrides", _market_override("users", 2, "x_max", np.inf)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["stop_reason"] == "tol"
+        res = runner.invoke(main, ["verify", "--trace", str(tmp_path / "trace.csv"),
+                                   "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

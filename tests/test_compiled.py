@@ -6,6 +6,8 @@ stack of dual points is evaluated against each point alone, bit for bit,
 with ``M`` up to 9.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,16 @@ from dualprox import (
     StepSizes,
     Topology,
     apply_C,
+    build_market,
     dual_objective,
     grad_P_block,
+    instance_from_json,
+    instance_to_json,
     lipschitz_constant,
 )
 from dualprox.engine import _round
 from dualprox.errors import UnboundedConjugateError
+from dualprox.model import _csr, _groups
 
 from dense_reference import (
     dense_A,
@@ -36,7 +42,10 @@ from dense_reference import (
     dense_lipschitz,
     dense_objective,
     dense_round,
+    reference_csr,
+    reference_with_box,
 )
+from test_bound_constants import _same
 
 F_KINDS = ("quadratic", "quadratic_box", "utility", "utility_box")
 G_KINDS = ("zero", "l1", "indicator_box", "l1_plus_box", "quadratic", "quadratic_box")
@@ -120,7 +129,7 @@ def _dual_point(inst, rng):
     N, M, B = inst.n_agents, inst.M, inst.B
     mu = rng.uniform(-3, 3, (N, M))
     for i, agent in enumerate(inst.agents):
-        g = agent.effective_g
+        g = agent.g.with_box(agent.omega)
         if g.box is None and g.kind == "zero":
             mu[i] = 0.0
         elif g.box is None and g.kind == "l1":
@@ -210,3 +219,50 @@ def test_a_stack_of_dual_points_evaluates_each_row_bitwise(case, K):
         for name in ("psi", "p_part", "q_part", "x_hat"):
             assert _bits(getattr(obj, name)[r]) == _bits(getattr(row, name)), (r, name)
     np.testing.assert_array_equal(apply_C(inst, lams), [apply_C(inst, lam) for lam in lams])
+
+
+def _assert_g_groups_as_before(inst):
+    """``g_groups`` equals the grouping of every agent's g intersected with
+    its omega as ``with_box`` did it before it kept its own box."""
+    want = _groups([reference_with_box(a.g, a.omega) for a in inst.agents],
+                   lambda g: (g.kind, g.box is None))
+    got = inst.compiled.g_groups
+    assert len(got) == len(want)
+    for (idx, g), (want_idx, want_g) in zip(got, want):
+        assert type(idx) is type(want_idx)
+        assert idx == want_idx if isinstance(idx, slice) else np.array_equal(idx, want_idx)
+        _same(g, want_g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_g_groups_match_the_intersected_boxes(case):
+    _assert_g_groups_as_before(case[0])
+
+
+def test_market_g_groups_match_the_intersected_boxes():
+    market = build_market()
+    # the market hands one box object to g and to omega; a loaded file does not
+    assert all(a.g.box is a.omega for a in market.agents)
+    loaded = instance_from_json(json.loads(json.dumps(instance_to_json(market))))
+    assert not any(a.g.box is a.omega for a in loaded.agents)
+    for inst in (market, loaded):
+        _assert_g_groups_as_before(inst)
+
+
+@st.composite
+def csr_blocks(draw):
+    n_groups, n_others = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n_groups - 1),
+                                          st.integers(0, n_others - 1)), min_size=1)))
+    R, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups, others = np.array(pairs, dtype=np.intp).T
+    return groups, others, rng.normal(size=(len(pairs), R, K))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_blocks())
+def test_csr_entries_match_the_broadcast_form(blocks):
+    for got, want in zip(_csr(*blocks), reference_csr(*blocks)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

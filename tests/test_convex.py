@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -12,7 +15,7 @@ from dualprox import (
     conjugate_value,
     prox_conjugate_via_moreau,
 )
-from dualprox.convex import group
+from dualprox.convex import cached_property, group
 from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import catalog_samples, conjugate_prox_oracle
 
@@ -327,6 +330,99 @@ def test_with_box_intersects_existing_box():
     gg = g.with_box(BoxSet([0.0], [10.0]))
     np.testing.assert_array_equal(gg.box.lower, [0.0])
     np.testing.assert_array_equal(gg.box.upper, [4.0])
+
+
+def test_with_box_keeps_its_own_box_object():
+    box = BoxSet([-0.0], [4.0])
+    g = ProxFriendlyFunction.indicator_box(box)
+    assert g.with_box(box) is g and g.with_box(None) is g
+    # an equal box that is another object is intersected, as before
+    other = g.with_box(BoxSet([0.0], [4.0]))
+    assert other is not g and other.box is not box
+
+
+def test_cached_property_computes_once_into_the_instance_dict():
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        x: float
+
+        @cached_property
+        def doubled(self):
+            """Twice ``x``."""
+            calls.append(self.x)
+            return 2.0 * self.x
+
+    a, b = Frozen(1.5), Frozen(4.0)
+    assert Frozen.doubled is Frozen.__dict__["doubled"]
+    assert Frozen.doubled.__doc__ == "Twice ``x``."
+    assert (a.doubled, a.doubled, b.doubled) == (3.0, 3.0, 8.0)
+    assert calls == [1.5, 4.0]
+    assert a.__dict__["doubled"] == 3.0 and "doubled" not in dataclasses.asdict(a)
+
+
+def _conjugates_one_by_one(g, vs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # 0 * inf, inf - inf
+        return [g.conjugate([v]) for v in vs]
+
+
+INF_BOXES = {"line": (-np.inf, np.inf), "ray_up": (0.0, np.inf), "ray_down": (-np.inf, 0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(INF_BOXES))
+def test_support_function_of_a_box_with_an_infinite_end(name):
+    # sup over the box of v x: 0 where v = 0 or v points away from every
+    # infinite end, +inf where it points toward one
+    lo, hi = INF_BOXES[name]
+    vs = [-2.0, -0.0, 0.0, 3.0]
+    want = [np.inf if (v < 0 and lo == -np.inf) or (v > 0 and hi == np.inf) else 0.0
+            for v in vs]
+    g = ProxFriendlyFunction.indicator_box(BoxSet([lo], [hi]))
+    assert _conjugates_one_by_one(g, vs) == want
+
+
+@pytest.mark.parametrize("name", sorted(INF_BOXES))
+def test_l1_plus_box_conjugate_with_an_infinite_end(name):
+    # sup over the box of v x - w |x|, w = 1.5: +inf where |v| > w toward an
+    # infinite end, else 0 (the box holds x = 0)
+    lo, hi = INF_BOXES[name]
+    vs = [-4.0, -1.5, -1.0, 0.0, 1.0, 1.5, 4.0]
+    want = [np.inf if (v < -1.5 and lo == -np.inf) or (v > 1.5 and hi == np.inf) else 0.0
+            for v in vs]
+    g = ProxFriendlyFunction.l1_plus_box(1.5, BoxSet([lo], [hi]))
+    assert _conjugates_one_by_one(g, vs) == want
+
+
+@pytest.mark.parametrize("kind", ["zero", "l1"])
+def test_a_group_with_infinite_box_ends_matches_its_members(kind):
+    # each member has an infinite end, so each takes the same formulas alone
+    boxes = [BoxSet([lo, -1.0], [hi, 2.0]) for lo, hi in INF_BOXES.values()]
+    members = [ProxFriendlyFunction.l1_plus_box(0.5 * i, box) if kind == "l1"
+               else ProxFriendlyFunction.indicator_box(box) for i, box in enumerate(boxes)]
+    grouped = group(members)
+    rng = np.random.default_rng(7)
+    for v in [np.zeros((3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)).round()]:
+        want = [m.conjugate(row) for m, row in zip(members, v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = grouped.conjugate(v)
+        assert got.tolist() == want
+
+
+def test_finite_box_conjugates_keep_their_products():
+    # a finite box keeps v * e and v * e - w |e| as they were, signed zeros included
+    lo, hi = np.array([-0.0, -2.0, 0.5]), np.array([0.0, 3.0, 1.5])
+    v = np.array([-1.25, 0.0, -0.0])
+    box = BoxSet(lo, hi)
+    want_zero = np.maximum(v * lo, v * hi).sum()
+    want_l1 = np.maximum(v * lo - 0.25 * np.abs(lo), v * hi - 0.25 * np.abs(hi))
+    want_l1 = np.where((lo <= 0) & (hi >= 0), np.maximum(want_l1, 0.0), want_l1).sum()
+    got_zero = ProxFriendlyFunction.indicator_box(box).conjugate(v)
+    got_l1 = ProxFriendlyFunction.l1_plus_box(0.25, box).conjugate(v)
+    assert np.float64(got_zero).tobytes() == want_zero.tobytes()
+    assert np.float64(got_l1).tobytes() == want_l1.tobytes()
 
 
 def test_box_domain_argmax_needs_positive_diagonal_curvature():

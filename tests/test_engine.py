@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,8 @@ from dualprox.errors import (
     StepSizeViolationError,
 )
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
+
+from dense_reference import reference_save
 
 MARKET_T = np.array(DEFAULT_TRANSFORMS)
 MARKET_A = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
@@ -529,6 +532,70 @@ def test_trace_csv_roundtrip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert reloaded.psi_star == trace.psi_star
     assert reloaded.tau == trace.tau
+
+
+ODD_CELLS = [np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324, 0.1, -2.5, 0.0, 7.0]
+
+
+def _odd_trace(number=float):
+    """Two agents, B = M = 1, every odd cell in lam, psi and the step norms;
+    ``number`` is the type of psi and the step norms."""
+    cells = np.array(ODD_CELLS)
+    K = len(cells) - 1
+    return IterationTrace(
+        2, 1, 1, 1e16, {"mode": "sync", "note": "odd"},
+        [np.roll(cells, k)[:4] for k in range(K + 1)],
+        [number(c) for c in np.roll(cells, 3)],
+        [max(0, k - 2) for k in range(K)],
+        [number(c) for c in np.roll(cells, 5)[:K]],
+        [2] * K)
+
+
+def _read_back(tmp_path):
+    trace = run(build_market(), mode="async", schedule=DelaySchedule.worst_case(3), k_max=40)
+    trace.save(tmp_path / "run.csv", tmp_path / "run.json")
+    trace = IterationTrace.from_csv(tmp_path / "run.csv", tmp_path / "run.json")
+    assert isinstance(trace.lam, np.ndarray) and trace.lam.ndim == 2
+    return trace
+
+
+TRACES = {
+    "odd_cells": lambda tmp_path: _odd_trace(),
+    "numpy_psi": lambda tmp_path: _odd_trace(np.float64),
+    "read_back": _read_back,
+    "one_record": lambda tmp_path: run(_two_agent(b0=1.0), k_max=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_saved_files_are_the_bytes_csv_writer_and_json_dump_write(name, tmp_path):
+    trace = TRACES[name](tmp_path)
+    trace.save(tmp_path / "a.csv", tmp_path / "a.json")
+    reference_save(trace, tmp_path / "b.csv", tmp_path / "b.json")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    if name == "one_record":
+        assert trace.n_records == 1 and (tmp_path / "a.csv").read_bytes().count(b"\r\n") == 2
+
+
+def _to_csv_peak(n_rows, path) -> int:
+    rng = np.random.default_rng(0)
+    lam = list(rng.normal(size=(n_rows, 24)))
+    trace = IterationTrace(4, 2, 4, 0.0, {}, lam, rng.normal(size=n_rows).tolist(),
+                           [0] * (n_rows - 1), [1.0] * (n_rows - 1), [0] * (n_rows - 1))
+    tracemalloc.start()
+    try:
+        trace.to_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # one line at a time: the peak must not hold the whole body
+    small = _to_csv_peak(2_000, tmp_path / "small.csv")
+    large = _to_csv_peak(20_000, tmp_path / "large.csv")
+    assert large <= 2 * small, (small, large)
 
 
 def test_trace_rejects_malformed_csv(tmp_path):

@@ -111,7 +111,7 @@ class BoxSet:
         return self.lower.shape[-1]
 
     @cached_property
-    def is_finite(self) -> bool:
+    def _finite(self) -> bool:
         return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
 
     def project(self, u) -> np.ndarray:
@@ -449,7 +449,7 @@ def _end_terms(v, box: BoxSet, w=None) -> list:
     """``v e - w |e|`` (``v e`` without ``w``) at each end ``e`` of ``box``.  A box with an
     infinite end takes ``(v - w sign(e)) e``, 0 where that coefficient is: no ``0 * inf``."""
     ends = (box.lower, box.upper)
-    if box.is_finite:
+    if box._finite:
         return [v * e if w is None else v * e - w * np.abs(e) for e in ends]
     coefs = [v if w is None else v - w * np.sign(e) for e in ends]
     return [np.multiply(c, e, out=np.zeros(c.shape), where=c != 0) for c, e in zip(coefs, ends)]

@@ -225,7 +225,8 @@ class PiecewiseQuadraticUtility:
 
     def _branch_value(self, x):
         """The value at scalars ``x`` whose trailing axes are the members'."""
-        return np.where(x <= self.threshold, self.curvature * x * x - self.price * x,
+        xq = np.minimum(x, self.threshold)  # x where kept: a dropped huge x cannot overflow
+        return np.where(x <= self.threshold, self.curvature * xq * xq - self.price * xq,
                         self._flat_value)
 
 
@@ -467,7 +468,7 @@ def _l1_support_argmax(v, w, lo, hi, ref) -> np.ndarray:
     top = np.where(np.isinf(hi), np.maximum(ref, 0.0), hi)
     bot = np.where(np.isinf(lo), np.minimum(ref, 0.0), lo)
     # 0 outside the box: the better finite endpoint, the lower one on a tie
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a huge weight
         lower_wins = v * lo - w * np.abs(lo) >= v * hi - w * np.abs(hi)
     endpoint = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
     return np.select(

@@ -268,7 +268,8 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
     z_hat = np.empty_like(x_hat)
     for idx, g in comp.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
-    mismatch = math.sqrt(sum_in_order(((x_hat - z_hat) ** 2).sum(axis=1)))
+    with np.errstate(over="ignore"):  # huge points: the mismatch is inf
+        mismatch = math.sqrt(sum_in_order(((x_hat - z_hat) ** 2).sum(axis=1)))
     return PrimalRecovery(x_hat, z_hat, mismatch)
 
 
@@ -490,7 +491,8 @@ def run(instance: ProblemInstance, mode: str = "sync",
                              f"length dual_dim = {instance.dual_dim}")
         if not np.isfinite(lam).all():
             raise NonFiniteInitialError("lam(0) is not finite")
-    obj = dual_objective(instance, lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Psi is refused below
+        obj = dual_objective(instance, lam)
     if not np.isfinite(obj.psi):
         raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
 

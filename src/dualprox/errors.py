@@ -14,7 +14,7 @@ class NonStronglyConvexError(DualproxError):
 
 
 class SingularScaleError(DualproxError):
-    """A curvature is zero or negative, or so small that the smoothness constant overflows."""
+    """A curvature is not positive, or a constant derived from an agent's data is not finite."""
 
 
 class HistoryUnderflowError(DualproxError):

@@ -242,14 +242,36 @@ def _groups(members, key) -> tuple:
                  for idx in by_key.values())
 
 
+def _checked_groups(part: str, members, key) -> tuple:
+    """:func:`_groups`, each constant of ``part`` ("f" or "g") that a round or Psi reads computed
+    with overflow silenced; :class:`SingularScaleError` names the first agent and one not finite."""
+    groups = _groups(members, key)
+    with np.errstate(all="ignore"):
+        for idx, fn in groups:
+            base = fn.base if part == "f" else fn.quad
+            named = {"strong convexity": fn.strong_convexity} if part == "f" else {}
+            if isinstance(base, PiecewiseQuadraticUtility):
+                named.update({"threshold price / (2 curvature)": base.threshold,
+                              "flat value -price^2 / (4 curvature)": base._flat_value})
+            elif base is not None:  # f's or g's quadratic; its diagonal argmax divides
+                named.update({"linear": base.linear, "offset": base.offset,
+                              "linear / diagonal curvature": base.linear / base._diagonal})
+            if named and not np.isfinite(np.concatenate(list(named.values()), axis=None)).all():
+                for k, i in enumerate(np.arange(len(members))[idx].tolist()):
+                    for name, value in named.items():
+                        if not np.isfinite(value[k]).all():
+                            raise SingularScaleError(f"agent {i}: {part} {name} is not finite")
+    return groups
+
+
 class CompiledInstance:
     """The operators of a :class:`ProblemInstance` as flat arrays, built once.
 
     ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
     entries in ascending column, so a row accumulates its agents in
     ascending id.  ``f_groups`` and ``g_groups`` (each g with its omega's box)
-    stack the agents of one catalog kind (see :mod:`dualprox.convex`);
-    ``lipschitz`` is the smoothness constant, and each part is built on first use.
+    stack the agents of one catalog kind (see :mod:`dualprox.convex`), checked
+    finite; ``lipschitz`` is the smoothness constant; each part is built on first use.
     """
 
     def __init__(self, instance: "ProblemInstance"):
@@ -305,13 +327,13 @@ class CompiledInstance:
 
     @cached_property
     def f_groups(self) -> tuple:
-        return _groups([agent.f for agent in self._agents],
-                       lambda f: (type(f.base), f.effective_domain is None))
+        return _checked_groups("f", [agent.f for agent in self._agents],
+                               lambda f: (type(f.base), f.effective_domain is None))
 
     @cached_property
     def g_groups(self) -> tuple:
-        return _groups([agent.g.with_box(agent.omega) for agent in self._agents],
-                       lambda g: (g.kind, g.box is None))
+        return _checked_groups("g", [agent.g.with_box(agent.omega) for agent in self._agents],
+                               lambda g: (g.kind, g.box is None))
 
     def _compact_row_maps(self):
         """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import warnings
 
 import numpy as np
@@ -8,22 +10,25 @@ from click.testing import CliRunner
 from dualprox import (
     BoxSet,
     IterationTrace,
+    MarketParams,
     ProxFriendlyFunction,
     StepSizes,
     Topology,
     build_consensus,
     build_market,
     build_scenario,
+    dual_objective,
     instance_to_json,
     lipschitz_constant,
     quadratic_local,
+    recover_primal,
     run,
     save_instance,
 )
 from dualprox.cli import main
-from dualprox.errors import MalformedTraceError
+from dualprox.errors import MalformedTraceError, SingularScaleError
 from dualprox.repro import CriterionResult
-from dualprox.scenarios import DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
+from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
 from test_model import _singular_pair
 from test_trace_digests import _mixed_path
@@ -269,10 +274,12 @@ def _market_override(key, i, number, value):
     return json.dumps({key: entries})
 
 
+# a non-finite number is refused where the overrides are parsed; a derived
+# constant that overflows, when the instance is compiled, naming the agent
+# (the utility companies come first)
 @pytest.mark.parametrize("scenario, overrides, message", [
     ("consensus", '{"targets": [NaN, 0, 1]}', "targets.0 is not finite"),
-    ("consensus", '{"targets": [1e308, 0, 1]}',
-     "targets.0 = 1e+308 with curvatures.0 = 1.0 overflows the local cost"),
+    ("consensus", '{"targets": [1e308, 0, 1]}', "agent 0: f offset is not finite"),
     ("consensus", '{"curvatures": [Infinity, 1, 1]}', "curvatures.0 is not finite"),
     ("market", '{"transforms": [1, 2, -1, 1, NaN]}', "transforms.4 is not finite"),
     ("market", _market_override("uc", 0, "kappa", float("nan")), "uc.0.kappa is not finite"),
@@ -280,9 +287,17 @@ def _market_override(key, i, number, value):
     ("market", _market_override("uc", 1, "vartheta", float("inf")),
      "uc.1.vartheta is not finite"),
     ("market", _market_override("uc", 0, "kappa", 1e308),
-     "uc.0.kappa = 1e+308 overflows 2 kappa"),
+     "agent 0: f strong convexity is not finite"),
     ("market", _market_override("users", 2, "varsigma", 1e308),
-     "users.2.varsigma = 1e+308 overflows 2 varsigma"),
+     "agent 4: f strong convexity is not finite"),
+    ("market", _market_override("users", 0, "pi", 1e308),
+     "agent 2: f threshold price / (2 curvature) is not finite"),
+    ("market", _market_override("users", 0, "pi", 1e200),  # only pi^2 overflows
+     "agent 2: f flat value -price^2 / (4 curvature) is not finite"),
+    ("market", _market_override("uc", 0, "vartheta", 1e308),
+     "agent 0: f linear / diagonal curvature is not finite"),
+    ("market", _market_override("uc", 0, "vartheta", -1e308),
+     "agent 0: f linear / diagonal curvature is not finite"),
 ])
 def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scenario,
                                                          overrides, message):
@@ -290,7 +305,82 @@ def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scena
         warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
         res = runner.invoke(main, ["run", "--scenario", scenario, "--out", str(tmp_path),
                                    "--overrides", overrides])
-    _one_error_line(res, "error: cannot build scenario: " + message)
+    compiled = message.startswith("agent ")
+    _one_error_line(res, "error: " + ("" if compiled else "cannot build scenario: ") + message)
+
+
+def test_run_refuses_an_instance_file_whose_threshold_overflows(runner, tmp_path):
+    doc = instance_to_json(build_market())
+    doc["agents"][2]["f"]["params"]["price"] = 1e308
+    path = tmp_path / "huge_price.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, "error: agent 2: f threshold price / (2 curvature) is not finite")
+
+
+@pytest.mark.parametrize("entry", [
+    run,
+    lambda inst: dual_objective(inst, np.zeros(inst.dual_dim)),
+    lambda inst: recover_primal(inst, np.zeros(inst.dual_dim)),
+], ids=["run", "dual_objective", "recover_primal"])
+def test_run_refuses_a_library_market_whose_threshold_overflows(entry):
+    users = [dict(p) for p in DEFAULT_USER_PARAMS]
+    users[0]["pi"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularScaleError, match=r"^agent 2: f threshold .* is not finite$"):
+            entry(build_market(MarketParams(users=users)))
+
+
+_EXTREMES = (-1e-320, 1e-320, 1e-200, 1e200, -1e308, 1e308)
+
+
+def _numbers(node, path=()):
+    """The paths to a JSON document's floats."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _numbers(child, path + (key,))
+    elif isinstance(node, float):
+        yield path
+
+
+def test_run_exits_cleanly_on_extreme_finite_numbers(runner, tmp_path):
+    """Each numeric market override, and each number of f, g and omega in a
+    saved path consensus, set to each extreme: a run exits 0, or 1 with one
+    error line, with RuntimeWarnings as errors.  The consensus's agents 0-3
+    hold one of each nonsmooth kind; agents 4-7 repeat them."""
+    cases = [(_market_override(key, i, name, value), None)
+             for key, defaults in (("uc", DEFAULT_UC_PARAMS), ("users", DEFAULT_USER_PARAMS))
+             for i, p in enumerate(defaults) for name in p for value in _EXTREMES]
+    cases += [(json.dumps({"transforms": [value if j == i else t
+                                          for j, t in enumerate(DEFAULT_TRANSFORMS)]}), None)
+              for i in range(len(DEFAULT_TRANSFORMS)) for value in _EXTREMES]
+    text = json.dumps(instance_to_json(_mixed_path()))
+    parts = [{key: a[key] for key in ("f", "g", "omega")} for a in json.loads(text)["agents"][:4]]
+    for *keys, last in _numbers(parts):
+        if last == "strong_convexity":  # written, never read back
+            continue
+        for value in _EXTREMES:
+            doc = json.loads(text)
+            functools.reduce(operator.getitem, keys, doc["agents"])[last] = value
+            cases.append((None, doc))
+    path, failed = tmp_path / "instance.json", []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        for overrides, doc in cases:
+            if doc is None:
+                source = ["--scenario", "market", "--overrides", overrides]
+            else:
+                path.write_text(json.dumps(doc))
+                source = ["--instance", str(path)]
+            res = runner.invoke(main, ["run", "--iters", "20", "--out", str(tmp_path), *source])
+            lines = res.output.strip().splitlines()
+            if res.exit_code and not (isinstance(res.exception, SystemExit) and len(lines) == 1
+                                      and res.exit_code == 1 and lines[0].startswith("error: ")):
+                failed.append((overrides or doc, repr(res.exception), res.output))
+    assert len(cases) == 294 and not failed, failed
 
 
 def test_run_refuses_a_curvature_whose_lipschitz_term_overflows(runner, tmp_path):

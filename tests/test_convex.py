@@ -218,6 +218,16 @@ def test_utility_threshold_and_smooth_join():
     assert abs(left) < 1e-5 and abs(right) < 1e-5
 
 
+def test_utility_value_far_past_the_threshold_is_flat_without_overflow():
+    # the quadratic branch that np.where drops would square 1e200
+    f = PiecewiseQuadraticUtility(17.17, 0.0935)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert f.value([1e200]) == f.value([1e308]) == f._flat_value
+        on_box = SmoothConjugable(f, BoxSet([0.0], [1e200]))  # its argmax values the end 1e200
+        assert np.isfinite(conjugate_value(on_box, [-1.0]))
+
+
 def test_utility_rejects_bad_parameters():
     with pytest.raises(ValueError):
         PiecewiseQuadraticUtility(-1.0, 0.1)

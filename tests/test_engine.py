@@ -380,6 +380,17 @@ def test_recover_primal_never_returns_a_stale_maximizer():
     assert _same_recovery(recover_primal(inst, lam), expected)
 
 
+def test_recover_primal_reports_an_overflowing_mismatch_as_inf():
+    # x_hat_0 = 1 / 1e-200 while l1's dead zone puts z_hat_0 at 0: the squared gap overflows
+    f = SmoothConjugable(QuadraticFunction(1e-200, [-1.0]))
+    inst = build_consensus(Topology.path(2), [f, quadratic_local([0.0])],
+                           [ProxFriendlyFunction.l1(1.0), ProxFriendlyFunction.zero()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = recover_primal(inst, np.zeros(inst.dual_dim))
+    assert rec.x_hat[0, 0] > 1e199 and rec.z_hat[0, 0] == 0.0 and rec.mismatch == np.inf
+
+
 @pytest.mark.parametrize("kwargs", [{"k_max": -3}, {"k_max": -1}, {"tol": float("nan")},
                                     {"tol": -1e-8}, {"tol": -float("inf")}])
 def test_run_rejects_a_negative_round_cap_or_tolerance(kwargs):

@@ -291,16 +291,17 @@ class SmoothConjugable:
 def group(members):
     """One catalog object whose fields stack the fields of ``members`` along a
     new leading axis; nested parts group alike, and a ``kind`` string or an
-    absent part is the first member's, as the grouping key fixes them."""
+    absent part is the first member's, as the grouping key fixes them.  The
+    members were checked when built, so the group skips ``__post_init__``."""
     first = members[0]
-    fields = []
+    grouped = object.__new__(type(first))
     for name in first.__dataclass_fields__:
         value = getattr(first, name)
         if value is not None and type(value) is not str:
             column = [getattr(m, name) for m in members]
             value = group(column) if hasattr(value, "__dataclass_fields__") else np.array(column)
-        fields.append(value)
-    return type(first)(*fields)
+        grouped.__dict__[name] = value
+    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +357,11 @@ class ProxFriendlyFunction:
         if box is None or box is self.box:
             return self
         if self.box is not None:
-            box = BoxSet(
-                np.maximum(self.box.lower, box.lower),
-                np.minimum(self.box.upper, box.upper),
-            )
-        if self.kind == "quadratic":
-            return ProxFriendlyFunction.quadratic(self.quad, box)
-        return ProxFriendlyFunction(self.kind, weight=self.weight, box=box)
+            box = BoxSet(np.maximum(self.box.lower, box.lower),
+                         np.minimum(self.box.upper, box.upper))
+        if self.kind == "quadratic" and not self.quad.is_diagonal:
+            raise ValueError("quadratic + box prox needs diagonal curvature")
+        return ProxFriendlyFunction(self.kind, self.weight, self.quad, box)
 
     # -- evaluation --
 

@@ -4,10 +4,10 @@ Each agent ``i`` owns a private interpretation ``A^(i) x = b^(i)`` of the
 global affine coupling constraint as per-neighbour column blocks; an
 instance keeps all agents' blocks in one table sorted by ``(owner, l)``.
 The row map ``C_i`` acts on the stacked dual vector
-``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance is compiled once
-(``ProblemInstance.compiled``) into flat entry arrays of ``C`` and ``A``
-and into groups of agents of one catalog kind, so a dual operator costs a
-few numpy calls over the nonzeros instead of a loop over agents.
+``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance groups its agents
+by catalog kind when it is built and is compiled once, on first use, into
+flat entry arrays of ``C`` and ``A``, so a dual operator costs a few numpy
+calls over the nonzeros and the groups instead of a loop over agents.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class ProblemInstance:
     ``blocks[k]`` is the ``B x M`` block ``A_{l[k]}^(owner[k])`` multiplying
     ``x_l`` in agent ``owner[k]``'s rows, and ``rhs[i]`` is ``b^(i)``;
     absent pairs are zero blocks.  The table is kept sorted by
-    ``(owner, l)``.
+    ``(owner, l)``.  The agents are grouped by kind when it is built (see
+    :func:`_kind_groups`); the groups' constants are checked when it is compiled.
     """
 
     topology: Topology
@@ -164,10 +165,12 @@ class ProblemInstance:
         bad = ~np.isfinite(rhs).all(axis=1)
         if bad.any():
             raise ValueError(f"agent {bad.argmax()}: rhs is not finite")
-        object.__setattr__(self, "agents", tuple(self.agents))
-        for name, value in (("owner", owner), ("l", l), ("blocks", blocks), ("rhs", rhs)):
+        agents = tuple(self.agents)
+        f_groups, g_groups, sigma, g_table = _kind_groups(agents, M)
+        for value in (owner, l, blocks, rhs, sigma):
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
+                             f_groups=f_groups, g_groups=g_groups, _g_table=g_table)
 
     @property
     def n_agents(self) -> int:
@@ -176,6 +179,11 @@ class ProblemInstance:
     @property
     def dual_dim(self) -> int:
         return self.n_agents * (self.B + self.M)
+
+    @cached_property
+    def _in_neighbourhood(self) -> np.ndarray:
+        """Whether each block's ``l`` is its owner or one of the owner's neighbours."""
+        return self.topology.in_closed_neighbourhood(self.owner, self.l)
 
     @cached_property
     def compiled(self) -> "CompiledInstance":
@@ -211,6 +219,8 @@ def _csr(groups, others, mats):
     ``others``.
     """
     _, R, K = mats.shape
+    if R == K == 1:  # scalar blocks are their own entries, in CSR order already
+        return groups, others, mats.ravel()
     r, c = np.arange(R)[:, None], np.arange(K)
     rows = (groups[:, None, None] * R + r + 0 * c).ravel()  # each the full (n, R, K)
     cols = (others[:, None, None] * K + c + 0 * r).ravel()
@@ -227,25 +237,51 @@ def _csr(groups, others, mats):
     return rows[order], cols[order], mats.ravel()[order]
 
 
-def _groups(members, key) -> tuple:
-    """``(agents, convex.group of them)`` for each key, in order of first member.
-
-    ``agents`` indexes the group's rows of a per-agent array: a ``slice``
-    when the group's agents are consecutive (a view, where an index array
-    gathers a copy), else their ascending index array.
-    """
-    by_key = {}
-    for i, member in enumerate(members):
-        by_key.setdefault(key(member), []).append(i)
-    return tuple((slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                  else np.array(idx), group([members[i] for i in idx]))
-                 for idx in by_key.values())
+_G_KINDS = ("zero", "l1", "quadratic")
 
 
-def _checked_groups(part: str, members, key) -> tuple:
-    """:func:`_groups`, each constant of ``part`` ("f" or "g") that a round or Psi reads computed
-    with overflow silenced; :class:`SingularScaleError` names the first agent and one not finite."""
-    groups = _groups(members, key)
+def _kind_groups(agents: tuple, M: int) -> tuple:
+    """``(f_groups, g_groups, sigma, g_table)`` of ``agents``, from one pass over them.
+
+    A group is ``(dims, agents, ...)``, in order of first member: its parts' dimensions
+    (``M`` where absent) and its agents, a ``slice`` where consecutive (a view, where an index
+    array gathers a copy).  An f group ends in its f's stacked (:func:`convex.group`), which
+    sigma reads; a g group in ``(gs, boxes, omegas)``, a box and omega standing in for each
+    other where absent, stacked when the instance is compiled.  ``g_table`` is what
+    :func:`instance_hash` reads of the g's and omegas, in agent order."""
+    f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
+    for i, a in enumerate(agents):
+        f, g, omega = a.f, a.g, a.omega
+        base, kind, quad, box = f.base, g.kind, g.quad, g.box
+        f_keys.setdefault((type(base), f.effective_domain is None, base.dim), []).append((i, f))
+        g_keys.setdefault((kind, box is None and omega is None, M if quad is None else quad.dim,
+                           M if box is None else box.dim, M if omega is None else omega.dim),
+                          []).append((i, g, box or omega, omega or box))
+        table += (i, _G_KINDS.index(kind), box is not None, omega is not None)
+        by_kind[kind].append(g)
+        if box is not None:
+            boxes.append(box)
+        if omega is not None:
+            boxes.append(omega)
+
+    def index(idx):
+        return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx)
+    f_groups = tuple((key[2:], index(idx), group(fs))
+                     for key, members in f_keys.items() for idx, fs in [zip(*members)])
+    sigma = np.empty(len(agents))
+    with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
+        for _, idx, f in f_groups:
+            sigma[idx] = f.strong_convexity
+    g_groups = tuple((key[2:], index(idx), columns)
+                     for key, members in g_keys.items() for idx, *columns in [zip(*members)])
+    return f_groups, g_groups, sigma, (table, by_kind, boxes)
+
+
+def _checked_groups(part: str, groups, n_agents: int) -> tuple:
+    """``groups`` (``(agents, function)`` of ``part``, "f" or "g") once each constant a round or
+    Psi reads is finite (and a domain-free f quadratic's ``linear * (linear / diagonal)``, read
+    by Psi at ``u = 0``) and a g quadratic's diagonal positive; else :class:`SingularScaleError`
+    names the first agent and constant.  Overflow is silenced while they are computed."""
     with np.errstate(all="ignore"):
         for idx, fn in groups:
             base = fn.base if part == "f" else fn.quad
@@ -254,14 +290,20 @@ def _checked_groups(part: str, members, key) -> tuple:
                 named.update({"threshold price / (2 curvature)": base.threshold,
                               "flat value -price^2 / (4 curvature)": base._flat_value})
             elif base is not None:  # f's or g's quadratic; its diagonal argmax divides
+                ratio = base.linear / base._diagonal
                 named.update({"linear": base.linear, "offset": base.offset,
-                              "linear / diagonal curvature": base.linear / base._diagonal})
-            if named and not np.isfinite(np.concatenate(list(named.values()), axis=None)).all():
-                for k, i in enumerate(np.arange(len(members))[idx].tolist()):
-                    for name, value in named.items():
+                              "linear / diagonal curvature": ratio})
+                if part == "f" and fn.effective_domain is None:
+                    named["linear * (linear / diagonal curvature)"] = base.linear * ratio
+            checks = {f"{name} is not finite": value for name, value in named.items()}
+            if part == "g" and base is not None:  # nan where the diagonal is not positive
+                checks["diagonal curvature is not positive"] = np.where(base._diagonal > 0, 0, np.nan)
+            if checks and not np.isfinite(np.concatenate(list(checks.values()), axis=None)).all():
+                for k, i in enumerate(np.arange(n_agents)[idx].tolist()):
+                    for what, value in checks.items():
                         if not np.isfinite(value[k]).all():
-                            raise SingularScaleError(f"agent {i}: {part} {name} is not finite")
-    return groups
+                            raise SingularScaleError(f"agent {i}: {part} {what}")
+    return tuple(groups)
 
 
 class CompiledInstance:
@@ -269,22 +311,22 @@ class CompiledInstance:
 
     ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
     entries in ascending column, so a row accumulates its agents in
-    ascending id.  ``f_groups`` and ``g_groups`` (each g with its omega's box)
-    stack the agents of one catalog kind (see :mod:`dualprox.convex`), checked
-    finite; ``lipschitz`` is the smoothness constant; each part is built on first use.
+    ascending id.  ``f_groups`` and ``g_groups`` are the instance's kind groups
+    as ``(agents, function)``, their constants checked; ``lipschitz`` is the
+    smoothness constant; each part is built on first use.
     """
 
     def __init__(self, instance: "ProblemInstance"):
         N, M, B = instance.n_agents, instance.M, instance.B
         self.n_agents, self.M, self.B = N, M, B
         self.n_theta = N * B
-        self._agents = instance.agents
+        self._f_groups, self._g_groups = instance.f_groups, instance.g_groups
         # the blocks A_l^(i) with l in agent i's closed neighbourhood, by (i, l)
-        keep = instance.topology.in_closed_neighbourhood(instance.owner, instance.l)
+        keep = instance._in_neighbourhood
         self._owner, self._l = instance.owner[keep], instance.l[keep]
         self._blocks = instance.blocks[keep]
         self.b = instance.rhs.ravel()
-        self.sigma = np.array([agent.f.strong_convexity for agent in instance.agents])
+        self.sigma = instance.sigma
         # (bytes of lam, x_hat) at the last iterate of the last run, which
         # primal recovery at the same lam reuses; x_hat is a private copy
         self.last_x_hat = (None, None)
@@ -327,13 +369,18 @@ class CompiledInstance:
 
     @cached_property
     def f_groups(self) -> tuple:
-        return _checked_groups("f", [agent.f for agent in self._agents],
-                               lambda f: (type(f.base), f.effective_domain is None))
+        return _checked_groups("f", [(idx, f) for _, idx, f in self._f_groups], self.n_agents)
 
     @cached_property
     def g_groups(self) -> tuple:
-        return _checked_groups("g", [agent.g.with_box(agent.omega) for agent in self._agents],
-                               lambda g: (g.kind, g.box is None))
+        """Each g group with its boxes, then one ``with_box`` of its omegas (``max(x, x) = x``)."""
+        stacked = []
+        for _, idx, (gs, boxes, omegas) in self._g_groups:
+            quad = None if gs[0].quad is None else group([g.quad for g in gs])
+            own, other = (None, None) if boxes[0] is None else (group(boxes), group(omegas))
+            g = ProxFriendlyFunction(gs[0].kind, np.array([g.weight for g in gs]), quad, own)
+            stacked.append((idx, g.with_box(other)))
+        return _checked_groups("g", stacked, self.n_agents)
 
     def _compact_row_maps(self):
         """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
@@ -451,8 +498,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         f"{topo.n_agents} agents, {len(topo.edges)} edges"))
 
     owner, l = instance.owner, instance.l
-    outside = (instance.blocks.any(axis=(1, 2))
-               & ~topo.in_closed_neighbourhood(owner, l))
+    outside = instance.blocks.any(axis=(1, 2)) & ~instance._in_neighbourhood
     sparsity_violations = list(zip(owner[outside].tolist(), l[outside].tolist()))
     checks.append(CheckResult(
         "block_sparsity",
@@ -460,17 +506,18 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         "nonzero blocks only on neighbours" if not sparsity_violations
         else f"nonzero blocks outside neighbourhood: {sparsity_violations}"))
 
-    bad_sigma = [i for i, a in enumerate(instance.agents) if a.f.strong_convexity <= 0]
+    bad_sigma = np.flatnonzero(instance.sigma <= 0).tolist()
     checks.append(CheckResult(
         "strong_convexity", "pass" if not bad_sigma else "fail",
         "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
 
-    dim_issues = {}  # as an ordered set: a nonsmooth quadratic and its box may both be off
-    for i, a in enumerate(instance.agents):
-        for what, part in (("smooth part", a.f), ("nonsmooth part", a.g.quad),
-                           ("nonsmooth part", a.g.box), ("omega", a.omega)):
-            if part is not None and part.dim != instance.M:
-                dim_issues[f"agent {i}: {what} has dim {part.dim}, expected M={instance.M}"] = None
+    M, agents = instance.M, np.arange(instance.n_agents)
+    # an f group's one dim is part 0, a g group's three dims are parts 1-3
+    parts = ("smooth part", "nonsmooth part", "nonsmooth part", "omega")
+    dim_issues = dict.fromkeys(msg for *_, msg in sorted(  # by agent, then part; as an ordered set
+        (i, k, f"agent {i}: {parts[k]} has dim {d}, expected M={M}")
+        for dims, idx, _ in instance.f_groups + instance.g_groups
+        for k, d in enumerate(dims, start=len(dims) > 1) if d != M for i in agents[idx].tolist()))
     checks.append(CheckResult(
         "dimensions", "pass" if not dim_issues else "fail",
         "every part has dim M" if not dim_issues else "; ".join(dim_issues)))
@@ -649,9 +696,6 @@ def load_instance(path) -> ProblemInstance:
         return instance_from_json(json.load(fh))
 
 
-_G_KINDS = ("zero", "l1", "quadratic")
-
-
 def _field(tag: str, values, dtype: str = "<f8") -> bytes:
     """One field of a digest: its tag and shape, then its little-endian bytes.
 
@@ -668,7 +712,7 @@ def instance_hash(instance: ProblemInstance) -> str:
     Each field is one stacked array behind a kind or presence tag:
     ``(N, M, B)`` and the sorted edges; per agent its position, nonsmooth
     kind and whether it has a nonsmooth box and an ``omega``; each
-    smooth-part group of :attr:`CompiledInstance.f_groups` (kind, domain
+    smooth-part group of :attr:`ProblemInstance.f_groups` (kind, domain
     presence, members, parameters, domain bounds and strong convexity);
     the l1 weights, the nonsmooth quadratics' parameters and the boxes
     present (per agent the nonsmooth box, then ``omega``); the block
@@ -681,21 +725,10 @@ def instance_hash(instance: ProblemInstance) -> str:
         return comp.digest
     fields = [_field("NMB", (instance.n_agents, instance.M, instance.B), "<i8"),
               _field("edges", instance.topology.edges.ravel())]  # <f8, as recorded digests were
-    table, weights, quads, boxes = [], [], [], []
-    for i, a in enumerate(instance.agents):
-        g = a.g
-        table += (i, _G_KINDS.index(g.kind), g.box is not None, a.omega is not None)
-        if g.kind == "l1":
-            weights.append(g.weight)
-        elif g.kind == "quadratic":
-            quads.append(g.quad)
-        if g.box is not None:
-            boxes.append((g.box.lower, g.box.upper))
-        if a.omega is not None:
-            boxes.append((a.omega.lower, a.omega.upper))
+    table, by_kind, boxes = instance._g_table
     fields.append(_field("agents", table, "<i8"))
     members = np.arange(instance.n_agents)
-    for idx, f in comp.f_groups:
+    for _, idx, f in instance.f_groups:
         base, domain = f.base, f.effective_domain
         quadratic = isinstance(base, QuadraticFunction)
         tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
@@ -706,10 +739,10 @@ def instance_hash(instance: ProblemInstance) -> str:
         if domain is not None:
             fields.append(_field(tag, (domain.lower, domain.upper)))
         fields.append(_field(tag, f.strong_convexity))
-    fields.append(_field("g:l1", weights))
-    fields += [_field("g:quadratic", [getattr(q, name) for q in quads])
+    fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
+    fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
                for name in ("curvature", "linear", "offset")]
-    fields += [_field("boxes", boxes),
+    fields += [_field("boxes", [(b.lower, b.upper) for b in boxes]),
                _field("blocks", instance.owner, "<i8"),
                _field("blocks", instance.l, "<i8"),
                _field("blocks", instance.blocks),

@@ -274,9 +274,17 @@ def _market_override(key, i, number, value):
     return json.dumps({key: entries})
 
 
+def _mixed_path_edit(agent, part, key, value):
+    """The saved 8-agent mixed path with one number of an agent's part changed."""
+    doc = instance_to_json(_mixed_path())
+    doc["agents"][agent][part]["params"][key] = value
+    return json.dumps(doc)
+
+
 # a non-finite number is refused where the overrides are parsed; a derived
-# constant that overflows, when the instance is compiled, naming the agent
-# (the utility companies come first)
+# constant that overflows, or a nonsmooth curvature that is not positive,
+# when the instance is compiled, naming the agent (the utility companies
+# come first); an "instance" case runs the saved document it is given
 @pytest.mark.parametrize("scenario, overrides, message", [
     ("consensus", '{"targets": [NaN, 0, 1]}', "targets.0 is not finite"),
     ("consensus", '{"targets": [1e308, 0, 1]}', "agent 0: f offset is not finite"),
@@ -298,15 +306,36 @@ def _market_override(key, i, number, value):
      "agent 0: f linear / diagonal curvature is not finite"),
     ("market", _market_override("uc", 0, "vartheta", -1e308),
      "agent 0: f linear / diagonal curvature is not finite"),
+    ("instance", _mixed_path_edit(2, "g", "curvature", [[-1e-320]]),
+     "agent 2: g diagonal curvature is not positive"),
+    ("instance", _mixed_path_edit(2, "g", "curvature", [[-1.0]]),
+     "agent 2: g diagonal curvature is not positive"),
+    # without a domain nothing clips x_hat, and Psi at u = 0 reads linear^2 / diagonal
+    ("instance", _mixed_path_edit(0, "f", "linear", [1e200]),
+     "agent 0: f linear * (linear / diagonal curvature) is not finite"),
 ])
 def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scenario,
                                                          overrides, message):
+    if scenario == "instance":
+        (tmp_path / "instance.json").write_text(overrides)
+        source = ["--instance", str(tmp_path / "instance.json")]
+    else:
+        source = ["--scenario", scenario, "--overrides", overrides]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
-        res = runner.invoke(main, ["run", "--scenario", scenario, "--out", str(tmp_path),
-                                   "--overrides", overrides])
+        res = runner.invoke(main, ["run", "--out", str(tmp_path), *source])
     compiled = message.startswith("agent ")
     _one_error_line(res, "error: " + ("" if compiled else "cannot build scenario: ") + message)
+
+
+def test_run_accepts_a_boxed_quadratic_with_a_huge_linear_cost(runner, tmp_path):
+    # the domain clips x_hat, so linear^2 / diagonal is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--scenario", "market", "--iters", "50", "--out",
+                                   str(tmp_path), "--overrides",
+                                   _market_override("uc", 0, "vartheta", 1e200)])
+    assert res.exit_code == 0, res.output
 
 
 def test_run_refuses_an_instance_file_whose_threshold_overflows(runner, tmp_path):

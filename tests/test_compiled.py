@@ -33,7 +33,7 @@ from dualprox import (
 )
 from dualprox.engine import _round
 from dualprox.errors import UnboundedConjugateError
-from dualprox.model import _csr, _groups
+from dualprox.model import _csr
 
 from dense_reference import (
     dense_A,
@@ -43,6 +43,8 @@ from dense_reference import (
     dense_objective,
     dense_round,
     reference_csr,
+    reference_groups,
+    reference_kind_groups,
     reference_with_box,
 )
 from test_bound_constants import _same
@@ -221,17 +223,21 @@ def test_a_stack_of_dual_points_evaluates_each_row_bitwise(case, K):
     np.testing.assert_array_equal(apply_C(inst, lams), [apply_C(inst, lam) for lam in lams])
 
 
+def _same_groups(got, want):
+    """The same ``(agents, function)`` groups: agents of one type, fields bitwise."""
+    assert len(got) == len(want)
+    for (idx, fn), (want_idx, want_fn) in zip(got, want):
+        assert type(idx) is type(want_idx)
+        assert idx == want_idx if isinstance(idx, slice) else np.array_equal(idx, want_idx)
+        _same(fn, want_fn)
+
+
 def _assert_g_groups_as_before(inst):
     """``g_groups`` equals the grouping of every agent's g intersected with
     its omega as ``with_box`` did it before it kept its own box."""
-    want = _groups([reference_with_box(a.g, a.omega) for a in inst.agents],
-                   lambda g: (g.kind, g.box is None))
-    got = inst.compiled.g_groups
-    assert len(got) == len(want)
-    for (idx, g), (want_idx, want_g) in zip(got, want):
-        assert type(idx) is type(want_idx)
-        assert idx == want_idx if isinstance(idx, slice) else np.array_equal(idx, want_idx)
-        _same(g, want_g)
+    _same_groups(inst.compiled.g_groups,
+                 reference_groups([reference_with_box(a.g, a.omega) for a in inst.agents],
+                                  lambda g: (g.kind, g.box is None)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,6 +254,47 @@ def test_market_g_groups_match_the_intersected_boxes():
     assert not any(a.g.box is a.omega for a in loaded.agents)
     for inst in (market, loaded):
         _assert_g_groups_as_before(inst)
+
+
+def _signed_zero_boxes(M, zero_first):
+    """Two equal but distinct boxes whose ends hold 0.0 in one and -0.0 in the other."""
+    a, b = (0.0, -0.0) if zero_first else (-0.0, 0.0)
+    return (BoxSet(np.full(M, a), np.ones(M)), BoxSet(np.full(M, b), np.ones(M)),
+            BoxSet(-np.ones(M), np.full(M, b)), BoxSet(-np.ones(M), np.full(M, a)))
+
+
+@st.composite
+def grouped_instances(draw):
+    """:func:`instances` (mixed kinds, dense ``M = 2`` curvatures), some agents'
+    omega replaced by g's own box object, or g and omega by equal but distinct
+    boxes whose ends are 0.0 in one and -0.0 in the other."""
+    inst, rng = draw(instances())
+    agents = []
+    for a in inst.agents:
+        how = draw(st.sampled_from(["keep", "own box", "signed zeros", "signed zeros"]))
+        if how == "own box" and a.g.box is not None:
+            a = AgentSpec(a.f, a.g, a.g.box)
+        elif how == "signed zeros":
+            low_g, low_omega, high_g, high_omega = _signed_zero_boxes(inst.M, draw(st.booleans()))
+            g_box, omega = draw(st.sampled_from([(low_g, low_omega), (high_g, high_omega)]))
+            g = (ProxFriendlyFunction.indicator_box(g_box) if a.g.kind == "zero" else
+                 ProxFriendlyFunction.l1_plus_box(max(a.g.weight, 0.5), g_box))
+            a = AgentSpec(a.f, g, omega)
+        agents.append(a)
+    return ProblemInstance(inst.topology, agents, inst.M, inst.B, inst.owner, inst.l,
+                           inst.blocks, inst.rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_instances())
+def test_instance_groups_match_the_per_agent_compile(inst):
+    f_groups, g_groups, sigma = reference_kind_groups(inst)
+    assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
+    assert inst.compiled.sigma is inst.sigma
+    assert all(dims == (inst.M,) * len(dims) for dims, _, _ in inst.f_groups + inst.g_groups)
+    _same_groups([(idx, f) for _, idx, f in inst.f_groups], f_groups)
+    _same_groups(inst.compiled.f_groups, f_groups)
+    _same_groups(inst.compiled.g_groups, g_groups)
 
 
 @st.composite

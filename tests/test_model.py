@@ -267,6 +267,25 @@ def test_validate_checks_the_nonsmooth_dimension(M, g, dim):
     assert check.detail == f"agent 1: nonsmooth part has dim {dim}, expected M={M}"
 
 
+def test_an_agent_of_the_wrong_dimension_constructs_and_fails_validation():
+    # agent 1's g box (dim 2) and omega (dim 3) cannot even be intersected, and
+    # agent 2's smooth part has dim 2: the instance still builds, validation
+    # reports each part once, and compiling refuses the g's
+    wide = ProxFriendlyFunction.l1_plus_box(0.5, BoxSet([-1.0, -1.0], [1.0, 1.0]))
+    agents = _scalar_agents(3)
+    agents[1] = AgentSpec(agents[1].f, wide, BoxSet([-1.0] * 3, [1.0] * 3))
+    agents[2] = AgentSpec(quadratic_local([0.0, 0.0]), agents[2].g, None)
+    inst = ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
+                           np.ones((3, 1, 1)), np.zeros((3, 1)))
+    check = {c.name: c for c in validate_instance(inst).checks}["dimensions"]
+    assert check.status == "fail"
+    assert check.detail == ("agent 1: nonsmooth part has dim 2, expected M=1; "
+                            "agent 1: omega has dim 3, expected M=1; "
+                            "agent 2: smooth part has dim 2, expected M=1")
+    with pytest.raises(ValueError):
+        inst.compiled.g_groups
+
+
 def test_validate_flags_disconnected_topology():
     inst = ProblemInstance(Topology(3, frozenset({(0, 1)})), _scalar_agents(3), 1, 1,
                            [0, 1, 2], [0, 1, 2], np.ones((3, 1, 1)), np.zeros((3, 1)))

@@ -166,11 +166,14 @@ class ProblemInstance:
         if bad.any():
             raise ValueError(f"agent {bad.argmax()}: rhs is not finite")
         agents = tuple(self.agents)
-        f_groups, g_groups, sigma, g_table = _kind_groups(agents, M)
-        for value in (owner, l, blocks, rhs, sigma):
+        f_groups, g_members, sigma, g_table = _kind_groups(agents, M)
+        # whether each block's l is its owner or a neighbour; validation and compiling read it
+        in_nbhd = self.topology.in_closed_neighbourhood(owner, l)
+        for value in (owner, l, blocks, rhs, sigma, in_nbhd):
             value.flags.writeable = False
         self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
-                             f_groups=f_groups, g_groups=g_groups, _g_table=g_table)
+                             f_groups=f_groups, _g_members=g_members, _g_table=g_table,
+                             _in_neighbourhood=in_nbhd)
 
     @property
     def n_agents(self) -> int:
@@ -179,11 +182,6 @@ class ProblemInstance:
     @property
     def dual_dim(self) -> int:
         return self.n_agents * (self.B + self.M)
-
-    @cached_property
-    def _in_neighbourhood(self) -> np.ndarray:
-        """Whether each block's ``l`` is its owner or one of the owner's neighbours."""
-        return self.topology.in_closed_neighbourhood(self.owner, self.l)
 
     @cached_property
     def compiled(self) -> "CompiledInstance":
@@ -241,14 +239,14 @@ _G_KINDS = ("zero", "l1", "quadratic")
 
 
 def _kind_groups(agents: tuple, M: int) -> tuple:
-    """``(f_groups, g_groups, sigma, g_table)`` of ``agents``, from one pass over them.
+    """``(f_groups, g_members, sigma, g_table)`` of ``agents``, from one pass over them.
 
-    A group is ``(dims, agents, ...)``, in order of first member: its parts' dimensions
-    (``M`` where absent) and its agents, a ``slice`` where consecutive (a view, where an index
-    array gathers a copy).  An f group ends in its f's stacked (:func:`convex.group`), which
-    sigma reads; a g group in ``(gs, boxes, omegas)``, a box and omega standing in for each
-    other where absent, stacked when the instance is compiled.  ``g_table`` is what
-    :func:`instance_hash` reads of the g's and omegas, in agent order."""
+    Both group the agents by kind and by their parts' dimensions, in order of first member;
+    a group's agents are a ``slice`` where consecutive (a view, where an index array gathers
+    a copy).  An f group is ``(agents, f)``, its f's stacked by :func:`convex.group`, which
+    sigma reads.  A g group is ``(dims, agents, (gs, boxes, omegas))``, ``M`` for an absent
+    part's dim and a box and omega standing in for each other where absent; it is stacked
+    when the instance is compiled.  ``g_table`` is what :func:`instance_hash` reads."""
     f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
     for i, a in enumerate(agents):
         f, g, omega = a.f, a.g, a.omega
@@ -266,22 +264,21 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
 
     def index(idx):
         return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx)
-    f_groups = tuple((key[2:], index(idx), group(fs))
-                     for key, members in f_keys.items() for idx, fs in [zip(*members)])
+    f_groups = tuple((index(idx), group(fs)) for idx, fs in (zip(*m) for m in f_keys.values()))
     sigma = np.empty(len(agents))
     with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
-        for _, idx, f in f_groups:
+        for idx, f in f_groups:
             sigma[idx] = f.strong_convexity
-    g_groups = tuple((key[2:], index(idx), columns)
-                     for key, members in g_keys.items() for idx, *columns in [zip(*members)])
-    return f_groups, g_groups, sigma, (table, by_kind, boxes)
+    g_members = tuple((key[2:], index(idx), columns)
+                      for key, members in g_keys.items() for idx, *columns in [zip(*members)])
+    return f_groups, g_members, sigma, (table, by_kind, boxes)
 
 
 def _checked_groups(part: str, groups, n_agents: int) -> tuple:
     """``groups`` (``(agents, function)`` of ``part``, "f" or "g") once each constant a round or
-    Psi reads is finite (and a domain-free f quadratic's ``linear * (linear / diagonal)``, read
-    by Psi at ``u = 0``) and a g quadratic's diagonal positive; else :class:`SingularScaleError`
-    names the first agent and constant.  Overflow is silenced while they are computed."""
+    Psi reads is finite (an f quadratic's value at its argmax for ``u = 0`` too) and a g
+    quadratic's diagonal positive; else :class:`SingularScaleError` names the first agent and
+    constant.  Overflow is silenced while they are computed."""
     with np.errstate(all="ignore"):
         for idx, fn in groups:
             base = fn.base if part == "f" else fn.quad
@@ -293,8 +290,10 @@ def _checked_groups(part: str, groups, n_agents: int) -> tuple:
                 ratio = base.linear / base._diagonal
                 named.update({"linear": base.linear, "offset": base.offset,
                               "linear / diagonal curvature": ratio})
-                if part == "f" and fn.effective_domain is None:
-                    named["linear * (linear / diagonal curvature)"] = base.linear * ratio
+                if part == "f":  # the argmax divides (0 - linear), then clips into any domain
+                    dom = fn.effective_domain
+                    x0 = -ratio if dom is None else dom.project(-ratio)
+                    named["value at its argmax for u = 0"] = base.value(x0)
             checks = {f"{name} is not finite": value for name, value in named.items()}
             if part == "g" and base is not None:  # nan where the diagonal is not positive
                 checks["diagonal curvature is not positive"] = np.where(base._diagonal > 0, 0, np.nan)
@@ -312,15 +311,15 @@ class CompiledInstance:
     ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
     entries in ascending column, so a row accumulates its agents in
     ascending id.  ``f_groups`` and ``g_groups`` are the instance's kind groups
-    as ``(agents, function)``, their constants checked; ``lipschitz`` is the
-    smoothness constant; each part is built on first use.
+    as ``(agents, function)``, each g stacked, their constants checked;
+    ``lipschitz`` is the smoothness constant; each part is built on first use.
     """
 
     def __init__(self, instance: "ProblemInstance"):
         N, M, B = instance.n_agents, instance.M, instance.B
         self.n_agents, self.M, self.B = N, M, B
         self.n_theta = N * B
-        self._f_groups, self._g_groups = instance.f_groups, instance.g_groups
+        self._f_groups, self._g_members = instance.f_groups, instance._g_members
         # the blocks A_l^(i) with l in agent i's closed neighbourhood, by (i, l)
         keep = instance._in_neighbourhood
         self._owner, self._l = instance.owner[keep], instance.l[keep]
@@ -369,13 +368,13 @@ class CompiledInstance:
 
     @cached_property
     def f_groups(self) -> tuple:
-        return _checked_groups("f", [(idx, f) for _, idx, f in self._f_groups], self.n_agents)
+        return _checked_groups("f", self._f_groups, self.n_agents)
 
     @cached_property
     def g_groups(self) -> tuple:
         """Each g group with its boxes, then one ``with_box`` of its omegas (``max(x, x) = x``)."""
         stacked = []
-        for _, idx, (gs, boxes, omegas) in self._g_groups:
+        for _, idx, (gs, boxes, omegas) in self._g_members:
             quad = None if gs[0].quad is None else group([g.quad for g in gs])
             own, other = (None, None) if boxes[0] is None else (group(boxes), group(omegas))
             g = ProxFriendlyFunction(gs[0].kind, np.array([g.weight for g in gs]), quad, own)
@@ -512,12 +511,13 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
 
     M, agents = instance.M, np.arange(instance.n_agents)
-    # an f group's one dim is part 0, a g group's three dims are parts 1-3
+    # (agents, part, dim) of each group: part 0 the smooth part, 1-3 g's quadratic, box and omega
+    dims = [(idx, 0, f.dim) for idx, f in instance.f_groups] + [
+        (idx, k, d) for ds, idx, _ in instance._g_members for k, d in enumerate(ds, start=1)]
     parts = ("smooth part", "nonsmooth part", "nonsmooth part", "omega")
     dim_issues = dict.fromkeys(msg for *_, msg in sorted(  # by agent, then part; as an ordered set
         (i, k, f"agent {i}: {parts[k]} has dim {d}, expected M={M}")
-        for dims, idx, _ in instance.f_groups + instance.g_groups
-        for k, d in enumerate(dims, start=len(dims) > 1) if d != M for i in agents[idx].tolist()))
+        for idx, k, d in dims if d != M for i in agents[idx].tolist()))
     checks.append(CheckResult(
         "dimensions", "pass" if not dim_issues else "fail",
         "every part has dim M" if not dim_issues else "; ".join(dim_issues)))
@@ -728,7 +728,7 @@ def instance_hash(instance: ProblemInstance) -> str:
     table, by_kind, boxes = instance._g_table
     fields.append(_field("agents", table, "<i8"))
     members = np.arange(instance.n_agents)
-    for _, idx, f in instance.f_groups:
+    for idx, f in instance.f_groups:
         base, domain = f.base, f.effective_domain
         quadratic = isinstance(base, QuadraticFunction)
         tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"

@@ -274,10 +274,12 @@ def _market_override(key, i, number, value):
     return json.dumps({key: entries})
 
 
-def _mixed_path_edit(agent, part, key, value):
-    """The saved 8-agent mixed path with one number of an agent's part changed."""
+def _mixed_path_edit(agent, part, key, value, **fields):
+    """The saved 8-agent mixed path with one number of an agent's part changed, and
+    any other ``fields`` of that part replaced."""
     doc = instance_to_json(_mixed_path())
     doc["agents"][agent][part]["params"][key] = value
+    doc["agents"][agent][part].update(fields)
     return json.dumps(doc)
 
 
@@ -310,9 +312,16 @@ def _mixed_path_edit(agent, part, key, value):
      "agent 2: g diagonal curvature is not positive"),
     ("instance", _mixed_path_edit(2, "g", "curvature", [[-1.0]]),
      "agent 2: g diagonal curvature is not positive"),
-    # without a domain nothing clips x_hat, and Psi at u = 0 reads linear^2 / diagonal
+    # Psi at u = 0 reads f at x_hat = -linear / diagonal clipped into any domain: its
+    # value overflows with no domain, a domain too wide to clip it, or one far from 0
     ("instance", _mixed_path_edit(0, "f", "linear", [1e200]),
-     "agent 0: f linear * (linear / diagonal curvature) is not finite"),
+     "agent 0: f value at its argmax for u = 0 is not finite"),
+    ("instance", _mixed_path_edit(2, "f", "linear", [1e200],
+                                  domain={"lower": [-1e300], "upper": [1e300]}),
+     "agent 2: f value at its argmax for u = 0 is not finite"),
+    ("instance", _mixed_path_edit(2, "f", "linear", [0.0],
+                                  domain={"lower": [1e200], "upper": [1e300]}),
+     "agent 2: f value at its argmax for u = 0 is not finite"),
 ])
 def test_run_refuses_non_finite_or_overflowing_overrides(runner, tmp_path, scenario,
                                                          overrides, message):

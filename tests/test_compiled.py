@@ -291,9 +291,10 @@ def test_instance_groups_match_the_per_agent_compile(inst):
     f_groups, g_groups, sigma = reference_kind_groups(inst)
     assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
     assert inst.compiled.sigma is inst.sigma
-    assert all(dims == (inst.M,) * len(dims) for dims, _, _ in inst.f_groups + inst.g_groups)
-    _same_groups([(idx, f) for _, idx, f in inst.f_groups], f_groups)
-    _same_groups(inst.compiled.f_groups, f_groups)
+    assert all(f.dim == inst.M for _, f in inst.f_groups)
+    assert all(dims == (inst.M,) * 3 for dims, _, _ in inst._g_members)
+    _same_groups(inst.f_groups, f_groups)
+    assert inst.compiled.f_groups is inst.f_groups  # checked when compiled, not rebuilt
     _same_groups(inst.compiled.g_groups, g_groups)
 
 

@@ -14,11 +14,13 @@ object whose fields hold the fields of several members of one kind along a
 leading axis.  A group takes and returns the members' vectors stacked
 ``(n, M)``, and its values and conjugates hold one entry per member.  The
 members are separable, so a group's prox or argmax is the stack of the
-members' results, bit for bit.  A single member keeps its float API.
+members' results, bit for bit; :func:`nonsmooth_group` stacks nonsmooth
+parts of several kinds into one.  A single member keeps its float API.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +103,7 @@ class BoxSet:
         hi = _vec(self.upper)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have equal shapes")
-        if (lo > hi).any():
+        if not (lo <= hi).all():  # NaN fails too
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -109,10 +111,6 @@ class BoxSet:
     @property
     def dim(self) -> int:
         return self.lower.shape[-1]
-
-    @cached_property
-    def _finite(self) -> bool:
-        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
 
     def project(self, u) -> np.ndarray:
         return _vec(u).clip(self.lower, self.upper)  # np.clip's own method, without its dispatch
@@ -309,6 +307,12 @@ def group(members):
 # ---------------------------------------------------------------------------
 
 
+_G_KINDS = ("zero", "l1", "quadratic")  # a member's code: its kind's index, plus 3 in a box
+# the formula each code takes in the prox (the box is projected on after), the conjugate
+# (0: no box, 3: the better box end) and the argmax (3: zero in a box)
+_FORMULAS = ((0, 1, 2, 0, 1, 2), (0, 0, 2, 3, 3, 2), (0, 1, 2, 3, 1, 2))
+
+
 @dataclass(frozen=True)
 class ProxFriendlyFunction:
     """A nonsmooth catalog entry with exact prox and conjugate formulas.
@@ -316,7 +320,11 @@ class ProxFriendlyFunction:
     Internally every entry is one of ``zero``, ``l1`` or ``quadratic``
     optionally intersected with a box; the public constructors mirror the
     usual naming (``indicator_box`` is ``zero`` + box, ``l1_plus_box`` is
-    ``l1`` + box).
+    ``l1`` + box).  A group of several kinds (see :func:`nonsmooth_group`)
+    holds each member's code as ``kind``; a member without a box has the
+    ends ``-inf, inf``, one without l1 the weight 0, and one that is no
+    quadratic the curvature 1, linear term 0 and offset 0.  Each method
+    evaluates the formulas of the codes present, each on its members' rows.
     """
 
     kind: str
@@ -340,7 +348,7 @@ class ProxFriendlyFunction:
 
     @staticmethod
     def l1_plus_box(weight: float, box: BoxSet | None) -> "ProxFriendlyFunction":
-        if weight < 0:
+        if not weight >= 0:  # NaN fails too
             raise ValueError("l1 weight must be nonnegative")
         return ProxFriendlyFunction("l1", weight=float(weight), box=box)
 
@@ -359,64 +367,119 @@ class ProxFriendlyFunction:
         if self.box is not None:
             box = BoxSet(np.maximum(self.box.lower, box.lower),
                          np.minimum(self.box.upper, box.upper))
-        if self.kind == "quadratic" and not self.quad.is_diagonal:
+        if self.quad is not None and not self.quad.is_diagonal:
             raise ValueError("quadratic + box prox needs diagonal curvature")
         return ProxFriendlyFunction(self.kind, self.weight, self.quad, box)
 
     # -- evaluation --
 
     @cached_property
+    def _parts(self) -> tuple:
+        """For the prox, the conjugate and the argmax: each formula present -> the mask of
+        its members (a column but for the conjugate), ``None`` where every member takes it
+        (see ``_FORMULAS``)."""
+        if type(self.kind) is str:
+            code = _G_KINDS.index(self.kind) + 3 * (self.box is not None)
+            return tuple({table[code]: None} for table in _FORMULAS)
+        parts = []
+        for i, keys in enumerate(np.array(_FORMULAS)[:, self.kind]):
+            present = set(keys.tolist())
+            parts.append({k: None if len(present) == 1 else keys == k if i == 1
+                          else (keys == k)[:, None] for k in sorted(present)})
+        return tuple(parts)
+
+    @cached_property
+    def _w(self) -> np.ndarray:
+        return _col(self.weight)
+
+    @cached_property
     def _smooth(self) -> SmoothConjugable:
-        """The quadratic kind as a smooth part on its box, for its argmax."""
-        return SmoothConjugable(self.quad, self.box)
+        """The quadratic kind as a smooth part on its box, for its argmax; the other
+        members of a group have the domain ``[0, 0]``, so their argmax is 0."""
+        rows = self._parts[2].get(2)
+        if rows is None:
+            return SmoothConjugable(self.quad, self.box)
+        zeros = np.zeros(self.quad.linear.shape)
+        lo, hi = (-INF, INF) if self.box is None else (self.box.lower, self.box.upper)
+        return SmoothConjugable(self.quad, BoxSet(np.where(rows, lo, zeros),
+                                                  np.where(rows, hi, zeros)))
+
+    @cached_property
+    def _box_terms(self) -> tuple:
+        """What the conjugate of zero or l1 in a box reads: the box's ends, 0 standing in for
+        an infinite one; with l1 members (else ``None``) the terms ``w |e|`` and where the box
+        holds 0, for every member (there a zero member's max is at least 0 already, and its
+        sum has no sign of 0 to lose); the members whose box has an infinite end (or
+        ``None``)."""
+        lo, hi, rows = self.box.lower, self.box.upper, self._parts[1][3]
+        inf_lo, inf_hi = np.isinf(lo), np.isinf(hi)
+        ends, inf = [lo, hi], inf_lo | inf_hi
+        if inf.any():
+            ends = [np.where(inf_lo, 0.0, lo), np.where(inf_hi, 0.0, hi)]
+            inf = inf.any(axis=-1, keepdims=True) & (True if rows is None else rows[:, None])
+        w_ends = inside = None
+        if 1 in self._parts[0]:
+            w_ends, inside = [self._w * np.abs(e) for e in ends], (lo <= 0) & (hi >= 0)
+        return ends, w_ends, inside, inf if inf.any() else None
 
     def prox(self, u, alpha, *, alpha_checked: bool = False) -> np.ndarray:
-        """Exact prox with parameter ``alpha > 0``.
-
-        ``alpha_checked`` skips the check on ``alpha`` for a caller that has
-        made it.
-        """
+        """Exact prox with parameter ``alpha > 0``; ``alpha_checked`` skips the check on
+        ``alpha`` for a caller that has made it."""
         if not (alpha_checked or _all_positive(alpha)):
             raise ValueError("alpha must be positive")
-        u = _vec(u)
-        if self.kind == "zero":
-            v = u
-        elif self.kind == "l1":  # soft-thresholding
-            v = np.sign(u) * np.maximum(np.abs(u) - _col(np.multiply(alpha, self.weight)), 0.0)
-        else:  # quadratic: (I + alpha C) v = u - alpha q
-            a = _col(alpha)
-            if not self.quad.is_diagonal:
+        u, v, kinds = _vec(u), None, self._parts[0]
+        a = None if len(kinds) == 1 and 0 in kinds else _col(alpha)
+        for formula, rows in kinds.items():
+            if formula == 0:
+                x = u
+            elif formula == 1:  # soft-thresholding
+                x = np.sign(u) * np.maximum(np.abs(u) - a * self._w, 0.0)
+            elif not self.quad.is_diagonal:  # a group of its own, without a box
                 mat = np.eye(self.quad.dim) + a[..., None] * self.quad.curvature
                 return np.linalg.solve(mat, (u - a * self.quad.linear)[..., None])[..., 0]
-            # a diagonal solve divides, as LAPACK's does
-            v = (u - a * self.quad.linear) / (1.0 + a * self.quad._diagonal)
+            else:  # quadratic: (I + alpha C) v = u - alpha q; a diagonal solve divides, as LAPACK's
+                x = (u - a * self.quad.linear) / (1.0 + a * self.quad._diagonal)
+            v = x if v is None else np.where(rows, x, v)
         if self.box is not None:
             v = self.box.project(v)
         return v
 
     def conjugate(self, v):
         """Conjugate value ``sup_x (v'x - g(x))`` as an extended real."""
-        v = _vec(v)
-        if self.kind == "zero":
-            if self.box is not None:
-                val = np.maximum(*_end_terms(v, self.box)).sum(axis=-1)
+        v, val = _vec(v), None
+        for formula, rows in self._parts[1].items():
+            if formula == 0:  # no box: 0 where each |v| is within a tolerance (plus an l1 weight)
+                a, kinds = np.abs(v), self._parts[0]
+                bound = self._w + _ZERO_ATOL if 1 in kinds else None
+                if 0 in kinds:  # zero's tolerance scales with v
+                    zero = _ZERO_ATOL * (1.0 + a.max(axis=-1, keepdims=True))
+                    bound = zero if bound is None else np.where(kinds[1], bound, zero)
+                x = np.where((a <= bound).all(axis=-1), 0.0, INF)
+            elif formula == 2:
+                x = conjugate_argmax(self._smooth, v)
+                x = (v * x).sum(axis=-1) - self.quad.value(x)
             else:
-                scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
-                val = np.where((np.abs(v) <= _ZERO_ATOL * scale).all(axis=-1), 0.0, INF)
-        elif self.kind == "l1":
-            w = _col(self.weight)
-            if self.box is None:
-                val = np.where((np.abs(v) <= w + _ZERO_ATOL).all(axis=-1), 0.0, INF)
-            else:
-                lo, hi = self.box.lower, self.box.upper
-                cand = np.maximum(*_end_terms(v, self.box, w))
-                inside = (lo <= 0) & (hi >= 0)
-                cand = np.where(inside, np.maximum(cand, 0.0), cand)
-                val = cand.sum(axis=-1)
-        else:
-            x = conjugate_argmax(self._smooth, v)
-            val = (v * x).sum(axis=-1) - self.quad.value(x)
+                x = self._box_conjugate(v).sum(axis=-1)
+            val = x if val is None else np.where(rows, x, val)
         return _per_member(val)
+
+    def _box_conjugate(self, v) -> np.ndarray:
+        """``max_e (v e - w |e|)`` over the ends ``e`` of the box, per component, and at least
+        0 inside an l1 member's box.  A member whose box has an infinite end takes ``(v - w
+        sign(e)) e`` at each end, 0 where that coefficient is 0 or, at an infinite end, lies
+        within a tolerance on the side where the term grows: no ``0 * inf``."""
+        ends, w_ends, inside, inf_rows = self._box_terms
+        cand = np.maximum(*([v * e for e in ends] if w_ends is None else
+                            [v * e - we for e, we in zip(ends, w_ends)]))
+        if inf_rows is not None:
+            w, terms = self._w, []
+            tol = _ZERO_ATOL * (1.0 + np.abs(v) + w)
+            for e in (self.box.lower, self.box.upper):
+                c = v - w * np.sign(e)
+                drop = (c == 0) | (np.isinf(e) & (np.abs(c) <= tol) & (np.sign(c) == np.sign(e)))
+                terms.append(np.multiply(c, e, out=np.zeros(c.shape), where=~drop))
+            cand = np.where(inf_rows, np.maximum(*terms), cand)
+        return cand if inside is None else np.where(inside, np.maximum(cand, 0.0), cand)
 
     def conjugate_argmax(self, v, ref=None) -> np.ndarray:
         """A maximizer of ``v'x - g(x)``; ``ref`` breaks ties toward a point.
@@ -426,60 +489,76 @@ class ProxFriendlyFunction:
         the returned point is the projection of ``ref`` onto that set.
         """
         v = _vec(v)
-        if self.kind == "quadratic":
-            return conjugate_argmax(self._smooth, v)
         ref = np.zeros_like(v) if ref is None else _vec(ref)
-        if self.kind == "zero":
-            if self.box is not None:
-                lo, hi = self.box.lower, self.box.upper
+        lo, hi = (-INF, INF) if self.box is None else (self.box.lower, self.box.upper)
+        x = None
+        for formula, rows in self._parts[2].items():
+            if formula == 0:
+                scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
+                if ((np.abs(v) > _ZERO_ATOL * scale) & (True if rows is None else rows)).any():
+                    raise UnboundedConjugateError("support of all-space is unbounded")
+                piece = ref
+            elif formula == 1:
+                piece = _l1_argmax(v, self._w, lo, hi, ref, rows)
+            elif formula == 2:
+                piece = conjugate_argmax(self._smooth, v)
+            else:
                 scale = 1.0 + np.abs(v)
-                return np.where(v > _ZERO_ATOL * scale, hi,
-                                np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
-            scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
-            if (np.abs(v) > _ZERO_ATOL * scale).any():
-                raise UnboundedConjugateError("support of all-space is unbounded")
-            return ref
-        # l1 (+ optional box), separable
-        lo = self.box.lower if self.box is not None else -INF
-        hi = self.box.upper if self.box is not None else INF
-        return _l1_support_argmax(v, _col(self.weight), lo, hi, ref)
+                piece = np.where(v > _ZERO_ATOL * scale, hi,
+                                 np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
+            x = piece if x is None else np.where(rows, piece, x)
+        return x
 
 
-def _end_terms(v, box: BoxSet, w=None) -> list:
-    """``v e - w |e|`` (``v e`` without ``w``) at each end ``e`` of ``box``.  A box with an
-    infinite end takes ``(v - w sign(e)) e``, 0 where that coefficient is: no ``0 * inf``."""
-    ends = (box.lower, box.upper)
-    if box._finite:
-        return [v * e if w is None else v * e - w * np.abs(e) for e in ends]
-    coefs = [v if w is None else v - w * np.sign(e) for e in ends]
-    return [np.multiply(c, e, out=np.zeros(c.shape), where=c != 0) for c, e in zip(coefs, ends)]
-
-
-def _l1_support_argmax(v, w, lo, hi, ref) -> np.ndarray:
-    """Maximizer of ``v*x - w|x|`` over ``[lo, hi]``, elementwise, ties toward ``ref``."""
+def _l1_argmax(v, w, lo, hi, ref, rows) -> np.ndarray:
+    """Maximizer of ``v*x - w|x|`` over ``[lo, hi]``, elementwise, ties toward ``ref``; only
+    the members ``rows`` masks may be unbounded."""
     tol = _ZERO_ATOL * (1.0 + np.abs(v) + w)
     above = v > w + tol
     below = v < -w - tol
-    if (above & np.isinf(hi)).any():
+    rows = True if rows is None else rows
+    if (above & np.isinf(hi) & rows).any():
         raise UnboundedConjugateError("l1 support unbounded above")
-    if (below & np.isinf(lo)).any():
+    if (below & np.isinf(lo) & rows).any():
         raise UnboundedConjugateError("l1 support unbounded below")
     top = np.where(np.isinf(hi), np.maximum(ref, 0.0), hi)
     bot = np.where(np.isinf(lo), np.minimum(ref, 0.0), lo)
     # 0 outside the box: the better finite endpoint, the lower one on a tie
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a huge weight
         lower_wins = v * lo - w * np.abs(lo) >= v * hi - w * np.abs(hi)
-    endpoint = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
-    return np.select(
-        [above, below,
-         (np.abs(v - w) <= tol) & (hi > 0),  # tie on the nonnegative ray
-         (np.abs(v + w) <= tol) & (lo < 0),  # tie on the nonpositive ray
-         (lo <= 0.0) & (0.0 <= hi)],  # strict interior of the dead zone
-        [hi, lo,
-         np.minimum(np.maximum(ref, np.maximum(lo, 0.0)), top),
-         np.maximum(np.minimum(ref, np.minimum(hi, 0.0)), bot),
-         0.0],
-        endpoint)
+    x = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
+    # then, each taking precedence over those before it: the strict interior of the dead
+    # zone, a tie on the nonpositive ray, a tie on the nonnegative ray, below, above
+    x = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, x)
+    x = np.where((np.abs(v + w) <= tol) & (lo < 0),
+                 np.maximum(np.minimum(ref, np.minimum(hi, 0.0)), bot), x)
+    x = np.where((np.abs(v - w) <= tol) & (hi > 0),
+                 np.minimum(np.maximum(ref, np.maximum(lo, 0.0)), top), x)
+    return np.where(above, hi, np.where(below, lo, x))
+
+
+@functools.cache
+def _free_parts(dim: int) -> tuple:
+    """The stand-ins of a group member without a quadratic or without a box."""
+    return (QuadraticFunction(np.ones(dim), np.zeros(dim)),
+            BoxSet(np.full(dim, -INF), np.full(dim, INF)))
+
+
+def nonsmooth_group(gs, boxes, omegas, codes, dim: int) -> ProxFriendlyFunction:
+    """One group of the nonsmooth parts ``gs`` of dim ``dim`` and their ``codes``, member
+    ``k`` in ``boxes[k]`` and ``omegas[k]`` (each ``None``, or standing in for the other):
+    one kind stacked as :func:`group` stacks it, several with the per-member codes and the
+    stand-ins of :class:`ProxFriendlyFunction`, then one ``with_box`` of the omegas
+    (``max(x, x) = x``).  A dense quadratic needs a group of its own."""
+    kind = gs[0].kind if len(set(codes)) == 1 else np.array(codes)
+    quad = own = other = None
+    if 2 in codes or 5 in codes:
+        quad = group([g.quad or _free_parts(dim)[0] for g in gs])
+    if max(codes) >= 3:  # -inf, inf stand in for a box where a member has none
+        own = group([b or _free_parts(dim)[1] for b in boxes])
+        other = group([b or _free_parts(dim)[1] for b in omegas])
+    g = ProxFriendlyFunction(kind, np.array([g.weight for g in gs]), quad, own)
+    return g.with_box(other)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,14 @@ maximizers ``x_hat`` of one snapshot ``lam(tau(k))``, which is the current
 iterate in sync mode and at most ``D`` rounds old in async mode.  From it
 every agent takes a gradient step in ``theta`` and a proximal step in ``mu``
 (through the Moreau shortcut), both anchored at its latest values.  One
-round function serves both modes.  A round is a handful of numpy calls on
-the compiled instance: ``u = C lam``, the argmax of each kind group,
-``b - A x_hat``, the ``theta`` step and the prox of each kind group, the
-last two written into one new dual vector.  Each agent sums its coupling
-terms in ascending agent id, so traces are bitwise reproducible.
-
-On a few scalar agents a round costs numpy calls, not arithmetic, so the
-kernels keep their calls few.  Each kind group binds what does not depend
-on the round once, on first use (see :mod:`dualprox.convex`): the
-utility's clamped threshold and endpoint candidates with their values, the
-quadratic's diagonal and whether it is positive.  A group of consecutive
-agents is read through a slice.  :func:`run` leaves the ``x_hat`` of its
+round function serves both modes: ``u = C lam``, the argmax of each smooth
+kind group, ``b - A x_hat``, the ``theta`` step and the prox of the one
+nonsmooth group (dense quadratics have a second), written into one new dual
+vector.  Each agent sums its coupling terms in ascending agent id, so traces
+are bitwise reproducible.  On a few scalar agents a round costs numpy calls,
+not arithmetic: each group binds what does not depend on the round once, on
+first use (see :mod:`dualprox.convex`), and the nonsmooth group evaluates
+every kind present in one call.  :func:`run` leaves the ``x_hat`` of its
 last iterate on the instance, and :func:`recover_primal` reuses it when
 called at a bytewise equal ``lam``.
 
@@ -252,10 +248,11 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
 
     ``x_hat_i`` maximizes the smooth Lagrangian part; ``z_hat_i`` maximizes
     ``mu_i' z - (g_i + indicator(omega_i))(z)`` with ties broken toward
-    ``x_hat_i``.  The mismatch ``||x_hat - z_hat||`` is a convergence
-    diagnostic, reported rather than raised.  When ``lam`` is bytewise the
-    last iterate of the last :func:`run` on this instance, as
-    ``trace.lam[-1]`` is, the run's ``x_hat`` there is reused.
+    ``x_hat_i``, one argmax of the nonsmooth group for every kind.  The
+    mismatch ``||x_hat - z_hat||`` is a convergence diagnostic, reported
+    rather than raised.  When ``lam`` is bytewise the last iterate of the
+    last :func:`run` on this instance, as ``trace.lam[-1]`` is, the run's
+    ``x_hat`` there is reused.
     """
     comp = instance.compiled
     lam = np.asarray(lam, dtype=float)

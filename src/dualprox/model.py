@@ -26,8 +26,10 @@ from .convex import (
     ProxFriendlyFunction,
     QuadraticFunction,
     SmoothConjugable,
+    _G_KINDS,
     cached_property,
     group,
+    nonsmooth_group,
 )
 from .errors import MalformedInstanceError, SingularScaleError
 
@@ -235,27 +237,29 @@ def _csr(groups, others, mats):
     return rows[order], cols[order], mats.ravel()[order]
 
 
-_G_KINDS = ("zero", "l1", "quadratic")
-
-
 def _kind_groups(agents: tuple, M: int) -> tuple:
     """``(f_groups, g_members, sigma, g_table)`` of ``agents``, from one pass over them.
 
-    Both group the agents by kind and by their parts' dimensions, in order of first member;
-    a group's agents are a ``slice`` where consecutive (a view, where an index array gathers
-    a copy).  An f group is ``(agents, f)``, its f's stacked by :func:`convex.group`, which
-    sigma reads.  A g group is ``(dims, agents, (gs, boxes, omegas))``, ``M`` for an absent
-    part's dim and a box and omega standing in for each other where absent; it is stacked
-    when the instance is compiled.  ``g_table`` is what :func:`instance_hash` reads."""
+    An f group is ``(agents, f)``: the agents of one kind and dims, their f's stacked by
+    :func:`convex.group`, which sigma reads.  A g group is ``(dims, agents, (gs, boxes,
+    omegas, codes))``: the agents whose parts have one set of dims (``M`` for an absent
+    part's), dense quadratics apart, a box and omega standing in for each other where absent,
+    and each g's code (see :class:`convex.ProxFriendlyFunction`); it is stacked when the
+    instance is compiled.  Groups are in order of first member; their agents are a ``slice``
+    where consecutive (a view, where an index array gathers a copy).  ``g_table`` is what
+    :func:`instance_hash` reads."""
     f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
     for i, a in enumerate(agents):
         f, g, omega = a.f, a.g, a.omega
         base, kind, quad, box = f.base, g.kind, g.quad, g.box
         f_keys.setdefault((type(base), f.effective_domain is None, base.dim), []).append((i, f))
-        g_keys.setdefault((kind, box is None and omega is None, M if quad is None else quad.dim,
-                           M if box is None else box.dim, M if omega is None else omega.dim),
-                          []).append((i, g, box or omega, omega or box))
-        table += (i, _G_KINDS.index(kind), box is not None, omega is not None)
+        code = _G_KINDS.index(kind)
+        g_keys.setdefault((M if quad is None else quad.dim, M if box is None else box.dim,
+                           M if omega is None else omega.dim, quad is None or quad.is_diagonal),
+                          []).append((i, g, box or omega, omega or box,
+                                      code if box is None and omega is None else code + 3))
+        # ints, not bools: a list of bools converts to int64 several times slower
+        table += (i, code, 0 if box is None else 1, 0 if omega is None else 1)
         by_kind[kind].append(g)
         if box is not None:
             boxes.append(box)
@@ -269,9 +273,9 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
     with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
         for idx, f in f_groups:
             sigma[idx] = f.strong_convexity
-    g_members = tuple((key[2:], index(idx), columns)
+    g_members = tuple((key[:3], index(idx), columns)
                       for key, members in g_keys.items() for idx, *columns in [zip(*members)])
-    return f_groups, g_members, sigma, (table, by_kind, boxes)
+    return f_groups, g_members, sigma, (np.array(table, dtype="<i8"), by_kind, boxes)
 
 
 def _checked_groups(part: str, groups, n_agents: int) -> tuple:
@@ -372,14 +376,10 @@ class CompiledInstance:
 
     @cached_property
     def g_groups(self) -> tuple:
-        """Each g group with its boxes, then one ``with_box`` of its omegas (``max(x, x) = x``)."""
-        stacked = []
-        for _, idx, (gs, boxes, omegas) in self._g_members:
-            quad = None if gs[0].quad is None else group([g.quad for g in gs])
-            own, other = (None, None) if boxes[0] is None else (group(boxes), group(omegas))
-            g = ProxFriendlyFunction(gs[0].kind, np.array([g.weight for g in gs]), quad, own)
-            stacked.append((idx, g.with_box(other)))
-        return _checked_groups("g", stacked, self.n_agents)
+        """One group of every g but the dense quadratics, which need a solve and have a
+        group of their own (see :func:`convex.nonsmooth_group`)."""
+        return _checked_groups("g", [(idx, nonsmooth_group(*members, self.M))
+                                     for _, idx, members in self._g_members], self.n_agents)
 
     def _compact_row_maps(self):
         """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
@@ -702,6 +702,8 @@ def _field(tag: str, values, dtype: str = "<f8") -> bytes:
     The shape fixes the byte count, so a sequence of fields reads back one
     way only.
     """
+    if type(values) is list and not values:  # the shape of an empty list, with no bytes
+        return f"{tag}(0,)".encode()
     a = np.ascontiguousarray(values, dtype=dtype)
     return f"{tag}{a.shape}".encode() + a.tobytes()
 

@@ -16,8 +16,9 @@ at a time, ``with_box`` as it was before it kept its own box, the kind
 groups and their finiteness check as the compiled instance built them
 agent by agent before the instance grouped its agents, the CSR
 entries as ``np.broadcast_to`` formed them, and the trace writer as it was
-before it formatted its own lines, so the new code can be checked against
-them bit for bit.
+before it formatted its own lines, and the nonsmooth kernels as they were
+while each kind had a group of its own, so the new code can be checked
+against them bit for bit.
 """
 
 import csv
@@ -326,6 +327,108 @@ def reference_g_quadratic_conjugate(g, v):
         val = np.where(inside, val, np.inf)
     val = (v * x).sum(axis=-1) - val
     return val if isinstance(val, np.ndarray) and val.ndim else float(val)
+
+
+# ---------------------------------------------------------------------------
+# the nonsmooth kernels as they stood while each kind had a group of its own
+# ---------------------------------------------------------------------------
+
+_ZERO_ATOL = 1e-12
+
+
+def reference_g_prox(g, u, alpha) -> np.ndarray:
+    """``ProxFriendlyFunction.prox`` of one kind, as it was."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if g.kind == "zero":
+        v = u
+    elif g.kind == "l1":
+        v = np.sign(u) * np.maximum(np.abs(u) - np.asarray(np.multiply(alpha, g.weight))[..., None],
+                                    0.0)
+    else:
+        a = np.asarray(alpha, dtype=float)[..., None]
+        if not g.quad.is_diagonal:
+            mat = np.eye(g.quad.dim) + a[..., None] * g.quad.curvature
+            return np.linalg.solve(mat, (u - a * g.quad.linear)[..., None])[..., 0]
+        diag = np.diagonal(g.quad.curvature, axis1=-2, axis2=-1)
+        v = (u - a * g.quad.linear) / (1.0 + a * diag)
+    return v if g.box is None else np.clip(v, g.box.lower, g.box.upper)
+
+
+def _reference_end_terms(v, box, w=None) -> list:
+    """``v e - w |e|`` at each end ``e`` of ``box``, as one formula for the whole box: a box
+    with an infinite end takes ``(v - w sign(e)) e``, 0 where that coefficient is 0 or, at an
+    infinite end, within ``1e-12 (1 + |v| + w)`` on the side where the term grows."""
+    ends = (box.lower, box.upper)
+    if np.isfinite(box.lower).all() and np.isfinite(box.upper).all():
+        return [v * e if w is None else v * e - w * np.abs(e) for e in ends]
+    tol = _ZERO_ATOL * (1.0 + np.abs(v) + (0.0 if w is None else w))
+    terms = []
+    for e in ends:
+        c = v if w is None else v - w * np.sign(e)
+        grows = np.isinf(e) & (np.abs(c) <= tol) & (np.sign(c) == np.sign(e))
+        terms.append(np.multiply(c, e, out=np.zeros(c.shape), where=(c != 0) & ~grows))
+    return terms
+
+
+def reference_g_conjugate(g, v):
+    """``ProxFriendlyFunction.conjugate`` of one kind, as it was, with the tolerance at an
+    infinite box end."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if g.kind == "zero":
+        if g.box is not None:
+            val = np.maximum(*_reference_end_terms(v, g.box)).sum(axis=-1)
+        else:
+            scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
+            val = np.where((np.abs(v) <= _ZERO_ATOL * scale).all(axis=-1), 0.0, np.inf)
+    elif g.kind == "l1":
+        w = np.asarray(g.weight, dtype=float)[..., None]
+        if g.box is None:
+            val = np.where((np.abs(v) <= w + _ZERO_ATOL).all(axis=-1), 0.0, np.inf)
+        else:
+            cand = np.maximum(*_reference_end_terms(v, g.box, w))
+            inside = (g.box.lower <= 0) & (g.box.upper >= 0)
+            val = np.where(inside, np.maximum(cand, 0.0), cand).sum(axis=-1)
+    else:
+        x = reference_conjugate_argmax(SmoothConjugable(g.quad, g.box), v)
+        val = (v * x).sum(axis=-1) - reference_quadratic_value(g.quad, x)
+    return val if isinstance(val, np.ndarray) and val.ndim else float(val)
+
+
+def reference_g_argmax(g, v, ref=None) -> np.ndarray:
+    """``ProxFriendlyFunction.conjugate_argmax`` of one kind, as it was (``np.select``)."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if g.kind == "quadratic":
+        return reference_conjugate_argmax(SmoothConjugable(g.quad, g.box), v)
+    ref = np.zeros_like(v) if ref is None else np.atleast_1d(np.asarray(ref, dtype=float))
+    lo = g.box.lower if g.box is not None else -np.inf
+    hi = g.box.upper if g.box is not None else np.inf
+    if g.kind == "zero":
+        if g.box is not None:
+            scale = 1.0 + np.abs(v)
+            return np.where(v > _ZERO_ATOL * scale, hi,
+                            np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
+        scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)
+        if (np.abs(v) > _ZERO_ATOL * scale).any():
+            raise UnboundedConjugateError("support of all-space is unbounded")
+        return ref
+    w = np.asarray(g.weight, dtype=float)[..., None]
+    tol = _ZERO_ATOL * (1.0 + np.abs(v) + w)
+    above, below = v > w + tol, v < -w - tol
+    if (above & np.isinf(hi)).any():
+        raise UnboundedConjugateError("l1 support unbounded above")
+    if (below & np.isinf(lo)).any():
+        raise UnboundedConjugateError("l1 support unbounded below")
+    top = np.where(np.isinf(hi), np.maximum(ref, 0.0), hi)
+    bot = np.where(np.isinf(lo), np.minimum(ref, 0.0), lo)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower_wins = v * lo - w * np.abs(lo) >= v * hi - w * np.abs(hi)
+    endpoint = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
+    return np.select(
+        [above, below, (np.abs(v - w) <= tol) & (hi > 0), (np.abs(v + w) <= tol) & (lo < 0),
+         (lo <= 0.0) & (0.0 <= hi)],
+        [hi, lo, np.minimum(np.maximum(ref, np.maximum(lo, 0.0)), top),
+         np.maximum(np.minimum(ref, np.minimum(hi, 0.0)), bot), 0.0],
+        endpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import functools
+import importlib.util
 import json
 import operator
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +347,34 @@ def test_run_accepts_a_boxed_quadratic_with_a_huge_linear_cost(runner, tmp_path)
         res = runner.invoke(main, ["run", "--scenario", "market", "--iters", "50", "--out",
                                    str(tmp_path), "--overrides",
                                    _market_override("uc", 0, "vartheta", 1e200)])
+    assert res.exit_code == 0, res.output
+
+
+def _benchmark_mixed_path(n_agents, seed) -> dict:
+    """The benchmark's mixed path (``perfbench/pipeline.py``) as instance JSON."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_pipeline", Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.py")
+    pipeline = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(pipeline)
+    return instance_to_json(pipeline.mixed_instance(n_agents, seed))
+
+
+def test_a_run_near_an_infinite_box_end_is_not_read_as_diverged(runner, tmp_path):
+    # agent 3's l1 box given an infinite upper end: after a Moreau step its mu lay 5.55e-17
+    # past its weight, the conjugate there was +inf, and the run stopped at round 143 as
+    # "diverged"; it runs on, and its trace verifies
+    doc = _benchmark_mixed_path(8, 1)
+    doc["agents"][3]["g"]["params"]["box"]["upper"] = [float("inf")]
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--instance", str(tmp_path / "instance.json"),
+                                   "--mode", "async", "--delay", "4", "--schedule", "random:1",
+                                   "--iters", "300", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((tmp_path / "trace_meta.json").read_text())["stop_reason"] == "k_max"
+        res = runner.invoke(main, ["verify", "--trace", str(tmp_path / "trace.csv"),
+                                   "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
 
 

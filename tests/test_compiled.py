@@ -7,6 +7,7 @@ with ``M`` up to 9.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dualprox import (
     instance_to_json,
     lipschitz_constant,
 )
+from dualprox.convex import _G_KINDS
 from dualprox.engine import _round
 from dualprox.errors import UnboundedConjugateError
 from dualprox.model import _csr
@@ -43,7 +45,10 @@ from dense_reference import (
     dense_objective,
     dense_round,
     reference_csr,
-    reference_groups,
+    reference_g_argmax,
+    reference_g_conjugate,
+    reference_g_prox,
+    reference_group,
     reference_kind_groups,
     reference_with_box,
 )
@@ -232,12 +237,41 @@ def _same_groups(got, want):
         _same(fn, want_fn)
 
 
+def _g_row(g, k) -> tuple:
+    """Member ``k`` of a nonsmooth group as ``(code, weight, quadratic, box)``: the code is the
+    kind's index in ``_G_KINDS``, plus 3 with a box; the quadratic's fields and the box's
+    ends as bytes, ``None`` for a stand-in (curvature 1, linear 0, offset 0; ends -inf, inf)."""
+    code = (g.kind[k] if type(g.kind) is not str
+            else _G_KINDS.index(g.kind) + 3 * (g.box is not None))
+    quad = box = None
+    if g.quad is not None:
+        fields = [np.asarray(getattr(g.quad, name))[k]
+                  for name in ("curvature", "linear", "offset")]
+        free = [np.eye(fields[1].size), np.zeros(fields[1].size), np.float64(0.0)]
+        if code % 3 == 2 or any(f.tobytes() != e.tobytes() for f, e in zip(fields, free)):
+            quad = tuple(f.tobytes() for f in fields)
+    if g.box is not None and code >= 3:
+        box = (g.box.lower[k].tobytes(), g.box.upper[k].tobytes())
+    elif g.box is not None:
+        assert (np.isneginf(g.box.lower[k]).all() and np.isposinf(g.box.upper[k]).all())
+    return int(code), np.float64(np.asarray(g.weight)[k]).tobytes(), quad, box
+
+
 def _assert_g_groups_as_before(inst):
-    """``g_groups`` equals the grouping of every agent's g intersected with
-    its omega as ``with_box`` did it before it kept its own box."""
-    _same_groups(inst.compiled.g_groups,
-                 reference_groups([reference_with_box(a.g, a.omega) for a in inst.agents],
-                                  lambda g: (g.kind, g.box is None)))
+    """Every row of ``g_groups`` equals its agent's g intersected with its omega as
+    ``with_box`` did it before it kept its own box; one group holds every agent but the
+    dense quadratics, which have one of their own."""
+    seen = []
+    for idx, g in inst.compiled.g_groups:
+        agents = np.arange(inst.n_agents)[idx].tolist()
+        dense = {a.g.quad is not None and not a.g.quad.is_diagonal
+                 for a in (inst.agents[i] for i in agents)}
+        assert len(dense) == 1
+        for k, i in enumerate(agents):
+            want = reference_with_box(inst.agents[i].g, inst.agents[i].omega)
+            assert _g_row(g, k) == _g_row(reference_group([want]), 0), (i, k)
+        seen += agents
+    assert sorted(seen) == list(range(inst.n_agents)) and len(inst.compiled.g_groups) <= 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,6 +288,133 @@ def test_market_g_groups_match_the_intersected_boxes():
     assert not any(a.g.box is a.omega for a in loaded.agents)
     for inst in (market, loaded):
         _assert_g_groups_as_before(inst)
+
+
+def _edge_box(draw, rng, M):
+    """A box whose components each have finite ends, an infinite end or two, or lo = hi."""
+    lo, hi = -rng.uniform(0.1, 5.0, M), rng.uniform(0.1, 5.0, M)
+    for m in range(M):
+        how = draw(st.sampled_from(["finite", "finite", "lo inf", "hi inf", "both inf",
+                                    "point", "off zero"]))
+        if how in ("lo inf", "both inf"):
+            lo[m] = -np.inf
+        if how in ("hi inf", "both inf"):
+            hi[m] = np.inf
+        if how == "point":
+            lo[m] = hi[m]
+        if how == "off zero":
+            lo[m] = hi[m] - rng.uniform(0.1, 2.0)
+    return BoxSet(lo, hi)
+
+
+@st.composite
+def nonsmooth_members(draw):
+    """``(instance, rng)``: up to 7 agents of every nonsmooth kind, each with or without an
+    omega, boxes with infinite ends and lo = hi, l1 weights that may be 0, and for ``M = 2``
+    dense quadratics without a box."""
+    n, M = draw(st.integers(1, 7)), draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    agents = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(G_KINDS + (("dense",) if M == 2 else ())))
+        w = draw(st.sampled_from([0.0, float(rng.uniform(0.1, 2.0))]))
+        quad = QuadraticFunction(rng.uniform(0.2, 3.0, M), rng.uniform(-1, 1, M),
+                                 rng.uniform(-1, 1))
+        if kind == "dense":
+            R = rng.normal(size=(M, M))
+            g = ProxFriendlyFunction.quadratic(QuadraticFunction(R @ R.T + M * np.eye(M),
+                                                                 rng.uniform(-1, 1, M)))
+        else:
+            box = _edge_box(draw, rng, M) if kind.endswith("box") else None
+            g = {"zero": ProxFriendlyFunction.zero(), "l1": ProxFriendlyFunction.l1(w),
+                 "indicator_box": ProxFriendlyFunction.indicator_box(box),
+                 "l1_plus_box": ProxFriendlyFunction.l1_plus_box(w, box),
+                 "quadratic": ProxFriendlyFunction.quadratic(quad),
+                 "quadratic_box": ProxFriendlyFunction.quadratic(quad, box)}[kind]
+        omega = None if kind == "dense" or draw(st.booleans()) else _edge_box(draw, rng, M)
+        if omega is not None and g.box is not None and (
+                np.maximum(g.box.lower, omega.lower) > np.minimum(g.box.upper, omega.upper)).any():
+            omega = None  # they do not meet
+        agents.append(AgentSpec(SmoothConjugable(QuadraticFunction(np.ones(M), np.zeros(M))),
+                                g, omega))
+    inst = ProblemInstance(Topology.path(n), agents, M, 1, range(n), range(n), np.ones((n, 1, M)),
+                           np.zeros((n, 1)))
+    return inst, rng
+
+
+def _near_kinks(rng, shape, weights):
+    """Points near where the conjugates and argmaxes change branch: 0, -0.0, an l1 weight,
+    within 1e-12 of it, and ordinary values."""
+    w = np.broadcast_to(weights, shape)
+    choices = [rng.uniform(-3, 3, shape), np.zeros(shape), np.full(shape, -0.0),
+               w, -w, w + rng.uniform(0, 2e-12, shape), -w - rng.uniform(0, 2e-12, shape),
+               rng.uniform(-2e-12, 2e-12, shape)]
+    pick = rng.integers(0, len(choices), shape)
+    return np.choose(pick, choices)
+
+
+def _row_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except UnboundedConjugateError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonsmooth_members(), st.integers(1, 4))
+def test_every_row_of_the_nonsmooth_group_is_its_agents_own(case, K):
+    # prox, conjugate (one vector and a stack) and argmax of the compiled groups, row by row,
+    # bitwise against the agent's own g in its omega, which the per-kind kernels check in turn;
+    # an argmax that is unbounded for one agent raises the same error for its group
+    inst, rng = case
+    N, M = inst.n_agents, inst.M
+    weights = np.array([a.g.weight for a in inst.agents])[:, None]
+    u, ref = rng.uniform(-5, 5, (N, M)), rng.uniform(-5, 5, (N, M))
+    v, vs = _near_kinks(rng, (N, M), weights), _near_kinks(rng, (K, N, M), weights)
+    alpha = rng.uniform(0.05, 5.0, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for idx, g in inst.compiled.g_groups:
+            agents = np.arange(N)[idx]
+            prox = g.prox(u[agents], alpha[agents])
+            conj, conjs = g.conjugate(v[agents]), g.conjugate(vs[:, agents])
+            own = [inst.agents[i].g.with_box(inst.agents[i].omega) for i in agents]
+            rows = [_row_or_error(o.conjugate_argmax, v[i], ref[i]) for o, i in zip(own, agents)]
+            errors = {r for r in rows if isinstance(r, type)}
+            if errors:
+                with pytest.raises(tuple(errors)):
+                    g.conjugate_argmax(v[agents], ref[agents])
+            else:
+                argmax = g.conjugate_argmax(v[agents], ref[agents])
+            for k, (o, i) in enumerate(zip(own, agents)):
+                for got, want, ref_want in (
+                        (prox[k], o.prox(u[i], alpha[i]), reference_g_prox(o, u[i], alpha[i])),
+                        (conj[k], o.conjugate(v[i]), reference_g_conjugate(o, v[i])),
+                        *((conjs[j, k], o.conjugate(vs[j, i]), reference_g_conjugate(o, vs[j, i]))
+                          for j in range(K))):
+                    assert _bits(got) == _bits(want) == _bits(ref_want), (i, got, want, ref_want)
+                want = _row_or_error(reference_g_argmax, o, v[i], ref[i])
+                if isinstance(rows[k], type):
+                    assert want is rows[k]
+                else:
+                    assert _bits(rows[k]) == _bits(want), i
+                    assert errors or _bits(argmax[k]) == _bits(rows[k]), i
+
+
+def test_a_group_row_does_not_depend_on_the_other_members_boxes():
+    # a finite box beside one with an infinite end: the group took the infinite-end formula
+    # for both, and agent 0's conjugate, so Q, differed from its own in the last bits
+    f = SmoothConjugable(QuadraticFunction(1.0, [0.0]))
+    g0 = ProxFriendlyFunction.l1_plus_box(1.486043465869597,
+                                          BoxSet([-4.681854876560064], [4.097682415195508]))
+    g1 = ProxFriendlyFunction.l1_plus_box(1.0, BoxSet([-1.0], [np.inf]))
+    inst = ProblemInstance(Topology.path(2), [AgentSpec(f, g0, None), AgentSpec(f, g1, None)],
+                           1, 1, [0, 1], [0, 1], np.ones((2, 1, 1)), np.zeros((2, 1)))
+    mu = np.array([[2.1444256595254156], [0.0]])
+    (_, g), = inst.compiled.g_groups
+    assert _bits(g.conjugate(mu)) == _bits([g0.conjugate(mu[0]), g1.conjugate(mu[1])])
+    q = dual_objective(inst, np.concatenate([[0.0, 0.0], mu.ravel()])).q_part
+    assert _bits(q) == _bits(0.0 + g0.conjugate(mu[0]) + g1.conjugate(mu[1]))
 
 
 def _signed_zero_boxes(M, zero_first):
@@ -288,14 +449,14 @@ def grouped_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(grouped_instances())
 def test_instance_groups_match_the_per_agent_compile(inst):
-    f_groups, g_groups, sigma = reference_kind_groups(inst)
+    f_groups, _, sigma = reference_kind_groups(inst)
     assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
     assert inst.compiled.sigma is inst.sigma
     assert all(f.dim == inst.M for _, f in inst.f_groups)
     assert all(dims == (inst.M,) * 3 for dims, _, _ in inst._g_members)
     _same_groups(inst.f_groups, f_groups)
     assert inst.compiled.f_groups is inst.f_groups  # checked when compiled, not rebuilt
-    _same_groups(inst.compiled.g_groups, g_groups)
+    _assert_g_groups_as_before(inst)
 
 
 @st.composite

@@ -57,6 +57,32 @@ def test_l1_rejects_a_negative_weight():
         ProxFriendlyFunction.l1_plus_box(-1.0, BoxSet([0.0], [1.0]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ProxFriendlyFunction.l1(float("nan")),
+    lambda: ProxFriendlyFunction.l1_plus_box(float("nan"), BoxSet([0.0], [1.0])),
+    lambda: BoxSet([float("nan")], [1.0]),
+    lambda: BoxSet([0.0, 0.0], [1.0, float("nan")]),
+])
+def test_nan_is_refused_by_the_constructors(make):
+    # NaN passed ``weight < 0`` and ``lower > upper``; a path with it ended in an infinite
+    # Psi(lam(0)) or stopped "nonfinite" after one round, naming no agent
+    with pytest.raises(ValueError, match="l1 weight must be nonnegative|lower <= upper"):
+        make()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_coefficient_near_0_at_an_infinite_box_end_counts_as_0(sign):
+    # a Moreau step leaves mu a few ulps past the l1 weight (or past 0 for an indicator); at
+    # an infinite end (mu - w) * inf was +inf, and a converging run was read as diverged
+    w = 0.33608200639766456
+    l1 = ProxFriendlyFunction.l1_plus_box(w, BoxSet(*sorted([sign * -8.0, sign * np.inf])))
+    indicator = ProxFriendlyFunction.indicator_box(BoxSet(*sorted([0.0, sign * np.inf])))
+    for g, edge in ((l1, w), (indicator, 0.0)):
+        assert g.conjugate([sign * (edge + 5.55e-17)]) == 0.0
+        assert g.conjugate([sign * (edge + 1e-9)]) == np.inf
+    assert l1.conjugate([sign * w]) == 0.0
+
+
 def test_prox_l1_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         ProxFriendlyFunction.l1().prox([1.0], 0.0)

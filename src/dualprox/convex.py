@@ -450,7 +450,7 @@ class ProxFriendlyFunction:
         for formula, rows in self._parts[1].items():
             if formula == 0:  # no box: 0 where each |v| is within a tolerance (plus an l1 weight)
                 a, kinds = np.abs(v), self._parts[0]
-                bound = self._w + _ZERO_ATOL if 1 in kinds else None
+                bound = self._w + _ZERO_ATOL * (1.0 + a + self._w) if 1 in kinds else None
                 if 0 in kinds:  # zero's tolerance scales with v
                     zero = _ZERO_ATOL * (1.0 + a.max(axis=-1, keepdims=True))
                     bound = zero if bound is None else np.where(kinds[1], bound, zero)
@@ -502,10 +502,13 @@ class ProxFriendlyFunction:
                 piece = _l1_argmax(v, self._w, lo, hi, ref, rows)
             elif formula == 2:
                 piece = conjugate_argmax(self._smooth, v)
-            else:
-                scale = 1.0 + np.abs(v)
-                piece = np.where(v > _ZERO_ATOL * scale, hi,
-                                 np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
+            else:  # zero in a box: unbounded where v points past an infinite end
+                tol = _ZERO_ATOL * (1.0 + np.abs(v))
+                above, below = v > tol, v < -tol
+                past = (above & np.isinf(hi)) | (below & np.isinf(lo))
+                if (past & (True if rows is None else rows)).any():
+                    raise UnboundedConjugateError("box support unbounded")
+                piece = np.where(above, hi, np.where(below, lo, np.clip(ref, lo, hi)))
             x = piece if x is None else np.where(rows, piece, x)
         return x
 

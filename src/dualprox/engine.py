@@ -9,13 +9,14 @@ every agent takes a gradient step in ``theta`` and a proximal step in ``mu``
 round function serves both modes: ``u = C lam``, the argmax of each smooth
 kind group, ``b - A x_hat``, the ``theta`` step and the prox of the one
 nonsmooth group (dense quadratics have a second), written into one new dual
-vector.  Each agent sums its coupling terms in ascending agent id, so traces
-are bitwise reproducible.  On a few scalar agents a round costs numpy calls,
-not arithmetic: each group binds what does not depend on the round once, on
-first use (see :mod:`dualprox.convex`), and the nonsmooth group evaluates
-every kind present in one call.  :func:`run` leaves the ``x_hat`` of its
-last iterate on the instance, and :func:`recover_primal` reuses it when
-called at a bytewise equal ``lam``.
+vector; each operator is a member of the instance, built on first use.
+Each agent sums its coupling terms in ascending agent id, so traces are
+bitwise reproducible.  On a few scalar agents a round costs numpy calls,
+not arithmetic: each group binds what does not depend on the round once,
+on first use (see :mod:`dualprox.convex`), and the nonsmooth group
+evaluates every kind present in one call.  :func:`run` leaves the ``x_hat``
+of its last iterate on the instance (``last_x_hat``), and
+:func:`recover_primal` reuses it when called at a bytewise equal ``lam``.
 
 A round reads an iterate up to ``D`` rounds old, so :func:`run` evaluates
 ``Psi`` and ``x_hat`` of an iterate when a round first reads it, with every
@@ -156,7 +157,7 @@ class DelaySchedule:
 def _maximizers(instance: ProblemInstance, u: np.ndarray) -> np.ndarray:
     """Every agent's conjugate argmax of its smooth part at ``u_i``, stacked."""
     x_hat = np.empty_like(u)
-    for idx, f in instance.compiled.f_groups:
+    for idx, f in instance.f_groups:
         idx = idx if u.ndim == 2 else (slice(None), idx)  # a stack's group
         x_hat[idx] = conjugate_argmax(f, u[idx])
     return x_hat
@@ -169,25 +170,23 @@ def grad_P_block(instance: ProblemInstance, x_hat: np.ndarray):
     nonzero blocks, subtracted in ascending ``l``, shaped ``(N, B)``;
     ``grad_mu_i = -x_hat_i``.
     """
-    comp = instance.compiled
-    rows, cols, vals = comp.A
-    grad_theta = comp.b.copy()
-    np.subtract.at(grad_theta, rows, vals * x_hat.ravel()[cols])
-    return grad_theta.reshape(comp.n_agents, comp.B), -x_hat
+    rows, cols, vals = instance.A
+    grad_theta = instance.rhs.copy()
+    np.subtract.at(grad_theta.ravel(), rows, vals * x_hat.ravel()[cols])  # through a view
+    return grad_theta, -x_hat
 
 
 def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
            steps: StepSizes) -> np.ndarray:
     """One round from the snapshot maximizers ``x_hat``, anchored at ``lam``."""
-    comp = instance.compiled
-    theta, mu = comp.split(lam)
+    theta, mu = instance.split(lam)
     g_theta, g_mu = grad_P_block(instance, x_hat)
     c = steps.values[:, None]
     lam_next = np.empty_like(lam)
-    theta_next, mu_next = comp.split(lam_next)
+    theta_next, mu_next = instance.split(lam_next)
     np.subtract(theta, c * g_theta, out=theta_next)
     v = mu - c * g_mu
-    for idx, g in comp.g_groups:
+    for idx, g in instance.g_groups:
         mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], steps.values[idx])
     return lam_next
 
@@ -215,22 +214,21 @@ def dual_objective(instance: ProblemInstance, lam: np.ndarray) -> DualObjective:
     :class:`~dualprox.errors.UnboundedConjugateError` from the argmax.
     A stack ``(K, dual_dim)`` gives per-row fields, bitwise each row's own.
     """
-    comp = instance.compiled
-    theta, mu = comp.split(lam)
+    theta, mu = instance.split(lam)
     u = apply_C(instance, lam)
     x_hat = _maximizers(instance, u)
     f_val = np.empty(u.shape[:-1])
-    for idx, f in comp.f_groups:
+    for idx, f in instance.f_groups:
         idx = idx if u.ndim == 2 else (slice(None), idx)
         f_val[idx] = f.value(x_hat[idx])
     q_val = np.empty(u.shape[:-1])
-    for idx, g in comp.g_groups:
+    for idx, g in instance.g_groups:
         idx = idx if u.ndim == 2 else (slice(None), idx)
         q_val[idx] = g.conjugate(mu[idx])
     # P's terms in the order they are added: per agent, u_i'x_i - f_i(x_i), b_i'theta_i
-    p_terms = np.empty(lam.shape[:-1] + (2 * comp.n_agents,))
+    p_terms = np.empty(lam.shape[:-1] + (2 * instance.n_agents,))
     p_terms[..., 0::2] = (u * x_hat).sum(axis=-1) - f_val
-    p_terms[..., 1::2] = (comp.b.reshape(theta.shape[-2:]) * theta).sum(axis=-1)
+    p_terms[..., 1::2] = (instance.rhs * theta).sum(axis=-1)
     p_part = sum_in_order(p_terms)
     q_part = sum_in_order(q_val)
     return DualObjective(p_part + q_part, p_part, q_part, x_hat)
@@ -254,16 +252,15 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
     last :func:`run` on this instance, as ``trace.lam[-1]`` is, the run's
     ``x_hat`` there is reused.
     """
-    comp = instance.compiled
     lam = np.asarray(lam, dtype=float)
-    _, mu = comp.split(lam)
-    key, last = comp.last_x_hat
+    _, mu = instance.split(lam)
+    key, last = instance.last_x_hat
     if key == lam.tobytes():
         x_hat = last.copy()
     else:
         x_hat = _maximizers(instance, apply_C(instance, lam))
     z_hat = np.empty_like(x_hat)
-    for idx, g in comp.g_groups:
+    for idx, g in instance.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
     with np.errstate(over="ignore"):  # huge points: the mismatch is inf
         mismatch = math.sqrt(sum_in_order(((x_hat - z_hat) ** 2).sum(axis=1)))
@@ -493,7 +490,7 @@ def run(instance: ProblemInstance, mode: str = "sync",
     if not np.isfinite(obj.psi):
         raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
 
-    n_msgs = instance.compiled.n_messages
+    n_msgs = instance.n_messages
     trace = IterationTrace(instance.n_agents, instance.B, instance.M,
                            psi_star if psi_star is not None else float("nan"))
     trace.meta = {
@@ -547,8 +544,8 @@ def run(instance: ProblemInstance, mode: str = "sync",
 
     trace.meta["stop_reason"] = stop_reason
     if stop_reason != "nonfinite":
-        instance.compiled.last_x_hat = (trace.lam[-1].tobytes(),
-                                        xhat_cache[trace.n_records - 1].copy())
+        object.__setattr__(instance, "last_x_hat", (trace.lam[-1].tobytes(),
+                                                    xhat_cache[trace.n_records - 1].copy()))
     if psi_star is None:
         psi = np.asarray(trace.psi)
         trace.psi_star = float(np.min(psi[np.isfinite(psi)]))

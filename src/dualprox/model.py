@@ -5,9 +5,10 @@ global affine coupling constraint as per-neighbour column blocks; an
 instance keeps all agents' blocks in one table sorted by ``(owner, l)``.
 The row map ``C_i`` acts on the stacked dual vector
 ``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance groups its agents
-by catalog kind when it is built and is compiled once, on first use, into
-flat entry arrays of ``C`` and ``A``, so a dual operator costs a few numpy
-calls over the nonzeros and the groups instead of a loop over agents.
+by catalog kind when it is built, and compiles its operators into its own
+members once, on first use: flat entry arrays of ``C`` and ``A`` and the
+checked groups, so a dual operator costs a few numpy calls over the
+nonzeros and the groups instead of a loop over agents.
 """
 
 from __future__ import annotations
@@ -130,7 +131,14 @@ class ProblemInstance:
     ``x_l`` in agent ``owner[k]``'s rows, and ``rhs[i]`` is ``b^(i)``;
     absent pairs are zero blocks.  The table is kept sorted by
     ``(owner, l)``.  The agents are grouped by kind when it is built (see
-    :func:`_kind_groups`); the groups' constants are checked when it is compiled.
+    :func:`_kind_groups`).
+
+    The operators a round reads are members built on first use: ``C`` and ``A`` as CSR
+    entry arrays ``(rows, cols, vals)``, each row's entries in ascending column, so a row
+    adds its agents in ascending id; ``f_groups`` and ``g_groups``, the kind groups as
+    ``(agents, function)``, each g stacked, their constants checked; ``lipschitz``.  The
+    only mutable state is ``last_x_hat``, the last run's final ``x_hat`` keyed by the bytes
+    of its ``lam`` for primal recovery, and :func:`apply_C`'s rows of ``C`` per stack size.
     """
 
     topology: Topology
@@ -169,13 +177,14 @@ class ProblemInstance:
             raise ValueError(f"agent {bad.argmax()}: rhs is not finite")
         agents = tuple(self.agents)
         f_groups, g_members, sigma, g_table = _kind_groups(agents, M)
-        # whether each block's l is its owner or a neighbour; validation and compiling read it
+        # whether each block's l is its owner or a neighbour; validation and the operators read it
         in_nbhd = self.topology.in_closed_neighbourhood(owner, l)
         for value in (owner, l, blocks, rhs, sigma, in_nbhd):
             value.flags.writeable = False
         self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
-                             f_groups=f_groups, _g_members=g_members, _g_table=g_table,
-                             _in_neighbourhood=in_nbhd)
+                             _f_groups=f_groups, _g_members=g_members, _g_table=g_table,
+                             _in_neighbourhood=in_nbhd, last_x_hat=(None, None),
+                             _stacked_C_rows={})
 
     @property
     def n_agents(self) -> int:
@@ -185,14 +194,131 @@ class ProblemInstance:
     def dual_dim(self) -> int:
         return self.n_agents * (self.B + self.M)
 
+    def split(self, lam: np.ndarray):
+        """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``;
+        a stack of ``K`` gives ``(K, N, B)`` and ``(K, N, M)``."""
+        N, n = self.n_agents, self.n_agents * self.B
+        if lam.ndim == 1:
+            return lam[:n].reshape(N, self.B), lam[n:].reshape(N, self.M)
+        return lam[:, :n].reshape(-1, N, self.B), lam[:, n:].reshape(-1, N, self.M)
+
     @cached_property
-    def compiled(self) -> "CompiledInstance":
-        """The instance's operators and catalog groups, built on first use."""
-        return CompiledInstance(self)
+    def C(self) -> tuple:
+        """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
+        holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
+        ``theta``."""
+        keep = self._in_neighbourhood  # the blocks A_l^(i) with l in agent i's closed neighbourhood
+        owner, l, blocks = self.owner[keep], self.l[keep], self.blocks[keep]
+        by_key = np.argsort(l, kind="stable")
+        rows, cols, vals = _csr(l[by_key], owner[by_key], blocks[by_key].transpose(0, 2, 1))
+        return rows, cols, -vals
+
+    @cached_property
+    def _nonzero(self) -> np.ndarray:
+        """The nonzero blocks in their owner's closed neighbourhood."""
+        return self.blocks.any(axis=(1, 2)) & self._in_neighbourhood
+
+    @cached_property
+    def A(self) -> tuple:
+        """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
+        ``l*M + m`` of the stacked ``x``."""
+        return _csr(self.owner[self._nonzero], self.l[self._nonzero], self.blocks[self._nonzero])
+
+    @cached_property
+    def n_messages(self) -> int:
+        """Neighbour maximizers a round reads, over all agents."""
+        return int(np.count_nonzero(self._nonzero & (self.owner != self.l)))
+
+    @cached_property
+    def f_groups(self) -> tuple:
+        """The smooth groups of :func:`_kind_groups`, once their constants are checked."""
+        return _checked_groups("f", self._f_groups, self.n_agents)
+
+    @cached_property
+    def g_groups(self) -> tuple:
+        """One group of every g but the dense quadratics, which need a solve and have a
+        group of their own (see :func:`convex.nonsmooth_group`)."""
+        return _checked_groups("g", [(idx, nonsmooth_group(*members, self.M))
+                                     for _, idx, members in self._g_members], self.n_agents)
+
+    def _compact_row_maps(self):
+        """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
+        restricted to its nonzero columns, one stack per shape.
+
+        Column 0 of the full map is kept in front, zero or not: LAPACK's
+        first Householder step treats the leading entry apart, and with it
+        in place the singular values of ``M = 1`` maps equal the full maps'
+        bit for bit.
+        """
+        N, M = self.n_agents, self.M
+        rows, cols, vals = self.C
+        # an agent's M rows share its n columns (its blocks are dense), so its
+        # entries are one (M, n) run of the CSR arrays
+        row_len = np.bincount(rows, minlength=N * M)
+        start = (np.cumsum(row_len) - row_len)[::M]
+        n_cols = row_len[::M]
+        lead = np.ones(N, dtype=np.intp)  # 1 where column 0 is not among them
+        lead[rows[cols == 0] // M] = 0
+        diag = np.arange(M)
+        for ld, n in sorted(set(zip(lead.tolist(), n_cols.tolist()))):
+            agents = np.flatnonzero((lead == ld) & (n_cols == n))
+            S = np.zeros((agents.size, M, ld + n + M))
+            entries = vals[start[agents, None] + np.arange(M * n)]
+            S[:, :, ld:ld + n] = entries.reshape(agents.size, M, n)
+            S[:, diag, ld + n + diag] = -1.0  # -I on mu_i, the last columns
+            yield agents, S
+
+    @cached_property
+    def lipschitz(self):
+        """``(h, per_agent)`` with ``per_agent[i] = ||C_i||^2 / sigma_i`` and
+        ``h`` their sum in agent order."""
+        norms = np.empty(self.n_agents)
+        for idx, S in self._compact_row_maps():
+            norms[idx] = np.linalg.svd(S, compute_uv=False)[:, 0]
+        # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in
+        # the last bit now and then
+        with np.errstate(all="ignore"):  # sigma_i <= 0, or so small the ratio overflows
+            per_agent = np.float_power(norms, 2) / self.sigma
+        bad = np.flatnonzero((self.sigma <= 0) | ~np.isfinite(per_agent))
+        if bad.size:
+            i = int(bad[0])
+            raise SingularScaleError(f"agent {i}: curvature {self.sigma[i]} gives "
+                                     f"||C_i||^2 / sigma_i = {per_agent[i]}")
+        return sum_in_order(per_agent), per_agent
+
+
+    @cached_property
+    def _digest(self) -> str:
+        """What :func:`instance_hash` returns, computed on first use."""
+        fields = [_field("NMB", (self.n_agents, self.M, self.B), "<i8"),
+                  _field("edges", self.topology.edges.ravel())]  # <f8, as recorded digests were
+        table, by_kind, boxes = self._g_table
+        fields.append(_field("agents", table, "<i8"))
+        members = np.arange(self.n_agents)
+        for idx, f in self._f_groups:
+            base, domain = f.base, f.effective_domain
+            quadratic = isinstance(base, QuadraticFunction)
+            tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
+            fields.append(_field(tag, members[idx], "<i8"))
+            params = ((base.curvature, base.linear, base.offset) if quadratic
+                      else (base.price, base.curvature))
+            fields += [_field(tag, p) for p in params]
+            if domain is not None:
+                fields.append(_field(tag, (domain.lower, domain.upper)))
+            fields.append(_field(tag, f.strong_convexity))
+        fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
+        fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
+                   for name in ("curvature", "linear", "offset")]
+        fields += [_field("boxes", [(b.lower, b.upper) for b in boxes]),
+                   _field("blocks", self.owner, "<i8"),
+                   _field("blocks", self.l, "<i8"),
+                   _field("blocks", self.blocks),
+                   _field("rhs", self.rhs.ravel())]
+        return hashlib.sha256(b"".join(fields)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# the compiled instance and the structured dual operators
+# the structured dual operators
 # ---------------------------------------------------------------------------
 
 
@@ -309,124 +435,6 @@ def _checked_groups(part: str, groups, n_agents: int) -> tuple:
     return tuple(groups)
 
 
-class CompiledInstance:
-    """The operators of a :class:`ProblemInstance` as flat arrays, built once.
-
-    ``C`` and ``A`` hold CSR entry arrays ``(rows, cols, vals)``, each row's
-    entries in ascending column, so a row accumulates its agents in
-    ascending id.  ``f_groups`` and ``g_groups`` are the instance's kind groups
-    as ``(agents, function)``, each g stacked, their constants checked;
-    ``lipschitz`` is the smoothness constant; each part is built on first use.
-    """
-
-    def __init__(self, instance: "ProblemInstance"):
-        N, M, B = instance.n_agents, instance.M, instance.B
-        self.n_agents, self.M, self.B = N, M, B
-        self.n_theta = N * B
-        self._f_groups, self._g_members = instance.f_groups, instance._g_members
-        # the blocks A_l^(i) with l in agent i's closed neighbourhood, by (i, l)
-        keep = instance._in_neighbourhood
-        self._owner, self._l = instance.owner[keep], instance.l[keep]
-        self._blocks = instance.blocks[keep]
-        self.b = instance.rhs.ravel()
-        self.sigma = instance.sigma
-        # (bytes of lam, x_hat) at the last iterate of the last run, which
-        # primal recovery at the same lam reuses; x_hat is a private copy
-        self.last_x_hat = (None, None)
-        self.digest = None  # instance_hash, once computed
-        self._stacked_C_rows = {}  # K -> the rows of C's entries in a flat stack of K
-
-    def split(self, lam: np.ndarray):
-        """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``;
-        a stack of ``K`` gives ``(K, N, B)`` and ``(K, N, M)``."""
-        n, N = self.n_theta, self.n_agents
-        if lam.ndim == 1:
-            return lam[:n].reshape(N, self.B), lam[n:].reshape(N, self.M)
-        return lam[:, :n].reshape(-1, N, self.B), lam[:, n:].reshape(-1, N, self.M)
-
-    @cached_property
-    def C(self) -> tuple:
-        """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
-        holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
-        ``theta``."""
-        by_key = np.argsort(self._l, kind="stable")
-        rows, cols, vals = _csr(self._l[by_key], self._owner[by_key],
-                                self._blocks[by_key].transpose(0, 2, 1))
-        return rows, cols, -vals
-
-    @cached_property
-    def _nonzero(self) -> np.ndarray:
-        return self._blocks.any(axis=(1, 2))
-
-    @cached_property
-    def A(self) -> tuple:
-        """The nonzero blocks: row ``i*B + b`` holds ``A_l^(i)`` at column
-        ``l*M + m`` of the stacked ``x``."""
-        return _csr(self._owner[self._nonzero], self._l[self._nonzero],
-                    self._blocks[self._nonzero])
-
-    @cached_property
-    def n_messages(self) -> int:
-        """Neighbour maximizers a round reads, over all agents."""
-        return int(np.count_nonzero(self._nonzero & (self._owner != self._l)))
-
-    @cached_property
-    def f_groups(self) -> tuple:
-        return _checked_groups("f", self._f_groups, self.n_agents)
-
-    @cached_property
-    def g_groups(self) -> tuple:
-        """One group of every g but the dense quadratics, which need a solve and have a
-        group of their own (see :func:`convex.nonsmooth_group`)."""
-        return _checked_groups("g", [(idx, nonsmooth_group(*members, self.M))
-                                     for _, idx, members in self._g_members], self.n_agents)
-
-    def _compact_row_maps(self):
-        """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
-        restricted to its nonzero columns, one stack per shape.
-
-        Column 0 of the full map is kept in front, zero or not: LAPACK's
-        first Householder step treats the leading entry apart, and with it
-        in place the singular values of ``M = 1`` maps equal the full maps'
-        bit for bit.
-        """
-        N, M = self.n_agents, self.M
-        rows, cols, vals = self.C
-        # an agent's M rows share its n columns (its blocks are dense), so its
-        # entries are one (M, n) run of the CSR arrays
-        row_len = np.bincount(rows, minlength=N * M)
-        start = (np.cumsum(row_len) - row_len)[::M]
-        n_cols = row_len[::M]
-        lead = np.ones(N, dtype=np.intp)  # 1 where column 0 is not among them
-        lead[rows[cols == 0] // M] = 0
-        diag = np.arange(M)
-        for ld, n in sorted(set(zip(lead.tolist(), n_cols.tolist()))):
-            agents = np.flatnonzero((lead == ld) & (n_cols == n))
-            S = np.zeros((agents.size, M, ld + n + M))
-            entries = vals[start[agents, None] + np.arange(M * n)]
-            S[:, :, ld:ld + n] = entries.reshape(agents.size, M, n)
-            S[:, diag, ld + n + diag] = -1.0  # -I on mu_i, the last columns
-            yield agents, S
-
-    @cached_property
-    def lipschitz(self):
-        """``(h, per_agent)`` with ``per_agent[i] = ||C_i||^2 / sigma_i`` and
-        ``h`` their sum in agent order."""
-        norms = np.empty(self.n_agents)
-        for idx, S in self._compact_row_maps():
-            norms[idx] = np.linalg.svd(S, compute_uv=False)[:, 0]
-        # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in
-        # the last bit now and then
-        with np.errstate(all="ignore"):  # sigma_i <= 0, or so small the ratio overflows
-            per_agent = np.float_power(norms, 2) / self.sigma
-        bad = np.flatnonzero((self.sigma <= 0) | ~np.isfinite(per_agent))
-        if bad.size:
-            i = int(bad[0])
-            raise SingularScaleError(f"agent {i}: curvature {self.sigma[i]} gives "
-                                     f"||C_i||^2 / sigma_i = {per_agent[i]}")
-        return sum_in_order(per_agent), per_agent
-
-
 def apply_C(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
     """Every agent's ``C_i lam = -mu_i - sum_l (A_i^(l))' theta_l``, stacked ``(N, M)``,
     or ``(K, N, M)`` for a stack of ``K`` dual vectors.
@@ -434,17 +442,17 @@ def apply_C(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
     Each row starts at ``-mu_i`` and adds its terms in ascending ``l``; a
     stack's rows are added in one pass over the flattened stack.
     """
-    comp = instance.compiled
-    rows, cols, vals = comp.C
+    rows, cols, vals = instance.C
+    N, M = instance.n_agents, instance.M
     if lam.ndim == 1:
-        u = -lam[comp.n_theta:]
+        u = -lam[N * instance.B:]
         np.add.at(u, rows, vals * lam[cols])
-        return u.reshape(comp.n_agents, comp.M)
-    u, K = np.negative(lam[:, comp.n_theta:], order="C"), len(lam)  # u.reshape(-1): a view
-    if K not in comp._stacked_C_rows:
-        comp._stacked_C_rows[K] = (rows + u.shape[1] * np.arange(K)[:, None]).ravel()
-    np.add.at(u.reshape(-1), comp._stacked_C_rows[K], (vals * lam[:, cols]).ravel())
-    return u.reshape(K, comp.n_agents, comp.M)
+        return u.reshape(N, M)
+    u, K = np.negative(lam[:, N * instance.B:], order="C"), len(lam)  # u.reshape(-1): a view
+    if K not in instance._stacked_C_rows:
+        instance._stacked_C_rows[K] = (rows + u.shape[1] * np.arange(K)[:, None]).ravel()
+    np.add.at(u.reshape(-1), instance._stacked_C_rows[K], (vals * lam[:, cols]).ravel())
+    return u.reshape(K, N, M)
 
 
 def lipschitz_constant(instance: ProblemInstance):
@@ -454,7 +462,7 @@ def lipschitz_constant(instance: ProblemInstance):
     with the spectral norm of the row map.  It is computed once per
     instance, with one batched SVD per shape of the compact row maps.
     """
-    h, per_agent = instance.compiled.lipschitz
+    h, per_agent = instance.lipschitz
     return h, per_agent.copy()
 
 
@@ -512,7 +520,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
 
     M, agents = instance.M, np.arange(instance.n_agents)
     # (agents, part, dim) of each group: part 0 the smooth part, 1-3 g's quadratic, box and omega
-    dims = [(idx, 0, f.dim) for idx, f in instance.f_groups] + [
+    dims = [(idx, 0, f.dim) for idx, f in instance._f_groups] + [
         (idx, k, d) for ds, idx, _ in instance._g_members for k, d in enumerate(ds, start=1)]
     parts = ("smooth part", "nonsmooth part", "nonsmooth part", "omega")
     dim_issues = dict.fromkeys(msg for *_, msg in sorted(  # by agent, then part; as an ordered set
@@ -714,40 +722,12 @@ def instance_hash(instance: ProblemInstance) -> str:
     Each field is one stacked array behind a kind or presence tag:
     ``(N, M, B)`` and the sorted edges; per agent its position, nonsmooth
     kind and whether it has a nonsmooth box and an ``omega``; each
-    smooth-part group of :attr:`ProblemInstance.f_groups` (kind, domain
-    presence, members, parameters, domain bounds and strong convexity);
+    smooth-part group of :func:`_kind_groups` (kind, domain presence,
+    members, parameters, domain bounds and strong convexity);
     the l1 weights, the nonsmooth quadratics' parameters and the boxes
     present (per agent the nonsmooth box, then ``omega``); the block
     table's owners, ``l`` and values, and the rhs.  The fields are joined
     into one buffer and hashed once per instance, on first use.  The same
     instance gives the same digest after a JSON round trip.
     """
-    comp = instance.compiled
-    if comp.digest is not None:
-        return comp.digest
-    fields = [_field("NMB", (instance.n_agents, instance.M, instance.B), "<i8"),
-              _field("edges", instance.topology.edges.ravel())]  # <f8, as recorded digests were
-    table, by_kind, boxes = instance._g_table
-    fields.append(_field("agents", table, "<i8"))
-    members = np.arange(instance.n_agents)
-    for idx, f in instance.f_groups:
-        base, domain = f.base, f.effective_domain
-        quadratic = isinstance(base, QuadraticFunction)
-        tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
-        fields.append(_field(tag, members[idx], "<i8"))
-        params = ((base.curvature, base.linear, base.offset) if quadratic
-                  else (base.price, base.curvature))
-        fields += [_field(tag, p) for p in params]
-        if domain is not None:
-            fields.append(_field(tag, (domain.lower, domain.upper)))
-        fields.append(_field(tag, f.strong_convexity))
-    fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
-    fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
-               for name in ("curvature", "linear", "offset")]
-    fields += [_field("boxes", [(b.lower, b.upper) for b in boxes]),
-               _field("blocks", instance.owner, "<i8"),
-               _field("blocks", instance.l, "<i8"),
-               _field("blocks", instance.blocks),
-               _field("rhs", instance.rhs.ravel())]
-    comp.digest = hashlib.sha256(b"".join(fields)).hexdigest()
-    return comp.digest
+    return instance._digest

@@ -372,7 +372,7 @@ def _reference_end_terms(v, box, w=None) -> list:
 
 def reference_g_conjugate(g, v):
     """``ProxFriendlyFunction.conjugate`` of one kind, as it was, with the tolerance at an
-    infinite box end."""
+    infinite box end and l1's relative bound ``w + 1e-12 (1 + |v| + w)`` without a box."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if g.kind == "zero":
         if g.box is not None:
@@ -383,7 +383,8 @@ def reference_g_conjugate(g, v):
     elif g.kind == "l1":
         w = np.asarray(g.weight, dtype=float)[..., None]
         if g.box is None:
-            val = np.where((np.abs(v) <= w + _ZERO_ATOL).all(axis=-1), 0.0, np.inf)
+            a = np.abs(v)
+            val = np.where((a <= w + _ZERO_ATOL * (1.0 + a + w)).all(axis=-1), 0.0, np.inf)
         else:
             cand = np.maximum(*_reference_end_terms(v, g.box, w))
             inside = (g.box.lower <= 0) & (g.box.upper >= 0)
@@ -395,7 +396,8 @@ def reference_g_conjugate(g, v):
 
 
 def reference_g_argmax(g, v, ref=None) -> np.ndarray:
-    """``ProxFriendlyFunction.conjugate_argmax`` of one kind, as it was (``np.select``)."""
+    """``ProxFriendlyFunction.conjugate_argmax`` of one kind, as it was (``np.select``), with
+    zero in a box unbounded where ``v`` points past an infinite end."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if g.kind == "quadratic":
         return reference_conjugate_argmax(SmoothConjugable(g.quad, g.box), v)
@@ -405,6 +407,10 @@ def reference_g_argmax(g, v, ref=None) -> np.ndarray:
     if g.kind == "zero":
         if g.box is not None:
             scale = 1.0 + np.abs(v)
+            if ((v > _ZERO_ATOL * scale) & np.isinf(hi)).any():
+                raise UnboundedConjugateError("box support unbounded above")
+            if ((v < -_ZERO_ATOL * scale) & np.isinf(lo)).any():
+                raise UnboundedConjugateError("box support unbounded below")
             return np.where(v > _ZERO_ATOL * scale, hi,
                             np.where(v < -_ZERO_ATOL * scale, lo, np.clip(ref, lo, hi)))
         scale = 1.0 + np.abs(v).max(axis=-1, keepdims=True)

@@ -196,7 +196,7 @@ def test_lipschitz_constant_is_computed_once():
     h, per_agent = lipschitz_constant(inst)
     per_agent[:] = 0.0  # the caller's copy, not the cached one
     assert lipschitz_constant(inst)[0] == h == pytest.approx(6.0)
-    assert inst.compiled.lipschitz is inst.compiled.lipschitz
+    assert inst.lipschitz is inst.lipschitz
 
 
 def _bits(x) -> bytes:
@@ -262,7 +262,7 @@ def _assert_g_groups_as_before(inst):
     ``with_box`` did it before it kept its own box; one group holds every agent but the
     dense quadratics, which have one of their own."""
     seen = []
-    for idx, g in inst.compiled.g_groups:
+    for idx, g in inst.g_groups:
         agents = np.arange(inst.n_agents)[idx].tolist()
         dense = {a.g.quad is not None and not a.g.quad.is_diagonal
                  for a in (inst.agents[i] for i in agents)}
@@ -271,7 +271,7 @@ def _assert_g_groups_as_before(inst):
             want = reference_with_box(inst.agents[i].g, inst.agents[i].omega)
             assert _g_row(g, k) == _g_row(reference_group([want]), 0), (i, k)
         seen += agents
-    assert sorted(seen) == list(range(inst.n_agents)) and len(inst.compiled.g_groups) <= 2
+    assert sorted(seen) == list(range(inst.n_agents)) and len(inst.g_groups) <= 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -374,7 +374,7 @@ def test_every_row_of_the_nonsmooth_group_is_its_agents_own(case, K):
     alpha = rng.uniform(0.05, 5.0, N)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for idx, g in inst.compiled.g_groups:
+        for idx, g in inst.g_groups:
             agents = np.arange(N)[idx]
             prox = g.prox(u[agents], alpha[agents])
             conj, conjs = g.conjugate(v[agents]), g.conjugate(vs[:, agents])
@@ -393,6 +393,7 @@ def test_every_row_of_the_nonsmooth_group_is_its_agents_own(case, K):
                         *((conjs[j, k], o.conjugate(vs[j, i]), reference_g_conjugate(o, vs[j, i]))
                           for j in range(K))):
                     assert _bits(got) == _bits(want) == _bits(ref_want), (i, got, want, ref_want)
+                assert np.isinf(conj[k]) == isinstance(rows[k], type), i  # g* = inf: no argmax
                 want = _row_or_error(reference_g_argmax, o, v[i], ref[i])
                 if isinstance(rows[k], type):
                     assert want is rows[k]
@@ -411,7 +412,7 @@ def test_a_group_row_does_not_depend_on_the_other_members_boxes():
     inst = ProblemInstance(Topology.path(2), [AgentSpec(f, g0, None), AgentSpec(f, g1, None)],
                            1, 1, [0, 1], [0, 1], np.ones((2, 1, 1)), np.zeros((2, 1)))
     mu = np.array([[2.1444256595254156], [0.0]])
-    (_, g), = inst.compiled.g_groups
+    (_, g), = inst.g_groups
     assert _bits(g.conjugate(mu)) == _bits([g0.conjugate(mu[0]), g1.conjugate(mu[1])])
     q = dual_objective(inst, np.concatenate([[0.0, 0.0], mu.ravel()])).q_part
     assert _bits(q) == _bits(0.0 + g0.conjugate(mu[0]) + g1.conjugate(mu[1]))
@@ -451,11 +452,11 @@ def grouped_instances(draw):
 def test_instance_groups_match_the_per_agent_compile(inst):
     f_groups, _, sigma = reference_kind_groups(inst)
     assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
-    assert inst.compiled.sigma is inst.sigma
-    assert all(f.dim == inst.M for _, f in inst.f_groups)
+    assert "f_groups" not in vars(inst)  # the construction groups are checked on first use
+    assert all(f.dim == inst.M for _, f in inst._f_groups)
     assert all(dims == (inst.M,) * 3 for dims, _, _ in inst._g_members)
-    _same_groups(inst.f_groups, f_groups)
-    assert inst.compiled.f_groups is inst.f_groups  # checked when compiled, not rebuilt
+    _same_groups(inst._f_groups, f_groups)
+    assert inst.f_groups is inst._f_groups  # checked, not rebuilt
     _assert_g_groups_as_before(inst)
 
 

@@ -83,6 +83,22 @@ def test_a_coefficient_near_0_at_an_infinite_box_end_counts_as_0(sign):
     assert l1.conjugate([sign * w]) == 0.0
 
 
+def test_zero_in_a_box_is_unbounded_past_an_infinite_end():
+    # the argmax returned the infinite end itself, so primal recovery reported z_hat = inf,
+    # where the conjugate is +inf and l1 in the same box raises
+    box = BoxSet([0.0], [np.inf])
+    assert ProxFriendlyFunction.indicator_box(box).conjugate([1.0]) == np.inf
+    with pytest.raises(UnboundedConjugateError):
+        ProxFriendlyFunction.indicator_box(box).conjugate_argmax([1.0])
+
+
+def test_l1_without_a_box_is_unbounded_where_its_argmax_is():
+    # the conjugate tested |v| <= w + 1e-12 and the argmax w + 1e-12 (1 + |v| + w): just past
+    # 1 + 1e-12 the conjugate was +inf while the argmax returned 0
+    assert ProxFriendlyFunction.l1(1.0).conjugate([1.0 + 2e-12]) == 0.0
+    assert ProxFriendlyFunction.l1(1.0).conjugate_argmax([1.0 + 2e-12]).tolist() == [0.0]
+
+
 def test_prox_l1_rejects_nonpositive_alpha():
     with pytest.raises(ValueError):
         ProxFriendlyFunction.l1().prox([1.0], 0.0)

@@ -91,15 +91,15 @@ def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
     pair = _two_agent()
     inst = ProblemInstance(pair.topology, pair.agents, 1, 1, [0, 0, 1, 1], [1, 0, 0, 1],
                            [[[-1.0]], [[0.0]], [[1.0]], [[-1.0]]], pair.rhs)
-    rows, cols, _ = inst.compiled.A
+    rows, cols, _ = inst.A
     assert cols[rows == 0].tolist() == [1]
     assert cols[rows == 1].tolist() == [0, 1]
-    assert inst.compiled.n_messages == 2
+    assert inst.n_messages == 2
     apart = ProblemInstance(Topology(2, frozenset()), pair.agents, 1, 1,
                             pair.owner, pair.l, pair.blocks, pair.rhs)
-    rows, cols, _ = apart.compiled.A
+    rows, cols, _ = apart.A
     assert cols[rows == 0].tolist() == [0]
-    assert apart.compiled.n_messages == 0
+    assert apart.n_messages == 0
 
 
 def test_grad_block_matches_finite_differences():
@@ -318,7 +318,7 @@ def test_dual_objective_l1_conjugate_saturates():
     gs = [ProxFriendlyFunction.l1(1.0)] * 3
     inst = build_consensus(topo, locals_f, locals_g=gs)
     lam = np.zeros(inst.dual_dim)
-    inst.compiled.split(lam)[1][0] = 2.0  # outside the l1 conjugate's unit ball
+    inst.split(lam)[1][0] = 2.0  # outside the l1 conjugate's unit ball
     assert dual_objective(inst, lam).psi == float("inf")
 
 
@@ -430,7 +430,7 @@ def test_run_rejects_infinite_initial_objective():
     inst = build_consensus(topo, [quadratic_local([0.0]), quadratic_local([1.0])],
                            locals_g=[ProxFriendlyFunction.l1(1.0)] * 2)
     lam0 = np.zeros(inst.dual_dim)
-    inst.compiled.split(lam0)[1][1] = 5.0
+    inst.split(lam0)[1][1] = 5.0
     with pytest.raises(NonFiniteInitialError):
         run(inst, lam0=lam0, k_max=10)
 
@@ -518,7 +518,7 @@ def test_descent_certificate_on_sync_market(ctx):
     for k in range(trace.n_transitions):
         diff = trace.lam[k + 1] - trace.lam[k]
         d2 = float(np.sum(diff**2))
-        d_theta, d_mu = inst.compiled.split(diff)
+        d_theta, d_mu = inst.split(diff)
         per_agent_sq = [float(np.sum(d_theta[i] ** 2) + np.sum(d_mu[i] ** 2))
                         for i in range(inst.n_agents)]
         bound = trace.psi[k] + (h / 2) * d2 - sum(per_agent_sq) / c

@@ -172,7 +172,7 @@ def test_apply_C_ignores_non_neighbors():
     lam = np.ones(inst.dual_dim)
     before = apply_C(inst, lam)[0]
     lam2 = lam.copy()
-    inst.compiled.split(lam2)[0][3] += 7.0  # agent 3 is not adjacent to agent 0 on the path
+    inst.split(lam2)[0][3] += 7.0  # agent 3 is not adjacent to agent 0 on the path
     np.testing.assert_array_equal(apply_C(inst, lam2)[0], before)
 
 
@@ -283,7 +283,7 @@ def test_an_agent_of_the_wrong_dimension_constructs_and_fails_validation():
                             "agent 1: omega has dim 3, expected M=1; "
                             "agent 2: smooth part has dim 2, expected M=1")
     with pytest.raises(ValueError):
-        inst.compiled.g_groups
+        inst.g_groups
 
 
 def test_validate_flags_disconnected_topology():

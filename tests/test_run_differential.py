@@ -79,7 +79,7 @@ def _same_as_reference(inst, make_schedule, steps, k_max, tol, mode="async", lam
     assert _bits(trace.psi) == _bits(psi)
     assert trace.tau == tau
     assert _bits(trace.step_norm_inf) == _bits(step_norms)
-    assert trace.message_counts == [inst.compiled.n_messages] * len(tau)
+    assert trace.message_counts == [inst.n_messages] * len(tau)
     return trace
 
 
@@ -105,7 +105,7 @@ def test_run_matches_the_per_round_loop_to_tolerance(mode, D):
                                mode=mode)
     assert trace.meta["stop_reason"] == "tol"
     # the last iterate's x_hat is the one recover_primal reuses
-    assert _bits(inst.compiled.last_x_hat[1]) == _bits(
+    assert _bits(inst.last_x_hat[1]) == _bits(
         dual_objective(build_market(), trace.lam[-1]).x_hat)
 
 

@@ -239,6 +239,7 @@ class SmoothConjugable:
 
     base: QuadraticFunction | PiecewiseQuadraticUtility
     effective_domain: BoxSet | None = None
+    _no_domain = None  # a group's members without a domain, where -inf, inf stands in
 
     def __post_init__(self):
         if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
@@ -258,6 +259,12 @@ class SmoothConjugable:
 
     def value(self, x):
         return self.base.value(x)
+
+    @cached_property
+    def _unbounded(self) -> bool:
+        """Whether a quadratic member without a domain of its own lacks curvature."""
+        free = ... if self.effective_domain is None else self._no_domain
+        return free is not None and not _all_positive(np.asarray(self.base.strong_convexity)[free])
 
     @cached_property
     def _utility_candidates(self):
@@ -310,7 +317,8 @@ def group(members):
 _G_KINDS = ("zero", "l1", "quadratic")  # a member's code: its kind's index, plus 3 in a box
 # the formula each code takes in the prox (the box is projected on after), the conjugate
 # (0: no box, 3: the better box end) and the argmax (3: zero in a box)
-_FORMULAS = ((0, 1, 2, 0, 1, 2), (0, 0, 2, 3, 3, 2), (0, 1, 2, 3, 1, 2))
+_FORMULAS = np.array(((0, 1, 2, 0, 1, 2), (0, 0, 2, 3, 3, 2), (0, 1, 2, 3, 1, 2)))
+_FORMULA_IDS = np.arange(4)[:, None]
 
 
 @dataclass(frozen=True)
@@ -380,13 +388,11 @@ class ProxFriendlyFunction:
         (see ``_FORMULAS``)."""
         if type(self.kind) is str:
             code = _G_KINDS.index(self.kind) + 3 * (self.box is not None)
-            return tuple({table[code]: None} for table in _FORMULAS)
-        parts = []
-        for i, keys in enumerate(np.array(_FORMULAS)[:, self.kind]):
-            present = set(keys.tolist())
-            parts.append({k: None if len(present) == 1 else keys == k if i == 1
-                          else (keys == k)[:, None] for k in sorted(present)})
-        return tuple(parts)
+            return tuple({k: None} for k in _FORMULAS[:, code].tolist())
+        masks = _FORMULAS[:, self.kind][:, None] == _FORMULA_IDS  # (method, formula, member)
+        return tuple({k: None if sum(present) == 1 else mask[k] if i == 1 else mask[k, :, None]
+                      for k in range(4) if present[k]}
+                     for i, (present, mask) in enumerate(zip(masks.any(axis=-1).tolist(), masks)))
 
     @cached_property
     def _w(self) -> np.ndarray:
@@ -547,6 +553,18 @@ def _free_parts(dim: int) -> tuple:
             BoxSet(np.full(dim, -INF), np.full(dim, INF)))
 
 
+def smooth_group(fs, has_domain) -> SmoothConjugable:
+    """:func:`group` of the smooth parts ``fs`` of one kind and dim (a dense quadratic needs
+    a group of its own), ``-inf, inf`` standing in for the domain of a member without one
+    where another has one (``has_domain``)."""
+    if all(has_domain) or not any(has_domain):
+        return group(fs)
+    grouped, free = object.__new__(SmoothConjugable), _free_parts(fs[0].dim)[1]
+    grouped.__dict__.update(base=group([f.base for f in fs]), _no_domain=~np.array(has_domain),
+                            effective_domain=group([f.effective_domain or free for f in fs]))
+    return grouped
+
+
 def nonsmooth_group(gs, boxes, omegas, codes, dim: int) -> ProxFriendlyFunction:
     """One group of the nonsmooth parts ``gs`` of dim ``dim`` and their ``codes``, member
     ``k`` in ``boxes[k]`` and ``omegas[k]`` (each ``None``, or standing in for the other):
@@ -582,7 +600,7 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     base = f.base
     dom = f.effective_domain
     if isinstance(base, QuadraticFunction):
-        if dom is None and not base._strongly_convex:
+        if f._unbounded:
             raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
         if not base.is_diagonal:
             if dom is not None:
@@ -639,16 +657,18 @@ def conjugate_value(f: SmoothConjugable, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c) -> np.ndarray:
+def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c, reciprocal=None) -> np.ndarray:
     """Prox of the conjugate ``g*`` with parameter ``c``, via the direct prox.
 
     Uses the decomposition ``prox^c_{g*}(v) = v - c * prox^{1/c}_g(v/c)``,
     so the conjugate's prox is never evaluated directly.  For a group, ``c``
-    holds one parameter per member.
+    holds one parameter per member.  A caller that has checked ``c`` passes
+    it as a column ``c[:, None]`` with its ``reciprocal`` ``1 / c``.
     """
-    c = np.asarray(c, dtype=float)
-    # NaN fails too; 0 < c < inf is 1/c > 0, the check the prox would repeat
-    if not (0.0 < c.min() and c.max() < INF):
-        raise ValueError("c must be positive and finite")
-    v, c_col = _vec(v), c[..., None]
-    return v - c_col * g.prox(v / c_col, 1.0 / c, alpha_checked=True)
+    if reciprocal is None:  # NaN fails too; 0 < c < inf is 1/c > 0, the prox's check
+        c = np.asarray(c, dtype=float)
+        if not (0.0 < c.min() and c.max() < INF):
+            raise ValueError("c must be positive and finite")
+        c, reciprocal = c[..., None], 1.0 / c
+    v = _vec(v)
+    return v - c * g.prox(v / c, reciprocal, alpha_checked=True)

@@ -13,15 +13,17 @@ vector; each operator is a member of the instance, built on first use.
 Each agent sums its coupling terms in ascending agent id, so traces are
 bitwise reproducible.  On a few scalar agents a round costs numpy calls,
 not arithmetic: each group binds what does not depend on the round once,
-on first use (see :mod:`dualprox.convex`), and the nonsmooth group
-evaluates every kind present in one call.  :func:`run` leaves the ``x_hat``
+on first use (see :mod:`dualprox.convex`), as :class:`StepSizes` binds its
+column and reciprocals, and the nonsmooth group evaluates every kind
+present in one call.  :func:`run` leaves the ``x_hat``
 of its last iterate on the instance (``last_x_hat``), and
 :func:`recover_primal` reuses it when called at a bytewise equal ``lam``.
 
-A round reads an iterate up to ``D`` rounds old, so :func:`run` evaluates
-``Psi`` and ``x_hat`` of an iterate when a round first reads it, with every
-newer one, in one :func:`dual_objective` call over their stack; its rows
-run the one-vector kernels, so traces stay bitwise (see ``_settle``).
+Nothing in a round reads ``Psi``, so :func:`run` runs the two stages of
+:func:`dual_objective` apart: the x_hat stage when a round first reads an
+iterate, with every newer one, in one call over their stack (``_read``),
+and the value stage over the stack of up to 64 read iterates (``_flush``).
+A stack's rows run the one-vector kernels, so traces stay bitwise.
 
 The rate-bound verifier works an array at a time: it stacks the trace's
 ``lam`` once, and computes each bound, measured value and running total for
@@ -61,16 +63,18 @@ PRNG_NAME = "numpy-PCG64"
 
 @dataclass(frozen=True)
 class StepSizes:
-    """Uniform or per-agent positive step sizes."""
+    """Uniform or per-agent positive step sizes, checked once and read-only; a round
+    reads the column ``values[:, None]`` and the reciprocals ``1 / values``, made once."""
 
     mode: str  # "uniform" | "per_agent"
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
+        vals = np.array(self.values, dtype=float, ndmin=1)  # a copy, made read-only
         if not np.all((vals > 0) & (vals < math.inf)):  # NaN fails too
             raise ValueError("step sizes must be finite and strictly positive")
-        object.__setattr__(self, "values", vals)
+        vals.flags.writeable = False
+        self.__dict__.update(values=vals, _column=vals[:, None], _reciprocal=1.0 / vals)
 
     @staticmethod
     def uniform(c: float, n_agents: int) -> "StepSizes":
@@ -82,7 +86,7 @@ class StepSizes:
 
     def satisfies_async_rule(self, h: float, D: int) -> bool:
         """Delay-aware admissibility: ``1/c_i >= h (D+1)^2`` for every agent."""
-        return bool(np.all(1.0 / self.values >= h * (D + 1) ** 2 * (1 - 1e-12)))
+        return bool(np.all(self._reciprocal >= h * (D + 1) ** 2 * (1 - 1e-12)))
 
 
 def step_size_sync(h: float) -> float:
@@ -154,13 +158,15 @@ class DelaySchedule:
 # ---------------------------------------------------------------------------
 
 
-def _maximizers(instance: ProblemInstance, u: np.ndarray) -> np.ndarray:
-    """Every agent's conjugate argmax of its smooth part at ``u_i``, stacked."""
+def _xhat_stage(instance: ProblemInstance, lam: np.ndarray) -> tuple:
+    """``(u, x_hat)`` at ``lam``: ``u = C lam`` and every agent's conjugate argmax of its
+    smooth part at ``u_i``, each stacked ``(N, M)``, or ``(K, N, M)`` for a stack."""
+    u = apply_C(instance, lam)
     x_hat = np.empty_like(u)
     for idx, f in instance.f_groups:
         idx = idx if u.ndim == 2 else (slice(None), idx)  # a stack's group
         x_hat[idx] = conjugate_argmax(f, u[idx])
-    return x_hat
+    return u, x_hat
 
 
 def grad_P_block(instance: ProblemInstance, x_hat: np.ndarray):
@@ -181,13 +187,13 @@ def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
     """One round from the snapshot maximizers ``x_hat``, anchored at ``lam``."""
     theta, mu = instance.split(lam)
     g_theta, g_mu = grad_P_block(instance, x_hat)
-    c = steps.values[:, None]
+    c = steps._column
     lam_next = np.empty_like(lam)
     theta_next, mu_next = instance.split(lam_next)
     np.subtract(theta, c * g_theta, out=theta_next)
     v = mu - c * g_mu
     for idx, g in instance.g_groups:
-        mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], steps.values[idx])
+        mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], c[idx], steps._reciprocal[idx])
     return lam_next
 
 
@@ -213,10 +219,17 @@ def dual_objective(instance: ProblemInstance, lam: np.ndarray) -> DualObjective:
     nonsmooth conjugate.  An unbounded smooth conjugate raises
     :class:`~dualprox.errors.UnboundedConjugateError` from the argmax.
     A stack ``(K, dual_dim)`` gives per-row fields, bitwise each row's own.
+    It is the two stages :func:`run` calls apart, :func:`_xhat_stage` then
+    :func:`_value_stage`.
     """
+    return _value_stage(instance, lam, *_xhat_stage(instance, lam))
+
+
+def _value_stage(instance: ProblemInstance, lam: np.ndarray, u: np.ndarray,
+                 x_hat: np.ndarray) -> DualObjective:
+    """:func:`dual_objective` at ``lam`` from its ``u`` and ``x_hat``: the smooth parts'
+    values, the nonsmooth conjugates and the sums in order."""
     theta, mu = instance.split(lam)
-    u = apply_C(instance, lam)
-    x_hat = _maximizers(instance, u)
     f_val = np.empty(u.shape[:-1])
     for idx, f in instance.f_groups:
         idx = idx if u.ndim == 2 else (slice(None), idx)
@@ -258,7 +271,7 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
     if key == lam.tobytes():
         x_hat = last.copy()
     else:
-        x_hat = _maximizers(instance, apply_C(instance, lam))
+        x_hat = _xhat_stage(instance, lam)[1]
     z_hat = np.empty_like(x_hat)
     for idx, g in instance.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
@@ -409,31 +422,51 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _settle(instance: ProblemInstance, trace: IterationTrace, xhat_cache: dict,
-            end: int | None = None) -> bool:
-    """Evaluate the iterates ``trace.lam[len(trace.psi):end]``, stacked, or one
-    at a time if that raises, so that only an error the per-round loop meets
-    is raised.  Cache each ``x_hat``; a non-finite Psi cuts the trace: False.
-    """
-    start, lams = len(trace.psi), trace.lam[len(trace.psi):end]
-    if len(lams) > 1:
+_PENDING = 64  # the most read iterates whose Psi waits for the value stage
+
+
+class _NonFinitePsi(Exception):
+    """An iterate's Psi is not finite: the trace ends there."""
+
+
+def _flush(instance: ProblemInstance, trace: IterationTrace, pending: list) -> None:
+    """Evaluate ``Psi`` of the iterates after ``trace.psi``'s from their ``pending`` ``(u,
+    x_hat)``, in one value stage over their stack; at a non-finite one, cut the trace there
+    and raise :class:`_NonFinitePsi`."""
+    start, n = len(trace.psi), len(pending)
+    if n:
+        u, x_hat = map(np.array, zip(*pending))
+        pending.clear()
+        trace.psi += _value_stage(instance, np.array(trace.lam[start:start + n]), u,
+                                  x_hat).psi.tolist()
+    for j in range(start, len(trace.psi)):
+        if not math.isfinite(trace.psi[j]):
+            del trace.psi[j + 1:], trace.lam[j + 1:], trace.tau[j:], trace.step_norm_inf[j:]
+            del trace.message_counts[j:]
+            raise _NonFinitePsi
+
+
+def _read(instance: ProblemInstance, trace: IterationTrace, xhat_cache: dict, pending: list,
+          end: int) -> None:
+    """Run the x_hat stage on the iterates up to ``end`` not read yet, over their stack; cache
+    each ``x_hat`` and queue ``(u, x_hat)`` for :func:`_flush`.  A stack that raises is read
+    one iterate at a time, flushing before the one that raises."""
+    start = len(trace.psi) + len(pending)
+    lams = trace.lam[start:end]
+    try:
+        rows = zip(*_xhat_stage(instance, np.array(lams))) if len(lams) > 1 else None
+    except UnboundedConjugateError:
+        rows = None
+    for j, lam in enumerate(lams, start):
         try:
-            obj = dual_objective(instance, np.array(lams))
-            objs = zip(obj.psi.tolist(), obj.x_hat)
-        except UnboundedConjugateError:  # lazily, stopping after a non-finite Psi
-            objs = ((o.psi, o.x_hat) for o in (dual_objective(instance, lam) for lam in lams))
-    elif lams:  # one, as a vector
-        obj = dual_objective(instance, lams[0])
-        objs = ((obj.psi, obj.x_hat),)
-    else:
-        return True
-    for j, (psi, x_hat) in enumerate(objs, start):
-        trace.psi.append(psi)
+            u, x_hat = next(rows) if rows else _xhat_stage(instance, lam)
+        except UnboundedConjugateError:
+            _flush(instance, trace, pending)
+            raise
         xhat_cache[j] = x_hat
-        if not math.isfinite(psi):
-            del trace.lam[j + 1:], trace.tau[j:], trace.step_norm_inf[j:], trace.message_counts[j:]
-            return False
-    return True
+        pending.append((u, x_hat))
+        if len(pending) == _PENDING:
+            _flush(instance, trace, pending)
 
 
 def run(instance: ProblemInstance, mode: str = "sync",
@@ -448,7 +481,9 @@ def run(instance: ProblemInstance, mode: str = "sync",
     ``lam``); ``meta["stop_reason"]`` says which.  ``epsilon`` records
     ``Psi(lam(k)) - psi_star``; when no reference is supplied the best
     finite observed value is used.  The run is deterministic given
-    (instance, mode, schedule, steps, lam0).
+    (instance, mode, schedule, steps, lam0).  ``Psi`` is evaluated up to 64
+    rounds late; rounds run past a non-finite one are dropped, and an error is
+    raised only where a loop that evaluates ``Psi`` each round meets it.
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -510,36 +545,42 @@ def run(instance: ProblemInstance, mode: str = "sync",
     trace.lam.append(lam)
     trace.psi.append(obj.psi)
 
-    # maximizers of the last D + 1 evaluated iterates, the snapshots a round may read
-    xhat_cache = {0: obj.x_hat}
+    # maximizers of the last D + 1 read iterates, the snapshots a round may read, and
+    # (u, x_hat) of the read iterates whose Psi is not evaluated yet
+    xhat_cache, pending = {0: obj.x_hat}, []
     D, stop_reason = schedule.bound, "k_max"
     # a diverging run overflows on its way to the non-finite round that stops it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            tk = schedule.tau(k)
-            if tk not in xhat_cache and not _settle(instance, trace, xhat_cache):
-                stop_reason = "nonfinite"  # an iterate up to lam(k) has a non-finite Psi
-                break
-            if tk not in xhat_cache:  # evicted, not pending
-                raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
-            lam = trace.lam[k]
-            lam_next = _round(instance, lam, xhat_cache[tk], steps)
-            step = float(np.abs(lam_next - lam).max())
-            trace.lam.append(lam_next)
-            trace.tau.append(tk)
-            trace.step_norm_inf.append(step)
-            trace.message_counts.append(n_msgs)
-            xhat_cache.pop(k - D, None)
-            # a finite step needs finite iterates; an infinite one may be an overflow
-            if not (math.isfinite(step) or np.isfinite(lam_next).all()):
-                stop_reason = "nonfinite"
-                if _settle(instance, trace, xhat_cache, end=k + 1):
+        try:
+            for k in range(k_max):
+                tk = schedule.tau(k)
+                if tk not in xhat_cache:
+                    _read(instance, trace, xhat_cache, pending, k + 1)
+                if tk not in xhat_cache:  # evicted, not pending
+                    _flush(instance, trace, pending)
+                    raise HistoryUnderflowError(f"snapshot {tk} evicted before use at round {k}")
+                lam = trace.lam[k]
+                lam_next = _round(instance, lam, xhat_cache[tk], steps)
+                step = float(np.abs(lam_next - lam).max())
+                trace.lam.append(lam_next)
+                trace.tau.append(tk)
+                trace.step_norm_inf.append(step)
+                trace.message_counts.append(n_msgs)
+                xhat_cache.pop(k - D, None)
+                # a finite step needs finite iterates; an infinite one may be an overflow
+                if not (math.isfinite(step) or np.isfinite(lam_next).all()):
+                    stop_reason = "nonfinite"
+                    _read(instance, trace, xhat_cache, pending, k + 1)
+                    _flush(instance, trace, pending)
                     trace.psi.append(math.nan)  # at a non-finite lam, unevaluated
-                break
-            if step <= tol:
-                stop_reason = "tol"
-                break
-        if stop_reason != "nonfinite" and not _settle(instance, trace, xhat_cache):
+                    break
+                if step <= tol:
+                    stop_reason = "tol"
+                    break
+            if stop_reason != "nonfinite":
+                _read(instance, trace, xhat_cache, pending, len(trace.lam))
+                _flush(instance, trace, pending)
+        except _NonFinitePsi:  # an iterate up to the last has a non-finite Psi
             stop_reason = "nonfinite"
 
     trace.meta["stop_reason"] = stop_reason

@@ -29,8 +29,8 @@ from .convex import (
     SmoothConjugable,
     _G_KINDS,
     cached_property,
-    group,
     nonsmooth_group,
+    smooth_group,
 )
 from .errors import MalformedInstanceError, SingularScaleError
 
@@ -294,18 +294,32 @@ class ProblemInstance:
                   _field("edges", self.topology.edges.ravel())]  # <f8, as recorded digests were
         table, by_kind, boxes = self._g_table
         fields.append(_field("agents", table, "<i8"))
-        members = np.arange(self.n_agents)
-        for idx, f in self._f_groups:
-            base, domain = f.base, f.effective_domain
+        members, parts = np.arange(self.n_agents), {}
+        for idx, f in self._f_groups:  # the fields of each kind, domain presence and dim
+            base, dom, no_domain = f.base, f.effective_domain, f._no_domain
             quadratic = isinstance(base, QuadraticFunction)
-            tag = f"f:{'quadratic' if quadratic else 'utility'}:{domain is not None}"
-            fields.append(_field(tag, members[idx], "<i8"))
-            params = ((base.curvature, base.linear, base.offset) if quadratic
-                      else (base.price, base.curvature))
-            fields += [_field(tag, p) for p in params]
-            if domain is not None:
-                fields.append(_field(tag, (domain.lower, domain.upper)))
-            fields.append(_field(tag, f.strong_convexity))
+            cols = [members[idx], *((base.curvature, base.linear, base.offset) if quadratic
+                                    else (base.price, base.curvature)), f.strong_convexity]
+            cols += () if dom is None else (dom.lower, dom.upper)
+            if no_domain is not None:
+                free, own = np.flatnonzero(no_domain), np.flatnonzero(~no_domain)
+            for present, part in ([(dom is not None, cols)] if no_domain is None else
+                                  [(False, [c.take(free, axis=0) for c in cols[:-2]]),
+                                   (True, [c.take(own, axis=0) for c in cols])]):
+                key = (quadratic, present, f.dim)
+                if key in parts:  # dense and diagonal quadratics: one set of fields, by agent
+                    part = [np.concatenate(c) for c in zip(parts[key], part)]
+                    order = np.argsort(part[0], kind="stable")
+                    part = [c[order] for c in part]
+                parts[key] = part
+        for (quadratic, present, _), (agents, *cols) in sorted(parts.items(),
+                                                               key=lambda kv: kv[1][0][0]):
+            tag, n = f"f:{'quadratic' if quadratic else 'utility'}:{present}", 3 if quadratic else 2
+            fields.append(_field(tag, agents, "<i8"))
+            fields += [_field(tag, p) for p in cols[:n]]
+            if present:
+                fields.append(_field(tag, cols[n + 1:]))
+            fields.append(_field(tag, cols[n]))
         fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
         fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
                    for name in ("curvature", "linear", "offset")]
@@ -366,19 +380,21 @@ def _csr(groups, others, mats):
 def _kind_groups(agents: tuple, M: int) -> tuple:
     """``(f_groups, g_members, sigma, g_table)`` of ``agents``, from one pass over them.
 
-    An f group is ``(agents, f)``: the agents of one kind and dims, their f's stacked by
-    :func:`convex.group`, which sigma reads.  A g group is ``(dims, agents, (gs, boxes,
-    omegas, codes))``: the agents whose parts have one set of dims (``M`` for an absent
-    part's), dense quadratics apart, a box and omega standing in for each other where absent,
-    and each g's code (see :class:`convex.ProxFriendlyFunction`); it is stacked when the
-    instance is compiled.  Groups are in order of first member; their agents are a ``slice``
-    where consecutive (a view, where an index array gathers a copy).  ``g_table`` is what
-    :func:`instance_hash` reads."""
+    An f group is ``(agents, f)``: the agents of one kind and dim (dense quadratics apart),
+    their f's stacked by :func:`convex.smooth_group`, which sigma reads.  A g group is
+    ``(dims, agents, (gs, boxes, omegas, codes))``: the agents whose parts have one set of
+    dims (``M`` for an absent part's), dense quadratics apart, a box and omega standing in
+    for each other where absent, and each g's code (see :class:`convex.ProxFriendlyFunction`);
+    it is stacked when the instance is compiled.  Groups are in order of first member; their
+    agents are a ``slice`` where consecutive (a view, where an index array gathers a copy).
+    ``g_table`` is what :func:`instance_hash` reads."""
     f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
     for i, a in enumerate(agents):
         f, g, omega = a.f, a.g, a.omega
         base, kind, quad, box = f.base, g.kind, g.quad, g.box
-        f_keys.setdefault((type(base), f.effective_domain is None, base.dim), []).append((i, f))
+        dim = base.dim  # a utility's is 1; a dense quadratic has a group of its own
+        f_keys.setdefault((type(base), dim, dim > 1 and not base.is_diagonal),
+                          []).append((i, f, f.effective_domain is not None))
         code = _G_KINDS.index(kind)
         g_keys.setdefault((M if quad is None else quad.dim, M if box is None else box.dim,
                            M if omega is None else omega.dim, quad is None or quad.is_diagonal),
@@ -394,7 +410,8 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
 
     def index(idx):
         return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx)
-    f_groups = tuple((index(idx), group(fs)) for idx, fs in (zip(*m) for m in f_keys.values()))
+    f_groups = tuple((index(idx), smooth_group(fs, has_domain))
+                     for idx, fs, has_domain in (zip(*m) for m in f_keys.values()))
     sigma = np.empty(len(agents))
     with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
         for idx, f in f_groups:
@@ -721,9 +738,9 @@ def instance_hash(instance: ProblemInstance) -> str:
 
     Each field is one stacked array behind a kind or presence tag:
     ``(N, M, B)`` and the sorted edges; per agent its position, nonsmooth
-    kind and whether it has a nonsmooth box and an ``omega``; each
-    smooth-part group of :func:`_kind_groups` (kind, domain presence,
-    members, parameters, domain bounds and strong convexity);
+    kind and whether it has a nonsmooth box and an ``omega``; the smooth
+    parts of each kind, domain presence and dim, in order of first member
+    (members, parameters, domain bounds and strong convexity);
     the l1 weights, the nonsmooth quadratics' parameters and the boxes
     present (per agent the nonsmooth box, then ``omega``); the block
     table's owners, ``l`` and values, and the rhs.  The fields are joined

@@ -126,13 +126,15 @@ def build_consensus(topology: Topology, locals_f, locals_g=None, omegas=None) ->
 
     Agent ``i`` holds ``|V_i| x_i - sum_{l in V_i} x_l = 0``; stacked, these
     rows equal the graph Laplacian acting on ``x``, so any feasible point is
-    a consensus point on a connected graph.
+    a consensus point on a connected graph.  ``locals_g`` (default: zero)
+    and ``omegas`` (default: none) hold one entry per agent.
     """
     if not topology.is_connected:
         raise ValueError("consensus needs a connected topology")
     n = topology.n_agents
-    if len(locals_f) != n:
-        raise ValueError("need one smooth part per agent")
+    for parts, what in ((locals_f, "smooth part"), (locals_g, "nonsmooth part"), (omegas, "omega")):
+        if parts is not None and len(parts) != n:
+            raise ValueError(f"need one {what} per agent")
     M = locals_f[0].dim
 
     # agent i's blocks: |V_i| I on x_i, then -I on each neighbour
@@ -141,8 +143,9 @@ def build_consensus(topology: Topology, locals_f, locals_g=None, omegas=None) ->
     degree = np.bincount(edges.ravel(), minlength=n)
     blocks = np.concatenate([degree[:, None, None] * eye,
                              np.broadcast_to(-eye, (2 * len(edges), M, M))])
-    agents = tuple(map(AgentSpec, locals_f, locals_g or [ProxFriendlyFunction.zero()] * n,
-                       omegas or [None] * n))
+    agents = tuple(map(AgentSpec, locals_f,
+                       [ProxFriendlyFunction.zero()] * n if locals_g is None else locals_g,
+                       [None] * n if omegas is None else omegas))
     return ProblemInstance(topology, agents, M, M,
                            np.concatenate([np.arange(n), edges[:, 0], edges[:, 1]]),
                            np.concatenate([np.arange(n), edges[:, 1], edges[:, 0]]),

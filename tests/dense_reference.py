@@ -12,9 +12,7 @@ once, the per-class ``stack`` constructors that formed the groups before
 ``convex.group`` and the nonsmooth quadratic's own argmax, the rate-bound
 verifier as the per-agent loop it was before it went array-at-a-time, and
 the solver loop as it was before it evaluated the objective a delay window
-at a time, ``with_box`` as it was before it kept its own box, the kind
-groups and their finiteness check as the compiled instance built them
-agent by agent before the instance grouped its agents, the CSR
+at a time, ``with_box`` as it was before it kept its own box, the CSR
 entries as ``np.broadcast_to`` formed them, and the trace writer as it was
 before it formatted its own lines, and the nonsmooth kernels as they were
 while each kind had a group of its own, so the new code can be checked
@@ -40,7 +38,6 @@ from dualprox.errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
     NonStronglyConvexError,
-    SingularScaleError,
     UnboundedConjugateError,
 )
 from dualprox.repro import conjugate_prox_oracle
@@ -253,53 +250,6 @@ def reference_with_box(g, box):
     if g.kind == "quadratic":
         return ProxFriendlyFunction.quadratic(g.quad, box)
     return ProxFriendlyFunction(g.kind, weight=g.weight, box=box)
-
-
-def reference_groups(members, key) -> tuple:
-    """``(agents, group)`` for each key, in order of first member, as the
-    compiled instance formed them before the instance grouped its agents
-    (from the stack constructors here).  ``agents`` is a ``slice`` when
-    they are consecutive, else their index array."""
-    by_key = {}
-    for i, member in enumerate(members):
-        by_key.setdefault(key(member), []).append(i)
-    return tuple((slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                  else np.array(idx), reference_group([members[i] for i in idx]))
-                 for idx in by_key.values())
-
-
-def reference_checked_groups(part: str, members, key) -> tuple:
-    """:func:`reference_groups`, each constant of ``part`` ("f" or "g") that a round or
-    Psi reads computed with overflow silenced; :class:`SingularScaleError` names the
-    first agent and one not finite, as the compiled instance checked them."""
-    groups = reference_groups(members, key)
-    with np.errstate(all="ignore"):
-        for idx, fn in groups:
-            base = fn.base if part == "f" else fn.quad
-            named = {"strong convexity": fn.strong_convexity} if part == "f" else {}
-            if isinstance(base, PiecewiseQuadraticUtility):
-                named.update({"threshold price / (2 curvature)": base.threshold,
-                              "flat value -price^2 / (4 curvature)": base._flat_value})
-            elif base is not None:
-                named.update({"linear": base.linear, "offset": base.offset,
-                              "linear / diagonal curvature": base.linear / base._diagonal})
-            if named and not np.isfinite(np.concatenate(list(named.values()), axis=None)).all():
-                for k, i in enumerate(np.arange(len(members))[idx].tolist()):
-                    for name, value in named.items():
-                        if not np.isfinite(value[k]).all():
-                            raise SingularScaleError(f"agent {i}: {part} {name} is not finite")
-    return groups
-
-
-def reference_kind_groups(inst) -> tuple:
-    """``(f_groups, g_groups, sigma)`` of ``inst`` as the compiled instance built
-    them, agent by agent, before the instance grouped its agents: each g
-    intersected with its omega by ``with_box``."""
-    f_groups = reference_checked_groups("f", [a.f for a in inst.agents],
-                                        lambda f: (type(f.base), f.effective_domain is None))
-    g_groups = reference_checked_groups("g", [a.g.with_box(a.omega) for a in inst.agents],
-                                        lambda g: (g.kind, g.box is None))
-    return f_groups, g_groups, np.array([a.f.strong_convexity for a in inst.agents])
 
 
 def reference_g_quadratic_argmax(g, v) -> np.ndarray:

@@ -34,7 +34,7 @@ from dualprox import (
 )
 from dualprox.convex import _G_KINDS
 from dualprox.engine import _round
-from dualprox.errors import UnboundedConjugateError
+from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.model import _csr
 
 from dense_reference import (
@@ -49,10 +49,8 @@ from dense_reference import (
     reference_g_conjugate,
     reference_g_prox,
     reference_group,
-    reference_kind_groups,
     reference_with_box,
 )
-from test_bound_constants import _same
 
 F_KINDS = ("quadratic", "quadratic_box", "utility", "utility_box")
 G_KINDS = ("zero", "l1", "indicator_box", "l1_plus_box", "quadratic", "quadratic_box")
@@ -228,13 +226,56 @@ def test_a_stack_of_dual_points_evaluates_each_row_bitwise(case, K):
     np.testing.assert_array_equal(apply_C(inst, lams), [apply_C(inst, lam) for lam in lams])
 
 
-def _same_groups(got, want):
-    """The same ``(agents, function)`` groups: agents of one type, fields bitwise."""
-    assert len(got) == len(want)
-    for (idx, fn), (want_idx, want_fn) in zip(got, want):
-        assert type(idx) is type(want_idx)
-        assert idx == want_idx if isinstance(idx, slice) else np.array_equal(idx, want_idx)
-        _same(fn, want_fn)
+def _assert_f_groups_are_the_agents_own(inst):
+    """Every row of the smooth groups is its agent's own f, bit for bit, with ``-inf, inf``
+    standing in for the domain of an agent without one where another member has one (a
+    group without domains has none); a group holds one kind and dim, a dense quadratic one
+    of its own, and each agent is in one group, a ``slice`` of consecutive agents."""
+    seen = []
+    for idx, f in inst._f_groups:
+        agents = np.arange(inst.n_agents)[idx].tolist()
+        assert isinstance(idx, slice) == (agents == list(range(agents[0], agents[-1] + 1)))
+        own = [inst.agents[i].f for i in agents]
+        assert len({(type(o.base), o.dim, o.dim > 1 and not o.base.is_diagonal)
+                    for o in own}) == 1
+        no_domain = [o.effective_domain is None for o in own]
+        assert (f.effective_domain is None) == all(no_domain)
+        if f.effective_domain is None or not any(no_domain):
+            assert f._no_domain is None
+        else:
+            assert f._no_domain.tolist() == no_domain
+        for k, (i, o) in enumerate(zip(agents, own)):
+            for name in o.base.__dataclass_fields__:
+                assert _bits(np.asarray(getattr(f.base, name))[k]) == _bits(getattr(o.base, name))
+            if f.effective_domain is not None:
+                free = np.full(o.dim, np.inf)
+                lo, hi = (-free, free) if o.effective_domain is None else (
+                    o.effective_domain.lower, o.effective_domain.upper)
+                assert _bits(f.effective_domain.lower[k]) == _bits(lo), i
+                assert _bits(f.effective_domain.upper[k]) == _bits(hi), i
+            assert _bits(np.asarray(f.strong_convexity)[k]) == _bits(o.strong_convexity), i
+        seen += agents
+    assert sorted(seen) == list(range(inst.n_agents))
+
+
+def test_a_smooth_group_keeps_each_members_error():
+    # a quadratic without curvature is unbounded without a domain and not strongly convex
+    # on one, beside a member of the other kind in one group
+    def inst(flat_domain):
+        good = SmoothConjugable(QuadraticFunction(1.0, [0.0]), None if flat_domain else
+                                BoxSet([-1.0], [1.0]))
+        flat = SmoothConjugable(QuadraticFunction(-1.0, [0.0]), flat_domain)
+        agents = [AgentSpec(good, ProxFriendlyFunction.zero(), None),
+                  AgentSpec(flat, ProxFriendlyFunction.zero(), None)]
+        return ProblemInstance(Topology.path(2), agents, 1, 1, [0, 1], [0, 1],
+                               np.ones((2, 1, 1)), np.zeros((2, 1)))
+
+    for flat_domain, error in ((None, UnboundedConjugateError),
+                               (BoxSet([-1.0], [1.0]), NonStronglyConvexError)):
+        case = inst(flat_domain)
+        assert len(case.f_groups) == 1
+        with pytest.raises(error):
+            dual_objective(case, np.zeros(4))
 
 
 def _g_row(g, k) -> tuple:
@@ -450,12 +491,12 @@ def grouped_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(grouped_instances())
 def test_instance_groups_match_the_per_agent_compile(inst):
-    f_groups, _, sigma = reference_kind_groups(inst)
+    sigma = np.array([a.f.strong_convexity for a in inst.agents])
     assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
     assert "f_groups" not in vars(inst)  # the construction groups are checked on first use
     assert all(f.dim == inst.M for _, f in inst._f_groups)
     assert all(dims == (inst.M,) * 3 for dims, _, _ in inst._g_members)
-    _same_groups(inst._f_groups, f_groups)
+    _assert_f_groups_are_the_agents_own(inst)
     assert inst.f_groups is inst._f_groups  # checked, not rebuilt
     _assert_g_groups_as_before(inst)
 

@@ -1,12 +1,13 @@
 """``run`` against the loop that evaluated the objective once per round.
 
-``run`` evaluates ``Psi`` and ``x_hat`` of an iterate only when a round reads
-it, together with every newer iterate not evaluated yet, or at the stop.
+``run`` evaluates ``x_hat`` of an iterate only when a round reads it,
+together with every newer iterate not read yet, or at the stop, and ``Psi``
+of the read iterates 64 at a time, or sooner where the run stops or raises.
 Every trace, stop reason and error must be what
 :func:`dense_reference.reference_run` gives, bit for bit: on worst-case and
 seeded schedules with ``D`` in 0..6, on a run whose ``Psi`` turns non-finite
-inside a window, on one whose ``lam`` does, and when a window holds an
-iterate whose evaluation raises.
+inside a window or next to a flush of 64 values, on one whose ``lam`` does,
+and when a window holds an iterate whose ``x_hat`` raises.
 """
 
 import dataclasses
@@ -110,30 +111,39 @@ def test_run_matches_the_per_round_loop_to_tolerance(mode, D):
 
 
 def _stacks(monkeypatch):
-    """Record the shape of every ``lam`` the engine evaluates."""
-    shapes = []
-    real = dualprox.engine.dual_objective
+    """Record the shape of every ``lam`` the engine's x_hat stage and value stage evaluate."""
+    shapes = {"xhat": [], "value": []}
+    real_xhat, real_value = dualprox.engine._xhat_stage, dualprox.engine._value_stage
 
-    def recording(inst, lam):
-        shapes.append(np.shape(lam))
-        return real(inst, lam)
+    def xhat(inst, lam):
+        shapes["xhat"].append(np.shape(lam))
+        return real_xhat(inst, lam)
 
-    monkeypatch.setattr(dualprox.engine, "dual_objective", recording)
+    def value(inst, lam, u, x_hat):
+        shapes["value"].append(np.shape(lam))
+        return real_value(inst, lam, u, x_hat)
+
+    monkeypatch.setattr(dualprox.engine, "_xhat_stage", xhat)
+    monkeypatch.setattr(dualprox.engine, "_value_stage", value)
     return shapes
+
+
+def _rows(shapes) -> int:
+    return sum(s[0] if len(s) == 2 else 1 for s in shapes)
 
 
 def test_psi_that_turns_non_finite_inside_a_window_drops_the_later_rows(monkeypatch):
     # 4-agent path, worst-case D=3, steps 40/h: Psi overflows near round 410
     inst = build_scenario("consensus", {"targets": [0.0, 3.0, 6.0, 9.0]})
     steps = StepSizes.uniform(40.0 / lipschitz_constant(inst)[0], 4)
-    shapes = _stacks(monkeypatch)
     trace = _same_as_reference(inst, lambda: DelaySchedule.worst_case(3), steps, 3000, 1e-8)
     assert trace.meta["stop_reason"] == "nonfinite" and not math.isfinite(trace.psi[-1])
-    # the window that held the non-finite Psi also held later iterates, now dropped
+    shapes = _stacks(monkeypatch)["value"]
+    run(inst, "async", DelaySchedule.worst_case(3), steps, 3000, 1e-8, allow_step_violation=True)
+    # the stack of values that held the non-finite Psi also held later iterates, now dropped
     window = shapes[-1][0]
     assert shapes[-1] == (window, inst.dual_dim) and window > 1
-    evaluated = 1 + sum(s[0] if len(s) == 2 else 1 for s in shapes[1:-1]) + window
-    assert evaluated > trace.n_records
+    assert _rows(shapes) > trace.n_records
 
 
 @pytest.mark.parametrize("kind", ["worst", "seeded"])
@@ -153,20 +163,26 @@ def test_lam_that_turns_non_finite_stops_with_psi_nan(D, kind):
 
 
 def _faults(monkeypatch, psi_inf=(), raising=()):
-    """Patch the engine's objective: ``Psi`` is inf at each point of
-    ``psi_inf``, and a stack or point holding one of ``raising`` raises."""
-    real = dualprox.engine.dual_objective
+    """Patch the engine's two stages, which ``dual_objective`` composes: the value stage
+    gives ``Psi`` inf at each point of ``psi_inf``, and the x_hat stage raises on a stack or
+    point holding one of ``raising``."""
+    real_xhat, real_value = dualprox.engine._xhat_stage, dualprox.engine._value_stage
 
-    def faulty(inst, lam):
-        rows = np.reshape(lam, (-1, inst.dual_dim))
-        if any(np.array_equal(row, bad) for row in rows for bad in raising):
+    def faulty_xhat(inst, lam):
+        if any(np.array_equal(row, bad) for row in np.reshape(lam, (-1, inst.dual_dim))
+               for bad in raising):
             raise UnboundedConjugateError("positive slope on the unbounded flat branch")
-        obj = real(inst, lam)
-        hit = [any(np.array_equal(row, bad) for bad in psi_inf) for row in rows]
+        return real_xhat(inst, lam)
+
+    def faulty_value(inst, lam, u, x_hat):
+        obj = real_value(inst, lam, u, x_hat)
+        hit = [any(np.array_equal(row, bad) for bad in psi_inf)
+               for row in np.reshape(lam, (-1, inst.dual_dim))]
         psi = np.where(hit, math.inf, obj.psi)
         return dataclasses.replace(obj, psi=psi if np.ndim(lam) == 2 else float(psi[0]))
 
-    monkeypatch.setattr(dualprox.engine, "dual_objective", faulty)
+    monkeypatch.setattr(dualprox.engine, "_xhat_stage", faulty_xhat)
+    monkeypatch.setattr(dualprox.engine, "_value_stage", faulty_value)
 
 
 @pytest.mark.parametrize("inf_at, raise_at", [(10, 11), (9, 12), (11, 10), (None, 10),
@@ -182,6 +198,27 @@ def test_a_window_that_raises_is_evaluated_one_iterate_at_a_time(monkeypatch, in
         assert trace.meta["stop_reason"] == "nonfinite" and trace.n_records == inf_at + 1
     else:
         assert trace is None  # the error, as the per-round loop raises it
+
+
+@pytest.mark.parametrize("mode, D, inf_at, raise_at", [
+    ("sync", 0, 65, None),  # one row after the first flush of 64 values, lam(1..64)
+    ("sync", 0, 64, None),  # the last row of that flush
+    ("async", 3, 64, None),
+    ("sync", 0, 70, 75),  # an x_hat error after a pending non-finite Psi
+    ("async", 3, 70, 75),
+    ("async", 3, 75, 70),  # the error first: it is raised
+])
+def test_psi_that_turns_non_finite_next_to_a_flush(monkeypatch, mode, D, inf_at, raise_at):
+    inst = build_market()
+    steps = _async_steps(inst, D)
+    clean = run(inst, mode, DelaySchedule.worst_case(D), steps, 150, 0.0).lam
+    _faults(monkeypatch, [clean[inf_at]], [clean[raise_at]] if raise_at else ())
+    trace = _same_as_reference(inst, lambda: DelaySchedule.worst_case(D), steps, 150, 0.0,
+                               mode=mode)
+    if raise_at is None or inf_at < raise_at:
+        assert trace.meta["stop_reason"] == "nonfinite" and trace.n_records == inf_at + 1
+    else:
+        assert trace is None
 
 
 @pytest.mark.parametrize("D", [0, 1, 3, 5])
@@ -207,14 +244,19 @@ def test_each_window_is_one_evaluation(monkeypatch):
     inst = build_market()
     shapes = _stacks(monkeypatch)
     run(inst, "async", DelaySchedule.worst_case(5), k_max=10)
-    assert shapes == [(10,), (6, 10), (4, 10)]  # lam(0); lam(1..6) at round 6; the rest
-    shapes.clear()
-    run(inst, "sync", k_max=10)
-    assert shapes == [(10,)] * 11  # sync: each iterate alone, as a vector
-    shapes.clear()
+    # x_hat: lam(0); lam(1..6) at round 6; the rest at the stop.  Psi: lam(0), then the
+    # other ten in one stack at the stop
+    assert shapes == {"xhat": [(10,), (6, 10), (4, 10)], "value": [(10,), (10, 10)]}
+    run(build_market(), "sync", k_max=10)
+    assert shapes["xhat"][3:] == [(10,)] * 11  # sync: each iterate alone, as a vector
+    assert shapes["value"][2:] == [(10,), (10, 10)]
+    for stage in shapes.values():
+        stage.clear()
     trace = run(inst, "async", DelaySchedule.seeded(4, 3), k_max=200)
-    assert sum(s[0] if len(s) == 2 else 1 for s in shapes) == trace.n_records
-    assert max(s[0] for s in shapes if len(s) == 2) <= 5
+    assert _rows(shapes["xhat"]) == _rows(shapes["value"]) == trace.n_records == 201
+    assert max(s[0] for s in shapes["xhat"] if len(s) == 2) <= 5
+    # never more than 64 values wait: lam(0), then lam(1..200) 64 at a time
+    assert shapes["value"] == [(10,), (64, 10), (64, 10), (64, 10), (8, 10)]
 
 
 def test_recover_primal_reuses_the_last_x_hat_after_a_window(monkeypatch):
@@ -228,7 +270,7 @@ def test_recover_primal_reuses_the_last_x_hat_after_a_window(monkeypatch):
         monkeypatch.setattr(dualprox.engine, "apply_C",
                             lambda i, lam: calls.append(1) or real_apply_C(i, lam))
         got = recover_primal(inst, lam)
-        assert calls == [] and shapes == []
+        assert calls == [] and shapes == {"xhat": [], "value": []}
         assert _bits(got.x_hat) == _bits(expected.x_hat)
         assert _bits(got.z_hat) == _bits(expected.z_hat) and got.mismatch == expected.mismatch
         monkeypatch.undo()

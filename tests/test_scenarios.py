@@ -12,7 +12,7 @@ from dualprox import (
     recover_primal,
     run,
 )
-from dualprox.convex import PiecewiseQuadraticUtility, QuadraticFunction
+from dualprox.convex import PiecewiseQuadraticUtility, ProxFriendlyFunction, QuadraticFunction
 from dualprox.errors import RankDeficientError
 
 
@@ -156,6 +156,16 @@ def test_consensus_blocks_form_laplacian():
 def test_consensus_requires_connected_topology():
     with pytest.raises(ValueError):
         build_consensus(Topology(3, frozenset({(0, 1)})), [quadratic_local([0.0])] * 3)
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+@pytest.mark.parametrize("which", ["locals_g", "omegas"])
+def test_consensus_refuses_optional_lists_not_one_per_agent(which, length):
+    # 4 parts for 3 agents were cut to 3, 2 failed on the block table's shape, [] meant none
+    parts = {"locals_g": [ProxFriendlyFunction.l1(0.5)] * length, "omegas": [None] * length}
+    what = {"locals_g": "nonsmooth part", "omegas": "omega"}[which]
+    with pytest.raises(ValueError, match=f"^need one {what} per agent$"):
+        build_consensus(Topology.path(3), [quadratic_local([0.0])] * 3, **{which: parts[which]})
 
 
 def test_consensus_path_reaches_arithmetic_mean():

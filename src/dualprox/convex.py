@@ -428,23 +428,35 @@ class ProxFriendlyFunction:
             w_ends, inside = [self._w * np.abs(e) for e in ends], (lo <= 0) & (hi >= 0)
         return ends, w_ends, inside, inf if inf.any() else None
 
+    def _alpha_terms(self, alpha) -> tuple:
+        """``a = alpha`` as a column, ``a w``, ``a q`` and ``1 + a diag``, kept for the last
+        ``alpha``: a run passes the same step sizes every round."""
+        key = (np.shape(alpha), np.asarray(alpha, dtype=float).tobytes())
+        last = self.__dict__.get("_last_alpha")
+        if last is None or last[0] != key:
+            a, quad = _col(alpha), self.quad or _free_parts(1)[0]  # no quadratic: unused
+            last = self.__dict__["_last_alpha"] = (key, (a, a * self._w, a * quad.linear,
+                                                          1.0 + a * quad._diagonal))
+        return last[1]
+
     def prox(self, u, alpha, *, alpha_checked: bool = False) -> np.ndarray:
         """Exact prox with parameter ``alpha > 0``; ``alpha_checked`` skips the check on
         ``alpha`` for a caller that has made it."""
         if not (alpha_checked or _all_positive(alpha)):
             raise ValueError("alpha must be positive")
         u, v, kinds = _vec(u), None, self._parts[0]
-        a = None if len(kinds) == 1 and 0 in kinds else _col(alpha)
+        if not (len(kinds) == 1 and 0 in kinds):
+            a, a_w, a_q, a_diag = self._alpha_terms(alpha)
         for formula, rows in kinds.items():
             if formula == 0:
                 x = u
             elif formula == 1:  # soft-thresholding
-                x = np.sign(u) * np.maximum(np.abs(u) - a * self._w, 0.0)
+                x = np.sign(u) * np.maximum(np.abs(u) - a_w, 0.0)
             elif not self.quad.is_diagonal:  # a group of its own, without a box
                 mat = np.eye(self.quad.dim) + a[..., None] * self.quad.curvature
-                return np.linalg.solve(mat, (u - a * self.quad.linear)[..., None])[..., 0]
+                return np.linalg.solve(mat, (u - a_q)[..., None])[..., 0]
             else:  # quadratic: (I + alpha C) v = u - alpha q; a diagonal solve divides, as LAPACK's
-                x = (u - a * self.quad.linear) / (1.0 + a * self.quad._diagonal)
+                x = (u - a_q) / a_diag
             v = x if v is None else np.where(rows, x, v)
         if self.box is not None:
             v = self.box.project(v)
@@ -570,14 +582,16 @@ def nonsmooth_group(gs, boxes, omegas, codes, dim: int) -> ProxFriendlyFunction:
     ``k`` in ``boxes[k]`` and ``omegas[k]`` (each ``None``, or standing in for the other):
     one kind stacked as :func:`group` stacks it, several with the per-member codes and the
     stand-ins of :class:`ProxFriendlyFunction`, then one ``with_box`` of the omegas
-    (``max(x, x) = x``).  A dense quadratic needs a group of its own."""
+    (``max(x, x) = x``; none where each is its member's box).  A dense quadratic needs a
+    group of its own."""
     kind = gs[0].kind if len(set(codes)) == 1 else np.array(codes)
     quad = own = other = None
     if 2 in codes or 5 in codes:
         quad = group([g.quad or _free_parts(dim)[0] for g in gs])
     if max(codes) >= 3:  # -inf, inf stand in for a box where a member has none
         own = group([b or _free_parts(dim)[1] for b in boxes])
-        other = group([b or _free_parts(dim)[1] for b in omegas])
+        if any(o is not b for b, o in zip(boxes, omegas)):
+            other = group([b or _free_parts(dim)[1] for b in omegas])
     g = ProxFriendlyFunction(kind, np.array([g.weight for g in gs]), quad, own)
     return g.with_box(other)
 

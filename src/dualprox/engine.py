@@ -158,15 +158,26 @@ class DelaySchedule:
 # ---------------------------------------------------------------------------
 
 
+def _by_group(groups, fn, x) -> np.ndarray:
+    """``fn(group, x[agents])`` of each ``(agents, group)``, the agents on the next-to-last
+    axis of ``x``, in one array: a single group's own result where it holds every agent."""
+    (idx, g), *rest = groups
+    if not rest and type(idx) is slice and idx == slice(0, x.shape[-2]):
+        return fn(g, x)
+    out = None
+    for idx, g in groups:
+        idx = idx if x.ndim == 2 else (slice(None), idx)  # a stack's group
+        value = fn(g, x[idx])
+        out = np.empty(x.shape[:-1] + value.shape[x.ndim - 1:]) if out is None else out
+        out[idx] = value
+    return out
+
+
 def _xhat_stage(instance: ProblemInstance, lam: np.ndarray) -> tuple:
     """``(u, x_hat)`` at ``lam``: ``u = C lam`` and every agent's conjugate argmax of its
     smooth part at ``u_i``, each stacked ``(N, M)``, or ``(K, N, M)`` for a stack."""
     u = apply_C(instance, lam)
-    x_hat = np.empty_like(u)
-    for idx, f in instance.f_groups:
-        idx = idx if u.ndim == 2 else (slice(None), idx)  # a stack's group
-        x_hat[idx] = conjugate_argmax(f, u[idx])
-    return u, x_hat
+    return u, _by_group(instance.f_groups, conjugate_argmax, u)
 
 
 def grad_P_block(instance: ProblemInstance, x_hat: np.ndarray):
@@ -230,14 +241,8 @@ def _value_stage(instance: ProblemInstance, lam: np.ndarray, u: np.ndarray,
     """:func:`dual_objective` at ``lam`` from its ``u`` and ``x_hat``: the smooth parts'
     values, the nonsmooth conjugates and the sums in order."""
     theta, mu = instance.split(lam)
-    f_val = np.empty(u.shape[:-1])
-    for idx, f in instance.f_groups:
-        idx = idx if u.ndim == 2 else (slice(None), idx)
-        f_val[idx] = f.value(x_hat[idx])
-    q_val = np.empty(u.shape[:-1])
-    for idx, g in instance.g_groups:
-        idx = idx if u.ndim == 2 else (slice(None), idx)
-        q_val[idx] = g.conjugate(mu[idx])
+    f_val = _by_group(instance.f_groups, lambda f, x: f.value(x), x_hat)
+    q_val = _by_group(instance.g_groups, lambda g, v: g.conjugate(v), mu)
     # P's terms in the order they are added: per agent, u_i'x_i - f_i(x_i), b_i'theta_i
     p_terms = np.empty(lam.shape[:-1] + (2 * instance.n_agents,))
     p_terms[..., 0::2] = (u * x_hat).sum(axis=-1) - f_val
@@ -272,7 +277,7 @@ def recover_primal(instance: ProblemInstance, lam: np.ndarray) -> PrimalRecovery
         x_hat = last.copy()
     else:
         x_hat = _xhat_stage(instance, lam)[1]
-    z_hat = np.empty_like(x_hat)
+    z_hat = np.empty_like(x_hat)  # its own array: an argmax may return ref itself
     for idx, g in instance.g_groups:
         z_hat[idx] = g.conjugate_argmax(mu[idx], ref=x_hat[idx])
     with np.errstate(over="ignore"):  # huge points: the mismatch is inf

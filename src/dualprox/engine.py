@@ -15,9 +15,9 @@ bitwise reproducible.  On a few scalar agents a round costs numpy calls,
 not arithmetic: each group binds what does not depend on the round once,
 on first use (see :mod:`dualprox.convex`), as :class:`StepSizes` binds its
 column and reciprocals, and the nonsmooth group evaluates every kind
-present in one call.  :func:`run` leaves the ``x_hat``
-of its last iterate on the instance (``last_x_hat``), and
-:func:`recover_primal` reuses it when called at a bytewise equal ``lam``.
+present in one call.  :func:`run` leaves the ``x_hat`` of its last iterate
+on the instance (``last_x_hat``), and :func:`recover_primal` reuses it when
+called at a bytewise equal ``lam``.
 
 Nothing in a round reads ``Psi``, so :func:`run` runs the two stages of
 :func:`dual_objective` apart: the x_hat stage when a round first reads an

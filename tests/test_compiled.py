@@ -51,6 +51,7 @@ from dense_reference import (
     reference_group,
     reference_with_box,
 )
+from test_trace_digests import _mixed_path
 
 F_KINDS = ("quadratic", "quadratic_box", "utility", "utility_box")
 G_KINDS = ("zero", "l1", "indicator_box", "l1_plus_box", "quadratic", "quadratic_box")
@@ -441,6 +442,22 @@ def test_every_row_of_the_nonsmooth_group_is_its_agents_own(case, K):
                 else:
                     assert _bits(rows[k]) == _bits(want), i
                     assert errors or _bits(argmax[k]) == _bits(rows[k]), i
+
+
+def test_the_prox_keeps_its_step_size_terms_for_the_last_step_sizes_only():
+    # a run passes the same step sizes every round; other values, or the same values in
+    # another shape, must not reuse the terms kept for the last ones
+    (_, g), = _mixed_path().g_groups
+    u, c = np.linspace(-3.0, 3.0, 8)[:, None], np.linspace(0.5, 2.0, 8)
+    for alpha in (c, 2.0 * c, c, np.array(0.5), np.array([0.5]), c):
+        (_, fresh), = _mixed_path().g_groups
+        want = fresh.prox(u, alpha)
+        assert _bits(g.prox(u, alpha)) == _bits(want) and g.prox(u, alpha).shape == want.shape
+    one = ProxFriendlyFunction.l1(0.5)
+    for alpha in (0.5, np.array([0.5]), 0.5):
+        want = ProxFriendlyFunction.l1(0.5).prox([1.0, -2.0], alpha)
+        got = one.prox([1.0, -2.0], alpha)
+        assert got.shape == want.shape and _bits(got) == _bits(want)
 
 
 def test_a_group_row_does_not_depend_on_the_other_members_boxes():

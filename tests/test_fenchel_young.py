@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from dualprox import (
     AgentSpec,
-    BoxSet,
     PiecewiseQuadraticUtility,
     ProblemInstance,
     ProxFriendlyFunction,

@@ -152,8 +152,7 @@ def test_g_fenchel_young_inequality(case):
 def smooth_members(draw):
     """``(instance, rng)``: up to 6 agents whose smooth parts are diagonal quadratics and,
     for ``M = 1``, utilities, with or without a domain (infinite ends, ``lo = hi``, off 0),
-    and for ``M = 2`` dense quadratics without one; slopes ``u`` near the utilities'
-    prices and thresholds."""
+    and for ``M = 2`` dense quadratics without one."""
     n, M = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fs = []

@@ -162,10 +162,6 @@ class QuadraticFunction:
         return c.shape[-1] == 1 or bool(np.allclose(c, c * np.eye(c.shape[-1])))
 
     @cached_property
-    def _strongly_convex(self) -> bool:
-        return _all_positive(self.strong_convexity)
-
-    @cached_property
     def _diagonal(self) -> np.ndarray:
         return np.diagonal(self.curvature, axis1=-2, axis2=-1).copy()
 
@@ -429,24 +425,22 @@ class ProxFriendlyFunction:
         return ends, w_ends, inside, inf if inf.any() else None
 
     def _alpha_terms(self, alpha) -> tuple:
-        """``a = alpha`` as a column, ``a w``, ``a q`` and ``1 + a diag``, kept for the last
-        ``alpha``: a run passes the same step sizes every round."""
+        """``a = alpha`` as a column, ``a w``, ``a q`` and ``1 + a diag``, checked and kept for
+        the last ``alpha``: a run passes the same step sizes every round."""
         key = (np.shape(alpha), np.asarray(alpha, dtype=float).tobytes())
         last = self.__dict__.get("_last_alpha")
         if last is None or last[0] != key:
+            if not _all_positive(alpha):  # NaN fails too
+                raise ValueError("alpha must be positive")
             a, quad = _col(alpha), self.quad or _free_parts(1)[0]  # no quadratic: unused
             last = self.__dict__["_last_alpha"] = (key, (a, a * self._w, a * quad.linear,
                                                           1.0 + a * quad._diagonal))
         return last[1]
 
-    def prox(self, u, alpha, *, alpha_checked: bool = False) -> np.ndarray:
-        """Exact prox with parameter ``alpha > 0``; ``alpha_checked`` skips the check on
-        ``alpha`` for a caller that has made it."""
-        if not (alpha_checked or _all_positive(alpha)):
-            raise ValueError("alpha must be positive")
+    def prox(self, u, alpha) -> np.ndarray:
+        """Exact prox with parameter ``alpha > 0``, checked whenever it is not the last one."""
         u, v, kinds = _vec(u), None, self._parts[0]
-        if not (len(kinds) == 1 and 0 in kinds):
-            a, a_w, a_q, a_diag = self._alpha_terms(alpha)
+        a, a_w, a_q, a_diag = self._alpha_terms(alpha)
         for formula, rows in kinds.items():
             if formula == 0:
                 x = u
@@ -509,6 +503,7 @@ class ProxFriendlyFunction:
         v = _vec(v)
         ref = np.zeros_like(v) if ref is None else _vec(ref)
         lo, hi = (-INF, INF) if self.box is None else (self.box.lower, self.box.upper)
+        inf_lo, inf_hi = np.isinf(lo), np.isinf(hi)
         x = None
         for formula, rows in self._parts[2].items():
             if formula == 0:
@@ -517,13 +512,13 @@ class ProxFriendlyFunction:
                     raise UnboundedConjugateError("support of all-space is unbounded")
                 piece = ref
             elif formula == 1:
-                piece = _l1_argmax(v, self._w, lo, hi, ref, rows)
+                piece = _l1_argmax(v, self._w, (lo, hi, inf_lo, inf_hi), ref, rows)
             elif formula == 2:
                 piece = conjugate_argmax(self._smooth, v)
             else:  # zero in a box: unbounded where v points past an infinite end
                 tol = _ZERO_ATOL * (1.0 + np.abs(v))
                 above, below = v > tol, v < -tol
-                past = (above & np.isinf(hi)) | (below & np.isinf(lo))
+                past = (above & inf_hi) | (below & inf_lo)
                 if (past & (True if rows is None else rows)).any():
                     raise UnboundedConjugateError("box support unbounded")
                 piece = np.where(above, hi, np.where(below, lo, np.clip(ref, lo, hi)))
@@ -531,23 +526,24 @@ class ProxFriendlyFunction:
         return x
 
 
-def _l1_argmax(v, w, lo, hi, ref, rows) -> np.ndarray:
-    """Maximizer of ``v*x - w|x|`` over ``[lo, hi]``, elementwise, ties toward ``ref``; only
-    the members ``rows`` masks may be unbounded."""
+def _l1_argmax(v, w, ends, ref, rows) -> np.ndarray:
+    """Maximizer of ``v*x - w|x|`` over the box ``ends`` (``lo, hi`` and where each is infinite),
+    elementwise, ties toward ``ref``; only the members ``rows`` masks may be unbounded."""
+    lo, hi, inf_lo, inf_hi = ends
     tol = _ZERO_ATOL * (1.0 + np.abs(v) + w)
     above = v > w + tol
     below = v < -w - tol
     rows = True if rows is None else rows
-    if (above & np.isinf(hi) & rows).any():
+    if (above & inf_hi & rows).any():
         raise UnboundedConjugateError("l1 support unbounded above")
-    if (below & np.isinf(lo) & rows).any():
+    if (below & inf_lo & rows).any():
         raise UnboundedConjugateError("l1 support unbounded below")
-    top = np.where(np.isinf(hi), np.maximum(ref, 0.0), hi)
-    bot = np.where(np.isinf(lo), np.minimum(ref, 0.0), lo)
+    top = np.where(inf_hi, np.maximum(ref, 0.0), hi)
+    bot = np.where(inf_lo, np.minimum(ref, 0.0), lo)
     # 0 outside the box: the better finite endpoint, the lower one on a tie
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, a huge weight
         lower_wins = v * lo - w * np.abs(lo) >= v * hi - w * np.abs(hi)
-    x = np.where(np.isfinite(lo) & (np.isinf(hi) | lower_wins), lo, hi)
+    x = np.where(~inf_lo & (inf_hi | lower_wins), lo, hi)  # a box's ends are no NaN
     # then, each taking precedence over those before it: the strict interior of the dead
     # zone, a tie on the nonpositive ray, a tie on the nonnegative ray, below, above
     x = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, x)
@@ -671,18 +667,15 @@ def conjugate_value(f: SmoothConjugable, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c, reciprocal=None) -> np.ndarray:
+def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c) -> np.ndarray:
     """Prox of the conjugate ``g*`` with parameter ``c``, via the direct prox.
 
     Uses the decomposition ``prox^c_{g*}(v) = v - c * prox^{1/c}_g(v/c)``,
     so the conjugate's prox is never evaluated directly.  For a group, ``c``
-    holds one parameter per member.  A caller that has checked ``c`` passes
-    it as a column ``c[:, None]`` with its ``reciprocal`` ``1 / c``.
+    holds one parameter per member, each checked positive and finite.
     """
-    if reciprocal is None:  # NaN fails too; 0 < c < inf is 1/c > 0, the prox's check
-        c = np.asarray(c, dtype=float)
-        if not (0.0 < c.min() and c.max() < INF):
-            raise ValueError("c must be positive and finite")
-        c, reciprocal = c[..., None], 1.0 / c
-    v = _vec(v)
-    return v - c * g.prox(v / c, reciprocal, alpha_checked=True)
+    c = np.asarray(c, dtype=float)
+    if not (0.0 < c.min() and c.max() < INF):  # NaN fails too
+        raise ValueError("c must be positive and finite")
+    v, column = _vec(v), c[..., None]
+    return v - column * g.prox(v / column, 1.0 / c)

@@ -22,8 +22,9 @@ called at a bytewise equal ``lam``.
 Nothing in a round reads ``Psi``, so :func:`run` runs the two stages of
 :func:`dual_objective` apart: the x_hat stage when a round first reads an
 iterate, with every newer one, in one call over their stack (``_read``),
-and the value stage over the stack of up to 64 read iterates (``_flush``).
-A stack's rows run the one-vector kernels, so traces stay bitwise.
+and the value stage over the stack of up to 64 read iterates (``_flush``);
+``lam(0)`` is read and valued like every iterate.  A stack's rows run the
+one-vector kernels, so traces stay bitwise.
 
 The rate-bound verifier works an array at a time: it stacks the trace's
 ``lam`` once, and computes each bound, measured value and running total for
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import conjugate_argmax, prox_conjugate_via_moreau
+from .convex import conjugate_argmax
 from .errors import (
     HistoryUnderflowError,
     InsufficientTraceError,
@@ -198,13 +199,13 @@ def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
     """One round from the snapshot maximizers ``x_hat``, anchored at ``lam``."""
     theta, mu = instance.split(lam)
     g_theta, g_mu = grad_P_block(instance, x_hat)
-    c = steps._column
+    c, alpha = steps._column, steps._reciprocal
     lam_next = np.empty_like(lam)
     theta_next, mu_next = instance.split(lam_next)
     np.subtract(theta, c * g_theta, out=theta_next)
     v = mu - c * g_mu
-    for idx, g in instance.g_groups:
-        mu_next[idx] = prox_conjugate_via_moreau(g, v[idx], c[idx], steps._reciprocal[idx])
+    for idx, g in instance.g_groups:  # prox_conjugate_via_moreau, steps checked once
+        mu_next[idx] = v[idx] - c[idx] * g.prox(v[idx] / c[idx], alpha[idx])
     return lam_next
 
 
@@ -437,7 +438,7 @@ class _NonFinitePsi(Exception):
 def _flush(instance: ProblemInstance, trace: IterationTrace, pending: list) -> None:
     """Evaluate ``Psi`` of the iterates after ``trace.psi``'s from their ``pending`` ``(u,
     x_hat)``, in one value stage over their stack; at a non-finite one, cut the trace there
-    and raise :class:`_NonFinitePsi`."""
+    and raise :class:`_NonFinitePsi`, or :class:`NonFiniteInitialError` at ``lam(0)``."""
     start, n = len(trace.psi), len(pending)
     if n:
         u, x_hat = map(np.array, zip(*pending))
@@ -446,6 +447,8 @@ def _flush(instance: ProblemInstance, trace: IterationTrace, pending: list) -> N
                                   x_hat).psi.tolist()
     for j in range(start, len(trace.psi)):
         if not math.isfinite(trace.psi[j]):
+            if j == 0:
+                raise NonFiniteInitialError(f"Psi(lam(0)) = {trace.psi[0]}")
             del trace.psi[j + 1:], trace.lam[j + 1:], trace.tau[j:], trace.step_norm_inf[j:]
             del trace.message_counts[j:]
             raise _NonFinitePsi
@@ -487,8 +490,9 @@ def run(instance: ProblemInstance, mode: str = "sync",
     ``Psi(lam(k)) - psi_star``; when no reference is supplied the best
     finite observed value is used.  The run is deterministic given
     (instance, mode, schedule, steps, lam0).  ``Psi`` is evaluated up to 64
-    rounds late; rounds run past a non-finite one are dropped, and an error is
-    raised only where a loop that evaluates ``Psi`` each round meets it.
+    rounds late, ``Psi(lam(0))`` too; rounds run past a non-finite one are
+    dropped, and an error is raised only where a loop that evaluates ``Psi``
+    each round meets it, :class:`NonFiniteInitialError` at ``lam(0)``.
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -525,10 +529,6 @@ def run(instance: ProblemInstance, mode: str = "sync",
                              f"length dual_dim = {instance.dual_dim}")
         if not np.isfinite(lam).all():
             raise NonFiniteInitialError("lam(0) is not finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Psi is refused below
-        obj = dual_objective(instance, lam)
-    if not np.isfinite(obj.psi):
-        raise NonFiniteInitialError(f"Psi(lam(0)) = {obj.psi}")
 
     n_msgs = instance.n_messages
     trace = IterationTrace(instance.n_agents, instance.B, instance.M,
@@ -548,11 +548,10 @@ def run(instance: ProblemInstance, mode: str = "sync",
         "psi_star_source": "best_observed" if psi_star is None else "given",
     }
     trace.lam.append(lam)
-    trace.psi.append(obj.psi)
 
     # maximizers of the last D + 1 read iterates, the snapshots a round may read, and
     # (u, x_hat) of the read iterates whose Psi is not evaluated yet
-    xhat_cache, pending = {0: obj.x_hat}, []
+    xhat_cache, pending = {}, []
     D, stop_reason = schedule.bound, "k_max"
     # a diverging run overflows on its way to the non-finite round that stops it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -575,16 +574,16 @@ def run(instance: ProblemInstance, mode: str = "sync",
                 # a finite step needs finite iterates; an infinite one may be an overflow
                 if not (math.isfinite(step) or np.isfinite(lam_next).all()):
                     stop_reason = "nonfinite"
-                    _read(instance, trace, xhat_cache, pending, k + 1)
-                    _flush(instance, trace, pending)
-                    trace.psi.append(math.nan)  # at a non-finite lam, unevaluated
                     break
                 if step <= tol:
                     stop_reason = "tol"
                     break
-            if stop_reason != "nonfinite":
-                _read(instance, trace, xhat_cache, pending, len(trace.lam))
-                _flush(instance, trace, pending)
+            # every iterate not read yet, but a non-finite last one: its Psi is nan, unevaluated
+            _read(instance, trace, xhat_cache, pending,
+                  len(trace.lam) - (stop_reason == "nonfinite"))
+            _flush(instance, trace, pending)
+            if stop_reason == "nonfinite":
+                trace.psi.append(math.nan)
         except _NonFinitePsi:  # an iterate up to the last has a non-finite Psi
             stop_reason = "nonfinite"
 

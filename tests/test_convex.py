@@ -113,6 +113,18 @@ def test_prox_rejects_a_nonpositive_or_nan_alpha(alpha):
             np.ones((2, 1)), np.broadcast_to(alpha, 2))
 
 
+@pytest.mark.parametrize("g, u", [(ProxFriendlyFunction.l1(0.7), [1.0]),
+                                  (group([ProxFriendlyFunction.zero()] * 2), np.ones((2, 1)))],
+                         ids=["l1", "zero_group"])
+def test_prox_checks_a_bad_alpha_after_keeping_the_terms_of_a_good_one(g, u):
+    # the terms kept for the last alpha are no check of the next one, the identity prox's too
+    kept = g.prox(u, 0.5)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            g.prox(u, alpha)
+    np.testing.assert_array_equal(g.prox(u, 0.5), kept)
+
+
 @pytest.mark.parametrize("alpha", [[0.5, 0.0], [0.0], [float("nan")], (1.0, -1.0)])
 def test_prox_rejects_a_list_alpha_with_a_nonpositive_entry(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):

@@ -1,8 +1,9 @@
 """``run`` against the loop that evaluated the objective once per round.
 
-``run`` evaluates ``x_hat`` of an iterate only when a round reads it,
-together with every newer iterate not read yet, or at the stop, and ``Psi``
-of the read iterates 64 at a time, or sooner where the run stops or raises.
+``run`` evaluates ``x_hat`` of an iterate, ``lam(0)`` among them, only when
+a round reads it, together with every newer iterate not read yet, or at the
+stop, and ``Psi`` of the read iterates 64 at a time, or sooner where the run
+stops or raises; a non-finite ``Psi(lam(0))`` raises where its stack is valued.
 Every trace, stop reason and error must be what
 :func:`dense_reference.reference_run` gives, bit for bit: on worst-case and
 seeded schedules with ``D`` in 0..6, on a run whose ``Psi`` turns non-finite
@@ -38,7 +39,12 @@ from dualprox import (
     run,
     step_size_async,
 )
-from dualprox.errors import DualproxError, HistoryUnderflowError, UnboundedConjugateError
+from dualprox.errors import (
+    DualproxError,
+    HistoryUnderflowError,
+    NonFiniteInitialError,
+    UnboundedConjugateError,
+)
 
 from dense_reference import reference_run
 
@@ -185,6 +191,33 @@ def _faults(monkeypatch, psi_inf=(), raising=()):
     monkeypatch.setattr(dualprox.engine, "_value_stage", faulty_value)
 
 
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "xhat_error_at_2"])
+@pytest.mark.parametrize("k_max", [0, 1, 70])
+@pytest.mark.parametrize("mode, D", [("sync", 0), ("async", 3)])
+def test_a_non_finite_psi_of_lam0_is_refused_where_its_stack_is_valued(monkeypatch, mode, D,
+                                                                         k_max, fault):
+    # two l1 agents, mu_1 = 5 beyond the weight 1: Psi(lam(0)) = inf, and every later Psi is
+    # finite; lam(0) waits with the others, so the first stack of values refuses it, also when
+    # an x_hat error at iterate 2 flushes that stack early
+    inst = build_consensus(Topology(2, frozenset({(0, 1)})),
+                           [quadratic_local([0.0]), quadratic_local([1.0])],
+                           locals_g=[ProxFriendlyFunction.l1(1.0)] * 2)
+    lam0 = np.zeros(inst.dual_dim)
+    inst.split(lam0)[1][1] = 5.0
+    steps = _async_steps(inst, D)
+    if fault:
+        lams = [lam0]  # the first iterates, each round from its snapshot's x_hat
+        for k in range(2):
+            x_hat = dual_objective(inst, lams[max(0, k - D)]).x_hat
+            lams.append(dualprox.engine._round(inst, lams[k], x_hat, steps))
+        _faults(monkeypatch, raising=[lams[2]])
+    shapes = _stacks(monkeypatch)
+    with pytest.raises(NonFiniteInitialError, match=r"^Psi\(lam\(0\)\) = inf$"):
+        run(inst, mode, DelaySchedule.worst_case(D), steps, k_max, 0.0, lam0)
+    assert shapes["value"] == [(min(k_max + 1, 2 if fault else 64), inst.dual_dim)]
+    assert inst.last_x_hat == (None, None)
+
+
 @pytest.mark.parametrize("inf_at, raise_at", [(10, 11), (9, 12), (11, 10), (None, 10),
                                                (10, None)])
 def test_a_window_that_raises_is_evaluated_one_iterate_at_a_time(monkeypatch, inf_at, raise_at):
@@ -244,19 +277,19 @@ def test_each_window_is_one_evaluation(monkeypatch):
     inst = build_market()
     shapes = _stacks(monkeypatch)
     run(inst, "async", DelaySchedule.worst_case(5), k_max=10)
-    # x_hat: lam(0); lam(1..6) at round 6; the rest at the stop.  Psi: lam(0), then the
-    # other ten in one stack at the stop
-    assert shapes == {"xhat": [(10,), (6, 10), (4, 10)], "value": [(10,), (10, 10)]}
+    # x_hat: lam(0) at round 0; lam(1..6) at round 6; the rest at the stop.  Psi: all
+    # eleven in one stack at the stop
+    assert shapes == {"xhat": [(10,), (6, 10), (4, 10)], "value": [(11, 10)]}
     run(build_market(), "sync", k_max=10)
     assert shapes["xhat"][3:] == [(10,)] * 11  # sync: each iterate alone, as a vector
-    assert shapes["value"][2:] == [(10,), (10, 10)]
+    assert shapes["value"][1:] == [(11, 10)]
     for stage in shapes.values():
         stage.clear()
     trace = run(inst, "async", DelaySchedule.seeded(4, 3), k_max=200)
     assert _rows(shapes["xhat"]) == _rows(shapes["value"]) == trace.n_records == 201
     assert max(s[0] for s in shapes["xhat"] if len(s) == 2) <= 5
-    # never more than 64 values wait: lam(0), then lam(1..200) 64 at a time
-    assert shapes["value"] == [(10,), (64, 10), (64, 10), (64, 10), (8, 10)]
+    # never more than 64 values wait: lam(0..200) 64 at a time
+    assert shapes["value"] == [(64, 10)] * 3 + [(9, 10)]
 
 
 def test_recover_primal_reuses_the_last_x_hat_after_a_window(monkeypatch):

@@ -99,14 +99,13 @@ class BoxSet:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _vec(self.lower)
-        hi = _vec(self.upper)
+        lo = np.array(self.lower, dtype=float, ndmin=1)  # a copy, never a view of the input
+        hi = np.array(self.upper, dtype=float, ndmin=1)
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have equal shapes")
         if not (lo <= hi).all():  # NaN fails too
             raise ValueError("box requires lower <= upper componentwise")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        self.__dict__.update(lower=lo, upper=hi)
 
     @property
     def dim(self) -> int:
@@ -129,19 +128,16 @@ class QuadraticFunction:
     offset: float = 0.0
 
     def __post_init__(self):
-        q = _vec(self.linear)
-        c = np.asarray(self.curvature, dtype=float)
-        if c.ndim == 0:
-            c = c.reshape(1, 1)
-        elif c.ndim == 1:
-            c = np.diag(c)
+        q = np.array(self.linear, dtype=float, ndmin=1)  # copies, never views of the inputs
+        c = np.array(self.curvature, dtype=float, ndmin=1)
+        if c.ndim == 1:  # a diagonal; a scalar's has one entry
+            c = c[None] if len(c) == 1 else np.diag(c)
         if c.shape != q.shape + q.shape[-1:]:
             raise ValueError("curvature/linear dimension mismatch")
-        if not _isclose_all(c, c.swapaxes(-1, -2)):
+        # a 1x1 curvature is its own transpose, so only a NaN entry is not symmetric
+        if not (c.item() == c.item() if c.size == 1 else _isclose_all(c, c.swapaxes(-1, -2))):
             raise ValueError("curvature must be symmetric")
-        object.__setattr__(self, "curvature", c)
-        object.__setattr__(self, "linear", q)
-        object.__setattr__(self, "offset", _per_member(self.offset))
+        self.__dict__.update(curvature=c, linear=q, offset=_per_member(self.offset))
 
     @property
     def dim(self) -> int:
@@ -197,8 +193,7 @@ class PiecewiseQuadraticUtility:
         price, curvature = _per_member(self.price), _per_member(self.curvature)
         if not (_all_positive(price) and _all_positive(curvature)):
             raise ValueError("price and curvature must be positive")
-        object.__setattr__(self, "price", price)
-        object.__setattr__(self, "curvature", curvature)
+        self.__dict__.update(price=price, curvature=curvature)
 
     @property
     def dim(self) -> int:
@@ -425,14 +420,17 @@ class ProxFriendlyFunction:
         return ends, w_ends, inside, inf if inf.any() else None
 
     def _alpha_terms(self, alpha) -> tuple:
-        """``a = alpha`` as a column, ``a w``, ``a q`` and ``1 + a diag``, checked and kept for
-        the last ``alpha``: a run passes the same step sizes every round."""
+        """``a = alpha`` as a column, ``a w``, ``a q`` and ``1 + a diag``, checked (one entry or
+        one per member) and kept for the last ``alpha``: a run passes the same one each round."""
         key = (np.shape(alpha), np.asarray(alpha, dtype=float).tobytes())
         last = self.__dict__.get("_last_alpha")
         if last is None or last[0] != key:
             if not _all_positive(alpha):  # NaN fails too
                 raise ValueError("alpha must be positive")
-            a, quad = _col(alpha), self.quad or _free_parts(1)[0]  # no quadratic: unused
+            a, n = _col(alpha), np.size(self.weight)
+            if a.size not in (1, n):
+                raise ValueError(f"alpha has {a.size} entries, not 1 or one per member ({n})")
+            quad = self.quad or _free_parts(1)[0]  # no quadratic: unused
             last = self.__dict__["_last_alpha"] = (key, (a, a * self._w, a * quad.linear,
                                                           1.0 + a * quad._diagonal))
         return last[1]

@@ -6,9 +6,11 @@ instance keeps all agents' blocks in one table sorted by ``(owner, l)``.
 The row map ``C_i`` acts on the stacked dual vector
 ``lam = [theta_1..theta_N, mu_1..mu_N]``.  An instance groups its agents
 by catalog kind when it is built, and compiles its operators into its own
-members once, on first use: flat entry arrays of ``C`` and ``A`` and the
-checked groups, so a dual operator costs a few numpy calls over the
-nonzeros and the groups instead of a loop over agents.
+members once, on first use: flat entry arrays of ``C`` and ``A``, the
+checked groups and the Lipschitz constant (one SVD call per stack of row
+maps of one width; see ``ProblemInstance.lipschitz`` for why only one-row
+maps are padded, column 0 leading), so a dual operator costs a few numpy
+calls over the nonzeros and the groups instead of a loop over agents.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .convex import (
 )
 from .errors import MalformedInstanceError, SingularScaleError
 
+_PADDED_WIDTH = np.array([0, 0, 2, 6, 6, 6, 6, 8, 8, 0])  # one-row map widths padded, see lipschitz
+
 
 @dataclass(frozen=True, eq=False)
 class Topology:
@@ -50,9 +54,11 @@ class Topology:
         pairs = set()
         for e in self.edges:
             try:
-                i, j = sorted(map(operator.index, e))
+                i, j = e
+                i, j = operator.index(i), operator.index(j)
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair of integers") from None
+            i, j = (i, j) if i < j else (j, i)
             if i == j:
                 raise ValueError(f"edge {(i, j)} is a self-loop")
             if i < 0 or j >= self.n_agents:
@@ -241,42 +247,38 @@ class ProblemInstance:
         return _checked_groups("g", [(idx, nonsmooth_group(*members, self.M))
                                      for _, idx, members in self._g_members], self.n_agents)
 
-    def _compact_row_maps(self):
-        """``(agents, S)`` with ``S[k]`` the row map ``C_i`` of ``agents[k]``
-        restricted to its nonzero columns, one stack per shape.
-
-        Column 0 of the full map is kept in front, zero or not: LAPACK's
-        first Householder step treats the leading entry apart, and with it
-        in place the singular values of ``M = 1`` maps equal the full maps'
-        bit for bit.
-        """
-        N, M = self.n_agents, self.M
-        rows, cols, vals = self.C
-        # an agent's M rows share its n columns (its blocks are dense), so its
-        # entries are one (M, n) run of the CSR arrays
-        row_len = np.bincount(rows, minlength=N * M)
-        start = (np.cumsum(row_len) - row_len)[::M]
-        n_cols = row_len[::M]
-        lead = np.ones(N, dtype=np.intp)  # 1 where column 0 is not among them
-        lead[rows[cols == 0] // M] = 0
-        diag = np.arange(M)
-        for ld, n in sorted(set(zip(lead.tolist(), n_cols.tolist()))):
-            agents = np.flatnonzero((lead == ld) & (n_cols == n))
-            S = np.zeros((agents.size, M, ld + n + M))
-            entries = vals[start[agents, None] + np.arange(M * n)]
-            S[:, :, ld:ld + n] = entries.reshape(agents.size, M, n)
-            S[:, diag, ld + n + diag] = -1.0  # -I on mu_i, the last columns
-            yield agents, S
-
     @cached_property
     def lipschitz(self):
-        """``(h, per_agent)`` with ``per_agent[i] = ||C_i||^2 / sigma_i`` and
-        ``h`` their sum in agent order."""
-        norms = np.empty(self.n_agents)
-        for idx, S in self._compact_row_maps():
-            norms[idx] = np.linalg.svd(S, compute_uv=False)[:, 0]
-        # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in
-        # the last bit now and then
+        """``(h, per_agent)``: ``per_agent[i] = ||C_i||^2 / sigma_i``, ``h`` their sum in agent
+        order, ``||C_i||`` taken of ``C_i`` on its nonzero columns, ``[column-0 entry or 0,
+        other entries, 0..., -I]``.  Column 0 leads, zero or not: LAPACK's first Householder
+        step treats it apart, and of one row (``M = 1``) takes the 2-norm of the rest, which
+        OpenBLAS's x86-64 ``dnrm2`` sums in order up to 7 entries.  So zeros change no bit of
+        it: maps of 3 to 6 columns take 6 and of 7 or 8 take 8 (at most twice their width) and
+        share a stack.  Past 8, and for ``M > 1``, zeros can move the last bit, so a stack
+        holds one width.  The stacks fill one buffer in one scatter, one SVD call each."""
+        N, M = self.n_agents, self.M
+        rows, cols, vals = self.C
+        row_len = np.bincount(rows, minlength=N * M)  # an agent's M rows share its columns
+        lead = np.bincount(rows[cols == 0] // M, minlength=N) == 0  # column 0 is not theirs
+        width = lead + row_len[::M] + M
+        if M == 1:
+            width = np.maximum(width, _PADDED_WIDTH.take(width, mode="clip"))
+        order = np.argsort(width, kind="stable")  # the stacks, narrowest first
+        size = M * width[order]
+        base = np.empty(N, dtype=np.intp)
+        base[order] = at = size.cumsum() - size
+        row_at = base[:, None] + width[:, None] * np.arange(M)  # where row m of a map starts
+        flat = np.zeros(size.sum())
+        first = row_len.cumsum() - row_len  # each row's first entry in the CSR arrays
+        flat[((row_at + lead[:, None]).ravel() - first)[rows] + np.arange(rows.size)] = vals
+        flat[(row_at + (width - M)[:, None] + np.arange(M)).ravel()] = -1.0  # -I on mu_i
+        norms = np.empty(N)
+        ends = width[order].searchsorted(sorted(set(width.tolist())), side="right").tolist()
+        for lo, hi in zip([0] + ends, ends):
+            S = flat[at[lo]:at[lo] + (hi - lo) * size[lo]].reshape(hi - lo, M, -1)
+            norms[order[lo:hi]] = np.linalg.svd(S, compute_uv=False)[:, 0]
+        # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in the last bit now and then
         with np.errstate(all="ignore"):  # sigma_i <= 0, or so small the ratio overflows
             per_agent = np.float_power(norms, 2) / self.sigma
         bad = np.flatnonzero((self.sigma <= 0) | ~np.isfinite(per_agent))
@@ -285,7 +287,6 @@ class ProblemInstance:
             raise SingularScaleError(f"agent {i}: curvature {self.sigma[i]} gives "
                                      f"||C_i||^2 / sigma_i = {per_agent[i]}")
         return sum_in_order(per_agent), per_agent
-
 
     @cached_property
     def _digest(self) -> str:
@@ -477,7 +478,7 @@ def lipschitz_constant(instance: ProblemInstance):
 
     Returns ``(h, per_agent)`` where ``per_agent[i] = ||C_i||^2 / sigma_i``
     with the spectral norm of the row map.  It is computed once per
-    instance, with one batched SVD per shape of the compact row maps.
+    instance, with one batched SVD per stack of the compact row maps.
     """
     h, per_agent = instance.lipschitz
     return h, per_agent.copy()

@@ -192,9 +192,10 @@ def build_scenario(name: str, overrides: dict | None = None) -> ProblemInstance:
     edges = overrides.get("edges")
     n = len(targets)
     topo = Topology(n, edges) if edges is not None else Topology.path(n)
-    locals_f = []
-    for i in range(n):
-        t, c = _number(targets, i, "targets"), _number(curvatures, i, "curvatures")
-        with np.errstate(over="ignore"):  # refused when the instance is compiled
-            locals_f.append(quadratic_local([t], c))
+    values = np.array([targets, curvatures], dtype=float).reshape(2, n)  # a number each
+    bad = np.flatnonzero(~np.isfinite(values.T))  # by agent, then targets before curvatures
+    if bad.size:
+        raise ValueError(f"{('targets', 'curvatures')[bad[0] % 2]}.{bad[0] // 2} is not finite")
+    with np.errstate(over="ignore"):  # refused when the instance is compiled
+        locals_f = [quadratic_local([t], c) for t, c in values.T.tolist()]
     return build_consensus(topo, locals_f)

@@ -13,7 +13,8 @@ once, the per-class ``stack`` constructors that formed the groups before
 verifier as the per-agent loop it was before it went array-at-a-time, and
 the solver loop as it was before it evaluated the objective a delay window
 at a time, ``with_box`` as it was before it kept its own box, the CSR
-entries as ``np.broadcast_to`` formed them, and the trace writer as it was
+entries as ``np.broadcast_to`` formed them, the Lipschitz constant as one
+SVD per shape of compact row maps computed it, and the trace writer as it was
 before it formatted its own lines, and the nonsmooth kernels as they were
 while each kind had a group of its own, so the new code can be checked
 against them bit for bit.
@@ -513,7 +514,7 @@ def reference_run(inst, schedule, steps, k_max, tol, lam0=None):
 
 
 # ---------------------------------------------------------------------------
-# the CSR entries and the trace writer as they were
+# the CSR entries, the Lipschitz constant's row maps and the trace writer as they were
 # ---------------------------------------------------------------------------
 
 
@@ -532,6 +533,29 @@ def reference_csr(groups, others, mats):
     order = np.empty(mats.size, dtype=np.intp)
     order[((start * R + r * n + rank) * K + c).ravel()] = np.arange(mats.size)
     return rows[order], cols[order], mats.ravel()[order]
+
+
+def reference_lipschitz(inst):
+    """``(h, per_agent)`` as ``ProblemInstance.lipschitz`` formed it with one stack of compact
+    row maps per ``(lead, n)`` shape: ``[0 where column 0 is absent, the n entries, -I]``."""
+    N, M = inst.n_agents, inst.M
+    rows, cols, vals = inst.C
+    row_len = np.bincount(rows, minlength=N * M)
+    start = (np.cumsum(row_len) - row_len)[::M]
+    n_cols = row_len[::M]
+    lead = np.ones(N, dtype=np.intp)
+    lead[rows[cols == 0] // M] = 0
+    diag = np.arange(M)
+    norms = np.empty(N)
+    for ld, n in sorted(set(zip(lead.tolist(), n_cols.tolist()))):
+        agents = np.flatnonzero((lead == ld) & (n_cols == n))
+        S = np.zeros((agents.size, M, ld + n + M))
+        entries = vals[start[agents, None] + np.arange(M * n)]
+        S[:, :, ld:ld + n] = entries.reshape(agents.size, M, n)
+        S[:, diag, ld + n + diag] = -1.0
+        norms[agents] = np.linalg.svd(S, compute_uv=False)[:, 0]
+    per_agent = np.float_power(norms, 2) / inst.sigma
+    return float(per_agent.cumsum()[-1]) + 0.0 if N else 0.0, per_agent
 
 
 def reference_to_csv(trace, path) -> None:

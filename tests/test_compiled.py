@@ -6,8 +6,11 @@ stack of dual points is evaluated against each point alone, bit for bit,
 with ``M`` up to 9.
 """
 
+import importlib.util
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from dualprox import (
     StepSizes,
     Topology,
     apply_C,
+    build_consensus,
     build_market,
     dual_objective,
     grad_P_block,
@@ -45,6 +49,7 @@ from dense_reference import (
     dense_objective,
     dense_round,
     reference_csr,
+    reference_lipschitz,
     reference_g_argmax,
     reference_g_conjugate,
     reference_g_prox,
@@ -196,6 +201,97 @@ def test_lipschitz_constant_is_computed_once():
     per_agent[:] = 0.0  # the caller's copy, not the cached one
     assert lipschitz_constant(inst)[0] == h == pytest.approx(6.0)
     assert inst.lipschitz is inst.lipschitz
+
+
+@st.composite
+def trees_and_stars(draw):
+    """``(inst, own)``: a tree or a star of up to 12 agents, ``M`` in 1..3 and ``B`` in 1..2,
+    each block present, zero or absent; ``own[i]`` is the width of agent ``i``'s compact row
+    map, ``[column-0 entry or 0, its other columns, -I]``."""
+    n = draw(st.integers(1, 12))
+    topo = (Topology.star(n) if draw(st.booleans())
+            else Topology(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]))
+    M, B = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owner, key, blocks = [], [], []
+    for i in range(n):
+        ls = sorted(l for l in topo.neighbors(i) + [i] if rng.random() < 0.8)
+        scale = rng.choice([0.0, 1.0, 1e-3, 1e3], size=len(ls), p=[0.2, 0.6, 0.1, 0.1])
+        owner += [i] * len(ls)
+        key += ls
+        blocks += [rng.normal(size=(B, M)) * s for s in scale]
+    # C_l holds -A_l^(i)' at the columns of theta_i of every owner i of a block for x_l
+    owners = [[i for i, l in zip(owner, key) if l == j] for j in range(n)]
+    own = np.array([B * len(o) + (0 not in o) + M for o in owners])
+    agents = [AgentSpec(SmoothConjugable(QuadraticFunction(rng.uniform(0.1, 5.0, M), np.zeros(M))),
+                        ProxFriendlyFunction.zero(), None) for _ in range(n)]
+    inst = ProblemInstance(topo, agents, M, B, owner, key, np.reshape(blocks, (-1, B, M)),
+                           np.zeros((n, B)))
+    return inst, own
+
+
+def _stacks(inst) -> list:
+    """The shape of every stack of row maps ``lipschitz`` hands ``np.linalg.svd``."""
+    shapes, svd = [], np.linalg.svd
+
+    def counting(S, *args, **kwargs):
+        shapes.append(S.shape)
+        return svd(S, *args, **kwargs)
+    np.linalg.svd = counting
+    try:
+        inst.lipschitz
+    finally:
+        np.linalg.svd = svd
+    return shapes
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_stars())
+def test_lipschitz_matches_one_svd_per_shape_bitwise(case):
+    # M = 1 maps of up to 8 columns padded with zeros before -1 keep every bit; wider maps,
+    # and M > 1 maps, are stacked by exact width only
+    inst, own = case
+    h, per_agent = reference_lipschitz(inst)
+    shapes = _stacks(inst)
+    assert _bits(inst.lipschitz[0]) == _bits(h)
+    assert _bits(inst.lipschitz[1]) == _bits(per_agent)
+    # M = 1 maps of 3 to 6 columns take 6, of 7 or 8 take 8, the others their own width;
+    # each width is one stack, narrowest first
+    padded = np.where((inst.M == 1) & (own > 2) & (own <= 8), np.where(own <= 6, 6, 8), own)
+    assert (padded <= 2 * own).all()
+    widths, counts = np.unique(padded, return_counts=True)
+    assert shapes == [(k, inst.M, w) for w, k in zip(widths.tolist(), counts.tolist())]
+
+
+def test_a_star_hub_does_not_widen_its_leaves_stack():
+    n = 200
+    locals_f = [SmoothConjugable(QuadraticFunction(1.0 + i / n, [0.0])) for i in range(n)]
+    inst = build_consensus(Topology.star(n), locals_f)
+    h, per_agent = reference_lipschitz(inst)
+    shapes = _stacks(inst)
+    assert _bits(inst.lipschitz[0]) == _bits(h) and _bits(inst.lipschitz[1]) == _bits(per_agent)
+    # the leaves' maps are [x_0, x_i, mu_i], padded to 6 columns; the hub's every x and mu_0
+    assert shapes == [(n - 1, 1, 6), (1, 1, n + 1)]
+    assert sum(np.prod(S) for S in shapes) <= 2 * (3 * (n - 1) + n + 1)
+
+
+def _benchmark_instance(name, seed):
+    """A benchmark workload's instance, as ``perfbench/pipeline.py`` builds it."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_pipeline", Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.py")
+    pipeline = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(pipeline)
+    w = pipeline.WORKLOADS[name]
+    return w.build(w.n_agents, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["market-async", "consensus-path", "consensus-mixed"])
+def test_each_benchmark_instance_takes_one_svd_call(name, seed):
+    inst = _benchmark_instance(name, seed)
+    h, per_agent = reference_lipschitz(inst)
+    assert len(_stacks(inst)) == 1
+    assert _bits(inst.lipschitz[0]) == _bits(h) and _bits(inst.lipschitz[1]) == _bits(per_agent)
 
 
 def _bits(x) -> bytes:

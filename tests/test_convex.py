@@ -15,7 +15,7 @@ from dualprox import (
     conjugate_value,
     prox_conjugate_via_moreau,
 )
-from dualprox.convex import cached_property, group
+from dualprox.convex import cached_property, group, nonsmooth_group
 from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
 from dualprox.repro import catalog_samples, conjugate_prox_oracle
 
@@ -131,6 +131,30 @@ def test_prox_rejects_a_list_alpha_with_a_nonpositive_entry(alpha):
         ProxFriendlyFunction.l1().prox([1.0], alpha)
 
 
+_BOX = BoxSet([-1.0], [2.0])
+
+
+@pytest.mark.parametrize("g", [
+    group([ProxFriendlyFunction.zero()] * 3),
+    group([ProxFriendlyFunction.l1(1.0)] * 3),
+    group([ProxFriendlyFunction.indicator_box(_BOX)] * 3),
+    group([ProxFriendlyFunction.l1_plus_box(0.5, _BOX)] * 3),
+    group([ProxFriendlyFunction.quadratic(QuadraticFunction(1.0, [0.5]), _BOX)] * 3),
+    nonsmooth_group([ProxFriendlyFunction.zero(), ProxFriendlyFunction.l1(1.0),
+                     ProxFriendlyFunction.quadratic(QuadraticFunction(1.0, [0.5]))],
+                    [None] * 3, [None] * 3, [0, 1, 2], 1),
+], ids=["zero", "l1", "indicator_box", "l1_plus_box", "quadratic_box", "mixed"])
+def test_a_group_prox_takes_one_alpha_or_one_per_member(g):
+    u = np.linspace(-2.0, 2.0, 3)[:, None]
+    for alpha in ([0.5, 0.5], np.full(4, 0.5)):
+        with pytest.raises(ValueError, match=rf"alpha has {len(alpha)} entries, not 1 or one "
+                                             r"per member \(3\)"):
+            g.prox(u, alpha)
+    want = g.prox(u, np.full(3, 0.5))
+    for alpha in (0.5, [0.5], (0.5, 0.5, 0.5)):
+        np.testing.assert_array_equal(g.prox(u, alpha), want)
+
+
 def test_prox_takes_a_positive_list_alpha_as_the_array():
     g = ProxFriendlyFunction.l1(1.0)
     np.testing.assert_array_equal(g.prox([2.0], [0.5]), g.prox([2.0], np.array([0.5])))
@@ -205,6 +229,16 @@ def test_quadratic_scalar_curvature_promotion():
     assert f.strong_convexity == pytest.approx(2.0)
 
 
+def test_quadratic_and_box_copy_a_0d_array_input():
+    # a 0-d array was viewed, not copied: writing to it changed the function and the box
+    c, q, lo, hi = np.array(2.0), np.array(1.0), np.array(-1.0), np.array(1.0)
+    f, box = QuadraticFunction(c, q), BoxSet(lo, hi)
+    for a in (c, q, lo, hi):
+        a[...] = 7.0
+    assert f.curvature.tolist() == [[2.0]] and f.linear.tolist() == [1.0]
+    assert box.lower.tolist() == [-1.0] and box.upper.tolist() == [1.0]
+
+
 def test_quadratic_rejects_asymmetric_curvature():
     with pytest.raises(ValueError):
         QuadraticFunction([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
@@ -237,6 +271,16 @@ def test_quadratic_symmetry_check_matches_isclose():
         assert _builds(curvature) == expected, (x, y)
         seen.add(expected)
     assert seen == {True, False}
+    # a 1x1 curvature, as a matrix, a diagonal or a scalar: its one entry is its transpose's
+    for x in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324):
+        curvature = np.array([[x]])
+        with np.errstate(all="ignore"):
+            expected = bool(np.allclose(curvature, curvature.T, atol=1e-10))
+        assert expected == (x == x)
+        for form in (curvature, curvature[0], curvature[0, 0]):
+            assert _builds(form) == expected, (x, form)
+    assert _builds(np.array([[[np.inf]], [[-0.0]]]))
+    assert not _builds(np.array([[[1.0]], [[np.nan]]]))
     # a stack is checked member by member
     assert _builds(np.array([[[1.0, 0.5], [0.5, 1.0]], [[1.0, 1e6], [1e6 + 5.0, 1.0]]]))
     assert not _builds(np.array([[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [1e-9, 1.0]]]))

@@ -113,6 +113,16 @@ def test_apply_transform_refuses_no_transforms():
         build_market(MarketParams(uc=[], users=[], transforms=[]))
 
 
+@pytest.mark.parametrize("targets, curvatures, message", [
+    ([0.0, float("nan")], [float("inf"), 1.0], "curvatures.0 is not finite"),
+    ([float("nan"), 0.0], [float("inf"), 1.0], "targets.0 is not finite"),
+    ([0.0, 1.0, -float("inf")], [1.0, 1.0, float("nan")], "targets.2 is not finite"),
+])
+def test_build_scenario_names_the_first_agents_first_bad_number(targets, curvatures, message):
+    with pytest.raises(ValueError, match=message):
+        build_scenario("consensus", {"targets": targets, "curvatures": curvatures})
+
+
 @pytest.mark.parametrize("curvatures", [[1.0, 2.0, 3.0], [1.0]])
 def test_build_scenario_refuses_unequal_targets_and_curvatures(curvatures):
     with pytest.raises(ValueError, match=f"targets has 2 entries but curvatures has "

@@ -1,10 +1,7 @@
 import functools
-import importlib.util
 import json
 import operator
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +30,7 @@ from dualprox.errors import MalformedTraceError, SingularScaleError
 from dualprox.repro import CriterionResult
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
+from test_compiled import benchmark_pipeline
 from test_model import _singular_pair
 from test_trace_digests import _mixed_path
 
@@ -352,11 +350,7 @@ def test_run_accepts_a_boxed_quadratic_with_a_huge_linear_cost(runner, tmp_path)
 
 def _benchmark_mixed_path(n_agents, seed) -> dict:
     """The benchmark's mixed path (``perfbench/pipeline.py``) as instance JSON."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_pipeline", Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.py")
-    pipeline = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
-    spec.loader.exec_module(pipeline)
-    return instance_to_json(pipeline.mixed_instance(n_agents, seed))
+    return instance_to_json(benchmark_pipeline().mixed_instance(n_agents, seed))
 
 
 def test_a_run_near_an_infinite_box_end_is_not_read_as_diverged(runner, tmp_path):

@@ -6,6 +6,7 @@ stack of dual points is evaluated against each point alone, bit for bit,
 with ``M`` up to 9.
 """
 
+import functools
 import importlib.util
 import json
 import sys
@@ -275,20 +276,21 @@ def test_a_star_hub_does_not_widen_its_leaves_stack():
     assert sum(np.prod(S) for S in shapes) <= 2 * (3 * (n - 1) + n + 1)
 
 
-def _benchmark_instance(name, seed):
-    """A benchmark workload's instance, as ``perfbench/pipeline.py`` builds it."""
+@functools.cache
+def benchmark_pipeline():
+    """``perfbench/pipeline.py``, which builds the benchmark's workloads, as a module."""
     spec = importlib.util.spec_from_file_location(
         "benchmark_pipeline", Path(__file__).resolve().parents[1] / "perfbench" / "pipeline.py")
     pipeline = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
     spec.loader.exec_module(pipeline)
-    w = pipeline.WORKLOADS[name]
-    return w.build(w.n_agents, seed)
+    return pipeline
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", ["market-async", "consensus-path", "consensus-mixed"])
 def test_each_benchmark_instance_takes_one_svd_call(name, seed):
-    inst = _benchmark_instance(name, seed)
+    w = benchmark_pipeline().WORKLOADS[name]
+    inst = w.build(w.n_agents, seed)
     h, per_agent = reference_lipschitz(inst)
     assert len(_stacks(inst)) == 1
     assert _bits(inst.lipschitz[0]) == _bits(h) and _bits(inst.lipschitz[1]) == _bits(per_agent)

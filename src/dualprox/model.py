@@ -291,36 +291,29 @@ class ProblemInstance:
     @cached_property
     def _digest(self) -> str:
         """What :func:`instance_hash` returns, computed on first use."""
-        fields = [_field("NMB", (self.n_agents, self.M, self.B), "<i8"),
-                  _field("edges", self.topology.edges.ravel())]  # <f8, as recorded digests were
-        table, by_kind, boxes = self._g_table
-        fields.append(_field("agents", table, "<i8"))
-        members, parts = np.arange(self.n_agents), {}
-        for idx, f in self._f_groups:  # the fields of each kind, domain presence and dim
-            base, dom, no_domain = f.base, f.effective_domain, f._no_domain
-            quadratic = isinstance(base, QuadraticFunction)
-            cols = [members[idx], *((base.curvature, base.linear, base.offset) if quadratic
-                                    else (base.price, base.curvature)), f.strong_convexity]
-            cols += () if dom is None else (dom.lower, dom.upper)
-            if no_domain is not None:
-                free, own = np.flatnonzero(no_domain), np.flatnonzero(~no_domain)
-            for present, part in ([(dom is not None, cols)] if no_domain is None else
-                                  [(False, [c.take(free, axis=0) for c in cols[:-2]]),
-                                   (True, [c.take(own, axis=0) for c in cols])]):
-                key = (quadratic, present, f.dim)
-                if key in parts:  # dense and diagonal quadratics: one set of fields, by agent
-                    part = [np.concatenate(c) for c in zip(parts[key], part)]
-                    order = np.argsort(part[0], kind="stable")
-                    part = [c[order] for c in part]
-                parts[key] = part
-        for (quadratic, present, _), (agents, *cols) in sorted(parts.items(),
-                                                               key=lambda kv: kv[1][0][0]):
-            tag, n = f"f:{'quadratic' if quadratic else 'utility'}:{present}", 3 if quadratic else 2
-            fields.append(_field(tag, agents, "<i8"))
-            fields += [_field(tag, p) for p in cols[:n]]
-            if present:
-                fields.append(_field(tag, cols[n + 1:]))
-            fields.append(_field(tag, cols[n]))
+        codes, by_kind, boxes = self._g_table
+        table = np.empty((self.n_agents, 6), dtype="<i8")
+        table[:, 3:] = codes
+        kinds = {}  # (utility, dim) -> its groups; dense and diagonal quadratics are two
+        for idx, f in self._f_groups:
+            utility = isinstance(f.base, PiecewiseQuadraticUtility)
+            table[idx, :2] = utility, f.dim
+            no_domain = f._no_domain  # the members without a domain, in a group of both
+            table[idx, 2] = f.effective_domain is not None if no_domain is None else ~no_domain
+            kinds.setdefault((utility, f.dim), []).append(f)
+        fields = [_field("v2", (self.n_agents, self.M, self.B), "<i8"),
+                  _field("edges", self.topology.edges.ravel(), "<i8"),
+                  _field("agents", table, "<i8")]
+        for (utility, dim), (f, *more) in sorted(kinds.items()):
+            if more:  # one stack of the kind's members, in agent order
+                fs = [self.agents[i].f for i in
+                      np.flatnonzero((table[:, 0] == utility) & (table[:, 1] == dim)).tolist()]
+                f = smooth_group(fs, [g.effective_domain is not None for g in fs])
+            base, dom, tag = f.base, f.effective_domain, "f:utility" if utility else "f:quadratic"
+            fields += [_field(tag, p) for p in ((base.price, base.curvature) if utility else
+                                                (base.curvature, base.linear, base.offset))]
+            if dom is not None:
+                fields += [_field(tag, dom.lower), _field(tag, dom.upper)]
         fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
         fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
                    for name in ("curvature", "linear", "offset")]
@@ -388,7 +381,8 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
     for each other where absent, and each g's code (see :class:`convex.ProxFriendlyFunction`);
     it is stacked when the instance is compiled.  Groups are in order of first member; their
     agents are a ``slice`` where consecutive (a view, where an index array gathers a copy).
-    ``g_table`` is what :func:`instance_hash` reads."""
+    ``g_table``, which :func:`instance_hash` reads with the f groups, is each agent's
+    nonsmooth codes ``(kind, box, omega)``, the g's of each kind and the boxes present."""
     f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
     for i, a in enumerate(agents):
         f, g, omega = a.f, a.g, a.omega
@@ -402,7 +396,7 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
                           []).append((i, g, box or omega, omega or box,
                                       code if box is None and omega is None else code + 3))
         # ints, not bools: a list of bools converts to int64 several times slower
-        table += (i, code, 0 if box is None else 1, 0 if omega is None else 1)
+        table += (code, 0 if box is None else 1, 0 if omega is None else 1)
         by_kind[kind].append(g)
         if box is not None:
             boxes.append(box)
@@ -419,7 +413,7 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
             sigma[idx] = f.strong_convexity
     g_members = tuple((key[:3], index(idx), columns)
                       for key, members in g_keys.items() for idx, *columns in [zip(*members)])
-    return f_groups, g_members, sigma, (np.array(table, dtype="<i8"), by_kind, boxes)
+    return f_groups, g_members, sigma, (np.array(table, dtype="<i8").reshape(-1, 3), by_kind, boxes)
 
 
 def _checked_groups(part: str, groups, n_agents: int) -> tuple:
@@ -735,17 +729,16 @@ def _field(tag: str, values, dtype: str = "<f8") -> bytes:
 
 
 def instance_hash(instance: ProblemInstance) -> str:
-    """SHA-256 of a canonical binary encoding of what :func:`instance_to_json` writes.
+    """SHA-256 of a canonical binary encoding of what :func:`instance_to_json` writes (v2).
 
-    Each field is one stacked array behind a kind or presence tag:
-    ``(N, M, B)`` and the sorted edges; per agent its position, nonsmooth
-    kind and whether it has a nonsmooth box and an ``omega``; the smooth
-    parts of each kind, domain presence and dim, in order of first member
-    (members, parameters, domain bounds and strong convexity);
-    the l1 weights, the nonsmooth quadratics' parameters and the boxes
-    present (per agent the nonsmooth box, then ``omega``); the block
-    table's owners, ``l`` and values, and the rhs.  The fields are joined
-    into one buffer and hashed once per instance, on first use.  The same
-    instance gives the same digest after a JSON round trip.
+    Each field is one stacked array behind a tag: ``v2`` and ``(N, M, B)``; the sorted
+    edges; a table of per-agent codes (smooth kind, its dim and domain presence, nonsmooth
+    kind, nonsmooth-box and ``omega`` presence); for each smooth kind and dim its members'
+    parameters in agent order, then their domain bounds (``-inf, inf`` for a member without
+    one) if a member has a domain; the l1 weights, the nonsmooth quadratics' parameters and
+    the boxes (per agent the nonsmooth box, then ``omega``); the block table's owners, ``l``
+    and values, and the rhs.  Strong convexity, derived from the parameters, is not hashed.
+    The digest is computed once per instance, on first use, and survives a JSON round trip.
+    Digests recorded before v2 differ; nothing reads one back.
     """
     return instance._digest

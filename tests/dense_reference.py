@@ -17,10 +17,13 @@ entries as ``np.broadcast_to`` formed them, the Lipschitz constant as one
 SVD per shape of compact row maps computed it, and the trace writer as it was
 before it formatted its own lines, and the nonsmooth kernels as they were
 while each kind had a group of its own, so the new code can be checked
-against them bit for bit.
+against them bit for bit.  ``reference_instance_hash`` is the digest's
+layout read agent by agent from the instance document, with no groups, so
+the layout stays fixed whatever way the agents are grouped.
 """
 
 import csv
+import hashlib
 import json
 import math
 
@@ -573,3 +576,69 @@ def reference_save(trace, csv_path, meta_path) -> None:
     reference_to_csv(trace, csv_path)
     with open(meta_path, "w") as fh:
         json.dump(trace.metadata(), fh, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# the instance digest, agent by agent from the instance document
+# ---------------------------------------------------------------------------
+
+_G_CODES = {"zero": 0, "indicator_box": 0, "l1_norm": 1, "l1_plus_box": 1, "quadratic": 2}
+
+
+def reference_instance_hash(doc) -> str:
+    """``instance_hash`` of the instance whose ``instance_to_json`` document is ``doc``, read
+    agent by agent, with no groups.  Each field is its tag, the ``str`` of its array's shape
+    and the array's little-endian bytes: ``v2`` and ``(N, M, B)``; the edges; per agent its
+    smooth kind (0 quadratic, 1 utility), smooth dim, smooth-domain presence, nonsmooth code (0
+    zero, 1 l1, 2 quadratic), nonsmooth-box presence and omega presence; for each smooth kind
+    and dim, kinds in that order and dims ascending, its members' parameters in agent order,
+    then their domain bounds (``-inf, inf`` for a member without one) where a member has a
+    domain; the l1 weights; the nonsmooth quadratics' curvature, linear term and offset; the
+    boxes, per agent the nonsmooth box then omega; the block owners, keys and values in
+    ``(owner, l)`` order; the rhs."""
+    def field(tag, values, dtype="<f8"):
+        a = np.array(values, dtype=dtype)
+        return f"{tag}{a.shape}".encode() + a.tobytes()
+
+    agents, M, B = doc["agents"], doc["M"], doc["B"]
+    table, smooth, l1, quadratics, boxes = [], {}, [], [], []
+    owner, keys, blocks, rhs = [], [], [], []
+    for i, a in enumerate(agents):
+        f, g, omega = a["f"], a["g"], a["omega"]
+        utility = f["kind"] == "piecewise_quadratic_utility"
+        dim = 1 if utility else len(f["params"]["linear"])
+        smooth.setdefault((utility, dim), []).append(f)
+        code, box = _G_CODES[g["kind"]], g["params"].get("box")
+        table.append([utility, dim, f["domain"] is not None, code, box is not None,
+                      omega is not None])
+        if code == 1:
+            l1.append(g["params"]["weight"])
+        elif code == 2:
+            quadratics.append(g["params"])
+        boxes += [(b["lower"], b["upper"]) for b in (box, omega) if b is not None]
+        for l, block in sorted((int(l), block) for l, block in a["constraint"]["blocks"].items()):
+            owner.append(i)
+            keys.append(l)
+            blocks.append(block)
+        rhs += a["constraint"]["rhs"]
+
+    fields = [field("v2", [len(agents), M, B], "<i8"),
+              field("edges", np.reshape(doc["edges"], -1), "<i8"),
+              field("agents", np.reshape(table, (-1, 6)), "<i8")]
+    for (utility, dim), fs in sorted(smooth.items()):
+        tag = "f:utility" if utility else "f:quadratic"
+        names = ("price", "curvature") if utility else ("curvature", "linear", "offset")
+        fields += [field(tag, [f["params"][name] for f in fs]) for name in names]
+        if any(f["domain"] is not None for f in fs):
+            free = {"lower": [-math.inf] * dim, "upper": [math.inf] * dim}
+            fields += [field(tag, [(f["domain"] or free)[end] for f in fs])
+                       for end in ("lower", "upper")]
+    fields.append(field("g:l1", l1))
+    fields += [field("g:quadratic", [q[name] for q in quadratics])
+               for name in ("curvature", "linear", "offset")]
+    fields += [field("boxes", boxes),
+               field("blocks", owner, "<i8"),
+               field("blocks", keys, "<i8"),
+               field("blocks", np.reshape(blocks, (-1, B, M))),
+               field("rhs", rhs)]
+    return hashlib.sha256(b"".join(fields)).hexdigest()

@@ -183,10 +183,13 @@ def test_compiled_operators_match_dense_reference(case):
            dense_round(inst, lam, obj.x_hat, c))
 
     if M == 1:
+        # bitwise against the compact maps; the dense map's rows are N (B + 1) long, and past
+        # 8 entries OpenBLAS's dnrm2 adds the squares in another order, which can move
+        # ||C_i|| by one ulp and so ||C_i||^2 / sigma_i by two
         h, per_agent = lipschitz_constant(inst)
-        h_ref, per_agent_ref = dense_lipschitz(inst)
-        assert h == h_ref
-        np.testing.assert_array_equal(per_agent, per_agent_ref)
+        h_ref, per_agent_ref = reference_lipschitz(inst)
+        assert _bits(h) == _bits(h_ref) and _bits(per_agent) == _bits(per_agent_ref)
+        np.testing.assert_array_max_ulp(per_agent, dense_lipschitz(inst)[1], maxulp=2)
     else:
         h, _ = lipschitz_constant(inst)
         h_ref, _ = dense_lipschitz(inst)

@@ -34,7 +34,8 @@ from dualprox import (
 from dualprox.errors import MalformedInstanceError, SingularScaleError, UnboundedConjugateError
 from dualprox.model import instance_hash
 
-from dense_reference import dense_C
+from dense_reference import dense_C, reference_instance_hash
+from test_compiled import instances
 from test_trace_digests import _mixed_path
 
 
@@ -348,7 +349,9 @@ def test_json_roundtrip_consensus_with_nonsmooth_parts(tmp_path):
 
 
 def _digest_instances():
-    """A scalar path with every smooth and nonsmooth kind, and a 2-D pair."""
+    """A scalar path with every smooth and nonsmooth kind, a 2-D pair, and a 2-D path whose
+    smooth quadratics go dense, diagonal, dense, none with a domain (two groups of one kind
+    and dim, which the digest stacks in agent order)."""
     box, wide = BoxSet([-2.0], [3.0]), BoxSet([-4.0], [5.0])
     fs = [SmoothConjugable(QuadraticFunction(2.0, [0.5], 0.25), wide),
           SmoothConjugable(PiecewiseQuadraticUtility(12.0, 0.5), BoxSet([0.0], [9.0])),
@@ -378,7 +381,19 @@ def _digest_instances():
     blocks = [[[1.0, 0.5]], [[-1.0, 2.0]], [[2.0, 0.5]], [[-1.0, 1.0]]]
     two_d = ProblemInstance(Topology.path(2), pair, 2, 1, [0, 0, 1, 1], [0, 1, 0, 1],
                             blocks, [[1.0], [1.0]])
-    return scalar, two_d
+
+    square = BoxSet([-3.0, -2.0], [4.0, 5.0])
+    fs = [QuadraticFunction(curvature, [1.0, -1.0], 0.5),
+          QuadraticFunction([2.0, 1.5], [0.25, 0.0], -0.5),
+          QuadraticFunction([[2.5, -0.75], [-0.75, 1.75]], [0.0, 2.0])]
+    gs = [ProxFriendlyFunction.l1_plus_box(0.5, square), ProxFriendlyFunction.zero(),
+          ProxFriendlyFunction.quadratic(QuadraticFunction(curvature, [0.5, 0.0]))]
+    trio = list(map(AgentSpec, map(SmoothConjugable, fs), gs, [None, square, None]))
+    owner, key = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
+    blocks = 0.5 * np.arange(1.0, 15.0).reshape(7, 1, 2) - 2.0
+    mixed_2d = ProblemInstance(Topology.path(3), trio, 2, 1, owner, key, blocks,
+                               [[1.0], [-0.5], [0.25]])
+    return scalar, two_d, mixed_2d
 
 
 def _numeric_leaves(doc, path=()):
@@ -464,8 +479,8 @@ def _structural_changes(doc):
 
 
 def test_instance_hash_changes_with_every_field():
-    scalar, two_d = _digest_instances()
-    for inst in (scalar, two_d):
+    scalar, two_d, mixed_2d = _digest_instances()
+    for inst in (scalar, two_d, mixed_2d):
         doc = instance_to_json(inst)
         variants = [_perturb(doc, path) for path in _numeric_leaves(doc)]
         if inst is scalar:
@@ -482,10 +497,10 @@ def test_instance_hash_changes_with_every_field():
 
 
 def test_instance_hash_survives_json_round_trip():
-    scalar, two_d = _digest_instances()
+    scalar, two_d, mixed_2d = _digest_instances()
     with_outside_block = instance_to_json(scalar)
     with_outside_block["agents"][4]["constraint"]["blocks"]["0"] = [[0.0]]
-    for inst in (scalar, two_d, instance_from_json(with_outside_block),
+    for inst in (scalar, two_d, mixed_2d, instance_from_json(with_outside_block),
                  build_market(), build_scenario("consensus"), _mixed_path()):
         again = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
         assert instance_hash(again) == instance_hash(inst)
@@ -493,16 +508,51 @@ def test_instance_hash_survives_json_round_trip():
             assert getattr(again, name).tobytes() == getattr(inst, name).tobytes(), name
 
 
-# recorded before the block table replaced the per-agent constraint objects
+# recorded when digest v2 replaced the layout of the smooth groups the first digests used
 PINNED_HASHES = {
-    "market": "a54a1a8168fc693de6308925a0d4ba38af97be086800bac63f2e7bff334f99ee",
-    "consensus": "03e586d0766e1b07057f02da4a72b252db59df2dbfc02eeb2711f4a35585d364",
+    "market": "90781f55ae6ac2fcacced2bc227be954cc02d0e1de8b102c4d4ce412c13fe0fb",
+    "consensus": "cee8bcbd75cdd6420e946aa947ea6989e1555b5c6b2f274aafadfbce1029eb91",
 }
 PINNED_JSON_TEXT = {
     "market": "d7699284e62eaf1aaba82185df595b679beb0c1a22df015892b996ab70981d30",
     "consensus": "0d827c1333c2c7127ef2c11d035bb7ae3094e6c9bf978911946a444d01632aa8",
     "mixed_path": "ef7d84ee699e8f164cad181e1951b69c1c8b8814157034a7d78e38d2183a93a6",
 }
+
+
+def test_instance_hash_ignores_the_written_strong_convexity():
+    for inst in _digest_instances():
+        doc = instance_to_json(inst)
+        for agent in doc["agents"]:
+            agent["f"]["strong_convexity"] += 1.0
+        assert instance_hash(instance_from_json(doc)) == instance_hash(inst)
+
+
+def test_instance_hash_tells_which_agent_holds_which_smooth_dim():
+    # validation refuses both; the parameters of each kind and dim are the same bytes
+    one = SmoothConjugable(QuadraticFunction(1.0, [0.5]))
+    two = SmoothConjugable(QuadraticFunction([1.0, 2.0], [0.5, 0.25]))
+    digests = set()
+    for fs in ([one, two, one], [one, one, two]):
+        agents = [AgentSpec(f, ProxFriendlyFunction.zero(), None) for f in fs]
+        inst = ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
+                               np.ones((3, 1, 1)), np.zeros((3, 1)))
+        assert instance_hash(inst) == reference_instance_hash(instance_to_json(inst))
+        digests.add(instance_hash(inst))
+    assert len(digests) == 2
+
+
+def test_instance_hash_matches_the_reference_read_agent_by_agent():
+    for inst in (*_digest_instances(), build_market(), build_scenario("consensus"),
+                 _mixed_path()):
+        assert instance_hash(inst) == reference_instance_hash(instance_to_json(inst))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_instance_hash_matches_the_reference_on_random_instances(case):
+    inst, _ = case
+    assert instance_hash(inst) == reference_instance_hash(instance_to_json(inst))
 
 
 def test_instance_hash_and_json_text_are_pinned():

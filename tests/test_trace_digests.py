@@ -17,7 +17,9 @@ array-at-a-time.
 ``save`` writes for the same trajectories, and for one that turns
 non-finite in its first round.  They were recorded from the writer that
 formatted every cell with ``repr`` and read traces back with a per-row
-parse.  A trace read back with ``from_csv`` must save to the same bytes.
+parse; the ``trace_meta.json`` digests were recorded again when digest v2
+changed each file's ``instance_hash``, its only value that moved.  A trace
+read back with ``from_csv`` must save to the same bytes.
 """
 
 import hashlib
@@ -167,19 +169,19 @@ def test_trace_matches_pinned_digests(name):
 FILES = {
     "market_sync": (_market_sync,
                     "b7d15ff521eae36a002d156270db4f7f2eadc09cc4032ac8d8deac62bc9b326f",
-                    "d0479177e247d804e7b8f19999c4e8a1cd51bcdc6e9804c7b484ea89759abff8"),
+                    "b2e272c3365af0eb7233ed8a6af1f9e868c270568fa3c48066697de58e04287a"),
     "market_async_d5": (_market_async_d5,
                         "93aa4ba53575bdc7a483c923a00b6d7835a24c9641f99e7a025c1f2120a7407f",
-                        "6192ffc810d4cc924be5201912f2087fa81878a5d8b3bf5920c9f316a487d2c5"),
+                        "e7fa4c0ebbec03ff6fff3d179ff049024ddb9736a8758c425eb10fecaa34b66d"),
     "mixed_seeded_d4": (_mixed_seeded,
                         "bb008fab6b14d08b3ee76c969f851f8fc9dcfe7b135b7b12f784c506e147f844",
-                        "dec1e1ab3239e32b9e9d41e264f7523f370a2929f389a462f8e4f488285858c6"),
+                        "b06d750412727d966fc00a7abaa598686c28a98a89245ce966c7b57299cb8cd0"),
     "path_sync_n48": (_path_sync,
                       "7c1ebdff58240e89dcdbd042463a62239143fe4861cb6cff7253daefd20784ed",
-                      "b850f31c744849e72944a9c04761130407499d55be0a1fca9a458ea9267a60b8"),
+                      "7e35c10b0cc5cfd3e548c5000149c78fbdb05004e6912d1f480522ad417b1f69"),
     "market_nonfinite": (_market_nonfinite,
                          "a4339adbb9f223b5d854bc2ed75e9b59f1d629b07bdd24a300c863db16dec9aa",
-                         "bcb93ee3b017d8e64dd20ce7ec7dd200ced8b00cae5aa1e382037af6fb98ffca"),
+                         "85f3eecbcdf8e45eec329275dfb138b60a070a158de0407d1f9afd1459f05142"),
 }
 
 

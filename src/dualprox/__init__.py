@@ -8,7 +8,6 @@ from .convex import (
     SmoothConjugable,
     conjugate_argmax,
     conjugate_value,
-    prox_conjugate_via_moreau,
 )
 from .engine import (
     DelaySchedule,

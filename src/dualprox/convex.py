@@ -659,21 +659,3 @@ def conjugate_value(f: SmoothConjugable, u) -> float:
         return INF
     return float(u @ x - f.value(x))
 
-
-# ---------------------------------------------------------------------------
-# the conjugate prox via the Moreau decomposition
-# ---------------------------------------------------------------------------
-
-
-def prox_conjugate_via_moreau(g: ProxFriendlyFunction, v, c) -> np.ndarray:
-    """Prox of the conjugate ``g*`` with parameter ``c``, via the direct prox.
-
-    Uses the decomposition ``prox^c_{g*}(v) = v - c * prox^{1/c}_g(v/c)``,
-    so the conjugate's prox is never evaluated directly.  For a group, ``c``
-    holds one parameter per member, each checked positive and finite.
-    """
-    c = np.asarray(c, dtype=float)
-    if not (0.0 < c.min() and c.max() < INF):  # NaN fails too
-        raise ValueError("c must be positive and finite")
-    v, column = _vec(v), c[..., None]
-    return v - column * g.prox(v / column, 1.0 / c)

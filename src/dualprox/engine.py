@@ -204,7 +204,7 @@ def _round(instance: ProblemInstance, lam: np.ndarray, x_hat: np.ndarray,
     theta_next, mu_next = instance.split(lam_next)
     np.subtract(theta, c * g_theta, out=theta_next)
     v = mu - c * g_mu
-    for idx, g in instance.g_groups:  # prox_conjugate_via_moreau, steps checked once
+    for idx, g in instance.g_groups:  # Moreau: prox_{c g*}(v) = v - c prox_{g/c}(v/c)
         mu_next[idx] = v[idx] - c[idx] * g.prox(v[idx] / c[idx], alpha[idx])
     return lam_next
 
@@ -306,9 +306,10 @@ class IterationTrace:
     ``lam[k]`` is the state entering round ``k`` (so ``len(lam) == K + 1``
     after ``K`` rounds), and ``psi`` is aligned with it; ``epsilon`` is
     ``psi - psi_star``, derived on access.  Transition arrays (``tau``,
-    ``step_norm_inf``, ``message_counts``) have length ``K``: entry ``k``
-    describes the move from ``lam[k]`` to ``lam[k+1]``, read from the
-    snapshot ``lam[tau[k]]`` with ``message_counts[k]`` neighbour maximizers.
+    ``step_norm_inf``) have length ``K``: entry ``k`` describes the move
+    from ``lam[k]`` to ``lam[k+1]``, read from the snapshot ``lam[tau[k]]``.
+    Every round reads the same ``n_messages`` neighbour maximizers, fixed by
+    the block pattern, so the count is stored once.
     ``meta`` holds the run's configuration, its ``stop_reason`` (``"tol"``,
     ``"k_max"`` or ``"nonfinite"``) and ``psi_star_source`` (``"given"`` or
     ``"best_observed"``).  :meth:`save` writes the trace as two files, a
@@ -324,7 +325,7 @@ class IterationTrace:
     psi: list = field(default_factory=list)
     tau: list = field(default_factory=list)
     step_norm_inf: list = field(default_factory=list)
-    message_counts: list = field(default_factory=list)
+    n_messages: int = 0
 
     @property
     def n_records(self) -> int:
@@ -333,6 +334,11 @@ class IterationTrace:
     @property
     def n_transitions(self) -> int:
         return len(self.step_norm_inf)
+
+    @property
+    def message_counts(self) -> list:
+        """``n_messages`` once per transition, built on each access; the benchmark reads it."""
+        return [self.n_messages] * self.n_transitions
 
     @property
     def epsilon(self) -> list:
@@ -358,7 +364,7 @@ class IterationTrace:
             "M": self.M,
             "psi_star": self.psi_star,
             "tau": self.tau,
-            "message_counts": self.message_counts,
+            "n_messages": self.n_messages,
             "prng": PRNG_NAME,
         }
 
@@ -372,7 +378,7 @@ class IterationTrace:
         """Read back the two files :meth:`save` wrote, or raise a one-line
         :class:`~dualprox.errors.MalformedTraceError`.
 
-        The metadata fixes the shape, ``psi_star`` and the transition lists.
+        The metadata fixes the shape, ``psi_star``, ``n_messages`` and the read instants.
         The CSV must carry the header written for that shape and rows
         numbered ``0..K``; ``lam`` is their theta and mu columns, one array.
         """
@@ -388,16 +394,19 @@ class IterationTrace:
         if not isinstance(meta, dict):
             raise MalformedTraceError(f"trace metadata {meta_path} is not a JSON object")
         shape = tuple(meta.get(key) for key in ("n_agents", "B", "M"))
-        psi_star, tau, counts = meta.get("psi_star"), meta.get("tau"), meta.get("message_counts")
+        psi_star, tau, n_msgs = meta.get("psi_star"), meta.get("tau"), meta.get("n_messages")
         if not all(type(v) is int and v > 0 for v in shape):
             raise MalformedTraceError(f"trace metadata: n_agents, B and M = {shape} are not "
                                       "positive integers")
         if type(psi_star) not in (int, float):
             raise MalformedTraceError(f"trace metadata: psi_star = {psi_star!r} is not a number")
-        if type(tau) is not list or type(counts) is not list or any(
+        if type(n_msgs) is not int or n_msgs < 0:
+            raise MalformedTraceError(f"trace metadata: n_messages = {n_msgs!r} is not a "
+                                      "nonnegative integer")
+        if type(tau) is not list or any(
                 type(t) is not int or not 0 <= t <= k for k, t in enumerate(tau)):
-            raise MalformedTraceError("trace metadata: tau and message_counts must be lists, "
-                                      "with read instants 0 <= tau[k] <= k")
+            raise MalformedTraceError("trace metadata: tau must be a list of read instants "
+                                      "0 <= tau[k] <= k")
         n, B, M = shape  # the width first: a huge shape must not build its header
         if len(header) != 4 + n * (B + M) or tuple(header) != _columns(n, B, M):
             raise MalformedTraceError(f"trace {csv_path} does not have the header written for "
@@ -412,15 +421,13 @@ class IterationTrace:
         if body.shape[1] != len(header) or not np.array_equal(body[:, 0], np.arange(len(body))):
             raise MalformedTraceError(f"trace {csv_path} rows are not {len(header)} numbers "
                                       "each, numbered 0..K in order")
-        for name, entries in (("tau", tau), ("message_counts", counts)):
-            if len(entries) != len(body) - 1:
-                raise MalformedTraceError(
-                    f"trace metadata lists {len(entries)} {name} entries for the "
-                    f"{len(body) - 1} transitions of {csv_path}")
+        if len(tau) != len(body) - 1:
+            raise MalformedTraceError(f"trace metadata lists {len(tau)} tau entries for the "
+                                      f"{len(body) - 1} transitions of {csv_path}")
         lam = body[:, 4:]
         step_norm_inf = np.abs(np.diff(lam, axis=0)).max(axis=1).tolist()
         return IterationTrace(*shape, float(psi_star), meta, lam, body[:, 1].tolist(), tau,
-                              step_norm_inf, counts)
+                              step_norm_inf, n_msgs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +457,6 @@ def _flush(instance: ProblemInstance, trace: IterationTrace, pending: list) -> N
             if j == 0:
                 raise NonFiniteInitialError(f"Psi(lam(0)) = {trace.psi[0]}")
             del trace.psi[j + 1:], trace.lam[j + 1:], trace.tau[j:], trace.step_norm_inf[j:]
-            del trace.message_counts[j:]
             raise _NonFinitePsi
 
 
@@ -530,9 +536,9 @@ def run(instance: ProblemInstance, mode: str = "sync",
         if not np.isfinite(lam).all():
             raise NonFiniteInitialError("lam(0) is not finite")
 
-    n_msgs = instance.n_messages
     trace = IterationTrace(instance.n_agents, instance.B, instance.M,
-                           psi_star if psi_star is not None else float("nan"))
+                           psi_star if psi_star is not None else float("nan"),
+                           n_messages=instance.n_messages)
     trace.meta = {
         "instance_hash": instance_hash(instance),
         "mode": mode,
@@ -569,7 +575,6 @@ def run(instance: ProblemInstance, mode: str = "sync",
                 trace.lam.append(lam_next)
                 trace.tau.append(tk)
                 trace.step_norm_inf.append(step)
-                trace.message_counts.append(n_msgs)
                 xhat_cache.pop(k - D, None)
                 # a finite step needs finite iterates; an infinite one may be an overflow
                 if not (math.isfinite(step) or np.isfinite(lam_next).all()):

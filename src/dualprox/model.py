@@ -136,8 +136,8 @@ class ProblemInstance:
     ``blocks[k]`` is the ``B x M`` block ``A_{l[k]}^(owner[k])`` multiplying
     ``x_l`` in agent ``owner[k]``'s rows, and ``rhs[i]`` is ``b^(i)``;
     absent pairs are zero blocks.  The table is kept sorted by
-    ``(owner, l)``.  The agents are grouped by kind when it is built (see
-    :func:`_kind_groups`).
+    ``(owner, l)``.  The agents are grouped by kind, and every part's
+    dimension checked, when it is built (see :func:`_kind_groups`).
 
     The operators a round reads are members built on first use: ``C`` and ``A`` as CSR
     entry arrays ``(rows, cols, vals)``, each row's entries in ascending column, so a row
@@ -245,7 +245,7 @@ class ProblemInstance:
         """One group of every g but the dense quadratics, which need a solve and have a
         group of their own (see :func:`convex.nonsmooth_group`)."""
         return _checked_groups("g", [(idx, nonsmooth_group(*members, self.M))
-                                     for _, idx, members in self._g_members], self.n_agents)
+                                     for idx, members in self._g_members], self.n_agents)
 
     @cached_property
     def lipschitz(self):
@@ -374,12 +374,13 @@ def _csr(groups, others, mats):
 def _kind_groups(agents: tuple, M: int) -> tuple:
     """``(f_groups, g_members, sigma, g_table)`` of ``agents``, from one pass over them.
 
-    An f group is ``(agents, f)``: the agents of one kind and dim (dense quadratics apart),
-    their f's stacked by :func:`convex.smooth_group`, which sigma reads.  A g group is
-    ``(dims, agents, (gs, boxes, omegas, codes))``: the agents whose parts have one set of
-    dims (``M`` for an absent part's), dense quadratics apart, a box and omega standing in
-    for each other where absent, and each g's code (see :class:`convex.ProxFriendlyFunction`);
-    it is stacked when the instance is compiled.  Groups are in order of first member; their
+    Every part must have dim ``M``: else a ``ValueError`` lists each ``agent i: <part> has dim
+    d, expected M=M``, by agent and then part, joined by ``; ``, read off the groups' keys.
+    An f group is ``(agents, f)``: the agents of one kind (dense quadratics apart), their f's
+    stacked by :func:`convex.smooth_group`, which sigma reads.  A g group is ``(agents, (gs,
+    boxes, omegas, codes))``: dense quadratics apart, a box and omega standing in for each
+    other where absent, and each g's code (see :class:`convex.ProxFriendlyFunction`); it is
+    stacked when the instance is compiled.  Groups are in order of first member; their
     agents are a ``slice`` where consecutive (a view, where an index array gathers a copy).
     ``g_table``, which :func:`instance_hash` reads with the f groups, is each agent's
     nonsmooth codes ``(kind, box, omega)``, the g's of each kind and the boxes present."""
@@ -403,6 +404,15 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
         if omega is not None:
             boxes.append(omega)
 
+    # (part, dim, members) of each group: part 0 the smooth part, 1-3 g's quadratic, box, omega
+    dims = [(0, key[1], m) for key, m in f_keys.items()] + [
+        (k, d, m) for key, m in g_keys.items() for k, d in enumerate(key[:3], start=1)]
+    wrong = sorted((i, k, d) for k, d, members in dims if d != M for i, *_ in members)
+    if wrong:
+        parts = ("smooth part", "nonsmooth part", "nonsmooth part", "omega")
+        raise ValueError("; ".join(dict.fromkeys(  # an ordered set: a g's quadratic and box
+            f"agent {i}: {parts[k]} has dim {d}, expected M={M}" for i, k, d in wrong)))
+
     def index(idx):
         return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else np.array(idx)
     f_groups = tuple((index(idx), smooth_group(fs, has_domain))
@@ -411,8 +421,8 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
     with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
         for idx, f in f_groups:
             sigma[idx] = f.strong_convexity
-    g_members = tuple((key[:3], index(idx), columns)
-                      for key, members in g_keys.items() for idx, *columns in [zip(*members)])
+    g_members = tuple((index(idx), columns)
+                      for members in g_keys.values() for idx, *columns in [zip(*members)])
     return f_groups, g_members, sigma, (np.array(table, dtype="<i8").reshape(-1, 3), by_kind, boxes)
 
 
@@ -502,12 +512,11 @@ class ValidationReport:
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Structural validation; returns a report instead of raising.
 
-    Checks: connectivity, block sparsity w.r.t. the topology, positive
-    curvature of every smooth part, and the dimensions of the smooth and
-    nonsmooth parts and local sets (the block table's shapes are checked
-    when it is built).  Existence of a strictly feasible point is reported
-    as not checked (general feasibility detection is itself an optimization
-    problem).
+    Checks: connectivity, block sparsity w.r.t. the topology and positive
+    curvature of every smooth part (the block table's shapes and every
+    part's dimension are checked when the instance is built).  Existence of
+    a strictly feasible point is reported as not checked (general
+    feasibility detection is itself an optimization problem).
     """
     checks = []
     topo = instance.topology
@@ -529,18 +538,6 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     checks.append(CheckResult(
         "strong_convexity", "pass" if not bad_sigma else "fail",
         "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
-
-    M, agents = instance.M, np.arange(instance.n_agents)
-    # (agents, part, dim) of each group: part 0 the smooth part, 1-3 g's quadratic, box and omega
-    dims = [(idx, 0, f.dim) for idx, f in instance._f_groups] + [
-        (idx, k, d) for ds, idx, _ in instance._g_members for k, d in enumerate(ds, start=1)]
-    parts = ("smooth part", "nonsmooth part", "nonsmooth part", "omega")
-    dim_issues = dict.fromkeys(msg for *_, msg in sorted(  # by agent, then part; as an ordered set
-        (i, k, f"agent {i}: {parts[k]} has dim {d}, expected M={M}")
-        for idx, k, d in dims if d != M for i in agents[idx].tolist()))
-    checks.append(CheckResult(
-        "dimensions", "pass" if not dim_issues else "fail",
-        "every part has dim M" if not dim_issues else "; ".join(dim_issues)))
 
     checks.append(CheckResult(
         "strict_feasibility", "not_checked",

@@ -8,10 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from dualprox import (
-    BoxSet,
     IterationTrace,
     MarketParams,
-    ProxFriendlyFunction,
     StepSizes,
     Topology,
     build_consensus,
@@ -179,7 +177,11 @@ def test_verify_missing_and_malformed(runner, tmp_path):
                       ("string D", {**meta, "D": "abc"}),
                       ("string n_agents", {**meta, "n_agents": "3"}),
                       ("tau ahead of k", {**meta, "tau": [k + 1 for k in meta["tau"]]}),
-                      ("count not a list", {**meta, "message_counts": 5}),
+                      ("no n_messages", {k: v for k, v in meta.items() if k != "n_messages"}),
+                      ("negative n_messages", {**meta, "n_messages": -1}),
+                      ("float n_messages", {**meta, "n_messages": 2.0}),
+                      ("bool n_messages", {**meta, "n_messages": True}),
+                      ("string n_messages", {**meta, "n_messages": "2"}),
                       ("no h", {k: v for k, v in meta.items() if k != "h"})):
         mutated = tmp_path / "mutated_meta.json"
         mutated.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -578,12 +580,13 @@ def test_run_validation_failure_is_one_line(runner, tmp_path):
 
 
 def test_run_refuses_a_nonsmooth_part_of_the_wrong_dimension(runner, tmp_path):
-    box = ProxFriendlyFunction.indicator_box(BoxSet([-1.0], [1.0]))
+    doc = instance_to_json(build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2))
+    doc["agents"][1]["g"] = {"kind": "indicator_box",
+                             "params": {"box": {"lower": [-1.0], "upper": [1.0]}}}
     path = tmp_path / "narrow.json"
-    save_instance(build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2,
-                                  [ProxFriendlyFunction.zero(), box]), path)
+    path.write_text(json.dumps(doc))
     res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
-    _one_error_line(res, "error: instance failed validation: dimensions: "
+    _one_error_line(res, "error: cannot load instance: malformed instance JSON: "
                          "agent 1: nonsmooth part has dim 1, expected M=2")
 
 
@@ -686,14 +689,6 @@ def test_verify_refuses_a_truncated_trace(runner, tmp_path):
                                    "--out", str(cut)])
         _one_error_line(res, "error: ")
         assert message in res.output, name
-    # message counts that disagree with the rows are refused as well
-    meta = json.loads((good / "trace_meta.json").read_text())
-    meta["message_counts"] = meta["message_counts"][:-1]
-    (cut / "trace_meta.json").write_text(json.dumps(meta))
-    (cut / "trace.csv").write_text("".join(lines))
-    res = runner.invoke(main, ["verify", "--trace", str(cut / "trace.csv"), "--out", str(cut)])
-    _one_error_line(res, "error: ")
-    assert "29 message_counts entries for the 30 transitions" in res.output
 
 
 @pytest.mark.parametrize("name", ["theta names swapped", "theta and mu swapped",

@@ -613,7 +613,13 @@ def test_instance_groups_match_the_per_agent_compile(inst):
     assert (inst.sigma.dtype, inst.sigma.tobytes()) == (sigma.dtype, sigma.tobytes())
     assert "f_groups" not in vars(inst)  # the construction groups are checked on first use
     assert all(f.dim == inst.M for _, f in inst._f_groups)
-    assert all(dims == (inst.M,) * 3 for dims, _, _ in inst._g_members)
+    # every part has dim M: the same agents, the last with an omega one wider, are refused
+    i, wide = inst.n_agents - 1, BoxSet(-np.ones(inst.M + 1), np.ones(inst.M + 1))
+    agents = inst.agents[:i] + (AgentSpec(inst.agents[i].f, inst.agents[i].g, wide),)
+    with pytest.raises(ValueError) as exc:
+        ProblemInstance(inst.topology, agents, inst.M, inst.B, inst.owner, inst.l, inst.blocks,
+                        inst.rhs)
+    assert str(exc.value) == f"agent {i}: omega has dim {inst.M + 1}, expected M={inst.M}"
     _assert_f_groups_are_the_agents_own(inst)
     assert inst.f_groups is inst._f_groups  # checked, not rebuilt
     _assert_g_groups_as_before(inst)

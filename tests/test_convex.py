@@ -13,7 +13,6 @@ from dualprox import (
     SmoothConjugable,
     conjugate_argmax,
     conjugate_value,
-    prox_conjugate_via_moreau,
 )
 from dualprox.convex import cached_property, group, nonsmooth_group
 from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
@@ -159,32 +158,6 @@ def test_prox_takes_a_positive_list_alpha_as_the_array():
     g = ProxFriendlyFunction.l1(1.0)
     np.testing.assert_array_equal(g.prox([2.0], [0.5]), g.prox([2.0], np.array([0.5])))
     np.testing.assert_array_equal(g.prox([2.0], [0.5]), [[1.5]])
-
-
-@pytest.mark.parametrize("c", [0.0, -0.0, -2.0, float("nan"), float("inf"), [1.0, 0.0],
-                               [float("nan"), 1.0], [1.0, -float("inf")]])
-def test_prox_conjugate_via_moreau_rejects_a_bad_c(c):
-    g = group([ProxFriendlyFunction.l1(1.0)] * 2)
-    with pytest.raises(ValueError, match="c must be positive"):
-        prox_conjugate_via_moreau(g, np.ones((2, 1)), np.broadcast_to(c, 2))
-    if np.ndim(c) == 0:
-        with pytest.raises(ValueError, match="c must be positive"):
-            prox_conjugate_via_moreau(ProxFriendlyFunction.l1(1.0), [1.0], c)
-
-
-def test_prox_conjugate_via_moreau_examples():
-    np.testing.assert_allclose(
-        prox_conjugate_via_moreau(ProxFriendlyFunction.l1(1.0), [2.0], 1.0), [1.0])
-    np.testing.assert_allclose(
-        prox_conjugate_via_moreau(
-            ProxFriendlyFunction.indicator_box(BoxSet([0.0], [3.0])), [-1.0], 1.0),
-        [-1.0])
-    # l1 weight 1: conjugate is the indicator of [-1, 1], v inside stays put
-    g = ProxFriendlyFunction.l1(1.0)
-    np.testing.assert_allclose(prox_conjugate_via_moreau(g, [0.4], 2.0), [0.4])
-    res = minimize_scalar(lambda w: (w - 0.4) ** 2 / 4.0, bounds=(-1, 1),
-                          method="bounded", options={"xatol": 1e-12})
-    assert abs(prox_conjugate_via_moreau(g, [0.4], 2.0)[0] - res.x) < 1e-7
 
 
 def test_moreau_identity_against_independent_oracle():

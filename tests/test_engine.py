@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import dualprox.engine
 import dualprox.model
@@ -39,6 +40,7 @@ from dualprox.errors import (
     NonFiniteInitialError,
     StepSizeViolationError,
 )
+from dualprox.repro import catalog_samples, conjugate_prox_oracle
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
 from dense_reference import reference_save
@@ -141,6 +143,56 @@ def test_mu_vanishes_when_g_is_zero_on_all_space():
     lam = np.array([0.5, -0.3, 0.7, -0.2])
     nxt = _round(inst, lam, dual_objective(inst, lam).x_hat, StepSizes.uniform(0.1, 2))
     np.testing.assert_array_equal(nxt[2:], [0.0, 0.0])
+
+
+def _mu_step(gs, mu, x_hat, c):
+    """The instance and the ``mu`` of one :func:`_round` from ``x_hat`` at ``lam = [0, mu]``:
+    agent ``i`` holds ``gs[i]`` and the step ``c[i]``, ``mu`` and ``x_hat`` stacked ``(N, M)``."""
+    mu = np.asarray(mu, dtype=float).reshape(len(gs), -1)
+    n, M = mu.shape
+    agents = [AgentSpec(quadratic_local(np.zeros(M)), g, None) for g in gs]
+    inst = ProblemInstance(Topology.path(n), agents, M, 1, range(n), range(n),
+                           np.ones((n, 1, M)), np.zeros((n, 1)))
+    lam = np.concatenate((np.zeros(n), mu.ravel()))
+    steps = StepSizes.per_agent(np.broadcast_to(c, n))
+    return inst, inst.split(_round(inst, lam, np.reshape(x_hat, (n, M)), steps))[1]
+
+
+def test_round_mu_step_matches_the_conjugate_prox_oracle():
+    # the round's Moreau step v - c prox_{g/c}(v/c), v = mu + c x_hat, is the prox of c g*
+    rng = np.random.default_rng(5)
+    for g, mu, c in catalog_samples(rng, 300):
+        x_hat = rng.uniform(-3.0, 3.0, mu.size)
+        _, got = _mu_step([g], mu, x_hat, c)
+        np.testing.assert_allclose(got[0], conjugate_prox_oracle(g, mu + c * x_hat, c),
+                                   rtol=0, atol=1e-9)
+
+
+def test_round_mu_step_of_a_mixed_group_takes_each_agent_s_step():
+    rng = np.random.default_rng(8)
+    gs, mu, c = zip(*[case for case in catalog_samples(rng, 400) if case[1].size == 1][:48])
+    x_hat = rng.uniform(-3.0, 3.0, len(gs))
+    inst, got = _mu_step(gs, mu, x_hat, c)
+    assert len(inst.g_groups) == 1 and len(set(c)) == len(gs)  # one group, a step per agent
+    assert len({(g.kind, g.box is None) for g in gs}) == 6  # every kind, with and without box
+    for i, g in enumerate(gs):
+        np.testing.assert_allclose(got[i], conjugate_prox_oracle(g, mu[i] + c[i] * x_hat[i], c[i]),
+                                   rtol=0, atol=1e-9)
+
+
+def test_round_mu_step_examples():
+    # the prox of c g* at v, through the round: mu = v and x_hat = 0
+    def step(g, v, c):
+        return _mu_step([g], v, np.zeros(len(v)), c)[1][0]
+    np.testing.assert_allclose(step(ProxFriendlyFunction.l1(1.0), [2.0], 1.0), [1.0])
+    np.testing.assert_allclose(
+        step(ProxFriendlyFunction.indicator_box(BoxSet([0.0], [3.0])), [-1.0], 1.0), [-1.0])
+    # l1 weight 1: conjugate is the indicator of [-1, 1], v inside stays put
+    g = ProxFriendlyFunction.l1(1.0)
+    np.testing.assert_allclose(step(g, [0.4], 2.0), [0.4])
+    res = minimize_scalar(lambda w: (w - 0.4) ** 2 / 4.0, bounds=(-1, 1),
+                          method="bounded", options={"xatol": 1e-12})
+    assert abs(step(g, [0.4], 2.0)[0] - res.x) < 1e-7
 
 
 def test_dpg_matches_scripted_dense_reference(ctx):
@@ -559,7 +611,7 @@ def _odd_trace(number=float):
         [number(c) for c in np.roll(cells, 3)],
         [max(0, k - 2) for k in range(K)],
         [number(c) for c in np.roll(cells, 5)[:K]],
-        [2] * K)
+        2)
 
 
 def _read_back(tmp_path):
@@ -593,7 +645,7 @@ def _to_csv_peak(n_rows, path) -> int:
     rng = np.random.default_rng(0)
     lam = list(rng.normal(size=(n_rows, 24)))
     trace = IterationTrace(4, 2, 4, 0.0, {}, lam, rng.normal(size=n_rows).tolist(),
-                           [0] * (n_rows - 1), [1.0] * (n_rows - 1), [0] * (n_rows - 1))
+                           [0] * (n_rows - 1), [1.0] * (n_rows - 1), 0)
     tracemalloc.start()
     try:
         trace.to_csv(path)
@@ -611,12 +663,12 @@ def test_to_csv_memory_does_not_grow_with_the_rows(tmp_path):
 
 def test_trace_rejects_malformed_csv(tmp_path):
     bad, meta_path = tmp_path / "bad.csv", tmp_path / "bad.json"
-    meta = {"n_agents": 1, "B": 1, "M": 1, "psi_star": 1.0, "tau": [], "message_counts": []}
+    meta = {"n_agents": 1, "B": 1, "M": 1, "psi_star": 1.0, "tau": [], "n_messages": 0}
     meta_path.write_text(json.dumps(meta))
     bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,1.0,0.0,0.0,0.0\n")
     with pytest.raises(MalformedTraceError, match="6 numbers each, numbered"):
         IterationTrace.from_csv(bad, meta_path)
-    meta_path.write_text(json.dumps({**meta, "tau": [0], "message_counts": [1]}))
+    meta_path.write_text(json.dumps({**meta, "tau": [0]}))
     bad.write_text("k,psi,epsilon,step_norm_inf,theta_0_0,mu_0_0\n0,1,0,0,0,0\n1,1,0,0,0\n")
     with pytest.raises(MalformedTraceError, match="6 numbers each: "):
         IterationTrace.from_csv(bad, meta_path)
@@ -647,6 +699,36 @@ def test_trace_rejects_malformed_csv(tmp_path):
     with pytest.raises(MalformedTraceError, match="header"):
         IterationTrace.from_csv(bad, meta_path)
     assert dualprox.engine._columns.cache_info().currsize == built
+
+
+@pytest.mark.parametrize("n_messages", ["written before", -1, 2.0, True, "2"])
+def test_trace_metadata_needs_a_nonnegative_integer_n_messages(tmp_path, n_messages):
+    trace = run(_two_agent(b0=1.0), tol=0.0, k_max=3)
+    trace.save(tmp_path / "t.csv", tmp_path / "t.json")
+    meta = json.loads((tmp_path / "t.json").read_text())
+    assert meta["n_messages"] == 2 and IterationTrace.from_csv(tmp_path / "t.csv",
+                                                               tmp_path / "t.json").n_messages == 2
+    if n_messages == "written before":  # a count per round, and no n_messages
+        del meta["n_messages"]
+        meta["message_counts"], n_messages = [2] * trace.n_transitions, None
+    else:
+        meta["n_messages"] = n_messages
+    (tmp_path / "t.json").write_text(json.dumps(meta))
+    with pytest.raises(MalformedTraceError) as exc:
+        IterationTrace.from_csv(tmp_path / "t.csv", tmp_path / "t.json")
+    assert str(exc.value) == (f"trace metadata: n_messages = {n_messages!r} is not a "
+                              "nonnegative integer")
+
+
+def test_trace_metadata_holds_no_per_round_key_but_tau():
+    inst = build_market()
+    trace = run(inst, mode="async", schedule=DelaySchedule.worst_case(3), tol=0.0, k_max=40)
+    meta = trace.metadata()
+    per_round = [key for key, value in meta.items()
+                 if isinstance(value, list) and len(value) == trace.n_transitions]
+    assert per_round == ["tau"] and len(meta["step_sizes"]) == inst.n_agents
+    assert meta["n_messages"] == inst.n_messages == 20 and "message_counts" not in meta
+    assert trace.message_counts == [20] * 40
 
 
 def test_trace_epsilon_is_psi_minus_psi_star():

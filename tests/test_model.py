@@ -238,8 +238,9 @@ def test_validate_market_all_structural_checks_pass(ctx):
     by_name = {c.name: c.status for c in report.checks}
     assert report.ok
     assert by_name["strict_feasibility"] == "not_checked"
-    for name in ("connectivity", "block_sparsity", "strong_convexity", "dimensions"):
+    for name in ("connectivity", "block_sparsity", "strong_convexity"):
         assert by_name[name] == "pass"
+    assert "dimensions" not in by_name  # checked when the instance is built
 
 
 def test_validate_flags_sparsity_violation():
@@ -260,31 +261,42 @@ def test_validate_flags_sparsity_violation():
     (1, ProxFriendlyFunction.quadratic(QuadraticFunction(np.eye(2), [0.0, 0.0]),
                                        BoxSet([-1.0, -1.0], [1.0, 1.0])), 2),
 ])
-def test_validate_checks_the_nonsmooth_dimension(M, g, dim):
-    inst = build_consensus(Topology.path(2), [quadratic_local(np.zeros(M))] * 2,
-                           [ProxFriendlyFunction.zero(), g])
-    check = {c.name: c for c in validate_instance(inst).checks}["dimensions"]
-    assert check.status == "fail"
-    assert check.detail == f"agent 1: nonsmooth part has dim {dim}, expected M={M}"
+def test_construction_checks_the_nonsmooth_dimension(M, g, dim):
+    with pytest.raises(ValueError) as exc:
+        build_consensus(Topology.path(2), [quadratic_local(np.zeros(M))] * 2,
+                        [ProxFriendlyFunction.zero(), g])
+    assert str(exc.value) == f"agent 1: nonsmooth part has dim {dim}, expected M={M}"
 
 
-def test_an_agent_of_the_wrong_dimension_constructs_and_fails_validation():
+def test_an_agent_of_the_wrong_dimension_is_refused_at_construction():
     # agent 1's g box (dim 2) and omega (dim 3) cannot even be intersected, and
-    # agent 2's smooth part has dim 2: the instance still builds, validation
-    # reports each part once, and compiling refuses the g's
+    # agent 2's smooth part has dim 2: the error names each part once, by agent then part
     wide = ProxFriendlyFunction.l1_plus_box(0.5, BoxSet([-1.0, -1.0], [1.0, 1.0]))
     agents = _scalar_agents(3)
     agents[1] = AgentSpec(agents[1].f, wide, BoxSet([-1.0] * 3, [1.0] * 3))
     agents[2] = AgentSpec(quadratic_local([0.0, 0.0]), agents[2].g, None)
-    inst = ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
-                           np.ones((3, 1, 1)), np.zeros((3, 1)))
-    check = {c.name: c for c in validate_instance(inst).checks}["dimensions"]
-    assert check.status == "fail"
-    assert check.detail == ("agent 1: nonsmooth part has dim 2, expected M=1; "
-                            "agent 1: omega has dim 3, expected M=1; "
-                            "agent 2: smooth part has dim 2, expected M=1")
-    with pytest.raises(ValueError):
-        inst.g_groups
+    with pytest.raises(ValueError) as exc:
+        ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
+                        np.ones((3, 1, 1)), np.zeros((3, 1)))
+    assert str(exc.value) == ("agent 1: nonsmooth part has dim 2, expected M=1; "
+                              "agent 1: omega has dim 3, expected M=1; "
+                              "agent 2: smooth part has dim 2, expected M=1")
+
+
+def test_a_box_of_the_wrong_dimension_never_reaches_run():
+    # a 2-agent M = 1 path whose second agent's box is 2-D: refused when built, by the
+    # JSON reader too, so run never meets numpy's inhomogeneous-shape error in the digest
+    box = ProxFriendlyFunction.indicator_box(BoxSet([-1.0, -1.0], [1.0, 1.0]))
+    message = "agent 1: nonsmooth part has dim 2, expected M=1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_consensus(Topology.path(2), [quadratic_local([0.0])] * 2,
+                        [ProxFriendlyFunction.zero(), box])
+    doc = instance_to_json(build_consensus(Topology.path(2), [quadratic_local([0.0])] * 2))
+    doc["agents"][1]["g"] = {"kind": "indicator_box",
+                             "params": {"box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}}}
+    with pytest.raises(MalformedInstanceError) as exc:
+        instance_from_json(doc)
+    assert str(exc.value) == f"malformed instance JSON: {message}"
 
 
 def test_validate_flags_disconnected_topology():
@@ -528,18 +540,17 @@ def test_instance_hash_ignores_the_written_strong_convexity():
         assert instance_hash(instance_from_json(doc)) == instance_hash(inst)
 
 
-def test_instance_hash_tells_which_agent_holds_which_smooth_dim():
-    # validation refuses both; the parameters of each kind and dim are the same bytes
+def test_an_instance_whose_agents_hold_two_smooth_dims_is_refused():
+    # the parameters of each kind and dim would be the same bytes in both; neither builds,
+    # and the error names the agent that holds the 2-D part
     one = SmoothConjugable(QuadraticFunction(1.0, [0.5]))
     two = SmoothConjugable(QuadraticFunction([1.0, 2.0], [0.5, 0.25]))
-    digests = set()
-    for fs in ([one, two, one], [one, one, two]):
+    for fs, i in (([one, two, one], 1), ([one, one, two], 2)):
         agents = [AgentSpec(f, ProxFriendlyFunction.zero(), None) for f in fs]
-        inst = ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
-                               np.ones((3, 1, 1)), np.zeros((3, 1)))
-        assert instance_hash(inst) == reference_instance_hash(instance_to_json(inst))
-        digests.add(instance_hash(inst))
-    assert len(digests) == 2
+        with pytest.raises(ValueError) as exc:
+            ProblemInstance(Topology.path(3), agents, 1, 1, [0, 1, 2], [0, 1, 2],
+                            np.ones((3, 1, 1)), np.zeros((3, 1)))
+        assert str(exc.value) == f"agent {i}: smooth part has dim 2, expected M=1"
 
 
 def test_instance_hash_matches_the_reference_read_agent_by_agent():

@@ -18,8 +18,11 @@ array-at-a-time.
 non-finite in its first round.  They were recorded from the writer that
 formatted every cell with ``repr`` and read traces back with a per-row
 parse; the ``trace_meta.json`` digests were recorded again when digest v2
-changed each file's ``instance_hash``, its only value that moved.  A trace
-read back with ``from_csv`` must save to the same bytes.
+changed each file's ``instance_hash``, and again when the per-round
+``message_counts`` list gave way to one ``n_messages`` (each time the only
+change to the file).  The ``message_counts`` digests above read the trace's
+property, ``n_messages`` once per transition.  A trace read back with
+``from_csv`` must save to the same bytes.
 """
 
 import hashlib
@@ -169,19 +172,19 @@ def test_trace_matches_pinned_digests(name):
 FILES = {
     "market_sync": (_market_sync,
                     "b7d15ff521eae36a002d156270db4f7f2eadc09cc4032ac8d8deac62bc9b326f",
-                    "b2e272c3365af0eb7233ed8a6af1f9e868c270568fa3c48066697de58e04287a"),
+                    "2f4c8ce25994798757f2da64d6358e731108458cbcb91f5af266cc8f5ea04e10"),
     "market_async_d5": (_market_async_d5,
                         "93aa4ba53575bdc7a483c923a00b6d7835a24c9641f99e7a025c1f2120a7407f",
-                        "e7fa4c0ebbec03ff6fff3d179ff049024ddb9736a8758c425eb10fecaa34b66d"),
+                        "f4e22bea4e67266a85531af234f02077a0fb2bf4aa2dbd97042160c4a01adcc1"),
     "mixed_seeded_d4": (_mixed_seeded,
                         "bb008fab6b14d08b3ee76c969f851f8fc9dcfe7b135b7b12f784c506e147f844",
-                        "b06d750412727d966fc00a7abaa598686c28a98a89245ce966c7b57299cb8cd0"),
+                        "ecb784089643130c0bd99988accbf68549b90306d545f7b0a8df0dab46324e50"),
     "path_sync_n48": (_path_sync,
                       "7c1ebdff58240e89dcdbd042463a62239143fe4861cb6cff7253daefd20784ed",
-                      "7e35c10b0cc5cfd3e548c5000149c78fbdb05004e6912d1f480522ad417b1f69"),
+                      "122315803c06ba07102a0c5da400dfb266983ed59359ec1339bdd3440d4d11a8"),
     "market_nonfinite": (_market_nonfinite,
                          "a4339adbb9f223b5d854bc2ed75e9b59f1d629b07bdd24a300c863db16dec9aa",
-                         "85f3eecbcdf8e45eec329275dfb138b60a070a158de0407d1f9afd1459f05142"),
+                         "18d82e701fbe7959827fe2b918adc73e6973f93370431b922c45abda82591fc6"),
 }
 
 

@@ -200,9 +200,9 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
 def cmd_verify(trace_path, meta_path, instance, out, as_json):
     """Check the rate-bound guarantees recorded by a previous run.
 
-    The reference point and value are taken from the trace itself (final
-    iterate, best observed objective), so the slacks measure the guarantees
-    against the converged run.
+    The reference point and value are taken from the trace itself (final iterate, best
+    observed objective), so the slacks measure the guarantees against the converged run.
+    The report goes to bound_report.json as one line of JSON; --json prints it indented.
     """
     trace_path = Path(trace_path)
     if not trace_path.exists():
@@ -245,7 +245,7 @@ def cmd_verify(trace_path, meta_path, instance, out, as_json):
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "bound_report.json"
     with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload))
 
     mins = report.min_slacks()
     if as_json:

@@ -348,12 +348,13 @@ class IterationTrace:
     # -- serialization --
 
     def to_csv(self, path) -> None:
-        # csv's default dialect, a line at a time: str(x) of each number, "\r\n" per row
+        """Write the header, then a line per record: the bytes ``csv.writer`` writes."""
+        header, psi_star = _columns(self.n_agents, self.B, self.M), self.psi_star
+        row = "%d" + ",%s" * (len(header) - 1) + "\r\n"  # k, then str of every other cell
         steps = self.step_norm_inf  # steps[k - 1] moved lam[k - 1] to lam[k]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(_columns(self.n_agents, self.B, self.M)) + "\r\n")
-            fh.writelines(f"{k},{psi},{psi - self.psi_star},{steps[k - 1] if k else 0.0},"
-                          f"{','.join(map(str, lam.tolist()))}\r\n"
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(row % (k, psi, psi - psi_star, steps[k - 1] if k else 0.0, *lam.tolist())
                           for k, (psi, lam) in enumerate(zip(self.psi, self.lam)))
 
     def metadata(self) -> dict:
@@ -369,9 +370,11 @@ class IterationTrace:
         }
 
     def save(self, csv_path, meta_path) -> None:
+        """Write :meth:`to_csv`'s file and :meth:`metadata` as one line of ``json.dumps``
+        output: without ``indent``, json runs its C encoder."""
         self.to_csv(csv_path)
-        with open(meta_path, "w") as fh:  # one write, where json.dump makes one per token
-            fh.write(json.dumps(self.metadata(), indent=2))
+        with open(meta_path, "w") as fh:
+            fh.write(json.dumps(self.metadata()))
 
     @staticmethod
     def from_csv(csv_path, meta_path) -> "IterationTrace":
@@ -625,20 +628,12 @@ class RateBoundReport:
     FIELDS = ("no_delay_rate", "delayed_rate", "delay_count", "weighted_delay_count")
 
     def min_slacks(self) -> dict:
-        out = {}
-        for name in self.FIELDS:
-            rows = getattr(self, name)
-            out[name] = min((r[3] for r in rows), default=None)
-        return out
+        return {name: min((r[3] for r in getattr(self, name)), default=None)
+                for name in self.FIELDS}
 
     def to_json(self) -> dict:
-        doc = {
-            "trajectory_constant": self.trajectory_constant,
-            "min_slacks": self.min_slacks(),
-        }
-        for name in self.FIELDS:
-            doc[name] = [list(r) for r in getattr(self, name)]
-        return doc
+        return {"trajectory_constant": self.trajectory_constant, "min_slacks": self.min_slacks(),
+                **{name: [list(r) for r in getattr(self, name)] for name in self.FIELDS}}
 
 
 def delayed_bound_constant(trace: IterationTrace, lam_star: np.ndarray,

@@ -704,8 +704,8 @@ def instance_from_json(obj: dict) -> ProblemInstance:
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(instance), fh, indent=2)
+    with open(path, "w") as fh:  # indented, for hand edits; one write, not json.dump's per token
+        fh.write(json.dumps(instance_to_json(instance), indent=2))
 
 
 def load_instance(path) -> ProblemInstance:

@@ -66,7 +66,7 @@ def apply_transform(transforms, A, b):
     ``transforms[i]`` is ``T_i``, a scalar or a vector read as one row; all
     have the same shape.  Returns ``(owner, l, blocks, rhs)``: the nonzero
     blocks ``A_l^(i)``, sorted by ``(owner, l)``, and ``rhs[i] = b^(i)``.
-    Raises :class:`RankDeficientError` when some ``T_i`` lacks full row rank.
+    Raises :class:`RankDeficientError` when some ``T_i`` is not finite or lacks full row rank.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -80,9 +80,14 @@ def apply_transform(transforms, A, b):
     if len({t.shape for t in T}) > 1:
         raise ValueError("every transform needs the same shape")
     T = np.array(T)
-    rank_deficient = np.flatnonzero(np.linalg.matrix_rank(T) < T.shape[1])
-    if rank_deficient.size:
-        raise RankDeficientError(f"transform {rank_deficient[0]} does not have full row rank")
+    bad = np.flatnonzero(~np.isfinite(T).all(axis=(1, 2)))  # before the SVD, which needs finite
+    if bad.size:
+        raise RankDeficientError(f"transform {bad[0]} is not finite")
+    # a finite 1x1 T has matrix_rank's rank, 1 exactly when t != 0: |t| > |t| eps
+    bad = np.flatnonzero(T[:, 0, 0] == 0 if T.shape[1:] == (1, 1)
+                         else np.linalg.matrix_rank(T) < T.shape[1])
+    if bad.size:
+        raise RankDeficientError(f"transform {bad[0]} does not have full row rank")
     B = T.shape[1]
     # by_agent[i, l] = A_l^(i), the columns of T_i A that multiply x_l
     by_agent = (T @ A).reshape(n_agents, B, n_agents, M).transpose(0, 2, 1, 3)

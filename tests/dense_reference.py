@@ -572,10 +572,11 @@ def reference_to_csv(trace, path) -> None:
 
 
 def reference_save(trace, csv_path, meta_path) -> None:
-    """``IterationTrace.save`` with ``json.dump`` writing the metadata."""
+    """``IterationTrace.save`` with ``json.dump`` writing the metadata on one line, token
+    by token through json's Python encoder."""
     reference_to_csv(trace, csv_path)
     with open(meta_path, "w") as fh:
-        json.dump(trace.metadata(), fh, indent=2)
+        json.dump(trace.metadata(), fh)
 
 
 # ---------------------------------------------------------------------------

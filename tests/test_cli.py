@@ -22,6 +22,7 @@ from dualprox import (
     recover_primal,
     run,
     save_instance,
+    verify_rate_bounds,
 )
 from dualprox.cli import main
 from dualprox.errors import MalformedTraceError, SingularScaleError
@@ -139,6 +140,26 @@ def test_verify_gates_on_mode(runner, tmp_path):
     report = json.loads((out2 / "bound_report.json").read_text())
     assert report["min_slacks"]["delayed_rate"] >= -1e-9
     assert "no_delay_rate" not in report["gated_on"]
+
+
+@pytest.mark.parametrize("run_args, gated_on", [
+    ([], ["no_delay_rate", "delayed_rate", "delay_count", "weighted_delay_count"]),
+    (["--mode", "async", "--delay", "5"], ["delayed_rate", "delay_count", "weighted_delay_count"]),
+])
+def test_verify_writes_its_report_as_one_json_dumps_line(runner, tmp_path, run_args, gated_on):
+    assert runner.invoke(main, ["run", "--scenario", "market", *run_args, "--iters", "60",
+                                "--out", str(tmp_path)]).exit_code == 0
+    res = runner.invoke(main, ["verify", "--trace", str(tmp_path / "trace.csv"),
+                               "--out", str(tmp_path), "--json"])
+    assert res.exit_code == 0, res.output
+    trace = IterationTrace.from_csv(tmp_path / "trace.csv", tmp_path / "trace_meta.json")
+    meta = trace.meta
+    report = verify_rate_bounds(trace, trace.lam[-1], float(np.min(trace.psi)), meta["h"],
+                                StepSizes(meta["step_mode"], meta["step_sizes"]), meta["D"])
+    payload = {**report.to_json(), "gated_on": gated_on}
+    text = (tmp_path / "bound_report.json").read_text()
+    assert text == json.dumps(payload) and json.loads(text) == payload
+    assert res.output == json.dumps(payload, indent=2) + "\n"  # --json prints it indented
 
 
 def test_verify_missing_and_malformed(runner, tmp_path):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import dualprox.engine
@@ -43,7 +45,7 @@ from dualprox.errors import (
 from dualprox.repro import catalog_samples, conjugate_prox_oracle
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
-from dense_reference import reference_save
+from dense_reference import reference_save, reference_to_csv
 
 MARKET_T = np.array(DEFAULT_TRANSFORMS)
 MARKET_A = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
@@ -625,6 +627,7 @@ def _read_back(tmp_path):
 TRACES = {
     "odd_cells": lambda tmp_path: _odd_trace(),
     "numpy_psi": lambda tmp_path: _odd_trace(np.float64),
+    "float32_psi": lambda tmp_path: _odd_trace(np.float32),  # f"{np.float32(0.1)}" is not str
     "read_back": _read_back,
     "one_record": lambda tmp_path: run(_two_agent(b0=1.0), k_max=0),
 }
@@ -635,10 +638,40 @@ def test_saved_files_are_the_bytes_csv_writer_and_json_dump_write(name, tmp_path
     trace = TRACES[name](tmp_path)
     trace.save(tmp_path / "a.csv", tmp_path / "a.json")
     reference_save(trace, tmp_path / "b.csv", tmp_path / "b.json")
+    assert b"\n" not in (tmp_path / "a.json").read_bytes()  # one line
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     if name == "one_record":
         assert trace.n_records == 1 and (tmp_path / "a.csv").read_bytes().count(b"\r\n") == 2
+
+
+CELLS = st.one_of(st.sampled_from(ODD_CELLS), st.floats())
+
+
+@st.composite
+def _any_traces(draw):
+    """A trace of any shape up to 6 agents and B, M up to 3, with 0 or several
+    transitions; odd and random cells, psi and the step norms of one number type."""
+    n, B, M = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    K, number = draw(st.sampled_from([0, 1, 3, 8])), draw(st.sampled_from(
+        [float, np.float64, np.float32]))
+    width = n * (B + M)
+    lam = [np.array(draw(st.lists(CELLS, min_size=width, max_size=width)))
+           for _ in range(K + 1)]
+    with np.errstate(over="ignore"):  # a float32 cast of 1e308 is inf
+        psi = [number(draw(CELLS)) for _ in range(K + 1)]
+        steps = [number(draw(CELLS)) for _ in range(K)]
+    return IterationTrace(n, B, M, draw(CELLS), {}, lam, psi, [0] * K, steps, 0)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_any_traces())
+def test_to_csv_writes_the_bytes_csv_writer_writes(tmp_path, trace):
+    with np.errstate(all="ignore"):  # float32 casts overflow, inf - inf
+        trace.to_csv(tmp_path / "a.csv")
+        reference_to_csv(trace, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def _to_csv_peak(n_rows, path) -> int:

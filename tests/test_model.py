@@ -576,6 +576,14 @@ def test_instance_hash_and_json_text_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
+def test_save_instance_writes_the_indented_json_dumps_text(tmp_path):
+    for name, inst in (("market", build_market()), ("consensus", build_scenario("consensus")),
+                       ("mixed_path", _mixed_path())):
+        save_instance(inst, tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() == json.dumps(
+            instance_to_json(inst), indent=2).encode(), name
+
+
 def test_instance_from_json_rejects_missing_keys_and_wrong_types():
     doc = instance_to_json(build_market())
     with pytest.raises(MalformedInstanceError, match="agents"):

@@ -106,6 +106,37 @@ def test_apply_transform_rejects_rank_deficiency():
                         [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
 
 
+def _scalar_full_rank(t: float) -> bool:
+    """Whether ``apply_transform`` takes the scalar transform ``t`` beside a transform 1."""
+    try:
+        apply_transform([1.0, t], np.ones((1, 2)), np.zeros(1))
+    except RankDeficientError as exc:
+        assert str(exc) == "transform 1 does not have full row rank"
+        return False
+    return True
+
+
+def test_a_scalar_transform_has_the_rank_matrix_rank_gives():
+    rng = np.random.default_rng(3)
+    cases = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+             *rng.normal(size=20), *(rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, 20))]
+    for t in cases:
+        assert _scalar_full_rank(t) == bool(np.linalg.matrix_rank(np.full((1, 1), t))), t
+    assert [_scalar_full_rank(t) for t in (0.0, -0.0, 5e-324, 1e308, -1e308)] == [
+        False, False, True, True, True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_transform_refuses_a_non_finite_transform_by_index(bad):
+    A, b = np.ones((1, 3)), np.zeros(1)
+    with pytest.raises(RankDeficientError, match=r"^transform 1 is not finite$"):
+        apply_transform([1.0, bad, 0.0], A, b)  # before transform 2's rank
+    with pytest.raises(RankDeficientError, match=r"^transform 2 is not finite$"):
+        apply_transform([[[1.0, 0.0]], [[0.0, 1.0]], [[bad, 1.0]]], np.ones((2, 3)), [0.0, 0.0])
+    with pytest.raises(RankDeficientError, match=r"^transform 0 is not finite$"):
+        build_market(MarketParams(transforms=[bad, 1.0, 1.0, 1.0, 1.0]))
+
+
 def test_apply_transform_refuses_no_transforms():
     with pytest.raises(ValueError, match="at least one transform"):
         apply_transform([], np.zeros((1, 0)), [0.0])

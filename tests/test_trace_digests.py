@@ -18,10 +18,12 @@ array-at-a-time.
 non-finite in its first round.  They were recorded from the writer that
 formatted every cell with ``repr`` and read traces back with a per-row
 parse; the ``trace_meta.json`` digests were recorded again when digest v2
-changed each file's ``instance_hash``, and again when the per-round
-``message_counts`` list gave way to one ``n_messages`` (each time the only
-change to the file).  The ``message_counts`` digests above read the trace's
-property, ``n_messages`` once per transition.  A trace read back with
+changed each file's ``instance_hash``, again when the per-round
+``message_counts`` list gave way to one ``n_messages``, and again when the
+file went from ``indent=2`` to single-line ``json.dumps`` output (each time
+the only change to the file; ``json.load`` of the single-line file is the
+object the indented one held).  The ``message_counts`` digests above read the
+trace's property, ``n_messages`` once per transition.  A trace read back with
 ``from_csv`` must save to the same bytes.
 """
 
@@ -172,19 +174,19 @@ def test_trace_matches_pinned_digests(name):
 FILES = {
     "market_sync": (_market_sync,
                     "b7d15ff521eae36a002d156270db4f7f2eadc09cc4032ac8d8deac62bc9b326f",
-                    "2f4c8ce25994798757f2da64d6358e731108458cbcb91f5af266cc8f5ea04e10"),
+                    "d0b1c67ea8cd21eefd6902ed9fc264a156fccabf6e5aeebab8cc582fff1e736d"),
     "market_async_d5": (_market_async_d5,
                         "93aa4ba53575bdc7a483c923a00b6d7835a24c9641f99e7a025c1f2120a7407f",
-                        "f4e22bea4e67266a85531af234f02077a0fb2bf4aa2dbd97042160c4a01adcc1"),
+                        "170857f765d4b75faa7adf0abf25632e85a74338fb90c972ab926d8774de2b1e"),
     "mixed_seeded_d4": (_mixed_seeded,
                         "bb008fab6b14d08b3ee76c969f851f8fc9dcfe7b135b7b12f784c506e147f844",
-                        "ecb784089643130c0bd99988accbf68549b90306d545f7b0a8df0dab46324e50"),
+                        "79f30d71052b16dd187c2087566fe3489a18a2be57770c2314ac44ff3a7fcba2"),
     "path_sync_n48": (_path_sync,
                       "7c1ebdff58240e89dcdbd042463a62239143fe4861cb6cff7253daefd20784ed",
-                      "122315803c06ba07102a0c5da400dfb266983ed59359ec1339bdd3440d4d11a8"),
+                      "aaead219cee6fb6116cf339eb4fc56b6259d90392af86f3186ee2fdf473c7680"),
     "market_nonfinite": (_market_nonfinite,
                          "a4339adbb9f223b5d854bc2ed75e9b59f1d629b07bdd24a300c863db16dec9aa",
-                         "18d82e701fbe7959827fe2b918adc73e6973f93370431b922c45abda82591fc6"),
+                         "0f99c51c3492ffc7286abe528172c8d34930141a696f371cea705ee7024b1144"),
 }
 
 

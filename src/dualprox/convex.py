@@ -230,7 +230,7 @@ class SmoothConjugable:
 
     base: QuadraticFunction | PiecewiseQuadraticUtility
     effective_domain: BoxSet | None = None
-    _no_domain = None  # a group's members without a domain, where -inf, inf stands in
+    _no_domain = None  # a group's members without a domain (-inf, inf stand in), for the digest
 
     def __post_init__(self):
         if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
@@ -253,9 +253,9 @@ class SmoothConjugable:
 
     @cached_property
     def _unbounded(self) -> bool:
-        """Whether a quadratic member without a domain of its own lacks curvature."""
-        free = ... if self.effective_domain is None else self._no_domain
-        return free is not None and not _all_positive(np.asarray(self.base.strong_convexity)[free])
+        """Whether a quadratic without a domain lacks curvature.  An instance refuses
+        ``sigma_i <= 0``, so only a part or group built apart from one can."""
+        return self.effective_domain is None and not _all_positive(self.base.strong_convexity)
 
     @cached_property
     def _utility_candidates(self):

@@ -105,18 +105,20 @@ class Topology:
         return (i == l) | (codes[np.searchsorted(codes[:-1], query)] == query)
 
     @cached_property
-    def is_connected(self) -> bool:
-        """Whether every agent reaches agent 0 (no agents: ``False``)."""
-        if self.n_agents == 0:
-            return False
-        seen = {0}
-        stack = [0]
+    def unreached(self):
+        """The least agent with no path to agent 0; ``None`` if none (or no agent) is cut off."""
+        seen, stack = {0}, [0] if self.n_agents else []
         while stack:
             for w in self.neighbors(stack.pop()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.n_agents
+        return min(set(range(self.n_agents)) - seen, default=None)
+
+    @property
+    def is_connected(self) -> bool:
+        """Whether every agent reaches agent 0 (no agents: ``False``)."""
+        return self.n_agents > 0 and self.unreached is None
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,10 @@ class ProblemInstance:
     ``x_l`` in agent ``owner[k]``'s rows, and ``rhs[i]`` is ``b^(i)``;
     absent pairs are zero blocks.  The table is kept sorted by
     ``(owner, l)``.  The agents are grouped by kind, and every part's
-    dimension checked, when it is built (see :func:`_kind_groups`).
+    dimension checked, when it is built (see :func:`_kind_groups`).  The
+    constructor also refuses what the method assumes: a nonzero block whose
+    ``l`` is neither its owner nor a neighbour (a zero one is kept, and skipped),
+    a disconnected topology, and a smooth part with ``sigma_i <= 0``.
 
     The operators a round reads are members built on first use: ``C`` and ``A`` as CSR
     entry arrays ``(rows, cols, vals)``, each row's entries in ascending column, so a row
@@ -171,26 +176,35 @@ class ProblemInstance:
                 f"{N} agents, ({n},), ({n},), {(n, B, M)} and {(N, B)}")
         order = np.lexsort((l, owner))
         owner, l, blocks = owner[order], l[order], blocks[order]
+        # whether each block's l is its owner or a neighbour, and whether it is nonzero: the
+        # nonzero ones are A's and a round's messages, those in the neighbourhood C's
+        in_nbhd, nonzero = self.topology.in_closed_neighbourhood(owner, l), blocks.any(axis=(1, 2))
         for bad, why in (((owner < 0) | (owner >= N) | (l < 0) | (l >= N),
                           f"is out of range for {N} agents"),
                          ((owner[1:] == owner[:-1]) & (l[1:] == l[:-1]), "appears twice"),
-                         (~np.isfinite(blocks).all(axis=(1, 2)), "is not finite")):
+                         (~np.isfinite(blocks).all(axis=(1, 2)), "is not finite"),
+                         (nonzero & ~in_nbhd, "is nonzero, but l is not a neighbour")):
             if bad.any():
                 k = bad.argmax()
                 raise ValueError(f"agent {owner[k]}: block for l={l[k]} {why}")
         bad = ~np.isfinite(rhs).all(axis=1)
         if bad.any():
             raise ValueError(f"agent {bad.argmax()}: rhs is not finite")
+        if not self.topology.is_connected:
+            raise ValueError(f"agent {self.topology.unreached}: no path to agent 0, the topology "
+                             "is disconnected" if N else "an instance needs at least one agent")
         agents = tuple(self.agents)
         f_groups, g_members, sigma, g_table = _kind_groups(agents, M)
-        # whether each block's l is its owner or a neighbour; validation and the operators read it
-        in_nbhd = self.topology.in_closed_neighbourhood(owner, l)
-        for value in (owner, l, blocks, rhs, sigma, in_nbhd):
+        bad = sigma <= 0  # else the dual gradient has no Lipschitz constant
+        if bad.any():
+            raise ValueError(f"agent {bad.argmax()}: smooth part has strong convexity "
+                             f"{sigma[bad.argmax()]}, not positive")
+        for value in (owner, l, blocks, rhs, sigma, in_nbhd, nonzero):
             value.flags.writeable = False
         self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
                              _f_groups=f_groups, _g_members=g_members, _g_table=g_table,
-                             _in_neighbourhood=in_nbhd, last_x_hat=(None, None),
-                             _stacked_C_rows={})
+                             _in_neighbourhood=in_nbhd, _nonzero=nonzero,
+                             last_x_hat=(None, None), _stacked_C_rows={})
 
     @property
     def n_agents(self) -> int:
@@ -213,16 +227,11 @@ class ProblemInstance:
         """The coupling part ``-A'`` of ``C = [-A', -I]``: row ``i*M + m``
         holds ``-A_i^(l)`` of every block present, at column ``l*B + b`` of
         ``theta``."""
-        keep = self._in_neighbourhood  # the blocks A_l^(i) with l in agent i's closed neighbourhood
+        keep = self._in_neighbourhood  # leaves out the zero blocks off their owner's neighbourhood
         owner, l, blocks = self.owner[keep], self.l[keep], self.blocks[keep]
         by_key = np.argsort(l, kind="stable")
         rows, cols, vals = _csr(l[by_key], owner[by_key], blocks[by_key].transpose(0, 2, 1))
         return rows, cols, -vals
-
-    @cached_property
-    def _nonzero(self) -> np.ndarray:
-        """The nonzero blocks in their owner's closed neighbourhood."""
-        return self.blocks.any(axis=(1, 2)) & self._in_neighbourhood
 
     @cached_property
     def A(self) -> tuple:
@@ -279,9 +288,9 @@ class ProblemInstance:
             S = flat[at[lo]:at[lo] + (hi - lo) * size[lo]].reshape(hi - lo, M, -1)
             norms[order[lo:hi]] = np.linalg.svd(S, compute_uv=False)[:, 0]
         # float_power is C pow, as ``norm**2`` on a scalar; x*x differs in the last bit now and then
-        with np.errstate(all="ignore"):  # sigma_i <= 0, or so small the ratio overflows
+        with np.errstate(all="ignore"):  # sigma_i so small the ratio overflows
             per_agent = np.float_power(norms, 2) / self.sigma
-        bad = np.flatnonzero((self.sigma <= 0) | ~np.isfinite(per_agent))
+        bad = np.flatnonzero(~np.isfinite(per_agent))
         if bad.size:
             i = int(bad[0])
             raise SingularScaleError(f"agent {i}: curvature {self.sigma[i]} gives "
@@ -510,40 +519,17 @@ class ValidationReport:
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
-    """Structural validation; returns a report instead of raising.
+    """What is left to check once an instance is built; returns a report instead of raising.
 
-    Checks: connectivity, block sparsity w.r.t. the topology and positive
-    curvature of every smooth part (the block table's shapes and every
-    part's dimension are checked when the instance is built).  Existence of
-    a strictly feasible point is reported as not checked (general
-    feasibility detection is itself an optimization problem).
+    The constructor already refuses wrong shapes and dimensions, a nonzero
+    block off its owner's closed neighbourhood, a disconnected topology and
+    ``sigma_i <= 0``.  Existence of a strictly feasible point is reported as
+    not checked (general feasibility detection is itself an optimization
+    problem).
     """
-    checks = []
-    topo = instance.topology
-
-    checks.append(CheckResult(
-        "connectivity", "pass" if topo.is_connected else "fail",
-        f"{topo.n_agents} agents, {len(topo.edges)} edges"))
-
-    owner, l = instance.owner, instance.l
-    outside = instance.blocks.any(axis=(1, 2)) & ~instance._in_neighbourhood
-    sparsity_violations = list(zip(owner[outside].tolist(), l[outside].tolist()))
-    checks.append(CheckResult(
-        "block_sparsity",
-        "pass" if not sparsity_violations else "fail",
-        "nonzero blocks only on neighbours" if not sparsity_violations
-        else f"nonzero blocks outside neighbourhood: {sparsity_violations}"))
-
-    bad_sigma = np.flatnonzero(instance.sigma <= 0).tolist()
-    checks.append(CheckResult(
-        "strong_convexity", "pass" if not bad_sigma else "fail",
-        "all sigma_i > 0" if not bad_sigma else f"agents with sigma <= 0: {bad_sigma}"))
-
-    checks.append(CheckResult(
+    return ValidationReport([CheckResult(
         "strict_feasibility", "not_checked",
-        "existence of a strictly feasible point is not verified"))
-
-    return ValidationReport(checks)
+        "existence of a strictly feasible point is not verified")])
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +658,10 @@ def instance_from_json(obj: dict) -> ProblemInstance:
     """Rebuild an instance from its canonical JSON form.
 
     Raises :class:`MalformedInstanceError` when a required key is missing,
-    an agent's id is not its position, or a value has the wrong type,
-    shape or is not finite (box and domain bounds may be infinite, never
-    NaN); the message names the agent and the field.
+    an agent's id is not its position, a value has the wrong type, shape or
+    is not finite (box and domain bounds may be infinite, never NaN), or
+    :class:`ProblemInstance` refuses what it holds; the message names the
+    agent and the field.
     """
     try:
         M, B = int(obj["M"]), int(obj["B"])

@@ -48,16 +48,10 @@ class MarketParams:
     users: list = field(default_factory=lambda: [dict(p) for p in DEFAULT_USER_PARAMS])
     transforms: list = field(default_factory=lambda: list(DEFAULT_TRANSFORMS))
 
-    def __post_init__(self):
-        if any(p["kappa"] <= 0 for p in self.uc):
-            raise ValueError("kappa must be strictly positive")
-        if any(p["varsigma"] <= 0 for p in self.users):
-            raise ValueError("varsigma must be strictly positive")
+    def __post_init__(self):  # kappa <= 0, varsigma <= 0 and a zero transform fail when built
         n = len(self.uc) + len(self.users)
         if len(self.transforms) != n:
             raise ValueError(f"need one transform per agent ({n})")
-        if any(t == 0 for t in self.transforms):
-            raise ValueError("transforms must be nonzero scalars")
 
 
 def apply_transform(transforms, A, b):
@@ -131,11 +125,10 @@ def build_consensus(topology: Topology, locals_f, locals_g=None, omegas=None) ->
 
     Agent ``i`` holds ``|V_i| x_i - sum_{l in V_i} x_l = 0``; stacked, these
     rows equal the graph Laplacian acting on ``x``, so any feasible point is
-    a consensus point on a connected graph.  ``locals_g`` (default: zero)
-    and ``omegas`` (default: none) hold one entry per agent.
+    a consensus point; :class:`ProblemInstance` refuses a disconnected
+    ``topology``.  ``locals_g`` (default: zero) and ``omegas`` (default:
+    none) hold one entry per agent.
     """
-    if not topology.is_connected:
-        raise ValueError("consensus needs a connected topology")
     n = topology.n_agents
     for parts, what in ((locals_f, "smooth part"), (locals_g, "nonsmooth part"), (omegas, "omega")):
         if parts is not None and len(parts) != n:

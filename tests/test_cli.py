@@ -30,7 +30,13 @@ from dualprox.repro import CriterionResult
 from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
 from test_compiled import benchmark_pipeline
-from test_model import _singular_pair
+from test_model import (
+    DISCONNECTED,
+    OFF_NEIGHBOUR,
+    _disconnected_doc,
+    _off_neighbour_block,
+    _singular_pair,
+)
 from test_trace_digests import _mixed_path
 
 
@@ -159,7 +165,7 @@ def test_verify_writes_its_report_as_one_json_dumps_line(runner, tmp_path, run_a
     payload = {**report.to_json(), "gated_on": gated_on}
     text = (tmp_path / "bound_report.json").read_text()
     assert text == json.dumps(payload) and json.loads(text) == payload
-    assert res.output == json.dumps(payload, indent=2) + "\n"  # --json prints it indented
+    assert res.output == text + "\n"  # --json prints the line it wrote
 
 
 def test_verify_missing_and_malformed(runner, tmp_path):
@@ -501,10 +507,10 @@ def test_run_refuses_a_non_finite_psi_star(runner, tmp_path, value):
 
 def test_run_refuses_a_numerically_singular_curvature(runner, tmp_path):
     path = tmp_path / "singular.json"
-    save_instance(_singular_pair(), path)
+    path.write_text(json.dumps(_singular_pair()))
     res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
-    _one_error_line(res, "error: instance failed validation: strong_convexity: "
-                         "agents with sigma <= 0: [0]")
+    _one_error_line(res, "error: cannot load instance: malformed instance JSON: "
+                         "agent 0: smooth part has strong convexity 0.0, not positive")
 
 
 def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):
@@ -517,14 +523,14 @@ def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):
     flat["agents"][1]["f"]["strong_convexity"] = 0.0
     wide = json.loads(json.dumps(doc))
     wide["agents"][0]["constraint"]["blocks"]["0"] = [[1.0, 2.0]]
-    # a block of the wrong shape cannot enter the block table: it fails at load
-    for name, bad, prefix in (("flat", flat, "error: bad instance: "),
-                              ("wide", wide, "error: cannot load instance: ")):
+    # sigma_i <= 0 and a block of the wrong shape cannot enter an instance: both fail at load
+    for name, bad, message in (("flat", flat, "agent 1: smooth part has strong convexity 0.0"),
+                               ("wide", wide, "agent 0: block for l=0 has shape (1, 2)")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
                                    "--instance", str(path), "--out", str(tmp_path)])
-        _one_error_line(res, prefix)
+        _one_error_line(res, f"error: cannot load instance: malformed instance JSON: {message}")
 
 
 @pytest.mark.parametrize("flags", [
@@ -589,15 +595,43 @@ def test_run_names_a_non_finite_catalog_number(runner, tmp_path, name, agent, pa
     assert message in res.output
 
 
-def test_run_validation_failure_is_one_line(runner, tmp_path):
+def test_run_refuses_an_instance_file_with_a_block_off_the_neighbourhood(runner, tmp_path):
     doc = instance_to_json(build_scenario("consensus", {"targets": [0.0, 1.0, 2.0, 3.0]}))
     doc["edges"] = [[0, 1], [2, 3]]  # two components; the blocks on (1, 2) now lie outside
     path = tmp_path / "apart.json"
     path.write_text(json.dumps(doc))
     res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
-    _one_error_line(res, "error: instance failed validation: connectivity: 4 agents, 2 edges; "
-                         "block_sparsity: nonzero blocks outside neighbourhood: [(1, 2), (2, 1)]")
-    assert "pass" not in res.output and "not_checked" not in res.output
+    _one_error_line(res, "error: cannot load instance: malformed instance JSON: agent 1: "
+                         "block for l=2 is nonzero, but l is not a neighbour")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("off_neighbour", OFF_NEIGHBOUR),
+    ("disconnected", DISCONNECTED),
+    ("singular", "agent 0: smooth part has strong convexity 0.0, not positive"),
+])
+def test_run_refuses_an_instance_file_the_constructor_refuses(runner, tmp_path, source, message):
+    doc = {"off_neighbour": lambda: _off_neighbour_block()[1],
+           "disconnected": _disconnected_doc, "singular": _singular_pair}[source]()
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
+    _one_error_line(res, f"error: cannot load instance: malformed instance JSON: {message}")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("consensus", {"targets": [0.0, 1.0, 2.0], "edges": [[0, 1]]}, DISCONNECTED),
+    ("consensus", {"targets": [0.0, 1.0, 2.0], "curvatures": [1.0, 0.0, 1.0]},
+     "agent 1: smooth part has strong convexity 0.0, not positive"),
+    ("market", {"uc": [{**DEFAULT_UC_PARAMS[0], "kappa": -1.0}, DEFAULT_UC_PARAMS[1]]},
+     "agent 0: smooth part has strong convexity -2.0, not positive"),
+])
+def test_run_refuses_a_scenario_the_constructor_refuses(runner, tmp_path, scenario, overrides,
+                                                       message):
+    res = runner.invoke(main, ["run", "--scenario", scenario, "--overrides",
+                               json.dumps(overrides), "--out", str(tmp_path)])
+    _one_error_line(res, f"error: cannot build scenario: {message}")
 
 
 def test_run_refuses_a_nonsmooth_part_of_the_wrong_dimension(runner, tmp_path):

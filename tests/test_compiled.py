@@ -39,7 +39,7 @@ from dualprox import (
 )
 from dualprox.convex import _G_KINDS
 from dualprox.engine import _round
-from dualprox.errors import NonStronglyConvexError, UnboundedConjugateError
+from dualprox.errors import UnboundedConjugateError
 from dualprox.model import _csr
 
 from dense_reference import (
@@ -360,24 +360,19 @@ def _assert_f_groups_are_the_agents_own(inst):
     assert sorted(seen) == list(range(inst.n_agents))
 
 
-def test_a_smooth_group_keeps_each_members_error():
-    # a quadratic without curvature is unbounded without a domain and not strongly convex
-    # on one, beside a member of the other kind in one group
-    def inst(flat_domain):
+def test_a_smooth_group_member_without_curvature_is_refused_when_built():
+    # a quadratic without curvature, with or without a domain, beside a member of the other
+    # domain kind in one group: sigma_i <= 0 is refused, so no group holds one
+    for flat_domain in (None, BoxSet([-1.0], [1.0])):
         good = SmoothConjugable(QuadraticFunction(1.0, [0.0]), None if flat_domain else
                                 BoxSet([-1.0], [1.0]))
         flat = SmoothConjugable(QuadraticFunction(-1.0, [0.0]), flat_domain)
         agents = [AgentSpec(good, ProxFriendlyFunction.zero(), None),
                   AgentSpec(flat, ProxFriendlyFunction.zero(), None)]
-        return ProblemInstance(Topology.path(2), agents, 1, 1, [0, 1], [0, 1],
-                               np.ones((2, 1, 1)), np.zeros((2, 1)))
-
-    for flat_domain, error in ((None, UnboundedConjugateError),
-                               (BoxSet([-1.0], [1.0]), NonStronglyConvexError)):
-        case = inst(flat_domain)
-        assert len(case.f_groups) == 1
-        with pytest.raises(error):
-            dual_objective(case, np.zeros(4))
+        with pytest.raises(ValueError) as exc:
+            ProblemInstance(Topology.path(2), agents, 1, 1, [0, 1], [0, 1],
+                            np.ones((2, 1, 1)), np.zeros((2, 1)))
+        assert str(exc.value) == "agent 1: smooth part has strong convexity -1.0, not positive"
 
 
 def _g_row(g, k) -> tuple:

@@ -99,11 +99,18 @@ def test_coupling_blocks_skip_zero_and_non_neighbor_blocks():
     assert cols[rows == 0].tolist() == [1]
     assert cols[rows == 1].tolist() == [0, 1]
     assert inst.n_messages == 2
-    apart = ProblemInstance(Topology(2, frozenset()), pair.agents, 1, 1,
-                            pair.owner, pair.l, pair.blocks, pair.rhs)
-    rows, cols, _ = apart.A
+    # a zero block off the neighbourhood (agent 0's on agent 2 of a path) builds; C, A and
+    # the messages skip it, while C keeps the zero block in agent 1's neighbourhood
+    path = ProblemInstance(Topology.path(3), [pair.agents[0]] * 3, 1, 1, [0, 0, 1, 1, 2],
+                           [0, 2, 0, 1, 2], [[[1.0]], [[0.0]], [[0.0]], [[1.0]], [[1.0]]],
+                           np.zeros((3, 1)))
+    rows, cols, _ = path.A
     assert cols[rows == 0].tolist() == [0]
-    assert apart.n_messages == 0
+    assert cols[rows == 1].tolist() == [1]
+    assert path.n_messages == 0
+    rows, cols, _ = path.C  # row l holds the blocks on x_l, by owner
+    assert cols[rows == 0].tolist() == [0, 1]
+    assert cols[rows == 2].tolist() == [2]
 
 
 def test_grad_block_matches_finite_differences():

@@ -31,7 +31,7 @@ from dualprox import (
     save_instance,
     validate_instance,
 )
-from dualprox.errors import MalformedInstanceError, SingularScaleError, UnboundedConjugateError
+from dualprox.errors import MalformedInstanceError, UnboundedConjugateError
 from dualprox.model import instance_hash
 
 from dense_reference import dense_C, reference_instance_hash
@@ -113,6 +113,7 @@ def test_connectivity_matches_a_reference_bfs(graph):
             queue.append(w)
     topo = Topology(n, pairs)
     assert topo.is_connected == (n > 0 and len(seen) == n)
+    assert topo.unreached == min(set(range(n)) - seen, default=None)
     assert [topo.neighbors(v) for v in range(n)] == [sorted(adj[v]) for v in range(n)]
 
 
@@ -120,6 +121,9 @@ def test_connectivity_edge_cases():
     assert not Topology(0).is_connected
     assert Topology(1).is_connected
     assert not Topology(4, [(0, 1), (1, 2)]).is_connected  # agent 3 is isolated
+    assert Topology(4, [(0, 1), (1, 2)]).unreached == 3
+    assert Topology(5, [(0, 1), (3, 4)]).unreached == 2
+    assert Topology(0).unreached is None and Topology(1).unreached is None
 
 
 def test_consensus_setup_decides_connectivity_once(monkeypatch):
@@ -128,7 +132,7 @@ def test_consensus_setup_decides_connectivity_once(monkeypatch):
     monkeypatch.setattr(Topology, "neighbors", lambda self, i: calls.append(i) or neighbors(self, i))
     n = 6
     inst = build_consensus(Topology.path(n), [quadratic_local([0.0])] * n)
-    assert validate_instance(inst).ok
+    assert inst.topology.is_connected  # decided when the instance was built, not again
     assert sorted(calls) == list(range(n))
 
 
@@ -191,34 +195,53 @@ def test_lipschitz_identity_block_only():
     assert h == pytest.approx(2.0)
 
 
-def test_lipschitz_rejects_zero_curvature():
-    inst = _single_agent(sigma=1.0)
-    flat = SmoothConjugable(QuadraticFunction(0.0, [0.0]))
-    bad = AgentSpec(flat, ProxFriendlyFunction.zero(), None)
-    inst_bad = ProblemInstance(inst.topology, (bad,), 1, 1,
-                               inst.owner, inst.l, inst.blocks, inst.rhs)
-    with pytest.raises(SingularScaleError):
-        lipschitz_constant(inst_bad)
+def _refused(build, message):
+    """Asserts that ``build()`` raises a ``ValueError`` whose text is ``message``."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def _refused_at_load(doc, message):
+    """Asserts that ``instance_from_json(doc)`` raises ``malformed instance JSON: message``."""
+    with pytest.raises(MalformedInstanceError) as exc:
+        instance_from_json(doc)
+    assert str(exc.value) == f"malformed instance JSON: {message}"
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0])
+def test_a_scalar_curvature_that_is_not_positive_is_refused_when_built(curvature):
+    # sigma_i <= 0 leaves the dual gradient without a Lipschitz constant
+    message = f"agent 0: smooth part has strong convexity {curvature}, not positive"
+    flat = AgentSpec(SmoothConjugable(QuadraticFunction(curvature, [0.0])),
+                     ProxFriendlyFunction.zero(), None)
+    _refused(lambda: ProblemInstance(Topology(1), (flat,), 1, 1, [0], [0], [[[2.0]]], [[0.0]]),
+             message)
+    doc = instance_to_json(_single_agent())
+    doc["agents"][0]["f"]["params"]["curvature"] = [[curvature]]
+    _refused_at_load(doc, message)
+
+
+SINGULAR = [[8.0, 8.0, 6.0], [8.0, 8.0, 6.0], [6.0, 6.0, 5.0]]  # eigvalsh: least ≈3e-15
 
 
 def _singular_pair():
-    """A two-agent path consensus whose agent 0 has a singular curvature that
-    ``eigvalsh`` puts just above 0 (≈3e-15)."""
-    singular = [[8.0, 8.0, 6.0], [8.0, 8.0, 6.0], [6.0, 6.0, 5.0]]
-    f0 = SmoothConjugable(QuadraticFunction(singular, np.zeros(3)))
-    return build_consensus(Topology.path(2), [f0, quadratic_local(np.zeros(3))])
+    """The document of a two-agent path consensus whose agent 0 has the singular curvature
+    ``SINGULAR``, which ``eigvalsh`` puts just above 0; the instance is refused."""
+    doc = instance_to_json(build_consensus(Topology.path(2), [quadratic_local(np.zeros(3))] * 2))
+    doc["agents"][0]["f"]["params"]["curvature"] = SINGULAR
+    return doc
 
 
 def test_a_numerically_singular_curvature_has_no_strong_convexity():
-    inst = _singular_pair()
-    f0 = inst.agents[0].f
+    f0 = SmoothConjugable(QuadraticFunction(SINGULAR, np.zeros(3)))
     assert f0.strong_convexity == 0.0
-    failed = [(c.name, c.detail) for c in validate_instance(inst).checks if c.status == "fail"]
-    assert failed == [("strong_convexity", "agents with sigma <= 0: [0]")]
-    with pytest.raises(SingularScaleError, match="agent 0"):
-        lipschitz_constant(inst)
     with pytest.raises(UnboundedConjugateError):
         conjugate_argmax(f0, np.ones(3))
+    message = "agent 0: smooth part has strong convexity 0.0, not positive"
+    _refused(lambda: build_consensus(Topology.path(2), [f0, quadratic_local(np.zeros(3))]),
+             message)
+    _refused_at_load(_singular_pair(), message)
 
 
 def test_a_saved_strong_convexity_is_not_read_back(tmp_path):
@@ -233,25 +256,47 @@ def test_a_saved_strong_convexity_is_not_read_back(tmp_path):
     assert lipschitz_constant(edited)[0] == lipschitz_constant(build_market())[0]
 
 
-def test_validate_market_all_structural_checks_pass(ctx):
+def test_validate_reports_only_strict_feasibility(ctx):
+    # dimensions, connectivity, block sparsity and sigma_i > 0 are checked when built
     report = validate_instance(ctx.market)
-    by_name = {c.name: c.status for c in report.checks}
     assert report.ok
-    assert by_name["strict_feasibility"] == "not_checked"
-    for name in ("connectivity", "block_sparsity", "strong_convexity"):
-        assert by_name[name] == "pass"
-    assert "dimensions" not in by_name  # checked when the instance is built
+    assert [(c.name, c.status) for c in report.checks] == [("strict_feasibility", "not_checked")]
 
 
-def test_validate_flags_sparsity_violation():
-    # path 0-1-2 but agent 0 carries a block for non-neighbor 2
-    inst = ProblemInstance(Topology.path(3), _scalar_agents(3), 1, 1,
-                           [0, 1, 2, 0], [0, 1, 2, 2], np.ones((4, 1, 1)), np.zeros((3, 1)))
-    report = validate_instance(inst)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["block_sparsity"].status == "fail"
-    assert by_name["block_sparsity"].detail.endswith("[(0, 2)]")
-    assert not report.ok
+def _off_neighbour_block():
+    """The default 3-agent path consensus (targets 0, 3, 6) with the nonzero block ``[[5.0]]``
+    of agent 0 on agent 2, which is no neighbour, as ``(instance arguments, document)``.
+
+    Were it built, ``C`` and ``A`` would drop the block, and ``run`` would reach its
+    tolerance at ``x_hat = (3, 3, 3)``, where agent 0's own row gives ``A^(0) x_hat = 15``,
+    not ``b^(0) = 0``."""
+    good = build_scenario("consensus")
+    args = (good.topology, good.agents, 1, 1, [*good.owner, 0], [*good.l, 2],
+            [*good.blocks, [[5.0]]], good.rhs)
+    doc = instance_to_json(good)
+    doc["agents"][0]["constraint"]["blocks"]["2"] = [[5.0]]
+    return args, doc
+
+
+OFF_NEIGHBOUR = "agent 0: block for l=2 is nonzero, but l is not a neighbour"
+
+
+def test_a_nonzero_block_off_the_neighbourhood_is_refused_when_built():
+    args, doc = _off_neighbour_block()
+    _refused(lambda: ProblemInstance(*args), OFF_NEIGHBOUR)
+    _refused_at_load(doc, OFF_NEIGHBOUR)
+    # the first such block in (owner, l) order is named
+    _refused(lambda: ProblemInstance(Topology.path(4), _scalar_agents(4), 1, 1, [3, 1, 0],
+                                     [0, 3, 0], np.ones((3, 1, 1)), np.zeros((4, 1))),
+             "agent 1: block for l=3 is nonzero, but l is not a neighbour")
+    # a zero block there builds and stays in the table; C, A and the messages skip it
+    good = build_scenario("consensus")
+    zero = ProblemInstance(*args[:6], [*good.blocks, [[0.0]]], good.rhs)
+    assert list(zip(zero.owner.tolist(), zero.l.tolist()))[:3] == [(0, 0), (0, 1), (0, 2)]
+    for name in ("C", "A"):
+        for got, want in zip(getattr(zero, name), getattr(good, name)):
+            assert got.tobytes() == want.tobytes(), name
+    assert zero.n_messages == good.n_messages == 4
 
 
 @pytest.mark.parametrize("M, g, dim", [
@@ -299,10 +344,34 @@ def test_a_box_of_the_wrong_dimension_never_reaches_run():
     assert str(exc.value) == f"malformed instance JSON: {message}"
 
 
-def test_validate_flags_disconnected_topology():
-    inst = ProblemInstance(Topology(3, frozenset({(0, 1)})), _scalar_agents(3), 1, 1,
-                           [0, 1, 2], [0, 1, 2], np.ones((3, 1, 1)), np.zeros((3, 1)))
-    assert not validate_instance(inst).ok
+def _disconnected(topology=Topology.path(3)):
+    """A 3-agent instance on ``topology`` whose blocks are all on the diagonal."""
+    return ProblemInstance(topology, _scalar_agents(3), 1, 1, [0, 1, 2], [0, 1, 2],
+                           np.ones((3, 1, 1)), np.zeros((3, 1)))
+
+
+def _disconnected_doc():
+    """The document of :func:`_disconnected` with the edge (1, 2) removed: agent 2 is cut
+    off, and no block lies off a neighbourhood."""
+    doc = instance_to_json(_disconnected())
+    doc["edges"] = [[0, 1]]
+    return doc
+
+
+DISCONNECTED = "agent 2: no path to agent 0, the topology is disconnected"
+
+
+def test_a_disconnected_topology_is_refused_when_built():
+    _refused(lambda: _disconnected(Topology(3, [(0, 1)])), DISCONNECTED)
+    _refused_at_load(_disconnected_doc(), DISCONNECTED)
+    _refused(lambda: build_consensus(Topology(3, [(0, 1)]), [quadratic_local([0.0])] * 3),
+             DISCONNECTED)
+    _refused(lambda: build_consensus(Topology(5, [(0, 1), (3, 4)]),
+                                     [quadratic_local([0.0])] * 5),
+             "agent 2: no path to agent 0, the topology is disconnected")
+    _refused(lambda: ProblemInstance(Topology(0), (), 1, 1, [], [], np.zeros((0, 1, 1)),
+                                     np.zeros((0, 1))),
+             "an instance needs at least one agent")
 
 
 def test_block_table_is_sorted_and_read_only():
@@ -442,7 +511,9 @@ def _perturb(doc, path):
 
 
 def _structural_changes(doc):
-    """Copies of a scalar instance document with one field added, removed or re-kinded."""
+    """Copies of a scalar instance document with one field added, removed or re-kinded, as
+    ``(built, refused)``: ``refused`` pairs each copy that leaves a nonzero block off its
+    owner's neighbourhood, which the constructor refuses, with the block it names."""
     def changed(edit):
         new = copy.deepcopy(doc)
         edit(new)
@@ -467,9 +538,11 @@ def _structural_changes(doc):
             d[agents][i]["f"], d[agents][j]["f"] = d[agents][j]["f"], d[agents][i]["f"]
         return changed(edit)
 
+    refused = [(changed(lambda d: d["edges"].pop()), "agent 3: block for l=4"),
+               (with_blocks({0: {0: (0, 0), 2: (0, 1)}}), "agent 0: block for l=2"),
+               (with_blocks({0: {0: (0, 0), 3: (0, 1)}}), "agent 0: block for l=3")]
     return [
         changed(lambda d: d["edges"].append([0, 2])),
-        changed(lambda d: d["edges"].pop()),
         changed(lambda d: d[agents][0]["f"].update(domain=None)),
         changed(lambda d: d[agents][0]["g"].update(kind="l1_norm", params={"weight": 0.0})),
         changed(lambda d: d[agents][3]["g"].update(kind="l1_norm", params={"weight": 0.75})),
@@ -481,13 +554,11 @@ def _structural_changes(doc):
         # the same values under other owners or keys
         changed(lambda d: d[agents][2].update(omega=d[agents][1].pop("omega"))),
         swapped_f(3, 4),
-        with_blocks({0: {0: (0, 0), 2: (0, 1)}}),
-        with_blocks({0: {0: (0, 0), 3: (0, 1)}}),
         with_blocks({1: {0: (1, 0), 1: (1, 1)}}),
         with_blocks({1: {1: (1, 0), 2: (1, 1)}}),
         with_blocks({0: {0: (0, 0)}, 1: {1: (1, 1), 2: (1, 2)}}),
         with_blocks({0: {0: (0, 0), 1: (1, 1)}, 1: {2: (1, 2)}}),
-    ]
+    ], refused
 
 
 def test_instance_hash_changes_with_every_field():
@@ -496,7 +567,10 @@ def test_instance_hash_changes_with_every_field():
         doc = instance_to_json(inst)
         variants = [_perturb(doc, path) for path in _numeric_leaves(doc)]
         if inst is scalar:
-            variants += _structural_changes(doc)
+            built, refused = _structural_changes(doc)
+            variants += built
+            for variant, block in refused:
+                _refused_at_load(variant, f"{block} is nonzero, but l is not a neighbour")
         # a mirrored curvature pair gives one variant twice
         variants = {json.dumps(v, sort_keys=True): v for v in variants}.values()
         assert len(variants) > 20

@@ -14,6 +14,7 @@ from dualprox import (
 )
 from dualprox.convex import PiecewiseQuadraticUtility, ProxFriendlyFunction, QuadraticFunction
 from dualprox.errors import RankDeficientError
+from dualprox.scenarios import DEFAULT_UC_PARAMS, DEFAULT_USER_PARAMS
 
 
 def test_market_default_structure():
@@ -35,12 +36,20 @@ def test_market_default_structure():
 
 
 def test_market_params_validation():
-    with pytest.raises(ValueError):
-        MarketParams(uc=[{"kappa": 0.0, "vartheta": 1.0, "beta": 0.0, "x_max": 1.0}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need one transform per agent \(5\)$"):
         MarketParams(transforms=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        MarketParams(transforms=[1.0, 0.0, 1.0, 1.0, 1.0])
+    # each other rule is checked once, where the market is built, naming the agent or index
+    for kappa in (0.0, -1.0):
+        uc = [{"kappa": kappa, "vartheta": 1.0, "beta": 0.0, "x_max": 1.0}, DEFAULT_UC_PARAMS[1]]
+        with pytest.raises(ValueError) as exc:
+            build_market(MarketParams(uc=uc))
+        assert str(exc.value) == (f"agent 0: smooth part has strong convexity {2 * kappa}, "
+                                  "not positive")
+    users = [{**DEFAULT_USER_PARAMS[0], "varsigma": 0.0}, *DEFAULT_USER_PARAMS[1:]]
+    with pytest.raises(ValueError, match="^price and curvature must be positive$"):
+        build_market(MarketParams(users=users))
+    with pytest.raises(RankDeficientError, match="^transform 1 does not have full row rank$"):
+        build_market(MarketParams(transforms=[1.0, 0.0, 1.0, 1.0, 1.0]))
 
 
 def test_symmetric_transforms_give_same_primal_optimum(ctx):

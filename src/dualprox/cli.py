@@ -32,10 +32,8 @@ from .engine import (
 )
 from .errors import DualproxError
 from .model import lipschitz_constant, load_instance
-from .repro import ReproContext, run_all
+from .repro import SLACK_TOL, ReproContext, run_all
 from .scenarios import SCENARIOS, build_scenario
-
-SLACK_TOL = 1e-9
 
 
 def _fail(message: str) -> None:
@@ -123,7 +121,7 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
             margin, psi_star, out, as_json):
     """Run the solver and write trace.csv + trace_meta.json."""
     inst = _load_problem(scenario, instance, overrides)
-    sched = steps = None  # sync: run's own step 1/h
+    sched = steps = None  # run's own steps: 1/h, or 1/(h (D+1)^2) without --margin
     if mode == "sync":
         given = [flag for flag, value in (("--delay", delay or None), ("--schedule", schedule),
                                           ("--margin", margin)) if value is not None]
@@ -131,10 +129,10 @@ def cmd_run(scenario, instance, overrides, mode, delay, schedule, iters, tol,
             _fail(f"sync mode does not take {', '.join(given)}")
     else:
         sched = _parse_schedule("worst" if schedule is None else schedule, delay)
+    if margin is not None:
         try:
-            h, _ = lipschitz_constant(inst)
-            margins = np.full(inst.n_agents, 1.0 if margin is None else margin)
-            steps = step_size_async(h, delay, margins=margins, n_agents=inst.n_agents)
+            steps = step_size_async(lipschitz_constant(inst)[0], delay, n_agents=inst.n_agents,
+                                    margins=np.full(inst.n_agents, margin))
         except (DualproxError, ValueError) as exc:
             _fail(str(exc))
 

@@ -230,11 +230,13 @@ class SmoothConjugable:
 
     base: QuadraticFunction | PiecewiseQuadraticUtility
     effective_domain: BoxSet | None = None
-    _no_domain = None  # a group's members without a domain (-inf, inf stand in), for the digest
 
     def __post_init__(self):
-        if self.effective_domain is not None and self.effective_domain.dim != self.base.dim:
+        base, dom = self.base, self.effective_domain
+        if dom is not None and dom.dim != base.dim:
             raise ValueError("effective domain dimension mismatch")
+        if dom is not None and isinstance(base, QuadraticFunction) and not base.is_diagonal:
+            raise ValueError("smooth quadratic in a box needs diagonal curvature")
 
     @property
     def dim(self) -> int:
@@ -331,6 +333,10 @@ class ProxFriendlyFunction:
     quad: QuadraticFunction | None = None
     box: BoxSet | None = None
 
+    def __post_init__(self):
+        if self.box is not None and self.quad is not None and not self.quad.is_diagonal:
+            raise ValueError("nonsmooth quadratic in a box needs diagonal curvature")
+
     # -- constructors --
 
     @staticmethod
@@ -353,8 +359,6 @@ class ProxFriendlyFunction:
 
     @staticmethod
     def quadratic(quad: QuadraticFunction, box: BoxSet | None = None) -> "ProxFriendlyFunction":
-        if box is not None and not quad.is_diagonal:
-            raise ValueError("quadratic + box prox needs diagonal curvature")
         return ProxFriendlyFunction("quadratic", quad=quad, box=box)
 
     # -- derived entries --
@@ -366,8 +370,6 @@ class ProxFriendlyFunction:
         if self.box is not None:
             box = BoxSet(np.maximum(self.box.lower, box.lower),
                          np.minimum(self.box.upper, box.upper))
-        if self.quad is not None and not self.quad.is_diagonal:
-            raise ValueError("quadratic + box prox needs diagonal curvature")
         return ProxFriendlyFunction(self.kind, self.weight, self.quad, box)
 
     # -- evaluation --
@@ -566,7 +568,7 @@ def smooth_group(fs, has_domain) -> SmoothConjugable:
     if all(has_domain) or not any(has_domain):
         return group(fs)
     grouped, free = object.__new__(SmoothConjugable), _free_parts(fs[0].dim)[1]
-    grouped.__dict__.update(base=group([f.base for f in fs]), _no_domain=~np.array(has_domain),
+    grouped.__dict__.update(base=group([f.base for f in fs]),
                             effective_domain=group([f.effective_domain or free for f in fs]))
     return grouped
 
@@ -610,9 +612,7 @@ def conjugate_argmax(f: SmoothConjugable, u) -> np.ndarray:
     if isinstance(base, QuadraticFunction):
         if f._unbounded:
             raise UnboundedConjugateError("quadratic lacks curvature on unbounded domain")
-        if not base.is_diagonal:
-            if dom is not None:
-                raise NonStronglyConvexError("box-domain argmax implemented for diagonal curvature")
+        if not base.is_diagonal:  # so without a domain: the constructor refuses one
             try:  # eigvalsh may put a singular curvature's least eigenvalue just above 0
                 return np.linalg.solve(base.curvature, (u - base.linear)[..., None])[..., 0]
             except np.linalg.LinAlgError:

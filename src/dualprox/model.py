@@ -194,7 +194,7 @@ class ProblemInstance:
             raise ValueError(f"agent {self.topology.unreached}: no path to agent 0, the topology "
                              "is disconnected" if N else "an instance needs at least one agent")
         agents = tuple(self.agents)
-        f_groups, g_members, sigma, g_table = _kind_groups(agents, M)
+        f_groups, g_members, sigma, codes = _kind_groups(agents, M)
         bad = sigma <= 0  # else the dual gradient has no Lipschitz constant
         if bad.any():
             raise ValueError(f"agent {bad.argmax()}: smooth part has strong convexity "
@@ -202,7 +202,7 @@ class ProblemInstance:
         for value in (owner, l, blocks, rhs, sigma, in_nbhd, nonzero):
             value.flags.writeable = False
         self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
-                             _f_groups=f_groups, _g_members=g_members, _g_table=g_table,
+                             _f_groups=f_groups, _g_members=g_members, _codes=codes,
                              _in_neighbourhood=in_nbhd, _nonzero=nonzero,
                              last_x_hat=(None, None), _stacked_C_rows={})
 
@@ -300,33 +300,29 @@ class ProblemInstance:
     @cached_property
     def _digest(self) -> str:
         """What :func:`instance_hash` returns, computed on first use."""
-        codes, by_kind, boxes = self._g_table
-        table = np.empty((self.n_agents, 6), dtype="<i8")
-        table[:, 3:] = codes
+        table, agents = self._codes, self.agents
         kinds = {}  # (utility, dim) -> its groups; dense and diagonal quadratics are two
-        for idx, f in self._f_groups:
-            utility = isinstance(f.base, PiecewiseQuadraticUtility)
-            table[idx, :2] = utility, f.dim
-            no_domain = f._no_domain  # the members without a domain, in a group of both
-            table[idx, 2] = f.effective_domain is not None if no_domain is None else ~no_domain
-            kinds.setdefault((utility, f.dim), []).append(f)
+        for _, f in self._f_groups:
+            kinds.setdefault((isinstance(f.base, PiecewiseQuadraticUtility), f.dim), []).append(f)
         fields = [_field("v2", (self.n_agents, self.M, self.B), "<i8"),
                   _field("edges", self.topology.edges.ravel(), "<i8"),
                   _field("agents", table, "<i8")]
         for (utility, dim), (f, *more) in sorted(kinds.items()):
             if more:  # one stack of the kind's members, in agent order
-                fs = [self.agents[i].f for i in
-                      np.flatnonzero((table[:, 0] == utility) & (table[:, 1] == dim)).tolist()]
-                f = smooth_group(fs, [g.effective_domain is not None for g in fs])
+                rows = np.flatnonzero((table[:, 0] == utility) & (table[:, 1] == dim))
+                f = smooth_group([agents[i].f for i in rows.tolist()], table[rows, 2].tolist())
             base, dom, tag = f.base, f.effective_domain, "f:utility" if utility else "f:quadratic"
             fields += [_field(tag, p) for p in ((base.price, base.curvature) if utility else
                                                 (base.curvature, base.linear, base.offset))]
             if dom is not None:
                 fields += [_field(tag, dom.lower), _field(tag, dom.upper)]
-        fields.append(_field("g:l1", [g.weight for g in by_kind["l1"]]))
-        fields += [_field("g:quadratic", [getattr(g.quad, name) for g in by_kind["quadratic"]])
+        l1, quadratic = (np.flatnonzero(table[:, 3] == _G_KINDS.index(kind)).tolist()
+                         for kind in ("l1", "quadratic"))
+        fields.append(_field("g:l1", [agents[i].g.weight for i in l1]))
+        fields += [_field("g:quadratic", [getattr(agents[i].g.quad, name) for i in quadratic])
                    for name in ("curvature", "linear", "offset")]
-        fields += [_field("boxes", [(b.lower, b.upper) for b in boxes]),
+        fields += [_field("boxes", [(b.lower, b.upper) for a in agents
+                                    for b in (a.g.box, a.omega) if b is not None]),
                    _field("blocks", self.owner, "<i8"),
                    _field("blocks", self.l, "<i8"),
                    _field("blocks", self.blocks),
@@ -367,8 +363,6 @@ def _csr(groups, others, mats):
     r, c = np.arange(R)[:, None], np.arange(K)
     rows = (groups[:, None, None] * R + r + 0 * c).ravel()  # each the full (n, R, K)
     cols = (others[:, None, None] * K + c + 0 * r).ravel()
-    if R == 1:  # one row per group: the blocks are in CSR order already
-        return rows, cols, mats.ravel()
     # entry (r, c) of a group's rank-th block follows the group's earlier
     # rows and the row's earlier blocks
     counts = np.bincount(groups)
@@ -381,7 +375,7 @@ def _csr(groups, others, mats):
 
 
 def _kind_groups(agents: tuple, M: int) -> tuple:
-    """``(f_groups, g_members, sigma, g_table)`` of ``agents``, from one pass over them.
+    """``(f_groups, g_members, sigma, codes)`` of ``agents``, from one pass over them.
 
     Every part must have dim ``M``: else a ``ValueError`` lists each ``agent i: <part> has dim
     d, expected M=M``, by agent and then part, joined by ``; ``, read off the groups' keys.
@@ -391,27 +385,26 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
     other where absent, and each g's code (see :class:`convex.ProxFriendlyFunction`); it is
     stacked when the instance is compiled.  Groups are in order of first member; their
     agents are a ``slice`` where consecutive (a view, where an index array gathers a copy).
-    ``g_table``, which :func:`instance_hash` reads with the f groups, is each agent's
-    nonsmooth codes ``(kind, box, omega)``, the g's of each kind and the boxes present."""
-    f_keys, g_keys, table, by_kind, boxes = {}, {}, [], {kind: [] for kind in _G_KINDS}, []
+    A dense nonsmooth quadratic with an omega is refused, naming the agent.  ``codes``, which
+    :func:`instance_hash` hashes, is the ``(N, 6)`` table of each agent's smooth codes
+    ``(utility, dim, domain)`` and nonsmooth codes ``(kind, box, omega)``."""
+    f_keys, g_keys, table = {}, {}, []
     for i, a in enumerate(agents):
         f, g, omega = a.f, a.g, a.omega
         base, kind, quad, box = f.base, g.kind, g.quad, g.box
-        dim = base.dim  # a utility's is 1; a dense quadratic has a group of its own
-        f_keys.setdefault((type(base), dim, dim > 1 and not base.is_diagonal),
-                          []).append((i, f, f.effective_domain is not None))
-        code = _G_KINDS.index(kind)
+        # ints, not bools: a list of bools converts to int64 several times slower
+        utility, dim = 0 if type(base) is QuadraticFunction else 1, base.dim  # a utility's is 1
+        domain = 0 if f.effective_domain is None else 1
+        f_keys.setdefault((utility, dim, dim > 1 and not base.is_diagonal),  # dense ones apart
+                          []).append((i, f, domain))
+        code, diagonal = _G_KINDS.index(kind), quad is None or quad.is_diagonal
+        if omega is not None and not diagonal:
+            raise ValueError(f"agent {i}: nonsmooth quadratic in omega needs diagonal curvature")
         g_keys.setdefault((M if quad is None else quad.dim, M if box is None else box.dim,
-                           M if omega is None else omega.dim, quad is None or quad.is_diagonal),
+                           M if omega is None else omega.dim, diagonal),
                           []).append((i, g, box or omega, omega or box,
                                       code if box is None and omega is None else code + 3))
-        # ints, not bools: a list of bools converts to int64 several times slower
-        table += (code, 0 if box is None else 1, 0 if omega is None else 1)
-        by_kind[kind].append(g)
-        if box is not None:
-            boxes.append(box)
-        if omega is not None:
-            boxes.append(omega)
+        table += (utility, dim, domain, code, 0 if box is None else 1, 0 if omega is None else 1)
 
     # (part, dim, members) of each group: part 0 the smooth part, 1-3 g's quadratic, box, omega
     dims = [(0, key[1], m) for key, m in f_keys.items()] + [
@@ -432,7 +425,7 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
             sigma[idx] = f.strong_convexity
     g_members = tuple((index(idx), columns)
                       for members in g_keys.values() for idx, *columns in [zip(*members)])
-    return f_groups, g_members, sigma, (np.array(table, dtype="<i8").reshape(-1, 3), by_kind, boxes)
+    return f_groups, g_members, sigma, np.array(table, dtype="<i8").reshape(-1, 6)
 
 
 def _checked_groups(part: str, groups, n_agents: int) -> tuple:
@@ -669,9 +662,11 @@ def instance_from_json(obj: dict) -> ProblemInstance:
         for i, a in enumerate(obj["agents"]):
             if a["id"] != i:
                 raise ValueError(f"agent at position {i} has id {a['id']!r}")
-            agents.append(AgentSpec(_f_from_json(a["f"], f"agent {i}: f"),
-                                    _g_from_json(a["g"], f"agent {i}: g"),
-                                    _box_from_json(a.get("omega"), f"agent {i}: omega")))
+            try:  # a part's refusal, prefixed with its agent
+                agents.append(AgentSpec(_f_from_json(a["f"], "f"), _g_from_json(a["g"], "g"),
+                                        _box_from_json(a.get("omega"), "omega")))
+            except ValueError as exc:
+                raise ValueError(f"agent {i}: {exc}") from None
             for key, blk in a["constraint"]["blocks"].items():
                 blk = np.asarray(blk, dtype=float)
                 if blk.shape != (B, M):

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualprox import (
@@ -127,7 +127,7 @@ def quadratics(draw, M, diagonal, boxed):
     offset = draw(st.one_of(finite, signed_zero))
     base = QuadraticFunction(np.asarray(curvature, dtype=float), linear, offset)
     domain = None
-    if boxed:
+    if boxed and diagonal:  # a dense curvature in a box is refused when built
         lo = draw(st.lists(st.one_of(signed_zero, st.floats(-10.0, 0.0)), min_size=M, max_size=M))
         domain = BoxSet(lo, [x + draw(st.one_of(signed_zero, st.floats(0.0, 10.0))) for x in lo])
     return SmoothConjugable(base, domain)
@@ -152,6 +152,16 @@ def test_quadratic_argmax_and_value_match_the_former_formulas(M, diagonal, boxed
         got, want = f.value(xi), reference_quadratic_value(f.base, xi)
         assert type(got) is type(want) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_a_dense_quadratic_in_a_box_is_refused(M, data):
+    # why :func:`quadratics` draws a domain only for a diagonal curvature
+    base = data.draw(quadratics(M, False, False)).base
+    assume(not base.is_diagonal)
+    with pytest.raises(ValueError, match="^smooth quadratic in a box needs diagonal curvature$"):
+        SmoothConjugable(base, data.draw(boxes(M)))
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0])

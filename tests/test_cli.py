@@ -31,8 +31,10 @@ from dualprox.scenarios import DEFAULT_TRANSFORMS, DEFAULT_UC_PARAMS, DEFAULT_US
 
 from test_compiled import benchmark_pipeline
 from test_model import (
+    DENSE_IN_A_BOX,
     DISCONNECTED,
     OFF_NEIGHBOUR,
+    _dense_in_a_box,
     _disconnected_doc,
     _off_neighbour_block,
     _singular_pair,
@@ -643,6 +645,17 @@ def test_run_refuses_a_nonsmooth_part_of_the_wrong_dimension(runner, tmp_path):
     res = runner.invoke(main, ["run", "--instance", str(path), "--out", str(tmp_path)])
     _one_error_line(res, "error: cannot load instance: malformed instance JSON: "
                          "agent 1: nonsmooth part has dim 1, expected M=2")
+
+
+@pytest.mark.parametrize("part", ["f", "omega"])
+def test_run_refuses_a_dense_quadratic_in_a_box_when_it_loads(runner, tmp_path, part):
+    # before, the file loaded and the run failed later on an error that named no agent
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_in_a_box(part)))
+    res = runner.invoke(main, ["run", "--instance", str(path), "--mode", "async", "--delay", "1",
+                               "--out", str(tmp_path)])
+    _one_error_line(res, "error: cannot load instance: malformed instance JSON: "
+                         + DENSE_IN_A_BOX[part])
 
 
 @pytest.mark.parametrize("endpoint", [0.5, 1.0])

@@ -332,7 +332,8 @@ def _assert_f_groups_are_the_agents_own(inst):
     """Every row of the smooth groups is its agent's own f, bit for bit, with ``-inf, inf``
     standing in for the domain of an agent without one where another member has one (a
     group without domains has none); a group holds one kind and dim, a dense quadratic one
-    of its own, and each agent is in one group, a ``slice`` of consecutive agents."""
+    of its own, and each agent is in one group, a ``slice`` of consecutive agents; the code
+    table the construction pass writes holds each agent's smooth codes."""
     seen = []
     for idx, f in inst._f_groups:
         agents = np.arange(inst.n_agents)[idx].tolist()
@@ -342,10 +343,10 @@ def _assert_f_groups_are_the_agents_own(inst):
                     for o in own}) == 1
         no_domain = [o.effective_domain is None for o in own]
         assert (f.effective_domain is None) == all(no_domain)
-        if f.effective_domain is None or not any(no_domain):
-            assert f._no_domain is None
-        else:
-            assert f._no_domain.tolist() == no_domain
+        # the smooth codes the digest hashes: utility or not, dim, domain presence
+        assert inst._codes[agents, :3].tolist() == [
+            [isinstance(o.base, PiecewiseQuadraticUtility), o.dim, not n]
+            for o, n in zip(own, no_domain)]
         for k, (i, o) in enumerate(zip(agents, own)):
             for name in o.base.__dataclass_fields__:
                 assert _bits(np.asarray(getattr(f.base, name))[k]) == _bits(getattr(o.base, name))

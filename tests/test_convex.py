@@ -507,10 +507,27 @@ def test_finite_box_conjugates_keep_their_products():
 
 
 def test_box_domain_argmax_needs_positive_diagonal_curvature():
-    box = BoxSet([0.0, 0.0], [1.0, 1.0])
-    coupled = SmoothConjugable(QuadraticFunction([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0]), box)
-    with pytest.raises(NonStronglyConvexError):
-        conjugate_argmax(coupled, [1.0, 1.0])
+    # a dense curvature in a box is refused when built (see the test below)
     flat = ProxFriendlyFunction.quadratic(QuadraticFunction([0.0], [0.0]), BoxSet([0.0], [1.0]))
     with pytest.raises(NonStronglyConvexError):
         flat.conjugate_argmax([1.0])
+
+
+def test_a_dense_quadratic_in_a_box_is_refused_by_its_constructor():
+    # the argmax clamps componentwise and the prox projects after dividing: both need a
+    # diagonal curvature, so every way of building the part meets the one check
+    dense = QuadraticFunction([[2.0, 0.5], [0.5, 2.0]], [0.0, 0.0])
+    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^smooth quadratic in a box needs diagonal curvature$"):
+        SmoothConjugable(dense, box)
+    for build in (lambda: ProxFriendlyFunction.quadratic(dense, box),
+                  lambda: ProxFriendlyFunction.quadratic(dense).with_box(box),
+                  lambda: ProxFriendlyFunction("quadratic", quad=dense, box=box)):
+        with pytest.raises(ValueError, match="^nonsmooth quadratic in a box needs diagonal "
+                                             "curvature$"):
+            build()
+    # without a box, or with a diagonal curvature, each builds
+    SmoothConjugable(dense)
+    ProxFriendlyFunction.quadratic(dense)
+    SmoothConjugable(QuadraticFunction([2.0, 2.0], [0.0, 0.0]), box)
+    ProxFriendlyFunction.quadratic(QuadraticFunction([2.0, 2.0], [0.0, 0.0]), box)

@@ -697,6 +697,64 @@ def test_instance_from_json_refuses_non_finite_catalog_numbers(name, agent, path
         instance_from_json(json.loads(json.dumps(doc)))
 
 
+@pytest.mark.parametrize("agent, path, value, message", [
+    (3, ("omega", "lower"), [200.0], "agent 3: box requires lower <= upper componentwise"),
+    (2, ("f", "params", "price"), -1.0, "agent 2: price and curvature must be positive"),
+    (1, ("f", "params", "curvature"), [[1.0, 2.0]],
+     "agent 1: curvature/linear dimension mismatch"),
+])
+def test_instance_from_json_names_the_agent_whose_part_is_refused(agent, path, value, message):
+    # the part constructors' own texts, with the agent in front, as _number's have it
+    doc = instance_to_json(build_market())
+    obj = doc["agents"][agent]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    _refused_at_load(doc, message)
+
+
+DENSE = [[2.0, 0.5], [0.5, 2.0]]
+
+
+def _dense_in_a_box(part):
+    """The document of a 2-agent M = 2 path consensus whose agent 0 has the curvature
+    ``DENSE`` in a box: its smooth part given a domain (``"f"``), its nonsmooth quadratic
+    given an omega (``"omega"``) or a box of its own (``"g"``)."""
+    doc = instance_to_json(build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2))
+    agent, box = doc["agents"][0], {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    if part == "f":
+        agent["f"]["params"]["curvature"], agent["f"]["domain"] = DENSE, box
+    else:
+        agent["g"] = {"kind": "quadratic", "params": {"curvature": DENSE, "linear": [0.0, 0.0],
+                                                      "box": box if part == "g" else None}}
+        agent["omega"] = box if part == "omega" else None
+    return doc
+
+
+DENSE_IN_A_BOX = {"f": "agent 0: smooth quadratic in a box needs diagonal curvature",
+                  "g": "agent 0: nonsmooth quadratic in a box needs diagonal curvature",
+                  "omega": "agent 0: nonsmooth quadratic in omega needs diagonal curvature"}
+
+
+@pytest.mark.parametrize("part", ["f", "g", "omega"])
+def test_a_dense_quadratic_in_a_box_is_refused_at_load(part):
+    # before, a dense f with a domain (and a dense g with an omega) loaded, and run then
+    # raised an error that named no agent
+    _refused_at_load(_dense_in_a_box(part), DENSE_IN_A_BOX[part])
+
+
+def test_an_omega_on_a_dense_nonsmooth_quadratic_is_refused_when_built():
+    # its prox solves and projects on no box, so the omega would be dropped
+    dense = ProxFriendlyFunction.quadratic(QuadraticFunction(DENSE, [0.0, 0.0]))
+    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    _refused(lambda: build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2,
+                                     [dense, ProxFriendlyFunction.zero()], [box, None]),
+             DENSE_IN_A_BOX["omega"])
+    diagonal = ProxFriendlyFunction.quadratic(QuadraticFunction([2.0, 2.0], [0.0, 0.0]))
+    build_consensus(Topology.path(2), [quadratic_local([0.0, 0.0])] * 2, [diagonal] * 2,
+                    [box, None])
+
+
 @pytest.mark.parametrize("where", ["price", "rhs"])
 def test_instance_from_json_refuses_an_integer_too_large_for_a_float(where):
     doc = instance_to_json(build_market())

@@ -142,14 +142,15 @@ class ProblemInstance:
     dimension checked, when it is built (see :func:`_kind_groups`).  The
     constructor also refuses what the method assumes: a nonzero block whose
     ``l`` is neither its owner nor a neighbour (a zero one is kept, and skipped),
-    a disconnected topology, and a smooth part with ``sigma_i <= 0``.
+    a disconnected topology, and a smooth part whose ``sigma_i`` is not positive or not
+    finite (an infinite one would drop its agent from the Lipschitz constant).
 
     The operators a round reads are members built on first use: ``C`` and ``A`` as CSR
     entry arrays ``(rows, cols, vals)``, each row's entries in ascending column, so a row
     adds its agents in ascending id; ``f_groups`` and ``g_groups``, the kind groups as
     ``(agents, function)``, each g stacked, their constants checked; ``lipschitz``.  The
     only mutable state is ``last_x_hat``, the last run's final ``x_hat`` keyed by the bytes
-    of its ``lam`` for primal recovery, and :func:`apply_C`'s rows of ``C`` per stack size.
+    of its ``lam`` for primal recovery.
     """
 
     topology: Topology
@@ -195,16 +196,17 @@ class ProblemInstance:
                              "is disconnected" if N else "an instance needs at least one agent")
         agents = tuple(self.agents)
         f_groups, g_members, sigma, codes = _kind_groups(agents, M)
-        bad = sigma <= 0  # else the dual gradient has no Lipschitz constant
-        if bad.any():
-            raise ValueError(f"agent {bad.argmax()}: smooth part has strong convexity "
-                             f"{sigma[bad.argmax()]}, not positive")
+        # else the dual gradient has no Lipschitz constant, or one that drops the agent
+        for bad, why in ((sigma <= 0, "not positive"), (~np.isfinite(sigma), "not finite")):
+            if bad.any():
+                raise ValueError(f"agent {bad.argmax()}: smooth part has strong convexity "
+                                 f"{sigma[bad.argmax()]}, {why}")
         for value in (owner, l, blocks, rhs, sigma, in_nbhd, nonzero):
             value.flags.writeable = False
         self.__dict__.update(agents=agents, owner=owner, l=l, blocks=blocks, rhs=rhs, sigma=sigma,
                              _f_groups=f_groups, _g_members=g_members, _codes=codes,
                              _in_neighbourhood=in_nbhd, _nonzero=nonzero,
-                             last_x_hat=(None, None), _stacked_C_rows={})
+                             last_x_hat=(None, None))
 
     @property
     def n_agents(self) -> int:
@@ -217,10 +219,8 @@ class ProblemInstance:
     def split(self, lam: np.ndarray):
         """Views ``(theta, mu)`` of a dual vector, shaped ``(N, B)`` and ``(N, M)``;
         a stack of ``K`` gives ``(K, N, B)`` and ``(K, N, M)``."""
-        N, n = self.n_agents, self.n_agents * self.B
-        if lam.ndim == 1:
-            return lam[:n].reshape(N, self.B), lam[n:].reshape(N, self.M)
-        return lam[:, :n].reshape(-1, N, self.B), lam[:, n:].reshape(-1, N, self.M)
+        N, n, lead = self.n_agents, self.n_agents * self.B, lam.shape[:-1]
+        return lam[..., :n].reshape(lead + (N, self.B)), lam[..., n:].reshape(lead + (N, self.M))
 
     @cached_property
     def C(self) -> tuple:
@@ -354,8 +354,8 @@ def _csr(groups, others, mats):
     """CSR entries ``(rows, cols, vals)`` of blocks sorted by ``(groups, others)``.
 
     The ``R x K`` block ``mats[j]`` sits at rows ``groups[j]*R + r`` and
-    columns ``others[j]*K + c``, so each row holds its blocks in ascending
-    ``others``.
+    columns ``others[j]*K + c``; the entries are sorted by row, then
+    column, so each row holds its blocks in ascending ``others``.
     """
     _, R, K = mats.shape
     if R == K == 1:  # scalar blocks are their own entries, in CSR order already
@@ -363,14 +363,7 @@ def _csr(groups, others, mats):
     r, c = np.arange(R)[:, None], np.arange(K)
     rows = (groups[:, None, None] * R + r + 0 * c).ravel()  # each the full (n, R, K)
     cols = (others[:, None, None] * K + c + 0 * r).ravel()
-    # entry (r, c) of a group's rank-th block follows the group's earlier
-    # rows and the row's earlier blocks
-    counts = np.bincount(groups)
-    n = counts[groups][:, None, None]
-    start = (np.cumsum(counts) - counts)[groups][:, None, None]
-    rank = np.arange(groups.size)[:, None, None] - start
-    order = np.empty(mats.size, dtype=np.intp)
-    order[((start * R + r * n + rank) * K + c).ravel()] = np.arange(mats.size)
+    order = np.lexsort((cols, rows))
     return rows[order], cols[order], mats.ravel()[order]
 
 
@@ -420,7 +413,7 @@ def _kind_groups(agents: tuple, M: int) -> tuple:
     f_groups = tuple((index(idx), smooth_group(fs, has_domain))
                      for idx, fs, has_domain in (zip(*m) for m in f_keys.values()))
     sigma = np.empty(len(agents))
-    with np.errstate(over="ignore"):  # 2 varsigma; refused when compiled
+    with np.errstate(over="ignore"):  # 2 varsigma; refused by the constructor
         for idx, f in f_groups:
             sigma[idx] = f.strong_convexity
     g_members = tuple((index(idx), columns)
@@ -436,7 +429,7 @@ def _checked_groups(part: str, groups, n_agents: int) -> tuple:
     with np.errstate(all="ignore"):
         for idx, fn in groups:
             base = fn.base if part == "f" else fn.quad
-            named = {"strong convexity": fn.strong_convexity} if part == "f" else {}
+            named = {}
             if isinstance(base, PiecewiseQuadraticUtility):
                 named.update({"threshold price / (2 curvature)": base.threshold,
                               "flat value -price^2 / (4 curvature)": base._flat_value})
@@ -461,22 +454,14 @@ def _checked_groups(part: str, groups, n_agents: int) -> tuple:
 
 def apply_C(instance: ProblemInstance, lam: np.ndarray) -> np.ndarray:
     """Every agent's ``C_i lam = -mu_i - sum_l (A_i^(l))' theta_l``, stacked ``(N, M)``,
-    or ``(K, N, M)`` for a stack of ``K`` dual vectors.
+    or ``(K, N, M)`` for a stack of ``K`` dual vectors; a point and a stack take one path.
 
-    Each row starts at ``-mu_i`` and adds its terms in ascending ``l``; a
-    stack's rows are added in one pass over the flattened stack.
+    Each row starts at ``-mu_i`` and adds its terms in ascending ``l``.
     """
     rows, cols, vals = instance.C
-    N, M = instance.n_agents, instance.M
-    if lam.ndim == 1:
-        u = -lam[N * instance.B:]
-        np.add.at(u, rows, vals * lam[cols])
-        return u.reshape(N, M)
-    u, K = np.negative(lam[:, N * instance.B:], order="C"), len(lam)  # u.reshape(-1): a view
-    if K not in instance._stacked_C_rows:
-        instance._stacked_C_rows[K] = (rows + u.shape[1] * np.arange(K)[:, None]).ravel()
-    np.add.at(u.reshape(-1), instance._stacked_C_rows[K], (vals * lam[:, cols]).ravel())
-    return u.reshape(K, N, M)
+    u = np.negative(lam[..., instance.n_agents * instance.B:], order="C")
+    np.add.at(u, (..., rows), vals * lam.take(cols, axis=-1))
+    return u.reshape(lam.shape[:-1] + (instance.n_agents, instance.M))
 
 
 def lipschitz_constant(instance: ProblemInstance):
@@ -516,9 +501,9 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
 
     The constructor already refuses wrong shapes and dimensions, a nonzero
     block off its owner's closed neighbourhood, a disconnected topology and
-    ``sigma_i <= 0``.  Existence of a strictly feasible point is reported as
-    not checked (general feasibility detection is itself an optimization
-    problem).
+    a ``sigma_i`` not positive or not finite.  Existence of a strictly
+    feasible point is reported as not checked (general feasibility detection
+    is itself an optimization problem).
     """
     return ValidationReport([CheckResult(
         "strict_feasibility", "not_checked",
@@ -665,7 +650,9 @@ def instance_from_json(obj: dict) -> ProblemInstance:
             try:  # a part's refusal, prefixed with its agent
                 agents.append(AgentSpec(_f_from_json(a["f"], "f"), _g_from_json(a["g"], "g"),
                                         _box_from_json(a.get("omega"), "omega")))
-            except ValueError as exc:
+            except KeyError as exc:
+                raise ValueError(f"agent {i}: lacks key {exc}") from None
+            except (TypeError, AttributeError, ValueError) as exc:
                 raise ValueError(f"agent {i}: {exc}") from None
             for key, blk in a["constraint"]["blocks"].items():
                 blk = np.asarray(blk, dtype=float)

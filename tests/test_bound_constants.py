@@ -94,6 +94,8 @@ def _near_ties(f, draw):
     value = float(base.value([a])) - float(base.value([b]))
     gap = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])) * TIE_TOL
     s = (value + gap) / (a - b)
+    if not np.isfinite(s):  # a pair a subnormal apart; a run never passes an infinite u
+        return [-base.price]
     return [-base.price, s, np.nextafter(s, INF), np.nextafter(s, -INF)]
 
 
@@ -113,6 +115,18 @@ def test_utility_argmax_matches_the_former_formulas(bounded, data):
         _agree(stacked, u)
         for f, ui in zip(members, u):
             _agree(f, ui)
+
+
+def test_utility_argmax_where_a_near_tie_slope_is_infinite():
+    # the draw two seeds shrank to: a domain [0, 5e-324], whose ends with the gap -2 TIE_TOL
+    # give the slope (0 - 2 TIE_TOL) / -5e-324 = inf, and inf * 0 in the argmax
+    f = SmoothConjugable(PiecewiseQuadraticUtility(1.0, 1.0), BoxSet([0.0], [5e-324]))
+    picks = iter([(0.0, 5e-324), -2.0])  # _near_ties's two draws: the pair, then the gap
+    slopes = _near_ties(f, lambda strategy: next(picks))
+    assert slopes == [-1.0]
+    for s in [0.0, *slopes]:
+        _agree(group([f]), np.array([[s]]))
+        _agree(f, np.array([s]))
 
 
 @st.composite

@@ -328,10 +328,6 @@ def _mixed_path_edit(agent, part, key, value, **fields):
     ("market", _market_override("users", 1, "x_max", float("nan")), "users.1.x_max is NaN"),
     ("market", _market_override("uc", 1, "vartheta", float("inf")),
      "uc.1.vartheta is not finite"),
-    ("market", _market_override("uc", 0, "kappa", 1e308),
-     "agent 0: f strong convexity is not finite"),
-    ("market", _market_override("users", 2, "varsigma", 1e308),
-     "agent 4: f strong convexity is not finite"),
     ("market", _market_override("users", 0, "pi", 1e308),
      "agent 2: f threshold price / (2 curvature) is not finite"),
     ("market", _market_override("users", 0, "pi", 1e200),  # only pi^2 overflows
@@ -525,14 +521,23 @@ def test_verify_reports_a_bad_instance_cleanly(runner, tmp_path):
     flat["agents"][1]["f"]["strong_convexity"] = 0.0
     wide = json.loads(json.dumps(doc))
     wide["agents"][0]["constraint"]["blocks"]["0"] = [[1.0, 2.0]]
-    # sigma_i <= 0 and a block of the wrong shape cannot enter an instance: both fail at load
-    for name, bad, message in (("flat", flat, "agent 1: smooth part has strong convexity 0.0"),
-                               ("wide", wide, "agent 0: block for l=0 has shape (1, 2)")):
+    tiny = json.loads(json.dumps(doc))
+    tiny["agents"][0]["f"]["params"]["curvature"] = [[1e-310]]
+    # sigma_i <= 0 and a block of the wrong shape cannot enter an instance: both fail at
+    # load; a subnormal sigma_i loads, but its ||C_i||^2 / sigma_i overflows when h is taken
+    load = "cannot load instance: malformed instance JSON: "
+    for name, bad, message in (
+            ("flat", flat, load + "agent 1: smooth part has strong convexity 0.0"),
+            ("wide", wide, load + "agent 0: block for l=0 has shape (1, 2)"),
+            ("tiny", tiny, "bad instance: agent 0: curvature 1e-310 gives "
+                           "||C_i||^2 / sigma_i = inf")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
-        res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
-                                   "--instance", str(path), "--out", str(tmp_path)])
-        _one_error_line(res, f"error: cannot load instance: malformed instance JSON: {message}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+            res = runner.invoke(main, ["verify", "--trace", str(good / "trace.csv"),
+                                       "--instance", str(path), "--out", str(tmp_path)])
+        _one_error_line(res, f"error: {message}")
 
 
 @pytest.mark.parametrize("flags", [
@@ -628,11 +633,18 @@ def test_run_refuses_an_instance_file_the_constructor_refuses(runner, tmp_path, 
      "agent 1: smooth part has strong convexity 0.0, not positive"),
     ("market", {"uc": [{**DEFAULT_UC_PARAMS[0], "kappa": -1.0}, DEFAULT_UC_PARAMS[1]]},
      "agent 0: smooth part has strong convexity -2.0, not positive"),
+    # 2 kappa and 2 varsigma overflow: an infinite sigma_i would leave its agent out of h
+    ("market", {"uc": [{**DEFAULT_UC_PARAMS[0], "kappa": 1e308}, DEFAULT_UC_PARAMS[1]]},
+     "agent 0: smooth part has strong convexity inf, not finite"),
+    ("market", {"users": [*DEFAULT_USER_PARAMS[:2], {**DEFAULT_USER_PARAMS[2], "varsigma": 1e308}]},
+     "agent 4: smooth part has strong convexity inf, not finite"),
 ])
 def test_run_refuses_a_scenario_the_constructor_refuses(runner, tmp_path, scenario, overrides,
                                                        message):
-    res = runner.invoke(main, ["run", "--scenario", scenario, "--overrides",
-                               json.dumps(overrides), "--out", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as the CLI smoke runs it
+        res = runner.invoke(main, ["run", "--scenario", scenario, "--overrides",
+                                   json.dumps(overrides), "--out", str(tmp_path)])
     _one_error_line(res, f"error: cannot build scenario: {message}")
 
 

@@ -697,11 +697,18 @@ def test_instance_from_json_refuses_non_finite_catalog_numbers(name, agent, path
         instance_from_json(json.loads(json.dumps(doc)))
 
 
+DELETED = object()
+
+
 @pytest.mark.parametrize("agent, path, value, message", [
     (3, ("omega", "lower"), [200.0], "agent 3: box requires lower <= upper componentwise"),
     (2, ("f", "params", "price"), -1.0, "agent 2: price and curvature must be positive"),
     (1, ("f", "params", "curvature"), [[1.0, 2.0]],
      "agent 1: curvature/linear dimension mismatch"),
+    # a key missing or a value of the wrong type: Python's texts, with the agent in front
+    (3, ("omega",), [0, 1], "agent 3: list indices must be integers or slices, not str"),
+    (3, ("f", "params"), DELETED, "agent 3: lacks key 'params'"),
+    (3, ("g", "params"), None, "agent 3: 'NoneType' object is not subscriptable"),
 ])
 def test_instance_from_json_names_the_agent_whose_part_is_refused(agent, path, value, message):
     # the part constructors' own texts, with the agent in front, as _number's have it
@@ -709,7 +716,10 @@ def test_instance_from_json_names_the_agent_whose_part_is_refused(agent, path, v
     obj = doc["agents"][agent]
     for key in path[:-1]:
         obj = obj[key]
-    obj[path[-1]] = value
+    if value is DELETED:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
     _refused_at_load(doc, message)
 
 
